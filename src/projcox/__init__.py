@@ -20,10 +20,9 @@ from .charts import (CaseLabel, ConcurrentChartParams, GeneralChartParams,
                      build_general, build_simplex, build_standard,
                      classify_case, concurrent_to_standard, is_semisimple,
                      realize_representation, standard_coordinates)
-from .linalg import det, inverse, mat_power, pair, rank, reflection, solve
+from .linalg import mat_power, pair, rank, reflection
 from .orbifold import (INFINITY, EdgeOrders, OrbifoldSignature,
                        QuadPrismOrders, cg05_dim, d_tp, euler_characteristic,
-                       infinite_pairs, mu, quadrilateral_signature,
-                       teichmuller_dim)
+                       mu, quadrilateral_signature, teichmuller_dim)
 
 __version__ = "0.1.0"

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantViolation, UnsupportedShape
-from .orbifold import EdgeOrders, QuadPrismOrders, is_finite_order, mu
+from .orbifold import (EdgeOrders, QuadPrismOrders, _as_edge_orders,
+                       is_finite_order, mu)
 
 VINBERG_CONDITIONS = ("C1", "C2", "C3", "C4", "C5")
 
@@ -70,18 +71,30 @@ def cartan_of(sys: ReflectionSystem, tol: float = linalg.TOL_ALGEBRAIC) -> np.nd
     return m
 
 
+def _sign_failures(m: np.ndarray, tol: float):
+    """Failing 1-based pairs of Vinberg's (C1) diagonal 2 and off-diagonal
+    never 2, (C2) off-diagonal <= 0 and (C3) zero symmetry."""
+    rows = m.tolist()
+    f = len(rows)
+    c1 = [(i + 1, i + 1) for i in range(f) if abs(rows[i][i] - 2.0) > tol]
+    c1 += [(i + 1, j + 1) for i in range(f) for j in range(f)
+           if i != j and abs(rows[i][j] - 2.0) <= tol]
+    c2 = [(i + 1, j + 1) for i in range(f) for j in range(f)
+          if i != j and rows[i][j] > tol]
+    c3 = [(i + 1, j + 1) for i in range(f) for j in range(i + 1, f)
+          if (abs(rows[i][j]) <= tol) != (abs(rows[j][i]) <= tol)]
+    return c1, c2, c3
+
+
 def validate_cartan(m: np.ndarray, tol: float = linalg.TOL_ALGEBRAIC):
-    m = np.asarray(m, dtype=float)
-    f = m.shape[0]
-    if np.max(np.abs(np.diag(m) - 2.0)) > tol:
+    c1, c2, c3 = _sign_failures(np.asarray(m, dtype=float), tol)
+    if any(i == j for i, j in c1):
         raise InvariantViolation("diagonal entries must equal 2")
-    off = m[~np.eye(f, dtype=bool)]
-    if off.size and np.max(off) > tol:
+    if c2:
         raise InvariantViolation("off-diagonal entries must be <= 0")
-    for i in range(f):
-        for j in range(i + 1, f):
-            if (abs(m[i, j]) <= tol) != (abs(m[j, i]) <= tol):
-                raise InvariantViolation(f"zero symmetry broken at ({i + 1},{j + 1})")
+    if c3:
+        i, j = c3[0]
+        raise InvariantViolation(f"zero symmetry broken at ({i},{j})")
 
 
 @dataclass
@@ -118,30 +131,20 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     covector with positive coefficients in the sense of the adjacency
     structure.
     """
-    if isinstance(orders, QuadPrismOrders):
-        orders = orders.to_edge_orders()
+    orders = _as_edge_orders(orders)
     f = sys.num_sides
     if orders.size != f:
         raise ValueError(f"orders table has {orders.size} sides, system has {f}")
     m = sys.raw_cartan()
     report = {}
 
-    # C1: diagonal exactly 2, off-diagonal never 2
+    # C1-C3: diagonal 2 and off-diagonal never 2, off-diagonal <= 0,
+    # zero symmetry
+    c1_fail, c2_fail, c3_fail = _sign_failures(m, tol)
     diag_res = float(np.max(np.abs(np.diag(m) - 2.0)))
-    c1_fail = [(i + 1, i + 1) for i in range(f) if abs(m[i, i] - 2.0) > tol]
-    c1_fail += [(i + 1, j + 1) for i in range(f) for j in range(f)
-                if i != j and abs(m[i, j] - 2.0) <= tol]
     report["C1"] = ConditionCheck(not c1_fail, diag_res, c1_fail)
-
-    # C2: off-diagonal <= 0
-    c2_fail = [(i + 1, j + 1) for i in range(f) for j in range(f)
-               if i != j and m[i, j] > tol]
     c2_res = float(max((m[i - 1, j - 1] for i, j in c2_fail), default=0.0))
     report["C2"] = ConditionCheck(not c2_fail, c2_res, c2_fail)
-
-    # C3: zero symmetry
-    c3_fail = [(i + 1, j + 1) for i in range(f) for j in range(i + 1, f)
-               if (abs(m[i, j]) <= tol) != (abs(m[j, i]) <= tol)]
     report["C3"] = ConditionCheck(not c3_fail, 0.0, c3_fail)
 
     # C4: products match mu for finite orders, >= 4 for infinite ones

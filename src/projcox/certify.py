@@ -11,7 +11,7 @@ import numpy as np
 from . import charts, linalg
 from .cartan import ReflectionSystem
 from .errors import WrongDiagram
-from .orbifold import EdgeOrders, QuadPrismOrders, is_finite_order
+from .orbifold import EdgeOrders, QuadPrismOrders, _as_edge_orders, is_finite_order
 
 #: Frobenius tolerance for n-fold products of reflections; looser than
 #: the algebraic tolerance because rounding accumulates over the power.
@@ -44,10 +44,10 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     power returns to the identity.  Products below 4 are reported as
     failures.
     """
-    if isinstance(orders, QuadPrismOrders):
-        orders = orders.to_edge_orders()
+    orders = _as_edge_orders(orders)
     f = sys.num_sides
     ident = np.eye(sys.dimension)
+    m = sys.raw_cartan()
     refl = {i: sys.reflection(i) for i in range(1, f + 1)}
     failures = []
 
@@ -69,7 +69,6 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
             if res > tol:
                 failures.append(("finite", (i, j)))
         else:
-            m = sys.raw_cartan()
             prod = float(m[i - 1, j - 1] * m[j - 1, i - 1])
             infinite_prod[(i, j)] = prod
             if prod < 4.0 - tol:
@@ -85,8 +84,7 @@ def is_convex_cocompact(m: np.ndarray, orders, tol: float = 0.0) -> bool:
     A point with T13 = 4 or T24 = 4 is a valid deformation but not
     cocompact; the strictness margin is controlled by tol.
     """
-    if isinstance(orders, QuadPrismOrders):
-        orders = orders.to_edge_orders()
+    orders = _as_edge_orders(orders)
     expected_infinite = [(1, 3), (2, 4)]
     if orders.size != 4 or orders.infinite_pairs() != expected_infinite:
         raise WrongDiagram("expected the quad-prism pattern: infinite (1,3), (2,4)")
@@ -226,8 +224,9 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     """Monte-Carlo scan of a4*v44 at fixed (T13, T24).
 
     Coordinates are drawn log-uniformly in |v| over the box;
-    near-singular systems are dropped from the statistics.  The result
-    is deterministic for a given seed.
+    near-singular systems and samples with a non-finite solution or
+    det(M) are dropped from the statistics.  The result is deterministic
+    for a given seed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -236,7 +235,8 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     v24 = charts.sample_negative_box(rng, box[0], box[1], samples)
     v34 = charts.sample_negative_box(rng, box[0], box[1], samples)
     result = charts.solve_standard_batch(orders, t13, t24, v23, v24, v34)
-    ok = result["valid"]
+    # det(M) overflows before the solve does for |v| near the float range
+    ok = result["valid"] & np.isfinite(result["det_m"])
     values = result["a4_v44"][ok]
     if values.size == 0:
         raise ValueError("no valid samples; enlarge the box or sample count")

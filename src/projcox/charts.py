@@ -134,34 +134,6 @@ class StandardChartPoint:
     a4_v44: float
 
 
-def _standard_system(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
-    """Matrix and right-hand side of the system determining
-    (a1, a2, a3, a4*v44).  Broadcasts over trailing sample axes."""
-    t13, t24, v23, v24, v34 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (t13, t24, v23, v24, v34)))
-    shape = t13.shape
-    b = np.empty(shape + (4, 4))
-    b[..., 0, :] = (2.0, -1.0, -1.0, 0.0)
-    b[..., 1, 0] = -orders.mu12
-    b[..., 1, 1] = 2.0
-    b[..., 1, 2] = orders.mu23 / v23
-    b[..., 1, 3] = 0.0
-    b[..., 2, 0] = -t13
-    b[..., 2, 1] = v23
-    b[..., 2, 2] = 2.0
-    b[..., 2, 3] = 0.0
-    b[..., 3, 0] = -1.0
-    b[..., 3, 1] = v24
-    b[..., 3, 2] = v34
-    b[..., 3, 3] = 1.0
-    rhs = np.empty(shape + (4,))
-    rhs[..., 0] = -orders.mu14
-    rhs[..., 1] = t24 / v24
-    rhs[..., 2] = orders.mu34 / v34
-    rhs[..., 3] = 2.0
-    return b, rhs
-
-
 def standard_cartan(orders: QuadPrismOrders, t13, t24, v23, v24, v34) -> np.ndarray:
     """Cartan matrix of a standard-position point (broadcasts)."""
     t13, t24, v23, v24, v34 = np.broadcast_arrays(
@@ -186,22 +158,47 @@ def standard_cartan(orders: QuadPrismOrders, t13, t24, v23, v24, v34) -> np.ndar
     return m
 
 
+def _solve_standard(orders: QuadPrismOrders, t13, t24, v23, v24, v34,
+                    sing_tol: float = linalg.TOL_SINGULAR):
+    """Solve the standard-chart system for (a1, a2, a3, a4*v44).
+
+    The first three coordinates of v_j are column j of the first three
+    rows of M and the fourth is zero except v44, so alpha_4(v_j) = M_4j
+    for j = 1..4 reads b x = rhs: b is the first three rows of M
+    transposed plus an e4 column, rhs is row 4 of M.  Broadcasts over
+    leading sample axes.
+
+    Returns (m, b, rhs, x, valid): valid marks the samples whose system
+    is nonsingular and whose solution is finite.  Overflowing entries
+    only make samples invalid; no floating-point warning is raised.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = standard_cartan(orders, t13, t24, v23, v24, v34)
+        b = np.zeros(m.shape)
+        b[..., :3] = np.swapaxes(m[..., :3, :], -1, -2)
+        b[..., 3, 3] = 1.0
+        rhs = m[..., 3, :]
+        ok = np.abs(np.linalg.det(b)) > sing_tol
+        np.copyto(b, np.eye(4), where=~ok[..., None, None])
+        x = np.linalg.solve(b, rhs[..., None])[..., 0]
+        valid = ok & np.isfinite(x).all(axis=-1)
+    return m, b, rhs, x, valid
+
+
 def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34,
                          sing_tol: float = linalg.TOL_SINGULAR):
     """Vectorized solve of the standard-chart system.
 
     Returns a dict with a1, a2, a3, a4_v44, det_m (determinant of the
-    full Cartan matrix) and a validity mask (system nonsingular).
+    full Cartan matrix) and a validity mask (system nonsingular and
+    solution finite).
     """
-    b, rhs = _standard_system(orders, t13, t24, v23, v24, v34)
-    detb = np.linalg.det(b)
-    ok = np.abs(detb) > sing_tol
-    safe_b = np.where(ok[..., None, None], b, np.eye(4))
-    sol = np.linalg.solve(safe_b, rhs[..., None])[..., 0]
-    det_m = np.linalg.det(standard_cartan(orders, t13, t24, v23, v24, v34))
+    m, _, _, sol, valid = _solve_standard(orders, t13, t24, v23, v24, v34, sing_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_m = np.linalg.det(m)
     return {
         "a1": sol[..., 0], "a2": sol[..., 1], "a3": sol[..., 2],
-        "a4_v44": sol[..., 3], "det_m": det_m, "valid": ok,
+        "a4_v44": sol[..., 3], "det_m": det_m, "valid": valid,
     }
 
 
@@ -210,18 +207,19 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
                    tol: float = RESIDUAL_TOL) -> StandardChartPoint:
     """Solve for (a1, a2, a3, a4*v44) and validate the point.
 
-    Besides the solve residuals this re-checks the two inequality
-    conditions of the chart (the T24 product and, when a4*v44 = 0, the
-    concurrent sign pattern a1 > 0, a2 < 0, a3 > 0).
+    This is the one-point case of :func:`solve_standard_batch`.  Besides
+    the solve residuals it re-checks the two inequality conditions of
+    the chart (the T24 product and, when a4*v44 = 0, the concurrent sign
+    pattern a1 > 0, a2 < 0, a3 > 0).
     """
     _require_t(t13=t13, t24=t24)
     _require_negative(v23=v23, v24=v24, v34=v34)
-    b, rhs = _standard_system(orders, t13, t24, v23, v24, v34)
-    if abs(np.linalg.det(b)) <= linalg.TOL_SINGULAR:
+    _, b, rhs, sol, valid = _solve_standard(orders, t13, t24, v23, v24, v34)
+    if not valid:
         raise SingularSystem("standard-chart system matrix is singular")
-    a1, a2, a3, a4_v44 = np.linalg.solve(b, rhs)
+    a1, a2, a3, a4_v44 = sol
     scale = 1.0 + float(np.max(np.abs(rhs)))
-    residual = float(np.max(np.abs(b @ (a1, a2, a3, a4_v44) - rhs)))
+    residual = float(np.max(np.abs(b @ sol - rhs)))
     if residual > tol * scale:
         raise ConditionFailure(f"solve residual {residual} exceeds tolerance")
     # redundant guard for v24 -> 0-: the (2,4) product must still be >= 4
@@ -258,19 +256,14 @@ def realize_representation(pt: StandardChartPoint, a4: float,
         v44 = 0.0 if v44 is None else float(v44)
     elif v44 is None:
         v44 = pt.a4_v44 / a4
-    o = pt.orders
     alphas = np.array([
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 1.0, 0.0],
         [pt.a1, pt.a2, pt.a3, a4],
     ])
-    vmat = np.array([
-        [2.0, -o.mu12, -pt.t13, -1.0],
-        [-1.0, 2.0, pt.v23, pt.v24],
-        [-1.0, o.mu23 / pt.v23, 2.0, pt.v34],
-        [0.0, 0.0, 0.0, v44],
-    ])
+    # the first three rows of [v] are those of the Cartan matrix
+    vmat = np.vstack([cartan_of_standard(pt)[:3], (0.0, 0.0, 0.0, v44)])
     return ReflectionSystem(alphas, vmat.T)
 
 

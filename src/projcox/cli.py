@@ -41,17 +41,24 @@ def _cycle_key(cycle) -> str:
     return "-".join(str(i) for i in cycle)
 
 
-def _pair_key(pair) -> str:
-    return _cycle_key(pair)
-
-
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
 
 
+def _require_flags(args, *names):
+    missing = [n for n in names if getattr(args, n) is None]
+    if missing:
+        raise ValueError("missing flags for chart "
+                         f"{args.chart!r}: " + ", ".join(f"--{n}" for n in missing))
+
+
 def _build_system(args):
     """Chart point and reflection system from the chart flags."""
+    if args.chart in ("general", "standard"):
+        _require_flags(args, "t13", "t24", "v23", "v24", "v34")
+    else:
+        _require_flags(args, "v12", "v23", "v14", "v34")
     orders = _parse_orders(args.orders)
     if args.chart == "general":
         params = charts.GeneralChartParams(orders, args.t13, args.t24,
@@ -88,22 +95,15 @@ def _add_chart_flags(parser):
     parser.add_argument("--v44", type=float, default=0.0)
 
 
-def _require_flags(args, *names):
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError("missing flags for chart "
-                         f"{args.chart!r}: " + ", ".join(f"--{n}" for n in missing))
-
-
-def _check_chart_flags(args):
-    if args.chart in ("general", "standard"):
-        _require_flags(args, "t13", "t24", "v23", "v24", "v34")
-    else:
-        _require_flags(args, "v12", "v23", "v14", "v34")
+def _relation_residuals(report) -> dict:
+    return {
+        "involutions": {str(i): r for i, r in report.involution_residuals.items()},
+        "finite_pairs": {_cycle_key(p): r for p, r in
+                         report.finite_pair_residuals.items()},
+    }
 
 
 def cmd_relations(args) -> int:
-    _check_chart_flags(args)
     orders, system, inputs = _build_system(args)
     relation_report = certify.verify_relations(system, orders, args.tol)
     vinberg_report = cartan.check_vinberg(system, orders.to_edge_orders())
@@ -115,15 +115,10 @@ def cmd_relations(args) -> int:
             "relations_passed": relation_report.passed,
             "vinberg_passed": vinberg_report.passed,
             "infinite_pair_products": {
-                _pair_key(p): v
+                _cycle_key(p): v
                 for p, v in relation_report.infinite_pair_products.items()},
         },
-        "residuals": {
-            "involutions": {str(i): r for i, r in
-                            relation_report.involution_residuals.items()},
-            "finite_pairs": {_pair_key(p): r for p, r in
-                             relation_report.finite_pair_residuals.items()},
-        },
+        "residuals": _relation_residuals(relation_report),
         "verdicts": {"pass": ok},
         "seed": None,
     })
@@ -131,7 +126,6 @@ def cmd_relations(args) -> int:
 
 
 def cmd_vinberg(args) -> int:
-    _check_chart_flags(args)
     orders, system, inputs = _build_system(args)
     report = cartan.check_vinberg(system, orders.to_edge_orders())
     _emit({
@@ -148,7 +142,6 @@ def cmd_vinberg(args) -> int:
 
 
 def cmd_cocompact(args) -> int:
-    _check_chart_flags(args)
     orders, system, inputs = _build_system(args)
     m = cartan.cartan_of(system)
     t13 = float(m[0, 2] * m[2, 0])
@@ -166,7 +159,6 @@ def cmd_cocompact(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    _check_chart_flags(args)
     orders, system, inputs = _build_system(args)
     m = cartan.cartan_of(system)
     invariants = cartan.cyclic_invariants(m)
@@ -263,16 +255,11 @@ def cmd_simplex(args) -> int:
     _emit({
         "command": "simplex",
         "inputs": {"n": n, "orders": values,
-                   "free": {_pair_key(p): v for p, v in
+                   "free": {_cycle_key(p): v for p, v in
                             zip(free_pairs, free_values)}},
         "results": {"parameter_count": params.parameter_count,
                     "relations_passed": report.passed},
-        "residuals": {
-            "involutions": {str(i): r for i, r in
-                            report.involution_residuals.items()},
-            "finite_pairs": {_pair_key(p): r for p, r in
-                             report.finite_pair_residuals.items()},
-        },
+        "residuals": _relation_residuals(report),
         "verdicts": {"pass": report.passed},
         "seed": None,
     })
@@ -341,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProjCoxError, ValueError) as exc:
+    except (ProjCoxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

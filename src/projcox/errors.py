@@ -13,10 +13,6 @@ class NormalizationError(ProjCoxError):
     """A reflection pair (a, v) does not satisfy a(v) = 2."""
 
 
-class SingularMatrix(ProjCoxError):
-    """Matrix is singular beyond the working tolerance."""
-
-
 class InfiniteOrder(ProjCoxError):
     """An operation requiring a finite edge order received an infinite one."""
 

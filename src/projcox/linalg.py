@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NormalizationError, SingularMatrix
+from .errors import DimensionMismatch, NormalizationError
 
 TOL_ALGEBRAIC = 1e-9
 TOL_SINGULAR = 1e-12
@@ -39,20 +39,22 @@ def as_matrix(x) -> np.ndarray:
     return m.copy()
 
 
-def pair(a, x) -> float:
-    """Evaluate the covector a on the vector x."""
-    a = as_vector(a)
-    x = as_vector(x)
+def _pair(a: np.ndarray, x: np.ndarray) -> float:
     if a.shape != x.shape:
         raise DimensionMismatch(f"covector length {a.shape[0]} vs vector length {x.shape[0]}")
     return float(a @ x)
+
+
+def pair(a, x) -> float:
+    """Evaluate the covector a on the vector x."""
+    return _pair(as_vector(a), as_vector(x))
 
 
 def reflection(a, v, tol: float = TOL_ALGEBRAIC) -> np.ndarray:
     """The projective reflection Id - v a^T fixing ker(a), with a(v) = 2."""
     a = as_vector(a)
     v = as_vector(v)
-    p = pair(a, v)
+    p = _pair(a, v)
     if abs(p - 2.0) > tol:
         raise NormalizationError(f"a(v) = {p}, expected 2")
     return np.eye(a.shape[0]) - np.outer(v, a)
@@ -72,27 +74,6 @@ def mat_power(m, k: int) -> np.ndarray:
         if k:
             base = base @ base
     return result
-
-
-def det(m) -> float:
-    return float(np.linalg.det(as_matrix(m)))
-
-
-def inverse(m, tol: float = TOL_SINGULAR) -> np.ndarray:
-    m = as_matrix(m)
-    if abs(np.linalg.det(m)) <= tol:
-        raise SingularMatrix("matrix is singular")
-    return np.linalg.inv(m)
-
-
-def solve(m, b, tol: float = TOL_SINGULAR) -> np.ndarray:
-    m = as_matrix(m)
-    b = as_vector(b)
-    if b.shape[0] != m.shape[0]:
-        raise DimensionMismatch("right-hand side length does not match matrix size")
-    if abs(np.linalg.det(m)) <= tol:
-        raise SingularMatrix("matrix is singular")
-    return np.linalg.solve(m, b)
 
 
 def rank(m, tol: float = 1e-8) -> int:

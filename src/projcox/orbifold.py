@@ -97,10 +97,6 @@ class EdgeOrders:
         return [p for p in sorted(self.orders) if is_finite_order(self.orders[p])]
 
 
-def infinite_pairs(orders: EdgeOrders):
-    return orders.infinite_pairs()
-
-
 @dataclass(frozen=True)
 class QuadPrismOrders:
     """Orders of the labeled quadrilateral prism: finite n12, n23, n34,
@@ -139,6 +135,11 @@ class QuadPrismOrders:
             (1, 2): self.n12, (2, 3): self.n23, (3, 4): self.n34, (1, 4): self.n14,
             (1, 3): INFINITY, (2, 4): INFINITY,
         })
+
+
+def _as_edge_orders(orders) -> EdgeOrders:
+    """The full order table, for callers that accept either form."""
+    return orders.to_edge_orders() if isinstance(orders, QuadPrismOrders) else orders
 
 
 @dataclass(frozen=True)

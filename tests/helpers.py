@@ -1,4 +1,10 @@
-"""Shared random-point generators for the test suite."""
+"""Shared random-point generators and subprocess runner for the test
+suite."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -70,3 +76,15 @@ def balanced_realization(pt: charts.StandardChartPoint):
     evenly between alpha_4 and v_4 to keep matrix entries moderate."""
     a4 = max(np.sqrt(abs(pt.a4_v44)), 1e-6)
     return charts.realize_representation(pt, a4=a4)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(args):
+    """Run a fresh interpreter with the package source on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable] + list(args), cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)

@@ -13,7 +13,8 @@ from projcox.charts import (CaseLabel, ConcurrentChartParams,
                             build_standard, classify_case,
                             concurrent_to_standard, is_semisimple,
                             realize_representation, standard_coordinates)
-from projcox.errors import DomainError, GaugeError
+from projcox.errors import (ConditionFailure, DomainError, GaugeError,
+                            SingularSystem)
 from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
@@ -104,19 +105,32 @@ def test_build_standard_matches_closed_form_cartan():
 
 
 def test_standard_batch_agrees_with_single_solve():
-    rng = np.random.default_rng(3)
-    t13 = charts.sample_t(rng, 32)
-    t24 = charts.sample_t(rng, 32)
-    v23 = charts.sample_negative(rng, 32)
-    v24 = charts.sample_negative(rng, 32)
-    v34 = charts.sample_negative(rng, 32)
-    batch = charts.solve_standard_batch(O3333, t13, t24, v23, v24, v34)
-    for k in range(32):
-        if not batch["valid"][k]:
-            continue
-        pt = build_standard(O3333, t13[k], t24[k], v23[k], v24[k], v34[k])
-        assert pt.a1 == pytest.approx(batch["a1"][k], rel=1e-10)
-        assert pt.a4_v44 == pytest.approx(batch["a4_v44"][k], rel=1e-10)
+    """build_standard is the one-point batch: equal values wherever it
+    returns, and SingularSystem exactly where the batch marks invalid."""
+    rng = np.random.default_rng(11)
+    n = 520
+    for orders in (O3333, QuadPrismOrders(3, 4, 5, 6), QuadPrismOrders(6, 5, 4, 3),
+                   QuadPrismOrders(5, 3, 6, 4)):
+        t13, t24 = 4.0 + np.exp(rng.uniform(-5.0, 5.0, (2, n)))
+        v = -np.exp(rng.uniform(-5.0, 5.0, (3, n)))
+        # |v24| or |v34| below 1e-308 overflows the right-hand side, so
+        # the solution is not finite
+        v[1, :4] = -1e-310
+        v[2, 4:8] = -1e-310
+        batch = charts.solve_standard_batch(orders, t13, t24, *v)
+        assert not batch["valid"][:8].any()
+        for k in range(n):
+            point = (orders, t13[k], t24[k], *v[:, k])
+            if not batch["valid"][k]:
+                with pytest.raises(SingularSystem):
+                    build_standard(*point)
+                continue
+            try:
+                pt = build_standard(*point)
+            except ConditionFailure:
+                continue
+            assert (pt.a1, pt.a2, pt.a3, pt.a4_v44) == tuple(
+                batch[key][k] for key in ("a1", "a2", "a3", "a4_v44"))
 
 
 def test_realize_representation_gauge_invariance():

@@ -2,10 +2,32 @@ import csv
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from helpers import run_python
 from projcox import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: the README's commands, with scan shortened to 1e4 samples as JSON and
+#: 200 samples as CSV on stdout; tests/golden holds their recorded stdout
+README_COMMANDS = {
+    "relations": "relations --orders 3,4,5,6 --chart general "
+                 "--t13 9 --t24 5 --v23 -2 --v24 -0.5 --v34 -3",
+    "vinberg": "vinberg --orders 3,3,3,3 --chart concurrent "
+               "--v12 -1 --v23 -1 --v14 -1 --v34 -1",
+    "cocompact": "cocompact --orders 3,3,3,3 --chart general "
+                 "--t13 4 --t24 6 --v23 -1 --v24 -1 --v34 -1",
+    "invariants": "invariants --orders 3,3,3,3 --chart standard "
+                  "--t13 6 --t24 6 --v23 -1 --v24 -1 --v34 -1",
+    "orbifold": "orbifold --corners 3,3,3,3",
+    "scan_json": "scan --orders 3,3,3,3 --t13 6 --t24 6 --samples 10000 --seed 0",
+    "scan_csv": "scan --orders 3,3,3,3 --t13 6 --t24 6 --samples 200 --seed 0 "
+                "--out csv",
+    "simplex": "simplex --n 3 --simplex-orders 3,3,3,3,3,3",
+}
 
 CONCURRENT_BASE = ["--orders", "3,3,3,3", "--chart", "concurrent",
                    "--v12", "-1", "--v23", "-1", "--v14", "-1", "--v34", "-1"]
@@ -155,3 +177,30 @@ def test_missing_chart_flags_rejected():
     argv = ["relations", "--orders", "3,3,3,3", "--chart", "general",
             "--t13", "6"]
     assert cli.main(argv) == 2
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_command_output_is_unchanged(name):
+    code, out = run_cli(README_COMMANDS[name].split())
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_unwritable_csv_file_is_usage_error(tmp_path, capsys):
+    argv = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6",
+            "--samples", "200", "--out", "csv",
+            "--file", str(tmp_path / "missing" / "x.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scan_with_overflowing_box_fails_cleanly():
+    # |v| down to 1e-310 overflows mu/v and det(M): every sample is
+    # dropped, with no numpy warning on the way
+    proc = run_python(["-m", "projcox.cli", "scan", "--orders", "3,3,3,3",
+                       "--t13", "6", "--t24", "6", "--samples", "100",
+                       "--box=-1e-300,-1e-310"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: no valid samples; enlarge the box or sample count\n"

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from projcox import orbifold
 from projcox.errors import InfiniteOrder, NonHyperbolic
 from projcox.orbifold import (INFINITY, EdgeOrders, OrbifoldSignature,
                               QuadPrismOrders, cg05_dim, d_tp,
@@ -61,12 +60,12 @@ def test_edge_orders_missing_pair_rejected():
 
 def test_infinite_pairs_all_finite():
     table = EdgeOrders(3, {(1, 2): 3, (1, 3): 3, (2, 3): 3})
-    assert orbifold.infinite_pairs(table) == []
+    assert table.infinite_pairs() == []
 
 
 def test_infinite_pairs_single():
     table = EdgeOrders(3, {(1, 2): INFINITY, (1, 3): 3, (2, 3): 3})
-    assert orbifold.infinite_pairs(table) == [(1, 2)]
+    assert table.infinite_pairs() == [(1, 2)]
 
 
 def test_quad_prism_orders():
