@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 import numpy as np
@@ -266,8 +267,18 @@ def cmd_simplex(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads negative numbers in scientific notation, such as
+    ``--v23 -1e-3``, as values; argparse itself takes them for flags."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+|\d*\.\d+)$|^-(?:\d+\.?\d*|\.\d+)[eE][-+]?\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="projcox",
         description="Deformation charts of the quadrilateral-prism Coxeter "
                     "orbifold: relation checks, Vinberg conditions, cyclic "

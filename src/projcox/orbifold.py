@@ -11,6 +11,7 @@ chi < 0 must not depend on rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -101,6 +102,7 @@ class EdgeOrders:
 class QuadPrismOrders:
     """Orders of the labeled quadrilateral prism: finite n12, n23, n34,
     n14 (all >= 3) on the four adjacent pairs, infinite on (1,3), (2,4).
+    Each mu is computed on first use and kept.
     """
 
     n12: int
@@ -114,19 +116,19 @@ class QuadPrismOrders:
             if not isinstance(n, int) or n < 3:
                 raise ValueError(f"{name} must be an integer >= 3, got {n!r}")
 
-    @property
+    @functools.cached_property
     def mu12(self) -> float:
         return mu(self.n12)
 
-    @property
+    @functools.cached_property
     def mu23(self) -> float:
         return mu(self.n23)
 
-    @property
+    @functools.cached_property
     def mu34(self) -> float:
         return mu(self.n34)
 
-    @property
+    @functools.cached_property
     def mu14(self) -> float:
         return mu(self.n14)
 

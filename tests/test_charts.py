@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,63 @@ def test_standard_batch_agrees_with_single_solve():
                 continue
             assert (pt.a1, pt.a2, pt.a3, pt.a4_v44) == tuple(
                 batch[key][k] for key in ("a1", "a2", "a3", "a4_v44"))
+
+
+BATCH_KEYS = ("a1", "a2", "a3", "a4_v44", "det_m", "valid")
+
+
+def test_blocked_batch_equals_one_unblocked_solve():
+    """Solving in blocks changes no bit of any output, across block
+    boundaries and for overflowing samples on either side of them."""
+    rng = np.random.default_rng(5)
+    n = 2 * charts._BLOCK + 123
+    t13, t24 = 4.0 + np.exp(rng.uniform(-5.0, 5.0, (2, n)))
+    v = -np.exp(rng.uniform(-5.0, 5.0, (3, n)))
+    # |v24| or |v34| below 1e-308 overflows the right-hand side; a tiny
+    # |v23| overflows only an entry of b and of M
+    for edge in (charts._BLOCK, 2 * charts._BLOCK):
+        v[1, edge - 2:edge + 2] = -1e-310
+        v[2, edge - 5] = v[2, edge + 5] = -1e-310
+        v[0, edge - 9:edge + 9:3] = -1e-310
+    orders = QuadPrismOrders(3, 4, 5, 6)
+    batch = charts.solve_standard_batch(orders, t13, t24, *v)
+    m, _, _, x, valid = charts._solve_standard(orders, t13, t24, *v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_m = np.linalg.det(m)
+    whole = dict(zip(BATCH_KEYS, (*x.T, det_m, valid)))
+    assert not batch["valid"][charts._BLOCK - 2:charts._BLOCK + 2].any()
+    assert batch["valid"].any()
+    for key in BATCH_KEYS:
+        assert np.array_equal(batch[key], whole[key], equal_nan=True), key
+
+
+@pytest.mark.parametrize("args, shape", [
+    ((6.0, 6.0, -1.0, -1.0, -1.0), ()),
+    ((6.0, 16.0, -np.ones(7), -2.0 * np.ones(7), -0.5 * np.ones(7)), (7,)),
+    ((6.0, np.full((3, 1), 16.0), -np.ones((3, 3000)), -1.0, -0.5), (3, 3000)),
+])
+def test_standard_batch_output_shapes(args, shape):
+    batch = charts.solve_standard_batch(O3333, *args)
+    for key in BATCH_KEYS:
+        assert np.shape(batch[key]) == shape, key
+    assert batch["valid"].dtype == bool
+    first = charts.solve_standard_batch(O3333, *(np.ravel(a)[0] for a in args))
+    assert all(np.ravel(batch[key])[0] == first[key] for key in BATCH_KEYS)
+
+
+def test_standard_batch_memory_per_sample():
+    """The batch solve allocates its outputs and one block's temporaries,
+    not (n, 4, 4) arrays: at most 64 bytes per sample."""
+    n = 200_000
+    rng = np.random.default_rng(0)
+    v = -np.exp(rng.uniform(-5.0, 5.0, (3, n)))
+    tracemalloc.start()
+    try:
+        charts.solve_standard_batch(O3333, 6.0, 6.0, *v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 64.0
 
 
 def test_realize_representation_gauge_invariance():

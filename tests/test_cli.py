@@ -204,3 +204,31 @@ def test_scan_with_overflowing_box_fails_cleanly():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: no valid samples; enlarge the box or sample count\n"
+
+
+def test_non_finite_solve_residual_fails_cleanly():
+    # mu23 / v23 overflows to -inf, and inf * 0 in the residual b @ sol
+    # is NaN: the point must fail at the residual check, without a warning
+    proc = run_python(["-m", "projcox.cli", "relations", "--orders", "3,3,3,3",
+                       "--chart", "standard", "--t13", "6", "--t24", "6",
+                       "--v23=-1e-310", "--v24", "-10", "--v34", "-0.5"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["relations"] + STANDARD_POINT, "--v23"),
+    (["vinberg"] + GENERAL_POINT, "--v34"),
+    (["invariants"] + CONCURRENT_BASE, "--v14"),
+    (["cocompact"] + CONCURRENT_BASE, "--v44"),
+    (["relations"] + GENERAL_POINT, "--t13"),
+    (["relations"] + GENERAL_POINT, "--tol"),
+    (["invariants"] + STANDARD_POINT, "--tol"),
+])
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-.5e1"])
+def test_negative_scientific_value_parses_like_equals_form(argv, flag, value):
+    """``--v23 -1e-3`` reads the same as ``--v23=-1e-3``; argparse used
+    to exit on the first with "expected one argument"."""
+    assert run_cli(argv + [flag, value]) == run_cli(argv + [f"{flag}={value}"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from projcox import orbifold
 from projcox.errors import InfiniteOrder, NonHyperbolic
 from projcox.orbifold import (INFINITY, EdgeOrders, OrbifoldSignature,
                               QuadPrismOrders, cg05_dim, d_tp,
@@ -76,6 +77,17 @@ def test_quad_prism_orders():
     assert table.order(3, 4) == 5
     assert table.order(1, 4) == 6
     assert o.mu23 == pytest.approx(2.0)
+
+
+def test_quad_prism_mu_computed_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(orbifold, "mu", lambda n: calls.append(n) or mu(n))
+    o = QuadPrismOrders(3, 4, 5, 6)
+    values = [(o.mu12, o.mu23, o.mu34, o.mu14) for _ in range(3)]
+    assert calls == [3, 4, 5, 6]
+    assert values[0] == (mu(3), mu(4), mu(5), mu(6)) == values[2]
+    assert o == QuadPrismOrders(3, 4, 5, 6)
+    assert hash(o) == hash(QuadPrismOrders(3, 4, 5, 6))
 
 
 def test_quad_prism_rejects_order_two():
