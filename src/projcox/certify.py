@@ -8,13 +8,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import charts, linalg
+from . import charts
 from .cartan import ReflectionSystem
-from .errors import WrongDiagram
-from .orbifold import EdgeOrders, QuadPrismOrders, _as_edge_orders, is_finite_order
+from .errors import NormalizationError, WrongDiagram
+from .linalg import TOL_ALGEBRAIC
+from .orbifold import (EdgeOrders, QuadPrismOrders, _as_edge_orders,
+                       is_finite_order, mu)
 
-#: Frobenius tolerance for n-fold products of reflections; looser than
-#: the algebraic tolerance because rounding accumulates over the power.
+#: Gate on the residual of each Coxeter relation.  The residuals are
+#: O(1) expressions in Cartan entries (see verify_relations), so their
+#: rounding does not grow with the edge order.
 RELATION_TOL = 1e-7
 
 
@@ -36,43 +39,52 @@ class RelationReport:
 def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
                      tol: float = RELATION_TOL) -> RelationReport:
     """Check R_i^2 = Id, (R_i R_j)^n_ij = Id for finite orders, and
-    infinite order of R_i R_j for infinite ones.
+    infinite order of R_i R_j for infinite ones, all read off the Cartan
+    matrix M_ij = alpha_i(v_j).
 
-    Infinite order is decided by the trace of the product restricted to
-    span{v_i, v_j}, which equals M_ij M_ji - 2: a value > 2 gives a
-    real eigenvalue pair (lambda, 1/lambda) with lambda > 1, so no
-    power returns to the identity.  Products below 4 are reported as
-    failures.
+    R_i is an involution iff M_ii = 2; the residual is |M_ii - 2|, and
+    a system off it by more than TOL_ALGEBRAIC is not a reflection
+    system at all (NormalizationError).  On span{v_i, v_j}, R_i R_j is
+    [[p - 1, M_ij], [-M_ji, -1]] with p = M_ij M_ji: determinant 1 and
+    trace p - 2.  It is the identity on ker alpha_i & ker alpha_j, which
+    complements that span when det [[2, M_ij], [M_ji, 2]] = 4 - p != 0.
+    Hence, for n >= 3, (R_i R_j)^n = Id with order exactly n iff
+    p = mu(n) = 4cos^2(pi/n), and the residual is |p - mu(n)|, whose
+    rounding does not grow with n; for n = 2 the block must be -Id,
+    so the residual is max(|M_ij|, |M_ji|) (p = 0 alone would pass a
+    broken zero symmetry, which is a Jordan block).  For an infinite
+    order, p > 4 gives a real eigenvalue pair (lambda, 1/lambda) with
+    lambda > 1 and p = 4 a unipotent Jordan block, so no power returns
+    to the identity; the product p is reported and products below
+    4 - tol are failures.  A NaN residual fails.
     """
     orders = _as_edge_orders(orders)
-    f = sys.num_sides
-    ident = np.eye(sys.dimension)
-    m = sys.raw_cartan()
-    refl = {i: sys.reflection(i) for i in range(1, f + 1)}
+    m = sys.raw_cartan().tolist()
     failures = []
 
     involutions = {}
-    for i in range(1, f + 1):
-        res = float(np.linalg.norm(refl[i] @ refl[i] - ident))
+    for i, row in enumerate(m, start=1):
+        res = abs(row[i - 1] - 2.0)
+        if not res <= TOL_ALGEBRAIC:
+            raise NormalizationError(f"a(v) = {row[i - 1]}, expected 2")
         involutions[i] = res
-        if res > tol:
+        if not res <= tol:
             failures.append(("involution", i))
 
     finite_res = {}
     infinite_prod = {}
-    for (i, j) in sorted(orders.orders):
-        n = orders.order(i, j)
-        if is_finite_order(n):
-            power = linalg.mat_power(refl[i] @ refl[j], n)
-            res = float(np.linalg.norm(power - ident))
-            finite_res[(i, j)] = res
-            if res > tol:
-                failures.append(("finite", (i, j)))
-        else:
-            prod = float(m[i - 1, j - 1] * m[j - 1, i - 1])
+    for (i, j), n in sorted(orders.orders.items()):
+        mij, mji = m[i - 1][j - 1], m[j - 1][i - 1]
+        prod = mij * mji
+        if not is_finite_order(n):
             infinite_prod[(i, j)] = prod
-            if prod < 4.0 - tol:
+            if not prod >= 4.0 - tol:
                 failures.append(("infinite", (i, j)))
+            continue
+        res = max(abs(mij), abs(mji)) if n == 2 else abs(prod - mu(n))
+        finite_res[(i, j)] = res
+        if not res <= tol:
+            failures.append(("finite", (i, j)))
 
     return RelationReport(involutions, finite_res, infinite_prod, tol, failures)
 

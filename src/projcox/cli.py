@@ -47,8 +47,25 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _require_flags(args, *names):
-    missing = [n for n in names if getattr(args, n) is None]
+#: coordinate flags of the chart subcommands, and the ones each chart reads
+_COORDINATE_FLAGS = ("t13", "t24", "v23", "v24", "v34", "v12", "v14", "v44")
+_CHART_FLAGS = {
+    "general": ("t13", "t24", "v23", "v24", "v34"),
+    "concurrent": ("v12", "v23", "v14", "v34", "v44"),
+    "standard": ("t13", "t24", "v23", "v24", "v34"),
+}
+
+
+def _check_chart_flags(args):
+    """Every flag the chart reads is given (v44 defaults to 0) and no
+    other coordinate flag is."""
+    used = _CHART_FLAGS[args.chart]
+    stray = [n for n in _COORDINATE_FLAGS
+             if n not in used and getattr(args, n) is not None]
+    if stray:
+        raise ValueError(f"flags not used by chart {args.chart!r}: "
+                         + ", ".join(f"--{n}" for n in stray))
+    missing = [n for n in used if n != "v44" and getattr(args, n) is None]
     if missing:
         raise ValueError("missing flags for chart "
                          f"{args.chart!r}: " + ", ".join(f"--{n}" for n in missing))
@@ -56,10 +73,7 @@ def _require_flags(args, *names):
 
 def _build_system(args):
     """Chart point and reflection system from the chart flags."""
-    if args.chart in ("general", "standard"):
-        _require_flags(args, "t13", "t24", "v23", "v24", "v34")
-    else:
-        _require_flags(args, "v12", "v23", "v14", "v34")
+    _check_chart_flags(args)
     orders = _parse_orders(args.orders)
     if args.chart == "general":
         params = charts.GeneralChartParams(orders, args.t13, args.t24,
@@ -68,20 +82,19 @@ def _build_system(args):
         inputs = {"chart": "general", "t13": args.t13, "t24": args.t24,
                   "v23": args.v23, "v24": args.v24, "v34": args.v34}
     elif args.chart == "concurrent":
+        v44 = 0.0 if args.v44 is None else args.v44
         params = charts.ConcurrentChartParams(orders, args.v12, args.v23,
-                                              args.v14, args.v34, args.v44)
+                                              args.v14, args.v34, v44)
         system = charts.build_concurrent(params)
         inputs = {"chart": "concurrent", "v12": args.v12, "v23": args.v23,
-                  "v14": args.v14, "v34": args.v34, "v44": args.v44}
-    elif args.chart == "standard":
+                  "v14": args.v14, "v34": args.v34, "v44": v44}
+    else:
         point = charts.build_standard(orders, args.t13, args.t24,
                                       args.v23, args.v24, args.v34)
         system = charts.realize_representation(point, a4=1.0)
         inputs = {"chart": "standard", "t13": args.t13, "t24": args.t24,
                   "v23": args.v23, "v24": args.v24, "v34": args.v34,
                   "a4_v44": point.a4_v44}
-    else:
-        raise ValueError(f"unknown chart {args.chart!r}")
     inputs["orders"] = [orders.n12, orders.n23, orders.n34, orders.n14]
     return orders, system, inputs
 
@@ -89,11 +102,9 @@ def _build_system(args):
 def _add_chart_flags(parser):
     parser.add_argument("--orders", required=True,
                         help="finite edge orders n12,n23,n34,n14 (all >= 3)")
-    parser.add_argument("--chart", choices=["general", "concurrent", "standard"],
-                        default="general")
-    for flag in ("t13", "t24", "v23", "v24", "v34", "v12", "v14"):
+    parser.add_argument("--chart", choices=list(_CHART_FLAGS), default="general")
+    for flag in _COORDINATE_FLAGS:
         parser.add_argument(f"--{flag}", type=float, default=None)
-    parser.add_argument("--v44", type=float, default=0.0)
 
 
 def _relation_residuals(report) -> dict:

@@ -102,7 +102,7 @@ class EdgeOrders:
 class QuadPrismOrders:
     """Orders of the labeled quadrilateral prism: finite n12, n23, n34,
     n14 (all >= 3) on the four adjacent pairs, infinite on (1,3), (2,4).
-    Each mu is computed on first use and kept.
+    Each mu and the full order table are computed on first use and kept.
     """
 
     n12: int
@@ -132,11 +132,16 @@ class QuadPrismOrders:
     def mu14(self) -> float:
         return mu(self.n14)
 
-    def to_edge_orders(self) -> EdgeOrders:
+    @functools.cached_property
+    def _edge_orders(self) -> EdgeOrders:
         return EdgeOrders(4, {
             (1, 2): self.n12, (2, 3): self.n23, (3, 4): self.n34, (1, 4): self.n14,
             (1, 3): INFINITY, (2, 4): INFINITY,
         })
+
+    def to_edge_orders(self) -> EdgeOrders:
+        """The full order table, built once per instance and shared."""
+        return self._edge_orders
 
 
 def _as_edge_orders(orders) -> EdgeOrders:

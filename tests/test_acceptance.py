@@ -316,3 +316,21 @@ def test_criterion_10_cross_chart_consistency(capsys):
     ok = worst_gauge <= 1e-8 and equivalent == 100
     report(capsys, 10, "concurrent-to-standard round trip", ok,
            f"max |a4*v44| {worst_gauge:.2e}, equivalent {equivalent}/100")
+
+
+def test_criterion_11_relations_at_large_orders(capsys):
+    rng = np.random.default_rng(61)
+    passed = {}
+    worst = 0.0
+    for n in (100, 400, 1000):
+        orders = QuadPrismOrders(n, n, n, n)
+        passed[n] = 0
+        for _ in range(200):
+            g = random_general(rng, orders)
+            rep = certify.verify_relations(charts.build_general(g), orders)
+            passed[n] += rep.passed
+            worst = max(worst, *rep.finite_pair_residuals.values())
+    ok = all(v == 200 for v in passed.values()) and worst <= 1e-7
+    detail = ", ".join(f"n={n}: {v}/200" for n, v in passed.items())
+    report(capsys, 11, "Coxeter relations at edge orders 100, 400, 1000", ok,
+           f"{detail}, worst residual {worst:.2e}")

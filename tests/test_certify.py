@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_concurrent, random_general, random_standard
-from projcox import cartan, certify, charts
-from projcox.errors import WrongDiagram
+from projcox import cartan, certify, charts, linalg
+from projcox.cartan import ReflectionSystem
+from projcox.errors import NormalizationError, WrongDiagram
 from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
@@ -31,11 +32,95 @@ def test_relations_detect_wrong_order():
     assert ("finite", (1, 2)) in report.failures
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 100_000))
-def test_relations_random_general_points(seed):
-    rng = np.random.default_rng(seed)
-    params = random_general(rng)
+def brute_force_verdicts(sys, orders: EdgeOrders) -> dict:
+    """Whether ||(R_i R_j)^n - Id||_F <= RELATION_TOL for each finite
+    pair, with the power taken by repeated squaring."""
+    ident = np.eye(sys.dimension)
+    verdicts = {}
+    for (i, j) in orders.finite_pairs():
+        power = linalg.mat_power(sys.reflection(i) @ sys.reflection(j),
+                                 orders.order(i, j))
+        verdicts[(i, j)] = bool(np.linalg.norm(power - ident) <= certify.RELATION_TOL)
+    return verdicts
+
+
+def random_simplex(rng) -> charts.SimplexChartParams:
+    """A 3-simplex chart point with orders drawn from 2-6."""
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    table = EdgeOrders(4, {p: int(n) for p, n in zip(pairs, rng.integers(2, 7, 6))})
+    free = {(i, j): float(-np.exp(rng.uniform(-2.0, 2.0))) for (i, j) in pairs
+            if i >= 2 and table.order(i, j) >= 3}
+    return charts.SimplexChartParams(3, table, free)
+
+
+def with_wrong_order(orders: EdgeOrders, rng) -> tuple:
+    """The table with one finite order moved by one, within 2-6, and the
+    pair that moved."""
+    pairs = orders.finite_pairs()
+    pair = pairs[rng.integers(len(pairs))]
+    n = orders.order(*pair)
+    table = dict(orders.orders)
+    table[pair] = n + 1 if n == 2 or (n < 6 and rng.integers(2)) else n - 1
+    return EdgeOrders(orders.size, table), pair
+
+
+def test_closed_form_agrees_with_matrix_power():
+    rng = np.random.default_rng(101)
+    cases = []
+    for _ in range(40):
+        g = random_general(rng)
+        cases.append((charts.build_general(g), g.orders.to_edge_orders()))
+        c = random_concurrent(rng, v44=float(rng.standard_normal()))
+        cases.append((charts.build_concurrent(c), c.orders.to_edge_orders()))
+        s = random_simplex(rng)
+        cases.append((charts.build_simplex(s), s.orders))
+    assert {n for _, o in cases for n in o.orders.values()} >= {2, 3, 4, 5, 6}
+    for sys, orders in cases:
+        report = certify.verify_relations(sys, orders)
+        assert report.passed
+        assert max(report.finite_pair_residuals.values()) <= 1e-12
+        assert all(brute_force_verdicts(sys, orders).values())
+
+        wrong, pair = with_wrong_order(orders, rng)
+        report = certify.verify_relations(sys, wrong)
+        closed_form = {p: ("finite", p) not in report.failures
+                       for p in wrong.finite_pairs()}
+        assert closed_form == brute_force_verdicts(sys, wrong)
+        assert [p for p, ok in closed_form.items() if not ok] == [pair]
+
+
+def test_order_two_needs_both_entries_zero():
+    # M_12 = 0 with M_21 != 0 breaks zero symmetry: R_1 R_2 is a Jordan
+    # block with eigenvalue -1, so its square is not the identity
+    m = np.array([[2.0, 0.0], [-0.5, 2.0]])
+    sys = ReflectionSystem(np.eye(2), m.T)
+    orders = EdgeOrders(2, {(1, 2): 2})
+    report = certify.verify_relations(sys, orders)
+    assert report.failures == [("finite", (1, 2))]
+    assert report.finite_pair_residuals[(1, 2)] == 0.5
+    assert brute_force_verdicts(sys, orders) == {(1, 2): False}
+
+
+def test_involution_residual_and_normalization():
+    m = np.array([[2.0 + 1e-12, -1.0], [-1.0, 2.0]])
+    orders = EdgeOrders(2, {(1, 2): 3})
+    report = certify.verify_relations(ReflectionSystem(np.eye(2), m.T), orders,
+                                      tol=1e-13)
+    assert report.involution_residuals[1] == pytest.approx(1e-12, rel=1e-3)
+    assert ("involution", 1) in report.failures
+    m[0, 0] = 2.0 + 1e-6
+    with pytest.raises(NormalizationError):
+        certify.verify_relations(ReflectionSystem(np.eye(2), m.T), orders)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders=st.tuples(*[st.integers(3, 1000)] * 4),
+       t=st.tuples(*[st.floats(4.0, 1e6)] * 2),
+       log_v=st.tuples(*[st.floats(-6.0, 6.0)] * 3))
+def test_relations_random_general_points(orders, t, log_v):
+    # any edge order from 3 to 1000 and |v| from 1e-6 to 1e6
+    params = charts.GeneralChartParams(QuadPrismOrders(*orders), *t,
+                                       *(-(10.0 ** e) for e in log_v))
     report = certify.verify_relations(charts.build_general(params), params.orders)
     assert report.passed
 

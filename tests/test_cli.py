@@ -150,8 +150,10 @@ def test_simplex_subcommand():
 
 def test_exit_code_on_check_failure():
     # an unattainable tolerance turns the tiny rounding residuals of a
-    # genuine point into reported failures: exit code must be 1
-    argv = ["relations", "--tol", "1e-18"] + GENERAL_POINT
+    # genuine point (4.4e-16 at pair 3-4 here) into reported failures:
+    # exit code must be 1
+    point = GENERAL_POINT[:-6] + ["--v23=-0.3", "--v24=-0.7", "--v34=-1.3"]
+    argv = ["relations", "--tol", "1e-18"] + point
     code, doc = run_json(argv)
     assert code == 1
     assert doc["verdicts"]["pass"] is False
@@ -216,6 +218,32 @@ def test_non_finite_solve_residual_fails_cleanly():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Warning" not in proc.stderr
+
+
+def test_relations_near_the_float_range_pass_cleanly():
+    # T13 = 1e300 is a valid point whose Cartan entries reach 1e300: the
+    # certificate must neither overflow nor print a non-finite residual
+    proc = run_python(["-m", "projcox.cli", "relations", "--orders", "3,3,3,3",
+                       "--chart", "standard", "--t13", "1e300", "--t24", "6",
+                       "--v23", "-1", "--v24", "-1", "--v34", "-1"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["results"]["relations_passed"] is True
+    assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
+
+
+@pytest.mark.parametrize("argv, stray", [
+    (["relations"] + GENERAL_POINT + ["--v12", "-1"], "--v12"),
+    (["vinberg"] + STANDARD_POINT + ["--v14", "-1", "--v44=0"], "--v14, --v44"),
+    (["invariants"] + CONCURRENT_BASE + ["--t13", "6"], "--t13"),
+    (["cocompact"] + CONCURRENT_BASE + ["--v24", "-1", "--t24", "5"], "--t24, --v24"),
+])
+def test_flags_of_another_chart_are_usage_errors(argv, stray, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    chart = argv[argv.index("--chart") + 1]
+    assert captured.err == f"error: flags not used by chart {chart!r}: {stray}\n"
 
 
 @pytest.mark.parametrize("argv, flag", [

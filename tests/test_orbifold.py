@@ -90,6 +90,13 @@ def test_quad_prism_mu_computed_once(monkeypatch):
     assert hash(o) == hash(QuadPrismOrders(3, 4, 5, 6))
 
 
+def test_quad_prism_edge_orders_built_once():
+    o = QuadPrismOrders(3, 4, 5, 6)
+    assert o.to_edge_orders() is o.to_edge_orders()
+    assert o.to_edge_orders() == QuadPrismOrders(3, 4, 5, 6).to_edge_orders()
+    assert o == QuadPrismOrders(3, 4, 5, 6)
+
+
 def test_quad_prism_rejects_order_two():
     with pytest.raises(ValueError):
         QuadPrismOrders(2, 3, 3, 3)
