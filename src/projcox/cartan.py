@@ -121,6 +121,28 @@ class VinbergReport:
         return [name for name, c in self.conditions.items() if not c.passed]
 
 
+def _pair_residuals(rows, orders: EdgeOrders):
+    """Yield ((i, j), n, p, r) for each pair of the orders table, read off
+    the Cartan matrix rows: p = M_ij M_ji and r how far the pair is from
+    Vinberg's (C4) for order n.
+
+    r is |p - mu(n)| for n >= 3; max(|M_ij|, |M_ji|) for n = 2, where
+    both entries must vanish (p = 0 alone would pass a broken zero
+    symmetry); and the shortfall 4 - p for an infinite order, which
+    passes at r <= 0.  A NaN r fails every ``not r <= tol`` gate.
+    """
+    for (i, j), n in sorted(orders.orders.items()):
+        mij, mji = rows[i - 1][j - 1], rows[j - 1][i - 1]
+        p = mij * mji
+        if not is_finite_order(n):
+            r = 4.0 - p
+        elif n == 2:
+            r = max(abs(mij), abs(mji))
+        else:
+            r = abs(p - mu(n))
+        yield (i, j), n, p, r
+
+
 def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
                   tol: float = linalg.TOL_ALGEBRAIC) -> VinbergReport:
     """Run conditions (C1)-(C5) on the system and report each outcome.
@@ -150,17 +172,10 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     # C4: products match mu for finite orders, >= 4 for infinite ones
     c4_fail = []
     c4_res = 0.0
-    for (i, j) in sorted(orders.orders):
-        prod = m[i - 1, j - 1] * m[j - 1, i - 1]
-        n = orders.order(i, j)
-        if is_finite_order(n):
-            res = abs(prod - mu(n))
-            c4_res = max(c4_res, res)
-            if res > tol:
-                c4_fail.append((i, j))
-        elif prod < 4.0 - tol:
-            c4_res = max(c4_res, 4.0 - prod)
-            c4_fail.append((i, j))
+    for pair, _, _, res in _pair_residuals(m.tolist(), orders):
+        c4_res = max(c4_res, res)
+        if not res <= tol:
+            c4_fail.append(pair)
     report["C4"] = ConditionCheck(not c4_fail, c4_res, c4_fail)
 
     # C5: nonempty interior via the relation-space certificate

@@ -9,15 +9,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import charts
-from .cartan import ReflectionSystem
+from .cartan import ReflectionSystem, _pair_residuals
 from .errors import NormalizationError, WrongDiagram
 from .linalg import TOL_ALGEBRAIC
 from .orbifold import (EdgeOrders, QuadPrismOrders, _as_edge_orders,
                        is_finite_order, mu)
 
 #: Gate on the residual of each Coxeter relation.  The residuals are
-#: O(1) expressions in Cartan entries (see verify_relations), so their
-#: rounding does not grow with the edge order.
+#: O(1) expressions in Cartan entries (see verify_relations), so no
+#: rounding accumulates over a power: a valid finite pair of order 1000
+#: reads about 1e-11 (its rounding grows like n^2), and an order moved
+#: by one reads about 2/n.
 RELATION_TOL = 1e-7
 
 
@@ -49,10 +51,16 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     trace p - 2.  It is the identity on ker alpha_i & ker alpha_j, which
     complements that span when det [[2, M_ij], [M_ji, 2]] = 4 - p != 0.
     Hence, for n >= 3, (R_i R_j)^n = Id with order exactly n iff
-    p = mu(n) = 4cos^2(pi/n), and the residual is |p - mu(n)|, whose
-    rounding does not grow with n; for n = 2 the block must be -Id,
-    so the residual is max(|M_ij|, |M_ji|) (p = 0 alone would pass a
-    broken zero symmetry, which is a Jordan block).  For an infinite
+    p = mu(n) = 4cos^2(pi/n).  For 0 <= p < 4, R_i R_j rotates its plane
+    by the angle t with 4 - p = 4sin^2(t/2), so the residual
+
+        |p - mu(n)| / (4 - mu(n)) = |sin^2(t/2) / sin^2(pi/n) - 1|
+
+    is, to first order, n|t - 2pi/n| / pi: the angle by which
+    (R_i R_j)^n misses the identity, in units of pi.  It is about 2/n
+    for an order moved by one, where |p - mu(n)| alone is about
+    8pi^2/n^3 and falls below the gate near n = 925.  For n = 2 the block
+    must be -Id, so the residual is max(|M_ij|, |M_ji|).  For an infinite
     order, p > 4 gives a real eigenvalue pair (lambda, 1/lambda) with
     lambda > 1 and p = 4 a unipotent Jordan block, so no power returns
     to the identity; the product p is reported and products below
@@ -73,18 +81,17 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
 
     finite_res = {}
     infinite_prod = {}
-    for (i, j), n in sorted(orders.orders.items()):
-        mij, mji = m[i - 1][j - 1], m[j - 1][i - 1]
-        prod = mij * mji
+    for pair, n, prod, res in _pair_residuals(m, orders):
         if not is_finite_order(n):
-            infinite_prod[(i, j)] = prod
-            if not prod >= 4.0 - tol:
-                failures.append(("infinite", (i, j)))
+            infinite_prod[pair] = prod
+            if not res <= tol:
+                failures.append(("infinite", pair))
             continue
-        res = max(abs(mij), abs(mji)) if n == 2 else abs(prod - mu(n))
-        finite_res[(i, j)] = res
+        if n >= 3:
+            res /= 4.0 - mu(n)
+        finite_res[pair] = res
         if not res <= tol:
-            failures.append(("finite", (i, j)))
+            failures.append(("finite", pair))
 
     return RelationReport(involutions, finite_res, infinite_prod, tol, failures)
 

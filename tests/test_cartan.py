@@ -10,7 +10,7 @@ from projcox.cartan import (GENERATING_CYCLES, ReflectionSystem, cartan_of,
                             derived_invariant_identities,
                             projectively_equivalent, relation_space_trivial)
 from projcox.errors import InvariantViolation, UnsupportedShape
-from projcox.orbifold import QuadPrismOrders
+from projcox.orbifold import EdgeOrders, QuadPrismOrders
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
 
@@ -76,6 +76,16 @@ def test_check_vinberg_detects_wrong_order():
     assert not report.passed
     assert report.failed_conditions() == ["C4"]
     assert (1, 2) in report.conditions["C4"].failures
+
+
+def test_check_vinberg_order_two_needs_both_entries_zero():
+    # product 1e-10 is within 1e-9 of mu(2) = 0, yet R_1 R_2 is not of
+    # order 2 unless the block [[p - 1, M_12], [-M_21, -1]] is -Id
+    m = np.array([[2.0, -1e-5], [-1e-5, 2.0]])
+    report = check_vinberg(ReflectionSystem(np.eye(2), m.T),
+                           EdgeOrders(2, {(1, 2): 2}))
+    assert report.failed_conditions() == ["C4"]
+    assert report.conditions["C4"].residual == 1e-5
 
 
 def test_check_vinberg_detects_sign_flip():

@@ -89,6 +89,21 @@ def test_closed_form_agrees_with_matrix_power():
         assert [p for p, ok in closed_form.items() if not ok] == [pair]
 
 
+@pytest.mark.parametrize("n", [100, 400, 1000])
+def test_large_order_moved_by_one_fails(n):
+    # |p - mu(n)| between neighbouring orders is about 8pi^2/n^3, below
+    # RELATION_TOL from n = 925 on; the scaled residual is about 2/n
+    rng = np.random.default_rng(n)
+    orders = QuadPrismOrders(n, n, n, n)
+    for _ in range(10):
+        sys = charts.build_general(random_general(rng, orders))
+        assert certify.verify_relations(sys, orders).passed
+        for k in (n - 1, n + 1):
+            report = certify.verify_relations(sys, QuadPrismOrders(n, k, n, n))
+            assert report.failures == [("finite", (2, 3))]
+            assert report.finite_pair_residuals[(2, 3)] == pytest.approx(2.0 / n, rel=0.02)
+
+
 def test_order_two_needs_both_entries_zero():
     # M_12 = 0 with M_21 != 0 breaks zero symmetry: R_1 R_2 is a Jordan
     # block with eigenvalue -1, so its square is not the identity
