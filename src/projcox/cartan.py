@@ -17,8 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantViolation, UnsupportedShape
-from .orbifold import (EdgeOrders, QuadPrismOrders, _as_edge_orders,
-                       is_finite_order, mu)
+from .orbifold import EdgeOrders, QuadPrismOrders, _as_edge_orders
 
 VINBERG_CONDITIONS = ("C1", "C2", "C3", "C4", "C5")
 
@@ -71,10 +70,16 @@ def cartan_of(sys: ReflectionSystem, tol: float = linalg.TOL_ALGEBRAIC) -> np.nd
     return m
 
 
-def _sign_failures(m: np.ndarray, tol: float):
+def _sign_failures(rows, tol: float):
     """Failing 1-based pairs of Vinberg's (C1) diagonal 2 and off-diagonal
-    never 2, (C2) off-diagonal <= 0 and (C3) zero symmetry."""
-    rows = m.tolist()
+    never 2, (C2) off-diagonal <= 0 and (C3) zero symmetry, read off the
+    Cartan matrix rows (lists of floats).
+
+    C3 fails a pair when one entry is zero to within tol, the other is
+    not, and their product M_ij M_ji is zero to within tol as well.  A
+    positive diagonal gauge leaves the product fixed, so a valid pair
+    with M_ij = -1e10 and M_ji = -1e-10 passes.
+    """
     f = len(rows)
     c1 = [(i + 1, i + 1) for i in range(f) if abs(rows[i][i] - 2.0) > tol]
     c1 += [(i + 1, j + 1) for i in range(f) for j in range(f)
@@ -82,12 +87,13 @@ def _sign_failures(m: np.ndarray, tol: float):
     c2 = [(i + 1, j + 1) for i in range(f) for j in range(f)
           if i != j and rows[i][j] > tol]
     c3 = [(i + 1, j + 1) for i in range(f) for j in range(i + 1, f)
-          if (abs(rows[i][j]) <= tol) != (abs(rows[j][i]) <= tol)]
+          if (abs(rows[i][j]) <= tol) != (abs(rows[j][i]) <= tol)
+          and not abs(rows[i][j] * rows[j][i]) > tol]
     return c1, c2, c3
 
 
 def validate_cartan(m: np.ndarray, tol: float = linalg.TOL_ALGEBRAIC):
-    c1, c2, c3 = _sign_failures(np.asarray(m, dtype=float), tol)
+    c1, c2, c3 = _sign_failures(np.asarray(m, dtype=float).tolist(), tol)
     if any(i == j for i, j in c1):
         raise InvariantViolation("diagonal entries must equal 2")
     if c2:
@@ -122,7 +128,8 @@ class VinbergReport:
 
 
 def _pair_residuals(rows, orders: EdgeOrders):
-    """Yield ((i, j), n, p, r) for each pair of the orders table, read off
+    """Yield ((i, j), n, mu(n), p, r) for each pair of the orders table
+    (mu from ``orders.mu_table``, None for an infinite order), read off
     the Cartan matrix rows: p = M_ij M_ji and r how far the pair is from
     Vinberg's (C4) for order n.
 
@@ -131,16 +138,16 @@ def _pair_residuals(rows, orders: EdgeOrders):
     symmetry); and the shortfall 4 - p for an infinite order, which
     passes at r <= 0.  A NaN r fails every ``not r <= tol`` gate.
     """
-    for (i, j), n in sorted(orders.orders.items()):
+    for (i, j), n, mu_n in orders.mu_table:
         mij, mji = rows[i - 1][j - 1], rows[j - 1][i - 1]
         p = mij * mji
-        if not is_finite_order(n):
+        if mu_n is None:
             r = 4.0 - p
         elif n == 2:
             r = max(abs(mij), abs(mji))
         else:
-            r = abs(p - mu(n))
-        yield (i, j), n, p, r
+            r = abs(p - mu_n)
+        yield (i, j), n, mu_n, p, r
 
 
 def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
@@ -158,21 +165,22 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     if orders.size != f:
         raise ValueError(f"orders table has {orders.size} sides, system has {f}")
     m = sys.raw_cartan()
+    rows = m.tolist()
     report = {}
 
     # C1-C3: diagonal 2 and off-diagonal never 2, off-diagonal <= 0,
     # zero symmetry
-    c1_fail, c2_fail, c3_fail = _sign_failures(m, tol)
-    diag_res = float(np.max(np.abs(np.diag(m) - 2.0)))
+    c1_fail, c2_fail, c3_fail = _sign_failures(rows, tol)
+    diag_res = max(abs(rows[i][i] - 2.0) for i in range(f))
     report["C1"] = ConditionCheck(not c1_fail, diag_res, c1_fail)
-    c2_res = float(max((m[i - 1, j - 1] for i, j in c2_fail), default=0.0))
+    c2_res = max((rows[i - 1][j - 1] for i, j in c2_fail), default=0.0)
     report["C2"] = ConditionCheck(not c2_fail, c2_res, c2_fail)
     report["C3"] = ConditionCheck(not c3_fail, 0.0, c3_fail)
 
     # C4: products match mu for finite orders, >= 4 for infinite ones
     c4_fail = []
     c4_res = 0.0
-    for pair, _, _, res in _pair_residuals(m.tolist(), orders):
+    for pair, _, _, _, res in _pair_residuals(rows, orders):
         c4_res = max(c4_res, res)
         if not res <= tol:
             c4_fail.append(pair)
@@ -230,44 +238,63 @@ def _canonical_cycle(cycle) -> tuple:
 @dataclass(frozen=True)
 class CyclicInvariants:
     """Values M_{i1 i2} M_{i2 i3} ... M_{ik i1} keyed by canonical
-    cycles, both orientations included."""
+    cycles, both orientations included.  Each value is a product of
+    Python floats taken left to right along the canonical cycle,
+    starting from 1.0, the same IEEE double as cycle_value gives.  A
+    lookup by a canonical cycle is one dict hit; other rotations are
+    canonicalized first."""
 
     values: dict
 
     def value(self, *cycle) -> float:
         if len(cycle) == 1 and isinstance(cycle[0], tuple):
             cycle = cycle[0]
-        return self.values[_canonical_cycle(cycle)]
+        try:
+            return self.values[cycle]
+        except KeyError:
+            return self.values[_canonical_cycle(cycle)]
 
     def __getitem__(self, cycle) -> float:
         return self.value(cycle)
 
 
-def cycle_value(m: np.ndarray, cycle) -> float:
+def _cycle_product(rows, cycle) -> float:
+    """M_{i1 i2} M_{i2 i3} ... M_{ik i1} over the rows (lists of
+    floats), multiplied left to right starting from 1.0."""
     value = 1.0
     k = len(cycle)
     for t in range(k):
-        value *= m[cycle[t] - 1, cycle[(t + 1) % k] - 1]
-    return float(value)
+        value *= rows[cycle[t] - 1][cycle[(t + 1) % k] - 1]
+    return value
+
+
+def cycle_value(m: np.ndarray, cycle) -> float:
+    """The cyclic invariant of m along the 1-based cycle: a product of
+    Python floats taken left to right along the cycle, starting from 1.0."""
+    return _cycle_product(np.asarray(m, dtype=float).tolist(), cycle)
+
+
+#: the canonical cycles of lengths 2, 3, 4 on sides 1..4, both
+#: orientations of each cycle of length >= 3
+_CYCLES_4 = (
+    tuple(combinations(range(1, 5), 2))
+    + tuple((s[0],) + tail for s in combinations(range(1, 5), 3)
+            for tail in permutations(s[1:]))
+    + tuple((1,) + tail for tail in permutations((2, 3, 4))))
+
+
+def _rows_4x4(m) -> list:
+    """The rows of a 4x4 matrix as lists of Python floats."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (4, 4):
+        raise UnsupportedShape("cyclic invariants are implemented for f = 4")
+    return m.tolist()
 
 
 def cyclic_invariants(m: np.ndarray) -> CyclicInvariants:
     """All cyclic invariants of lengths 2, 3, 4 of a 4x4 Cartan matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise UnsupportedShape("cyclic invariants are implemented for f = 4")
-    values = {}
-    for i, j in combinations(range(1, 5), 2):
-        values[(i, j)] = cycle_value(m, (i, j))
-    for subset in combinations(range(1, 5), 3):
-        first, rest = subset[0], subset[1:]
-        for tail in permutations(rest):
-            cycle = (first,) + tail
-            values[cycle] = cycle_value(m, cycle)
-    for tail in permutations((2, 3, 4)):
-        cycle = (1,) + tail
-        values[cycle] = cycle_value(m, cycle)
-    return CyclicInvariants(values)
+    rows = _rows_4x4(m)
+    return CyclicInvariants({c: _cycle_product(rows, c) for c in _CYCLES_4})
 
 
 def _relative_residual(x: float, y: float) -> float:
@@ -325,7 +352,8 @@ def projectively_equivalent(m1: np.ndarray, m2: np.ndarray,
                             tol: float = 1e-9) -> bool:
     """Whether two 4x4 Cartan matrices are conjugate by a positive
     diagonal matrix, i.e. agree on the generating cyclic invariants.
+    Only those five products are taken, each as in cyclic_invariants.
     """
-    inv1 = cyclic_invariants(m1)
-    inv2 = cyclic_invariants(m2)
-    return all(_relative_residual(inv1[c], inv2[c]) <= tol for c in GENERATING_CYCLES)
+    rows1, rows2 = _rows_4x4(m1), _rows_4x4(m2)
+    return all(_relative_residual(_cycle_product(rows1, c), _cycle_product(rows2, c)) <= tol
+               for c in GENERATING_CYCLES)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 
@@ -99,6 +100,13 @@ def _build_system(args):
     return orders, system, inputs
 
 
+def _tolerance(args) -> float:
+    """The --tol value, which must be finite and >= 0."""
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+    return args.tol
+
+
 def _add_chart_flags(parser):
     parser.add_argument("--orders", required=True,
                         help="finite edge orders n12,n23,n34,n14 (all >= 3)")
@@ -116,8 +124,9 @@ def _relation_residuals(report) -> dict:
 
 
 def cmd_relations(args) -> int:
+    tol = _tolerance(args)
     orders, system, inputs = _build_system(args)
-    relation_report = certify.verify_relations(system, orders, args.tol)
+    relation_report = certify.verify_relations(system, orders, tol)
     vinberg_report = cartan.check_vinberg(system, orders.to_edge_orders())
     ok = relation_report.passed and vinberg_report.passed
     _emit({
@@ -138,8 +147,9 @@ def cmd_relations(args) -> int:
 
 
 def cmd_vinberg(args) -> int:
+    tol = _tolerance(args)
     orders, system, inputs = _build_system(args)
-    report = cartan.check_vinberg(system, orders.to_edge_orders())
+    report = cartan.check_vinberg(system, orders.to_edge_orders(), tol)
     _emit({
         "command": "vinberg",
         "inputs": inputs,
@@ -171,10 +181,11 @@ def cmd_cocompact(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    tol = _tolerance(args)
     orders, system, inputs = _build_system(args)
     m = cartan.cartan_of(system)
     invariants = cartan.cyclic_invariants(m)
-    identities = cartan.derived_invariant_identities(invariants, orders, args.tol)
+    identities = cartan.derived_invariant_identities(invariants, orders, tol)
     _emit({
         "command": "invariants",
         "inputs": inputs,
@@ -247,6 +258,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_simplex(args) -> int:
+    tol = _tolerance(args)
     n = args.n
     pairs = [(i, j) for i in range(1, n + 2) for j in range(i + 1, n + 2)]
     values = [int(x) for x in args.simplex_orders.split(",")]
@@ -263,7 +275,7 @@ def cmd_simplex(args) -> int:
         free_values = [-1.0] * len(free_pairs)
     params = charts.SimplexChartParams(n, table, dict(zip(free_pairs, free_values)))
     system = charts.build_simplex(params)
-    report = certify.verify_relations(system, table, args.tol)
+    report = certify.verify_relations(system, table, tol)
     _emit({
         "command": "simplex",
         "inputs": {"n": n, "orders": values,

@@ -81,10 +81,11 @@ def rank(m, tol: float = 1e-8) -> int:
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(m, compute_uv=False).tolist()
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    cut = tol * s[0]
+    return sum(x > cut for x in s)
 
 
 def kernel_basis(m, tol: float = 1e-8) -> np.ndarray:

@@ -97,6 +97,24 @@ class EdgeOrders:
     def finite_pairs(self):
         return [p for p in sorted(self.orders) if is_finite_order(self.orders[p])]
 
+    @functools.cached_property
+    def mu_table(self) -> tuple:
+        """((i, j), n, mu(n)) for every pair, sorted by pair, with None
+        for mu of an infinite order; built on first use and kept."""
+        return tuple((p, n, mu(n) if is_finite_order(n) else None)
+                     for p, n in sorted(self.orders.items()))
+
+    @functools.cached_property
+    def quad_prism_mismatch(self):
+        """Why the table is not the quad-prism pattern (four sides,
+        infinite (1,3) and (2,4), other orders >= 3), or None when it
+        is; computed on first use and kept."""
+        if self.size != 4 or self.infinite_pairs() != [(1, 3), (2, 4)]:
+            return "expected the quad-prism pattern: infinite (1,3), (2,4)"
+        if any(self.orders[p] < 3 for p in self.finite_pairs()):
+            return "finite orders must be >= 3"
+        return None
+
 
 @dataclass(frozen=True)
 class QuadPrismOrders:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,16 @@ def test_check_vinberg_order_two_needs_both_entries_zero():
                            EdgeOrders(2, {(1, 2): 2}))
     assert report.failed_conditions() == ["C4"]
     assert report.conditions["C4"].residual == 1e-5
+
+
+def test_zero_symmetry_reads_the_gauge_invariant_product():
+    # M_23 = v23 = -1e10 and M_32 = mu23 / v23 = -1e-10: both entries are
+    # nonzero and their product is mu23, whatever the diagonal gauge
+    sys = charts.build_general(
+        charts.GeneralChartParams(O3333, 6.0, 6.0, -1e10, -1.0, -1.0))
+    report = check_vinberg(sys, O3333)
+    assert report.passed, report.failed_conditions()
+    cartan_of(sys)
 
 
 def test_check_vinberg_detects_sign_flip():
@@ -200,3 +212,69 @@ def test_generating_cycles_cover_the_two_infinite_edges():
     assert (1, 3) in GENERATING_CYCLES
     assert (2, 4) in GENERATING_CYCLES
     assert len(GENERATING_CYCLES) == 5
+
+
+def _numpy_cycle_product(m, cycle):
+    """Reference: the cyclic product over numpy scalars, left to right
+    from 1.0."""
+    value = np.float64(1.0)
+    k = len(cycle)
+    with np.errstate(over="ignore", under="ignore"):
+        for t in range(k):
+            value = value * m[cycle[t] - 1, cycle[(t + 1) % k] - 1]
+    return float(value)
+
+
+#: entries of both signs with magnitudes from 1e-150 to 1e150, so that
+#: products of four overflow to inf and underflow to subnormals and 0
+WIDE_ENTRIES = st.builds(lambda sign, e: sign * 10.0 ** e,
+                         st.sampled_from((-1.0, 1.0)), st.floats(-150.0, 150.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(WIDE_ENTRIES, min_size=16, max_size=16))
+def test_invariants_equal_numpy_scalar_products(entries):
+    m = np.array(entries).reshape(4, 4)
+    inv = cyclic_invariants(m)
+    assert len(inv.values) == 20
+    for cycle, value in inv.values.items():
+        assert type(value) is float
+        assert value.hex() == _numpy_cycle_product(m, cycle).hex()
+        assert cycle_value(m, cycle).hex() == value.hex()
+
+
+def _all_invariants_agree(m1, m2, tol=1e-9):
+    inv1, inv2 = cyclic_invariants(m1), cyclic_invariants(m2)
+    return all(abs(inv1[c] - inv2[c]) / (1.0 + abs(inv1[c]) + abs(inv2[c])) <= tol
+               for c in inv1.values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 100_000),
+       coordinate=st.sampled_from(("t13", "t24", "v23", "v24", "v34")))
+def test_projective_equivalence_agrees_with_all_invariants(seed, coordinate):
+    """The five generators decide what all twenty invariants decide, on
+    diagonal conjugates and on a coordinate moved by a relative 1e-6."""
+    rng = np.random.default_rng(seed)
+    params = random_general(rng)
+    moved = dataclasses.replace(
+        params, **{coordinate: getattr(params, coordinate) * (1.0 + 1e-6)})
+    m = cartan_of(charts.build_general(params))
+    d = np.exp(rng.uniform(-1.0, 1.0, 4))
+    for other in (m, m * np.outer(d, 1.0 / d)):
+        assert projectively_equivalent(m, other)
+        assert _all_invariants_agree(m, other)
+    m_moved = cartan_of(charts.build_general(moved)) * np.outer(d, 1.0 / d)
+    assert not projectively_equivalent(m, m_moved)
+    assert not _all_invariants_agree(m, m_moved)
+
+
+def test_invariants_need_a_4x4_matrix():
+    m3 = np.full((3, 3), -1.0) + 3.0 * np.eye(3)
+    m4 = cartan_of(concurrent_all_minus_one())
+    with pytest.raises(UnsupportedShape):
+        cyclic_invariants(m3)
+    with pytest.raises(UnsupportedShape):
+        projectively_equivalent(m3, m4)
+    with pytest.raises(UnsupportedShape):
+        projectively_equivalent(m4, m3)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_concurrent, random_general, random_standard
-from projcox import cartan, certify, charts, linalg
+from projcox import cartan, certify, charts, linalg, orbifold
 from projcox.cartan import ReflectionSystem
 from projcox.errors import NormalizationError, WrongDiagram
 from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders
@@ -154,6 +154,35 @@ def test_cocompact_rejects_wrong_diagram():
                            (1, 4): 3, (1, 3): 3, (2, 4): 3})
     with pytest.raises(WrongDiagram):
         certify.is_convex_cocompact(np.eye(4), table)
+
+
+@pytest.mark.parametrize("table, message", [
+    (EdgeOrders(3, {(1, 2): 3, (1, 3): INFINITY, (2, 3): 3}),
+     "expected the quad-prism pattern"),
+    (EdgeOrders(4, {(1, 2): 3, (2, 3): 3, (3, 4): 3, (1, 4): 3,
+                    (1, 3): 5, (2, 4): INFINITY}),
+     "expected the quad-prism pattern"),
+    (EdgeOrders(4, {(1, 2): 2, (2, 3): 3, (3, 4): 3, (1, 4): 3,
+                    (1, 3): INFINITY, (2, 4): INFINITY}),
+     "finite orders must be >= 3"),
+])
+def test_cocompact_wrong_diagram_raises_on_every_call(table, message):
+    # the pattern check is kept on the table after the first call
+    for _ in range(2):
+        with pytest.raises(WrongDiagram, match=message):
+            certify.is_convex_cocompact(np.eye(4), table)
+
+
+def test_certificates_compute_each_mu_once_per_table(monkeypatch):
+    o = QuadPrismOrders(3, 4, 5, 6)
+    system = charts.build_general(charts.GeneralChartParams(o, 9.0, 5.0, -2.0, -0.5, -3.0))
+    calls = []
+    real_mu = orbifold.mu
+    monkeypatch.setattr(orbifold, "mu", lambda n: calls.append(n) or real_mu(n))
+    for _ in range(2):
+        assert cartan.check_vinberg(system, o).passed
+        assert certify.verify_relations(system, o).passed
+    assert sorted(calls) == [3, 4, 5, 6]
 
 
 @settings(max_examples=50, deadline=None)

@@ -232,6 +232,47 @@ def test_relations_near_the_float_range_pass_cleanly():
     assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
 
 
+LARGE_V23_POINT = ["--orders", "3,3,3,3", "--chart", "general",
+                   "--t13", "6", "--t24", "6",
+                   "--v23=-1e10", "--v24", "-1", "--v34", "-1"]
+
+
+def test_zero_symmetry_holds_at_large_coordinates():
+    # M_32 = mu23 / v23 = -1e-10 is below the 1e-9 tolerance, but the
+    # product M_23 M_32 = mu23 is not zero: C3 holds
+    code, doc = run_json(["vinberg"] + LARGE_V23_POINT)
+    assert code == 0
+    assert doc["results"]["C3"] == {"passed": True, "failures": []}
+    code, doc = run_json(["cocompact"] + LARGE_V23_POINT)
+    assert code == 0
+    assert doc["verdicts"]["convex_cocompact"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["relations"] + GENERAL_POINT,
+    ["vinberg"] + GENERAL_POINT,
+    ["invariants"] + STANDARD_POINT,
+    ["simplex", "--n", "3", "--simplex-orders", "3,3,3,3,3,3"],
+])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+def test_invalid_tolerance_is_usage_error(argv, value, capsys):
+    assert cli.main(argv + [f"--tol={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --tol must be finite and >= 0, got {float(value)}\n"
+
+
+def test_vinberg_uses_tolerance():
+    # C4's residual at this point is 4.4e-16: it passes the default
+    # tolerance and fails --tol 1e-18
+    point = GENERAL_POINT[:-6] + ["--v23=-0.3", "--v24=-0.7", "--v34=-1.3"]
+    code, doc = run_json(["vinberg"] + point)
+    assert code == 0
+    code, doc = run_json(["vinberg", "--tol", "1e-18"] + point)
+    assert code == 1
+    assert doc["results"]["C4"]["passed"] is False
+
+
 @pytest.mark.parametrize("argv, stray", [
     (["relations"] + GENERAL_POINT + ["--v12", "-1"], "--v12"),
     (["vinberg"] + STANDARD_POINT + ["--v14", "-1", "--v44=0"], "--v14, --v44"),

@@ -90,6 +90,18 @@ def test_quad_prism_mu_computed_once(monkeypatch):
     assert hash(o) == hash(QuadPrismOrders(3, 4, 5, 6))
 
 
+def test_edge_orders_mu_table_built_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(orbifold, "mu", lambda n: calls.append(n) or mu(n))
+    table = QuadPrismOrders(3, 4, 5, 6).to_edge_orders()
+    tables = [table.mu_table for _ in range(3)]
+    assert calls == [3, 6, 4, 5]   # the finite pairs (1,2), (1,4), (2,3), (3,4)
+    assert tables[0] is tables[2]
+    assert tables[0] == (((1, 2), 3, mu(3)), ((1, 3), INFINITY, None),
+                         ((1, 4), 6, mu(6)), ((2, 3), 4, mu(4)),
+                         ((2, 4), INFINITY, None), ((3, 4), 5, mu(5)))
+
+
 def test_quad_prism_edge_orders_built_once():
     o = QuadPrismOrders(3, 4, 5, 6)
     assert o.to_edge_orders() is o.to_edge_orders()
