@@ -20,7 +20,6 @@ from .charts import (CaseLabel, ConcurrentChartParams, GeneralChartParams,
                      build_general, build_simplex, build_standard,
                      classify_case, concurrent_to_standard, is_semisimple,
                      realize_representation, standard_coordinates)
-from .linalg import mat_power, pair, rank, reflection
 from .orbifold import (INFINITY, EdgeOrders, OrbifoldSignature,
                        QuadPrismOrders, cg05_dim, d_tp, euler_characteristic,
                        mu, quadrilateral_signature, teichmuller_dim)

@@ -52,21 +52,17 @@ class ReflectionSystem:
     def dimension(self) -> int:
         return self.alphas.shape[1]
 
-    def reflection(self, i: int) -> np.ndarray:
-        """Reflection matrix R_i (1-based side index)."""
-        return linalg.reflection(self.alphas[i - 1], self.vectors[i - 1])
-
     def raw_cartan(self) -> np.ndarray:
         """M_ij = alpha_i(v_j), without invariant checks."""
         return self.alphas @ self.vectors.T
 
 
-def cartan_of(sys: ReflectionSystem, tol: float = linalg.TOL_ALGEBRAIC) -> np.ndarray:
+def cartan_of(sys: ReflectionSystem) -> np.ndarray:
     """Cartan matrix of the system, validated: diagonal 2, off-diagonal
     <= 0, and zero symmetry (M_ij = 0 iff M_ji = 0).
     """
     m = sys.raw_cartan()
-    validate_cartan(m, tol)
+    validate_cartan(m)
     return m
 
 
@@ -92,8 +88,8 @@ def _sign_failures(rows, tol: float):
     return c1, c2, c3
 
 
-def validate_cartan(m: np.ndarray, tol: float = linalg.TOL_ALGEBRAIC):
-    c1, c2, c3 = _sign_failures(np.asarray(m, dtype=float).tolist(), tol)
+def validate_cartan(m: np.ndarray):
+    c1, c2, c3 = _sign_failures(np.asarray(m, dtype=float).tolist(), linalg.TOL_ALGEBRAIC)
     if any(i == j for i, j in c1):
         raise InvariantViolation("diagonal entries must equal 2")
     if c2:
@@ -133,10 +129,12 @@ def _pair_residuals(rows, orders: EdgeOrders):
     the Cartan matrix rows: p = M_ij M_ji and r how far the pair is from
     Vinberg's (C4) for order n.
 
-    r is |p - mu(n)| for n >= 3; max(|M_ij|, |M_ji|) for n = 2, where
-    both entries must vanish (p = 0 alone would pass a broken zero
-    symmetry); and the shortfall 4 - p for an infinite order, which
-    passes at r <= 0.  A NaN r fails every ``not r <= tol`` gate.
+    r is |p - mu(n)| / (4 - mu(n)) for n >= 3, about 2/n for an order
+    moved by one (see certify.verify_relations); max(|M_ij|, |M_ji|) for
+    n = 2, where both entries must vanish (p = 0 alone would pass a
+    broken zero symmetry); and the shortfall 4 - p for an infinite
+    order, which passes at r <= 0.  A NaN r fails every
+    ``not r <= tol`` gate.
     """
     for (i, j), n, mu_n in orders.mu_table:
         mij, mji = rows[i - 1][j - 1], rows[j - 1][i - 1]
@@ -146,7 +144,7 @@ def _pair_residuals(rows, orders: EdgeOrders):
         elif n == 2:
             r = max(abs(mij), abs(mji))
         else:
-            r = abs(p - mu_n)
+            r = abs(p - mu_n) / (4.0 - mu_n)
         yield (i, j), n, mu_n, p, r
 
 
@@ -188,7 +186,7 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
 
     # C5: nonempty interior via the relation-space certificate
     try:
-        c5_ok = relation_space_trivial(sys.alphas, m)
+        c5_ok = relation_space_trivial(sys.alphas)
     except UnsupportedShape:
         c5_ok = False
     report["C5"] = ConditionCheck(c5_ok)
@@ -196,10 +194,9 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     return VinbergReport(report)
 
 
-def relation_space_trivial(alphas: np.ndarray, m: np.ndarray,
-                           tol: float = 1e-8) -> bool:
-    """Whether no nonzero nonnegative-coefficient relation among the
-    rows of the Cartan matrix is a relation among the alphas.
+def relation_space_trivial(alphas: np.ndarray) -> bool:
+    """Whether every nonzero linear relation among the alphas has
+    coefficients of both signs.
 
     Independent alphas pass immediately.  With a one-dimensional
     relation space the relation passes iff its coefficients take both
@@ -209,18 +206,18 @@ def relation_space_trivial(alphas: np.ndarray, m: np.ndarray,
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     f, d = alphas.shape
-    r = linalg.rank(alphas, tol)
+    r = linalg.rank(alphas)
     if r == f:
         return True
     if f - r > 1:
         raise UnsupportedShape("relation space has dimension > 1")
-    rel = linalg.kernel_basis(alphas.T, tol)
+    rel = linalg.kernel_basis(alphas.T)
     if rel.shape[0] != 1:
         raise UnsupportedShape("could not isolate a one-dimensional relation space")
     coeffs = rel[0]
     scale = np.max(np.abs(coeffs))
-    has_pos = np.any(coeffs > tol * scale)
-    has_neg = np.any(coeffs < -tol * scale)
+    has_pos = np.any(coeffs > 1e-8 * scale)
+    has_neg = np.any(coeffs < -1e-8 * scale)
     return bool(has_pos and has_neg)
 
 
@@ -240,9 +237,8 @@ class CyclicInvariants:
     """Values M_{i1 i2} M_{i2 i3} ... M_{ik i1} keyed by canonical
     cycles, both orientations included.  Each value is a product of
     Python floats taken left to right along the canonical cycle,
-    starting from 1.0, the same IEEE double as cycle_value gives.  A
-    lookup by a canonical cycle is one dict hit; other rotations are
-    canonicalized first."""
+    starting from 1.0.  A lookup by a canonical cycle is one dict hit;
+    other rotations are canonicalized first."""
 
     values: dict
 
@@ -266,12 +262,6 @@ def _cycle_product(rows, cycle) -> float:
     for t in range(k):
         value *= rows[cycle[t] - 1][cycle[(t + 1) % k] - 1]
     return value
-
-
-def cycle_value(m: np.ndarray, cycle) -> float:
-    """The cyclic invariant of m along the 1-based cycle: a product of
-    Python floats taken left to right along the cycle, starting from 1.0."""
-    return _cycle_product(np.asarray(m, dtype=float).tolist(), cycle)
 
 
 #: the canonical cycles of lengths 2, 3, 4 on sides 1..4, both
@@ -348,12 +338,11 @@ def derived_invariant_identities(inv: CyclicInvariants, orders: QuadPrismOrders,
     return IdentityReport(residuals, tol)
 
 
-def projectively_equivalent(m1: np.ndarray, m2: np.ndarray,
-                            tol: float = 1e-9) -> bool:
+def projectively_equivalent(m1: np.ndarray, m2: np.ndarray) -> bool:
     """Whether two 4x4 Cartan matrices are conjugate by a positive
     diagonal matrix, i.e. agree on the generating cyclic invariants.
     Only those five products are taken, each as in cyclic_invariants.
     """
     rows1, rows2 = _rows_4x4(m1), _rows_4x4(m2)
-    return all(_relative_residual(_cycle_product(rows1, c), _cycle_product(rows2, c)) <= tol
+    return all(_relative_residual(_cycle_product(rows1, c), _cycle_product(rows2, c)) <= 1e-9
                for c in GENERATING_CYCLES)

@@ -80,14 +80,12 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
 
     finite_res = {}
     infinite_prod = {}
-    for pair, n, mu_n, prod, res in _pair_residuals(m, orders):
+    for pair, _, mu_n, prod, res in _pair_residuals(m, orders):
         if mu_n is None:
             infinite_prod[pair] = prod
             if not res <= tol:
                 failures.append(("infinite", pair))
             continue
-        if n >= 3:
-            res /= 4.0 - mu_n
         finite_res[pair] = res
         if not res <= tol:
             failures.append(("finite", pair))
@@ -95,12 +93,12 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     return RelationReport(involutions, finite_res, infinite_prod, tol, failures)
 
 
-def is_convex_cocompact(m: np.ndarray, orders, tol: float = 0.0) -> bool:
+def is_convex_cocompact(m: np.ndarray, orders) -> bool:
     """Convex cocompactness of the quad-prism reflection group:
     both infinite-pair products must exceed 4 strictly.
 
     A point with T13 = 4 or T24 = 4 is a valid deformation but not
-    cocompact; the strictness margin is controlled by tol.
+    cocompact.
     """
     mismatch = _as_edge_orders(orders).quad_prism_mismatch
     if mismatch is not None:
@@ -108,7 +106,7 @@ def is_convex_cocompact(m: np.ndarray, orders, tol: float = 0.0) -> bool:
     rows = np.asarray(m, dtype=float).tolist()
     t13 = rows[0][2] * rows[2][0]
     t24 = rows[1][3] * rows[3][1]
-    return t13 > 4.0 + tol and t24 > 4.0 + tol
+    return t13 > 4.0 and t24 > 4.0
 
 
 @dataclass

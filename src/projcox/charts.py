@@ -158,8 +158,7 @@ def standard_cartan(orders: QuadPrismOrders, t13, t24, v23, v24, v34) -> np.ndar
     return m
 
 
-def _solve_standard(orders: QuadPrismOrders, t13, t24, v23, v24, v34,
-                    sing_tol: float = linalg.TOL_SINGULAR):
+def _solve_standard(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     """Solve the standard-chart system for (a1, a2, a3, a4*v44).
 
     The first three coordinates of v_j are column j of the first three
@@ -178,7 +177,7 @@ def _solve_standard(orders: QuadPrismOrders, t13, t24, v23, v24, v34,
         b[..., :3] = np.swapaxes(m[..., :3, :], -1, -2)
         b[..., 3, 3] = 1.0
         rhs = m[..., 3, :]
-        ok = np.abs(np.linalg.det(b)) > sing_tol
+        ok = np.abs(np.linalg.det(b)) > linalg.TOL_SINGULAR
         np.copyto(b, np.eye(4), where=~ok[..., None, None])
         x = np.linalg.solve(b, rhs[..., None])[..., 0]
         valid = ok & np.isfinite(x).all(axis=-1)
@@ -191,8 +190,7 @@ def _solve_standard(orders: QuadPrismOrders, t13, t24, v23, v24, v34,
 _BLOCK = 4096
 
 
-def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34,
-                         sing_tol: float = linalg.TOL_SINGULAR):
+def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     """Vectorized solve of the standard-chart system.
 
     Returns a dict with a1, a2, a3, a4_v44, det_m (determinant of the
@@ -214,7 +212,7 @@ def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34,
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         m, _, _, sol[block], valid[block] = _solve_standard(
-            orders, *(x[block] for x in flat), sing_tol)
+            orders, *(x[block] for x in flat))
         with np.errstate(over="ignore", invalid="ignore"):
             det_m[block] = np.linalg.det(m)
     sol = sol.reshape(shape + (4,))
@@ -227,8 +225,7 @@ def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34,
 
 
 def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
-                   v23: float, v24: float, v34: float,
-                   tol: float = RESIDUAL_TOL) -> StandardChartPoint:
+                   v23: float, v24: float, v34: float) -> StandardChartPoint:
     """Solve for (a1, a2, a3, a4*v44) and validate the point.
 
     This is the one-point case of :func:`solve_standard_batch`.  Besides
@@ -248,13 +245,13 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
         residual = float(np.max(np.abs(b @ sol - rhs)))
     if not np.isfinite(residual):
         raise ConditionFailure("solve residual is not finite")
-    if residual > tol * scale:
+    if residual > RESIDUAL_TOL * scale:
         raise ConditionFailure(f"solve residual {residual} exceeds tolerance")
     # redundant guard for v24 -> 0-: the (2,4) product must still be >= 4
     prod24 = v24 * (-a1 * orders.mu12 + 2.0 * a2 + a3 * orders.mu23 / v23)
     if prod24 < 4.0 - 1e-6 * (1.0 + abs(prod24)):
         raise ConditionFailure(f"(2,4) product {prod24} fell below 4")
-    if abs(a4_v44) <= tol and not (a1 > 0.0 and a2 < 0.0 and a3 > 0.0):
+    if abs(a4_v44) <= RESIDUAL_TOL and not (a1 > 0.0 and a2 < 0.0 and a3 > 0.0):
         raise ConditionFailure(
             f"concurrent sign pattern violated: a = ({a1}, {a2}, {a3})")
     return StandardChartPoint(orders, float(t13), float(t24), float(v23),
@@ -311,15 +308,14 @@ def standard_coordinates(m: np.ndarray):
     return t13, t24, mn[1, 2], mn[1, 3], mn[2, 3]
 
 
-def concurrent_to_standard(p: ConcurrentChartParams,
-                           tol: float = RESIDUAL_TOL) -> StandardChartPoint:
+def concurrent_to_standard(p: ConcurrentChartParams) -> StandardChartPoint:
     """Map a concurrent point into the standard chart by gauge
     normalization.  The result has a4*v44 = 0 up to roundoff and a
     projectively equivalent Cartan matrix.
     """
     m = cartan_of(build_concurrent(p))
     t13, t24, v23, v24, v34 = standard_coordinates(m)
-    return build_standard(p.orders, t13, t24, v23, v24, v34, tol)
+    return build_standard(p.orders, t13, t24, v23, v24, v34)
 
 
 @dataclass(frozen=True)
@@ -401,22 +397,18 @@ def classify_case(a4: float, v44: float, tol: float = 1e-10) -> CaseLabel:
     return CaseLabel.I_PRIME if v44_zero else CaseLabel.I
 
 
-def is_semisimple(sys: ReflectionSystem, tol: float = 1e-8) -> bool:
+def is_semisimple(sys: ReflectionSystem) -> bool:
     """Whether V splits as (intersection of ker alpha_j) + span{v_j}.
 
-    Checked through ranks: the two subspaces must have complementary
-    dimensions and their union must span V.
+    With A the alphas and V the vectors (rows), the kernel has dimension
+    d - rank A and rank(A V^T) = rank V - dim(ker A & span V), so V
+    splits iff rank A = rank V = rank M for the Cartan matrix M = A V^T.
+    At rank A = rank V = d the intersection is zero already.
     """
-    d = sys.dimension
-    dim_v_alpha = d - linalg.rank(sys.alphas, tol)
-    dim_v_v = linalg.rank(sys.vectors, tol)
-    if dim_v_alpha + dim_v_v != d:
+    r = linalg.rank(sys.alphas)
+    if linalg.rank(sys.vectors) != r:
         return False
-    if dim_v_alpha == 0:
-        return True
-    kernel = linalg.kernel_basis(sys.alphas, tol)
-    stacked = np.vstack([kernel, sys.vectors])
-    return linalg.rank(stacked, tol) == d
+    return r == sys.dimension or linalg.rank(sys.raw_cartan()) == r
 
 
 def sample_negative(rng: np.random.Generator, size=None) -> np.ndarray:

@@ -15,8 +15,6 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from . import cartan, certify, charts, orbifold
 from .errors import ProjCoxError
 
@@ -39,13 +37,9 @@ def _parse_box(text: str):
     return float(parts[0]), float(parts[1])
 
 
-def _cycle_key(cycle) -> str:
-    return "-".join(str(i) for i in cycle)
-
-
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+def _keyed(values: dict) -> dict:
+    """The values with their index-tuple keys written as "i-j-k"."""
+    return {"-".join(str(i) for i in key): v for key, v in values.items()}
 
 
 #: coordinate flags of the chart subcommands, and the ones each chart reads
@@ -57,9 +51,10 @@ _CHART_FLAGS = {
 }
 
 
-def _check_chart_flags(args):
-    """Every flag the chart reads is given (v44 defaults to 0) and no
-    other coordinate flag is."""
+def _build_system(args):
+    """Chart point, reflection system and JSON inputs from the chart
+    flags.  Every flag the chart reads must be given (v44 defaults to 0)
+    and no other coordinate flag may be."""
     used = _CHART_FLAGS[args.chart]
     stray = [n for n in _COORDINATE_FLAGS
              if n not in used and getattr(args, n) is not None]
@@ -70,134 +65,71 @@ def _check_chart_flags(args):
     if missing:
         raise ValueError("missing flags for chart "
                          f"{args.chart!r}: " + ", ".join(f"--{n}" for n in missing))
-
-
-def _build_system(args):
-    """Chart point and reflection system from the chart flags."""
-    _check_chart_flags(args)
     orders = _parse_orders(args.orders)
+    coords = {n: getattr(args, n) for n in used}
     if args.chart == "general":
-        params = charts.GeneralChartParams(orders, args.t13, args.t24,
-                                           args.v23, args.v24, args.v34)
-        system = charts.build_general(params)
-        inputs = {"chart": "general", "t13": args.t13, "t24": args.t24,
-                  "v23": args.v23, "v24": args.v24, "v34": args.v34}
+        system = charts.build_general(charts.GeneralChartParams(orders, **coords))
     elif args.chart == "concurrent":
-        v44 = 0.0 if args.v44 is None else args.v44
-        params = charts.ConcurrentChartParams(orders, args.v12, args.v23,
-                                              args.v14, args.v34, v44)
-        system = charts.build_concurrent(params)
-        inputs = {"chart": "concurrent", "v12": args.v12, "v23": args.v23,
-                  "v14": args.v14, "v34": args.v34, "v44": v44}
+        if coords["v44"] is None:
+            coords["v44"] = 0.0
+        system = charts.build_concurrent(charts.ConcurrentChartParams(orders, **coords))
     else:
-        point = charts.build_standard(orders, args.t13, args.t24,
-                                      args.v23, args.v24, args.v34)
+        point = charts.build_standard(orders, **coords)
         system = charts.realize_representation(point, a4=1.0)
-        inputs = {"chart": "standard", "t13": args.t13, "t24": args.t24,
-                  "v23": args.v23, "v24": args.v24, "v34": args.v34,
-                  "a4_v44": point.a4_v44}
-    inputs["orders"] = [orders.n12, orders.n23, orders.n34, orders.n14]
+        coords["a4_v44"] = point.a4_v44
+    inputs = {"chart": args.chart, **coords,
+              "orders": [orders.n12, orders.n23, orders.n34, orders.n14]}
     return orders, system, inputs
-
-
-def _tolerance(args) -> float:
-    """The --tol value, which must be finite and >= 0."""
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
-    return args.tol
-
-
-def _add_chart_flags(parser):
-    parser.add_argument("--orders", required=True,
-                        help="finite edge orders n12,n23,n34,n14 (all >= 3)")
-    parser.add_argument("--chart", choices=list(_CHART_FLAGS), default="general")
-    for flag in _COORDINATE_FLAGS:
-        parser.add_argument(f"--{flag}", type=float, default=None)
 
 
 def _relation_residuals(report) -> dict:
     return {
         "involutions": {str(i): r for i, r in report.involution_residuals.items()},
-        "finite_pairs": {_cycle_key(p): r for p, r in
-                         report.finite_pair_residuals.items()},
+        "finite_pairs": _keyed(report.finite_pair_residuals),
     }
 
 
-def cmd_relations(args) -> int:
-    tol = _tolerance(args)
+# Each cmd_* returns (inputs, results, residuals, verdicts, ok) for main
+# to print as one JSON object; ok False means a check failed.
+
+
+def cmd_relations(args):
     orders, system, inputs = _build_system(args)
-    relation_report = certify.verify_relations(system, orders, tol)
-    vinberg_report = cartan.check_vinberg(system, orders.to_edge_orders())
-    ok = relation_report.passed and vinberg_report.passed
-    _emit({
-        "command": "relations",
-        "inputs": inputs,
-        "results": {
-            "relations_passed": relation_report.passed,
-            "vinberg_passed": vinberg_report.passed,
-            "infinite_pair_products": {
-                _cycle_key(p): v
-                for p, v in relation_report.infinite_pair_products.items()},
-        },
-        "residuals": _relation_residuals(relation_report),
-        "verdicts": {"pass": ok},
-        "seed": None,
-    })
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    report = certify.verify_relations(system, orders, args.tol)
+    vinberg_passed = cartan.check_vinberg(system, orders.to_edge_orders()).passed
+    ok = report.passed and vinberg_passed
+    results = {"relations_passed": report.passed, "vinberg_passed": vinberg_passed,
+               "infinite_pair_products": _keyed(report.infinite_pair_products)}
+    return inputs, results, _relation_residuals(report), {"pass": ok}, ok
 
 
-def cmd_vinberg(args) -> int:
-    tol = _tolerance(args)
+def cmd_vinberg(args):
     orders, system, inputs = _build_system(args)
-    report = cartan.check_vinberg(system, orders.to_edge_orders(), tol)
-    _emit({
-        "command": "vinberg",
-        "inputs": inputs,
-        "results": {name: {"passed": c.passed,
-                           "failures": [list(p) for p in c.failures]}
-                    for name, c in report.conditions.items()},
-        "residuals": {name: c.residual for name, c in report.conditions.items()},
-        "verdicts": {"pass": report.passed},
-        "seed": None,
-    })
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    report = cartan.check_vinberg(system, orders.to_edge_orders(), args.tol)
+    conditions = report.conditions.items()
+    results = {name: {"passed": c.passed, "failures": [list(p) for p in c.failures]}
+               for name, c in conditions}
+    residuals = {name: c.residual for name, c in conditions}
+    return inputs, results, residuals, {"pass": report.passed}, report.passed
 
 
-def cmd_cocompact(args) -> int:
+def cmd_cocompact(args):
     orders, system, inputs = _build_system(args)
     m = cartan.cartan_of(system)
-    t13 = float(m[0, 2] * m[2, 0])
-    t24 = float(m[1, 3] * m[3, 1])
-    verdict = certify.is_convex_cocompact(m, orders)
-    _emit({
-        "command": "cocompact",
-        "inputs": inputs,
-        "results": {"T13": t13, "T24": t24},
-        "residuals": {},
-        "verdicts": {"convex_cocompact": verdict},
-        "seed": None,
-    })
-    return EXIT_OK
+    results = {"T13": float(m[0, 2] * m[2, 0]), "T24": float(m[1, 3] * m[3, 1])}
+    verdicts = {"convex_cocompact": certify.is_convex_cocompact(m, orders)}
+    return inputs, results, {}, verdicts, True
 
 
-def cmd_invariants(args) -> int:
-    tol = _tolerance(args)
+def cmd_invariants(args):
     orders, system, inputs = _build_system(args)
-    m = cartan.cartan_of(system)
-    invariants = cartan.cyclic_invariants(m)
-    identities = cartan.derived_invariant_identities(invariants, orders, tol)
-    _emit({
-        "command": "invariants",
-        "inputs": inputs,
-        "results": {_cycle_key(c): v for c, v in sorted(invariants.values.items())},
-        "residuals": {_cycle_key(c): r for c, r in sorted(identities.residuals.items())},
-        "verdicts": {"identities_pass": identities.passed},
-        "seed": None,
-    })
-    return EXIT_OK if identities.passed else EXIT_CHECK_FAILED
+    invariants = cartan.cyclic_invariants(cartan.cartan_of(system))
+    identities = cartan.derived_invariant_identities(invariants, orders, args.tol)
+    return (inputs, _keyed(invariants.values), _keyed(identities.residuals),
+            {"identities_pass": identities.passed}, identities.passed)
 
 
-def cmd_orbifold(args) -> int:
+def cmd_orbifold(args):
     cones = tuple(int(x) for x in args.cones.split(",")) if args.cones else ()
     corners = tuple(int(x) for x in args.corners.split(",")) if args.corners else ()
     sig = orbifold.OrbifoldSignature(args.chi_underlying, cones, corners,
@@ -210,55 +142,37 @@ def cmd_orbifold(args) -> int:
         results["d_tp"] = orbifold.d_tp(sig)
         if sig.full_boundary_count == 0:
             results["cg05_dim"] = orbifold.cg05_dim(sig)
-    _emit({
-        "command": "orbifold",
-        "inputs": {"chi_underlying": args.chi_underlying,
-                   "cones": list(cones), "corners": list(corners),
-                   "boundary": args.boundary},
-        "results": results,
-        "residuals": {},
-        "verdicts": {"hyperbolic": bool(chi < 0)},
-        "seed": None,
-    })
-    return EXIT_OK
+    inputs = {"chi_underlying": args.chi_underlying, "cones": list(cones),
+              "corners": list(corners), "boundary": args.boundary}
+    return inputs, results, {}, {"hyperbolic": bool(chi < 0)}, True
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
+    """The JSON envelope's parts, or None once the CSV is written."""
     orders = _parse_orders(args.orders)
     box = _parse_box(args.box)
     report = certify.standard_scan(orders, args.t13, args.t24, args.samples,
                                    args.seed, box,
                                    keep_records=args.out == "csv")
-    if args.out == "csv":
-        stream = open(args.file, "w", newline="") if args.file else sys.stdout
-        try:
-            writer = csv.writer(stream)
-            writer.writerow(["v23", "v24", "v34", "a4v44", "det_M",
-                             "T13_prod", "T24_prod"])
-            rec = report.records
-            for k in range(rec["a4v44"].shape[0]):
-                writer.writerow([repr(float(rec[c][k])) for c in
-                                 ("v23", "v24", "v34", "a4v44", "det_M",
-                                  "T13_prod", "T24_prod")])
-        finally:
-            if args.file:
-                stream.close()
-    else:
-        _emit({
-            "command": "scan",
-            "inputs": {"orders": [orders.n12, orders.n23, orders.n34, orders.n14],
-                       "t13": args.t13, "t24": args.t24,
-                       "samples": args.samples, "box": list(box)},
-            "results": report.summary,
-            "residuals": {},
-            "verdicts": {},
-            "seed": args.seed,
-        })
-    return EXIT_OK
+    if args.out == "json":
+        inputs = {"orders": [orders.n12, orders.n23, orders.n34, orders.n14],
+                  "t13": args.t13, "t24": args.t24,
+                  "samples": args.samples, "box": list(box)}
+        return inputs, report.summary, {}, {}, True
+    columns = ("v23", "v24", "v34", "a4v44", "det_M", "T13_prod", "T24_prod")
+    stream = open(args.file, "w", newline="") if args.file else sys.stdout
+    try:
+        writer = csv.writer(stream)
+        writer.writerow(columns)
+        for row in zip(*(report.records[c] for c in columns)):
+            writer.writerow([repr(float(x)) for x in row])
+    finally:
+        if args.file:
+            stream.close()
+    return None
 
 
-def cmd_simplex(args) -> int:
-    tol = _tolerance(args)
+def cmd_simplex(args):
     n = args.n
     pairs = [(i, j) for i in range(1, n + 2) for j in range(i + 1, n + 2)]
     values = [int(x) for x in args.simplex_orders.split(",")]
@@ -274,20 +188,11 @@ def cmd_simplex(args) -> int:
     else:
         free_values = [-1.0] * len(free_pairs)
     params = charts.SimplexChartParams(n, table, dict(zip(free_pairs, free_values)))
-    system = charts.build_simplex(params)
-    report = certify.verify_relations(system, table, tol)
-    _emit({
-        "command": "simplex",
-        "inputs": {"n": n, "orders": values,
-                   "free": {_cycle_key(p): v for p, v in
-                            zip(free_pairs, free_values)}},
-        "results": {"parameter_count": params.parameter_count,
-                    "relations_passed": report.passed},
-        "residuals": _relation_residuals(report),
-        "verdicts": {"pass": report.passed},
-        "seed": None,
-    })
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    report = certify.verify_relations(charts.build_simplex(params), table, args.tol)
+    inputs = {"n": n, "orders": values, "free": _keyed(params.free)}
+    results = {"parameter_count": params.parameter_count,
+               "relations_passed": report.passed}
+    return inputs, results, _relation_residuals(report), {"pass": report.passed}, report.passed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -300,6 +205,16 @@ class _Parser(argparse.ArgumentParser):
             r"^-(?:\d+|\d*\.\d+)$|^-(?:\d+\.?\d*|\.\d+)[eE][-+]?\d+$")
 
 
+#: chart subcommands: handler, help and --tol default (None: no --tol)
+_CHART_COMMANDS = {
+    "relations": (cmd_relations, "verify Coxeter relations and Vinberg conditions",
+                  certify.RELATION_TOL),
+    "vinberg": (cmd_vinberg, "report Vinberg's conditions (C1)-(C5)", 1e-9),
+    "cocompact": (cmd_cocompact, "decide convex cocompactness", None),
+    "invariants": (cmd_invariants, "cyclic invariants and identity residuals", 1e-9),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="projcox",
@@ -308,24 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "invariants, cocompactness, and parameter scans.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("relations", help="verify Coxeter relations and Vinberg conditions")
-    _add_chart_flags(p)
-    p.add_argument("--tol", type=float, default=certify.RELATION_TOL)
-    p.set_defaults(func=cmd_relations)
-
-    p = sub.add_parser("vinberg", help="report Vinberg's conditions (C1)-(C5)")
-    _add_chart_flags(p)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_vinberg)
-
-    p = sub.add_parser("cocompact", help="decide convex cocompactness")
-    _add_chart_flags(p)
-    p.set_defaults(func=cmd_cocompact)
-
-    p = sub.add_parser("invariants", help="cyclic invariants and identity residuals")
-    _add_chart_flags(p)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_invariants)
+    for name, (func, help_text, tol) in _CHART_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--orders", required=True,
+                       help="finite edge orders n12,n23,n34,n14 (all >= 3)")
+        p.add_argument("--chart", choices=list(_CHART_FLAGS), default="general")
+        for flag in _COORDINATE_FLAGS:
+            p.add_argument(f"--{flag}", type=float, default=None)
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("orbifold", help="Euler characteristic and dimension counts")
     p.add_argument("--chi-underlying", type=int, default=1, dest="chi_underlying")
@@ -358,10 +265,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "tol" in vars(args) and not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+        envelope = args.func(args)
+        if envelope is None:
+            return EXIT_OK
+        inputs, results, residuals, verdicts, ok = envelope
+        json.dump({"command": args.subcommand, "inputs": inputs, "results": results,
+                   "residuals": residuals, "verdicts": verdicts,
+                   "seed": getattr(args, "seed", None)},
+                  sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
     except (ProjCoxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

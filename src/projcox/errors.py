@@ -5,10 +5,6 @@ class ProjCoxError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatch(ProjCoxError):
-    """Operands have incompatible dimensions."""
-
-
 class NormalizationError(ProjCoxError):
     """A reflection pair (a, v) does not satisfy a(v) = 2."""
 

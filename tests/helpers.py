@@ -1,5 +1,5 @@
-"""Shared random-point generators and subprocess runner for the test
-suite."""
+"""Shared random-point generators, the brute-force reflection
+reference and subprocess runner for the test suite."""
 
 import os
 import subprocess
@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from projcox import charts
-from projcox.errors import ConditionFailure, SingularSystem
+from projcox.errors import ConditionFailure, NormalizationError, SingularSystem
 from projcox.orbifold import QuadPrismOrders
 
 ORDER_CHOICES = (3, 4, 5, 6)
@@ -76,6 +76,32 @@ def balanced_realization(pt: charts.StandardChartPoint):
     evenly between alpha_4 and v_4 to keep matrix entries moderate."""
     a4 = max(np.sqrt(abs(pt.a4_v44)), 1e-6)
     return charts.realize_representation(pt, a4=a4)
+
+
+def reflection(a, v) -> np.ndarray:
+    """The projective reflection Id - v a^T fixing ker(a), with a(v) = 2."""
+    a = np.asarray(a, dtype=float)
+    v = np.asarray(v, dtype=float)
+    p = float(a @ v)
+    if abs(p - 2.0) > 1e-9:
+        raise NormalizationError(f"a(v) = {p}, expected 2")
+    return np.eye(a.shape[0]) - np.outer(v, a)
+
+
+def mat_power(m, k: int) -> np.ndarray:
+    """m**k for integer k >= 1, by repeated squaring."""
+    m = np.asarray(m, dtype=float)
+    if k < 1:
+        raise ValueError("exponent must be >= 1")
+    result = np.eye(m.shape[0])
+    base = m
+    while k:
+        if k & 1:
+            result = result @ base
+        k >>= 1
+        if k:
+            base = base @ base
+    return result
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import random_general, random_standard
 from projcox import cartan, charts
 from projcox.cartan import (GENERATING_CYCLES, ReflectionSystem, cartan_of,
-                            check_vinberg, cycle_value, cyclic_invariants,
+                            check_vinberg, cyclic_invariants,
                             derived_invariant_identities,
                             projectively_equivalent, relation_space_trivial)
 from projcox.errors import InvariantViolation, UnsupportedShape
@@ -25,6 +25,8 @@ def concurrent_all_minus_one(orders=O3333):
 def test_reflection_system_shape_checks():
     with pytest.raises(ValueError):
         ReflectionSystem(np.eye(4), np.eye(3))
+    with pytest.raises(ValueError, match="finite"):
+        ReflectionSystem(np.eye(2), [[2.0, np.nan], [-1.0, 2.0]])
 
 
 def test_cartan_of_concurrent_base_point():
@@ -72,12 +74,17 @@ def test_check_vinberg_concurrent_chart_passes():
 
 
 def test_check_vinberg_detects_wrong_order():
-    # products tuned for orders (3,3,3,3) fail C4 against (4,3,3,3)
-    wrong = QuadPrismOrders(4, 3, 3, 3)
-    report = check_vinberg(concurrent_all_minus_one(), wrong.to_edge_orders())
-    assert not report.passed
-    assert report.failed_conditions() == ["C4"]
-    assert (1, 2) in report.conditions["C4"].failures
+    # products tuned for the built orders fail C4 against the wrong ones;
+    # |p - mu(n)| of a neighbouring order is about 8pi^2/n^3, 6e-10 at
+    # n = 5000, while the gated |p - mu(n)| / (4 - mu(n)) is about 2/n
+    for built, wrong in (((3, 3, 3, 3), (4, 3, 3, 3)),
+                         ((5000, 5000, 5000, 5000), (4999, 5000, 5000, 5000))):
+        sys = concurrent_all_minus_one(QuadPrismOrders(*built))
+        assert check_vinberg(sys, QuadPrismOrders(*built)).passed
+        report = check_vinberg(sys, QuadPrismOrders(*wrong).to_edge_orders())
+        assert not report.passed
+        assert report.failed_conditions() == ["C4"]
+        assert (1, 2) in report.conditions["C4"].failures
 
 
 def test_check_vinberg_order_two_needs_both_entries_zero():
@@ -113,33 +120,37 @@ def test_check_vinberg_detects_sign_flip():
 
 
 def test_relation_space_trivial_independent():
-    assert relation_space_trivial(np.eye(4), 2.0 * np.eye(4))
+    assert relation_space_trivial(np.eye(4))
+    # three independent covectors in R^4: no relation at all
+    assert relation_space_trivial(np.array([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0],
+                                            [0, -1.0, 2.0, 0.5]]))
 
 
 def test_relation_space_mixed_signs_pass():
     # alpha_4 = e1* - e2* + e3*: relation (1, -1, 1, -1) has both signs
     alphas = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0],
                        [1.0, -1.0, 1.0, 0]])
-    assert relation_space_trivial(alphas, np.zeros((4, 4)))
+    assert relation_space_trivial(alphas)
 
 
 def test_relation_space_one_signed_fails():
     # alpha_4 = -(e1* + e2* + e3*): the relation is single-signed
     alphas = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0],
                        [-1.0, -1.0, -1.0, 0]])
-    assert not relation_space_trivial(alphas, np.zeros((4, 4)))
+    assert not relation_space_trivial(alphas)
 
 
 def test_relation_space_high_dimension_unsupported():
     alphas = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0], [2.0, 0, 0, 0]])
     with pytest.raises(UnsupportedShape):
-        relation_space_trivial(alphas, np.zeros((3, 3)))
+        relation_space_trivial(alphas)
 
 
 def test_cycle_value_by_hand():
-    m = np.arange(1.0, 17.0).reshape(4, 4)
-    assert cycle_value(m, (1, 3)) == pytest.approx(m[0, 2] * m[2, 0])
-    assert cycle_value(m, (1, 2, 3)) == pytest.approx(m[0, 1] * m[1, 2] * m[2, 0])
+    inv = cyclic_invariants(np.arange(1.0, 17.0).reshape(4, 4))
+    assert inv.value(1, 3) == 3.0 * 9.0
+    assert inv.value(3, 1, 2) == 2.0 * 7.0 * 9.0
+    assert inv.value(1, 4, 3, 2) == 4.0 * 15.0 * 10.0 * 5.0
 
 
 def test_cyclic_invariants_count_and_orientation():
@@ -240,7 +251,6 @@ def test_invariants_equal_numpy_scalar_products(entries):
     for cycle, value in inv.values.items():
         assert type(value) is float
         assert value.hex() == _numpy_cycle_product(m, cycle).hex()
-        assert cycle_value(m, cycle).hex() == value.hex()
 
 
 def _all_invariants_agree(m1, m2, tol=1e-9):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_concurrent, random_general, random_standard
-from projcox import cartan, certify, charts, linalg, orbifold
+from helpers import (mat_power, random_concurrent, random_general, random_standard,
+                     reflection)
+from projcox import cartan, certify, charts, orbifold
 from projcox.cartan import ReflectionSystem
 from projcox.errors import NormalizationError, WrongDiagram
 from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders
@@ -36,10 +37,10 @@ def brute_force_verdicts(sys, orders: EdgeOrders) -> dict:
     """Whether ||(R_i R_j)^n - Id||_F <= RELATION_TOL for each finite
     pair, with the power taken by repeated squaring."""
     ident = np.eye(sys.dimension)
+    r = [reflection(a, v) for a, v in zip(sys.alphas, sys.vectors)]
     verdicts = {}
     for (i, j) in orders.finite_pairs():
-        power = linalg.mat_power(sys.reflection(i) @ sys.reflection(j),
-                                 orders.order(i, j))
+        power = mat_power(r[i - 1] @ r[j - 1], orders.order(i, j))
         verdicts[(i, j)] = bool(np.linalg.norm(power - ident) <= certify.RELATION_TOL)
     return verdicts
 

@@ -261,6 +261,31 @@ def test_case_ii_representative_not_semisimple():
     assert not is_semisimple(sys)
 
 
+def _svd_rank(m) -> int:
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > 1e-8 * s[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank_alphas=st.integers(1, 4),
+       rank_vectors=st.integers(1, 4), shared=st.integers(0, 3))
+def test_semisimple_agrees_with_splitting_definition(seed, rank_alphas,
+                                                     rank_vectors, shared):
+    """Random (alphas, vectors) of every rank, with up to `shared`
+    directions of ker alphas inside span{v_j}: V splits as ker + span
+    exactly when the dimensions add up to 4 and the two span V."""
+    rng = np.random.default_rng(seed)
+    alphas = rng.standard_normal((4, rank_alphas)) @ rng.standard_normal((rank_alphas, 4))
+    kernel = np.linalg.svd(alphas)[2][_svd_rank(alphas):]
+    shared = min(shared, kernel.shape[0], rank_vectors)
+    basis = np.vstack([kernel[:shared],
+                       rng.standard_normal((rank_vectors - shared, 4))])
+    vectors = rng.standard_normal((4, rank_vectors)) @ basis
+    splits = (kernel.shape[0] + _svd_rank(vectors) == 4
+              and _svd_rank(np.vstack([kernel, vectors])) == 4)
+    assert is_semisimple(cartan.ReflectionSystem(alphas, vectors)) == splits
+
+
 # --- simplex chart ---------------------------------------------------------
 
 def simplex_orders_all(n, order):

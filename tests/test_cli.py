@@ -151,12 +151,16 @@ def test_simplex_subcommand():
 def test_exit_code_on_check_failure():
     # an unattainable tolerance turns the tiny rounding residuals of a
     # genuine point (4.4e-16 at pair 3-4 here) into reported failures:
-    # exit code must be 1
+    # exit code must be 1, with the failing verdict in the JSON
     point = GENERAL_POINT[:-6] + ["--v23=-0.3", "--v24=-0.7", "--v34=-1.3"]
-    argv = ["relations", "--tol", "1e-18"] + point
-    code, doc = run_json(argv)
-    assert code == 1
-    assert doc["verdicts"]["pass"] is False
+    simplex = ["simplex", "--n", "3", "--simplex-orders", "3,4,5,3,4,5",
+               "--free=-0.3,-0.7,-1.3"]
+    for argv, verdict in ((["relations", "--tol", "1e-18"] + point, "pass"),
+                          (["invariants", "--tol", "0"] + point, "identities_pass"),
+                          (simplex + ["--tol", "0"], "pass")):
+        code, doc = run_json(argv)
+        assert code == 1
+        assert doc["verdicts"][verdict] is False
 
 
 def test_exit_code_on_domain_error(capsys):

@@ -4,35 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import mat_power, reflection
 from projcox import linalg
-from projcox.errors import DimensionMismatch, NormalizationError
+from projcox.errors import NormalizationError
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0, 0.0])
 
 
-def test_pair_dual_basis():
-    assert linalg.pair(E1, E1) == 1.0
-    assert linalg.pair(E1, E2) == 0.0
-
-
-def test_pair_hand_arithmetic():
-    # 1*2 + (-1)*(-1) + 1*(-1) + 0*0
-    assert linalg.pair([1, -1, 1, 0], [2, -1, -1, 0]) == pytest.approx(2.0)
-
-
-def test_pair_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        linalg.pair([1, 0], [1, 0, 0])
-
-
 def test_reflection_coordinate():
-    r = linalg.reflection(2 * E1, E1)
+    r = reflection(2 * E1, E1)
     assert np.allclose(r, np.diag([-1.0, 1.0, 1.0, 1.0]))
 
 
 def test_reflection_outer_product():
-    r = linalg.reflection(E1, [2, -1, -1, -1])
+    r = reflection(E1, [2, -1, -1, -1])
     expected = np.eye(4)
     expected[:, 0] = [-1, 1, 1, 1]
     assert np.allclose(r, expected)
@@ -40,7 +26,7 @@ def test_reflection_outer_product():
 
 def test_reflection_requires_normalization():
     with pytest.raises(NormalizationError):
-        linalg.reflection(E1, E1)
+        reflection(E1, E1)
 
 
 @given(a=arrays(np.float64, 4, elements=st.floats(-5, 5)),
@@ -50,25 +36,25 @@ def test_reflection_is_involution(a, v):
     if abs(p) < 1e-3:
         return
     a = a * (2.0 / p)  # rescale so a(v) = 2
-    r = linalg.reflection(a, v)
+    r = reflection(a, v)
     assert np.linalg.norm(r @ r - np.eye(4)) <= 1e-10 * max(1.0, np.linalg.norm(r) ** 2)
 
 
 def test_mat_power_identity():
-    assert np.allclose(linalg.mat_power(np.eye(4), 5), np.eye(4))
+    assert np.allclose(mat_power(np.eye(4), 5), np.eye(4))
 
 
 def test_mat_power_involution():
     d = np.diag([-1.0, 1.0, 1.0, 1.0])
-    assert np.allclose(linalg.mat_power(d, 2), np.eye(4))
+    assert np.allclose(mat_power(d, 2), np.eye(4))
 
 
 def test_mat_power_order_three_rotation():
     # R1 R2 for reflections with mu12 = 4cos^2(pi/3) = 1 has order 3
-    r1 = linalg.reflection([2.0, -1.0, 0.0, 0.0], E1)
-    r2 = linalg.reflection([-1.0, 2.0, 0.0, 0.0], E2)
+    r1 = reflection([2.0, -1.0, 0.0, 0.0], E1)
+    r2 = reflection([-1.0, 2.0, 0.0, 0.0], E2)
     prod = r1 @ r2
-    assert np.allclose(linalg.mat_power(prod, 3), np.eye(4), atol=1e-12)
+    assert np.allclose(mat_power(prod, 3), np.eye(4), atol=1e-12)
 
 
 @settings(max_examples=50)
@@ -77,8 +63,8 @@ def test_mat_power_additivity(seed, p, q):
     rng = np.random.default_rng(seed)
     q_mat, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     m = q_mat + 0.05 * rng.standard_normal((4, 4))
-    lhs = linalg.mat_power(m, p + q)
-    rhs = linalg.mat_power(m, p) @ linalg.mat_power(m, q)
+    lhs = mat_power(m, p + q)
+    rhs = mat_power(m, p) @ mat_power(m, q)
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * (1.0 + np.linalg.norm(lhs))
 
 
@@ -100,10 +86,3 @@ def test_kernel_basis_annihilates():
     kern = linalg.kernel_basis(m)
     assert kern.shape[0] == 1
     assert np.linalg.norm(m @ kern.T) < 1e-12
-
-
-def test_nonfinite_rejected():
-    with pytest.raises(ValueError):
-        linalg.as_vector([1.0, np.nan])
-    with pytest.raises(ValueError):
-        linalg.as_matrix([[np.inf, 0.0], [0.0, 1.0]])
