@@ -129,12 +129,10 @@ def _pair_residuals(rows, orders: EdgeOrders):
     the Cartan matrix rows: p = M_ij M_ji and r how far the pair is from
     Vinberg's (C4) for order n.
 
-    r is |p - mu(n)| / (4 - mu(n)) for n >= 3, about 2/n for an order
-    moved by one (see certify.verify_relations); max(|M_ij|, |M_ji|) for
-    n = 2, where both entries must vanish (p = 0 alone would pass a
-    broken zero symmetry); and the shortfall 4 - p for an infinite
-    order, which passes at r <= 0.  A NaN r fails every
-    ``not r <= tol`` gate.
+    r is |p - mu(n)| for n >= 3; max(|M_ij|, |M_ji|) for n = 2, where
+    both entries must vanish (p = 0 alone would pass a broken zero
+    symmetry); and the shortfall 4 - p for an infinite order, which
+    passes at r <= 0.  A NaN r fails every ``not r <= tol`` gate.
     """
     for (i, j), n, mu_n in orders.mu_table:
         mij, mji = rows[i - 1][j - 1], rows[j - 1][i - 1]
@@ -144,7 +142,7 @@ def _pair_residuals(rows, orders: EdgeOrders):
         elif n == 2:
             r = max(abs(mij), abs(mji))
         else:
-            r = abs(p - mu_n) / (4.0 - mu_n)
+            r = abs(p - mu_n)
         yield (i, j), n, mu_n, p, r
 
 

@@ -80,12 +80,14 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
 
     finite_res = {}
     infinite_prod = {}
-    for pair, _, mu_n, prod, res in _pair_residuals(m, orders):
+    for pair, n, mu_n, prod, res in _pair_residuals(m, orders):
         if mu_n is None:
             infinite_prod[pair] = prod
             if not res <= tol:
                 failures.append(("infinite", pair))
             continue
+        if n >= 3:
+            res /= 4.0 - mu_n
         finite_res[pair] = res
         if not res <= tol:
             failures.append(("finite", pair))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_general, random_standard
+from helpers import random_concurrent, random_general, random_standard
 from projcox import cartan, charts
 from projcox.cartan import (GENERATING_CYCLES, ReflectionSystem, cartan_of,
                             check_vinberg, cyclic_invariants,
@@ -74,17 +74,26 @@ def test_check_vinberg_concurrent_chart_passes():
 
 
 def test_check_vinberg_detects_wrong_order():
-    # products tuned for the built orders fail C4 against the wrong ones;
-    # |p - mu(n)| of a neighbouring order is about 8pi^2/n^3, 6e-10 at
-    # n = 5000, while the gated |p - mu(n)| / (4 - mu(n)) is about 2/n
-    for built, wrong in (((3, 3, 3, 3), (4, 3, 3, 3)),
-                         ((5000, 5000, 5000, 5000), (4999, 5000, 5000, 5000))):
-        sys = concurrent_all_minus_one(QuadPrismOrders(*built))
-        assert check_vinberg(sys, QuadPrismOrders(*built)).passed
-        report = check_vinberg(sys, QuadPrismOrders(*wrong).to_edge_orders())
-        assert not report.passed
-        assert report.failed_conditions() == ["C4"]
-        assert (1, 2) in report.conditions["C4"].failures
+    # products tuned for orders (3,3,3,3) fail C4 against (4,3,3,3)
+    wrong = QuadPrismOrders(4, 3, 3, 3)
+    report = check_vinberg(concurrent_all_minus_one(), wrong.to_edge_orders())
+    assert not report.passed
+    assert report.failed_conditions() == ["C4"]
+    assert (1, 2) in report.conditions["C4"].failures
+
+
+@pytest.mark.parametrize("n", [3000, 5000, 10000])
+def test_check_vinberg_passes_valid_points_at_large_orders(n):
+    # C4's gated |p - mu(n)| stays at rounding level (p <= 4) whatever n;
+    # divided by 4 - mu(n) (about 4pi^2/n^2) it would reach 2.5e-8 at
+    # n = 10000 and fail most of these points at the default 1e-9
+    orders = QuadPrismOrders(n, n, n, n)
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        for sys in (charts.build_general(random_general(rng, orders)),
+                    charts.build_concurrent(random_concurrent(rng, orders))):
+            report = check_vinberg(sys, orders)
+            assert report.passed, report.failed_conditions()
 
 
 def test_check_vinberg_order_two_needs_both_entries_zero():
