@@ -23,7 +23,7 @@ print(f"orders: n12={orders.n12} n23={orders.n23} "
 def certify(name, system):
     m = cartan_of(system)
     relations = verify_relations(system, orders)
-    vinberg = check_vinberg(system, orders.to_edge_orders())
+    vinberg = check_vinberg(system, orders)
     print(f"\n--- {name} ---")
     print("Cartan matrix:")
     print(m)

@@ -9,10 +9,9 @@ demos/ directory for worked examples.
 """
 
 from . import errors
-from .cartan import (CyclicInvariants, ReflectionSystem, cartan_of,
-                     check_vinberg, cyclic_invariants,
-                     derived_invariant_identities, projectively_equivalent,
-                     relation_space_trivial)
+from .cartan import (ReflectionSystem, cartan_of, check_vinberg,
+                     cyclic_invariants, derived_invariant_identities,
+                     projectively_equivalent, relation_space_trivial)
 from .certify import (concurrent_t_scan, det_locus_check, is_convex_cocompact,
                       standard_scan, verify_relations)
 from .charts import (CaseLabel, ConcurrentChartParams, GeneralChartParams,

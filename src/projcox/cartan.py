@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantViolation, UnsupportedShape
-from .orbifold import EdgeOrders, QuadPrismOrders, _as_edge_orders
+from .orbifold import EdgeOrders, QuadPrismOrders
 
 VINBERG_CONDITIONS = ("C1", "C2", "C3", "C4", "C5")
 
@@ -119,9 +119,6 @@ class VinbergReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.conditions.values())
 
-    def failed_conditions(self):
-        return [name for name, c in self.conditions.items() if not c.passed]
-
 
 def _pair_residuals(rows, orders: EdgeOrders):
     """Yield ((i, j), n, mu(n), p, r) for each pair of the orders table
@@ -156,7 +153,6 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     covector with positive coefficients in the sense of the adjacency
     structure.
     """
-    orders = _as_edge_orders(orders)
     f = sys.num_sides
     if orders.size != f:
         raise ValueError(f"orders table has {orders.size} sides, system has {f}")
@@ -200,56 +196,25 @@ def relation_space_trivial(alphas: np.ndarray) -> bool:
     relation space the relation passes iff its coefficients take both
     signs, so neither it nor its negative lies in the nonnegative cone.
     Relation spaces of dimension > 1 are outside the shapes handled
-    here.
+    here.  One SVD of alphas^T gives both the rank (singular values
+    above linalg.RANK_TOL * s_max) and, at rank f - 1, the relation:
+    the last right singular vector.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
-    f, d = alphas.shape
-    r = linalg.rank(alphas)
+    f = alphas.shape[0]
+    _, s, vt = np.linalg.svd(alphas.T)
+    s = s.tolist()
+    cut = linalg.RANK_TOL * s[0]
+    r = sum(x > cut for x in s)
     if r == f:
         return True
     if f - r > 1:
         raise UnsupportedShape("relation space has dimension > 1")
-    rel = linalg.kernel_basis(alphas.T)
-    if rel.shape[0] != 1:
-        raise UnsupportedShape("could not isolate a one-dimensional relation space")
-    coeffs = rel[0]
+    coeffs = vt[-1]
     scale = np.max(np.abs(coeffs))
     has_pos = np.any(coeffs > 1e-8 * scale)
     has_neg = np.any(coeffs < -1e-8 * scale)
     return bool(has_pos and has_neg)
-
-
-def _canonical_cycle(cycle) -> tuple:
-    """Rotate the cycle so the smallest index comes first.  Orientation
-    is preserved: a cycle and its reversal are distinct keys.
-    """
-    cycle = tuple(cycle)
-    if len(set(cycle)) != len(cycle):
-        raise ValueError(f"cycle indices must be distinct: {cycle}")
-    k = cycle.index(min(cycle))
-    return cycle[k:] + cycle[:k]
-
-
-@dataclass(frozen=True)
-class CyclicInvariants:
-    """Values M_{i1 i2} M_{i2 i3} ... M_{ik i1} keyed by canonical
-    cycles, both orientations included.  Each value is a product of
-    Python floats taken left to right along the canonical cycle,
-    starting from 1.0.  A lookup by a canonical cycle is one dict hit;
-    other rotations are canonicalized first."""
-
-    values: dict
-
-    def value(self, *cycle) -> float:
-        if len(cycle) == 1 and isinstance(cycle[0], tuple):
-            cycle = cycle[0]
-        try:
-            return self.values[cycle]
-        except KeyError:
-            return self.values[_canonical_cycle(cycle)]
-
-    def __getitem__(self, cycle) -> float:
-        return self.value(cycle)
 
 
 def _cycle_product(rows, cycle) -> float:
@@ -279,10 +244,12 @@ def _rows_4x4(m) -> list:
     return m.tolist()
 
 
-def cyclic_invariants(m: np.ndarray) -> CyclicInvariants:
-    """All cyclic invariants of lengths 2, 3, 4 of a 4x4 Cartan matrix."""
+def cyclic_invariants(m: np.ndarray) -> dict:
+    """All cyclic invariants M_{i1 i2} M_{i2 i3} ... M_{ik i1} of lengths
+    2, 3, 4 of a 4x4 Cartan matrix, keyed by canonical cycle (smallest
+    index first; both orientations of each cycle of length >= 3)."""
     rows = _rows_4x4(m)
-    return CyclicInvariants({c: _cycle_product(rows, c) for c in _CYCLES_4})
+    return {c: _cycle_product(rows, c) for c in _CYCLES_4}
 
 
 def _relative_residual(x: float, y: float) -> float:
@@ -300,11 +267,8 @@ class IdentityReport:
     def passed(self) -> bool:
         return all(r <= self.tol for r in self.residuals.values())
 
-    def failures(self):
-        return {k: r for k, r in self.residuals.items() if r > self.tol}
 
-
-def derived_invariant_identities(inv: CyclicInvariants, orders: QuadPrismOrders,
+def derived_invariant_identities(inv: dict, orders: QuadPrismOrders,
                                  tol: float = 1e-9) -> IdentityReport:
     """Check that every non-generating cyclic invariant is the stated
     rational expression in the five generators and the mu values.

@@ -12,7 +12,7 @@ from . import charts
 from .cartan import ReflectionSystem, _pair_residuals
 from .errors import NormalizationError, WrongDiagram
 from .linalg import TOL_ALGEBRAIC
-from .orbifold import EdgeOrders, QuadPrismOrders, _as_edge_orders
+from .orbifold import EdgeOrders, QuadPrismOrders
 
 #: Gate on the residual of each Coxeter relation.  The residuals are
 #: O(1) expressions in Cartan entries (see verify_relations), so no
@@ -65,7 +65,6 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     to the identity; the product p is reported and products below
     4 - tol are failures.  A NaN residual fails.
     """
-    orders = _as_edge_orders(orders)
     m = sys.raw_cartan().tolist()
     failures = []
 
@@ -95,14 +94,14 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     return RelationReport(involutions, finite_res, infinite_prod, tol, failures)
 
 
-def is_convex_cocompact(m: np.ndarray, orders) -> bool:
+def is_convex_cocompact(m: np.ndarray, orders: EdgeOrders) -> bool:
     """Convex cocompactness of the quad-prism reflection group:
     both infinite-pair products must exceed 4 strictly.
 
     A point with T13 = 4 or T24 = 4 is a valid deformation but not
     cocompact.
     """
-    mismatch = _as_edge_orders(orders).quad_prism_mismatch
+    mismatch = orders.quad_prism_mismatch
     if mismatch is not None:
         raise WrongDiagram(mismatch)
     rows = np.asarray(m, dtype=float).tolist()
@@ -235,7 +234,8 @@ class StandardScanReport:
 def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
                   samples: int, seed: int, box=(-10.0, -0.01),
                   bins: int = 20, keep_records: bool = False) -> StandardScanReport:
-    """Monte-Carlo scan of a4*v44 at fixed (T13, T24).
+    """Monte-Carlo scan of a4*v44 at fixed (T13, T24), both >= 4 as the
+    standard chart requires.
 
     Coordinates are drawn log-uniformly in |v| over the box;
     near-singular systems and samples with a non-finite solution or
@@ -244,6 +244,7 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    charts._require_t(t13=t13, t24=t24)
     rng = np.random.default_rng(seed)
     v23 = charts.sample_negative_box(rng, box[0], box[1], samples)
     v24 = charts.sample_negative_box(rng, box[0], box[1], samples)

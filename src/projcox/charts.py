@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from .cartan import ReflectionSystem, cartan_of
 from .errors import ConditionFailure, DomainError, GaugeError, SingularSystem
-from .orbifold import EdgeOrders, QuadPrismOrders, is_finite_order, mu
+from .orbifold import EdgeOrders, QuadPrismOrders, is_finite_order
 
 RESIDUAL_TOL = 1e-9
 
@@ -360,11 +360,9 @@ def build_simplex(p: SimplexChartParams) -> ReflectionSystem:
     basis, [v] the Cartan matrix with v_ij * v_ji = mu_ij."""
     d = p.n + 1
     vmat = 2.0 * np.eye(d)
-    for (i, j) in sorted(p.orders.orders):
-        order = p.orders.order(i, j)
+    for (i, j), order, muij in p.orders.mu_table:
         if order == 2:
             continue
-        muij = mu(order)
         if i == 1:
             vmat[0, j - 1] = -muij
             vmat[j - 1, 0] = -1.0
@@ -382,10 +380,6 @@ class CaseLabel(enum.Enum):
     I_PRIME = "I'"
     II = "II"
     III = "III"
-
-    @property
-    def semisimple(self) -> bool:
-        return self in (CaseLabel.I, CaseLabel.III)
 
 
 def classify_case(a4: float, v44: float, tol: float = 1e-10) -> CaseLabel:

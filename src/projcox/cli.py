@@ -96,7 +96,7 @@ def _relation_residuals(report) -> dict:
 def cmd_relations(args):
     orders, system, inputs = _build_system(args)
     report = certify.verify_relations(system, orders, args.tol)
-    vinberg_passed = cartan.check_vinberg(system, orders.to_edge_orders()).passed
+    vinberg_passed = cartan.check_vinberg(system, orders).passed
     ok = report.passed and vinberg_passed
     results = {"relations_passed": report.passed, "vinberg_passed": vinberg_passed,
                "infinite_pair_products": _keyed(report.infinite_pair_products)}
@@ -105,7 +105,7 @@ def cmd_relations(args):
 
 def cmd_vinberg(args):
     orders, system, inputs = _build_system(args)
-    report = cartan.check_vinberg(system, orders.to_edge_orders(), args.tol)
+    report = cartan.check_vinberg(system, orders, args.tol)
     conditions = report.conditions.items()
     results = {name: {"passed": c.passed, "failures": [list(p) for p in c.failures]}
                for name, c in conditions}
@@ -125,7 +125,7 @@ def cmd_invariants(args):
     orders, system, inputs = _build_system(args)
     invariants = cartan.cyclic_invariants(cartan.cartan_of(system))
     identities = cartan.derived_invariant_identities(invariants, orders, args.tol)
-    return (inputs, _keyed(invariants.values), _keyed(identities.residuals),
+    return (inputs, _keyed(invariants), _keyed(identities.residuals),
             {"identities_pass": identities.passed}, identities.passed)
 
 
@@ -195,14 +195,19 @@ def cmd_simplex(args):
     return inputs, results, _relation_residuals(report), {"pass": report.passed}, report.passed
 
 
+#: a negative number, plain or in scientific notation
+_NEGATIVE = r"-(?:\d+|\d*\.\d+|(?:\d+\.?\d*|\.\d+)[eE][-+]?\d+)"
+
+
 class _Parser(argparse.ArgumentParser):
     """Reads negative numbers in scientific notation, such as
-    ``--v23 -1e-3``, as values; argparse itself takes them for flags."""
+    ``--v23 -1e-3``, and comma-separated lists of negative numbers, such
+    as ``--box -10,-1``, as values; argparse itself takes them for
+    flags."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(?:\d+|\d*\.\d+)$|^-(?:\d+\.?\d*|\.\d+)[eE][-+]?\d+$")
+        self._negative_number_matcher = re.compile(rf"^{_NEGATIVE}(?:,{_NEGATIVE})*$")
 
 
 #: chart subcommands: handler, help and --tol default (None: no --tol)
@@ -273,11 +278,14 @@ def main(argv=None) -> int:
         if envelope is None:
             return EXIT_OK
         inputs, results, residuals, verdicts, ok = envelope
-        json.dump({"command": args.subcommand, "inputs": inputs, "results": results,
-                   "residuals": residuals, "verdicts": verdicts,
-                   "seed": getattr(args, "seed", None)},
-                  sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        document = {"command": args.subcommand, "inputs": inputs, "results": results,
+                    "residuals": residuals, "verdicts": verdicts,
+                    "seed": getattr(args, "seed", None)}
+        try:
+            text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:
+            raise ValueError("a result is NaN or infinite and has no JSON form") from None
+        sys.stdout.write(text + "\n")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     except (ProjCoxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -64,10 +64,17 @@ class EdgeOrders:
     ``orders`` maps unordered 1-based side pairs {i, j} (stored as
     sorted tuples) to orders in Z_{>=2} or INFINITY.  Missing pairs are
     not allowed; every off-diagonal pair must be present.
+
+    ``mu_table`` holds ((i, j), n, mu(n)) for every pair, sorted by
+    pair, with None for mu of an infinite order; each mu is computed
+    once, at construction.  A finite order whose mu rounds to 4 (from
+    about n = 3e8) cannot be told from an infinite one in doubles and is
+    rejected.
     """
 
     size: int
     orders: dict = field(default_factory=dict)
+    mu_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 2:
@@ -85,24 +92,28 @@ class EdgeOrders:
             for j in range(i + 1, self.size + 1):
                 if (i, j) not in normalized:
                     raise ValueError(f"missing order for pair ({i},{j})")
+        table = []
+        for pair, n in sorted(normalized.items()):
+            mu_n = mu(n) if is_finite_order(n) else None
+            if mu_n == 4.0:
+                raise ValueError(f"order {n} of pair {pair} is too large: mu(n) rounds "
+                                 "to 4 in doubles, the value of an infinite order")
+            table.append((pair, n, mu_n))
         object.__setattr__(self, "orders", normalized)
+        object.__setattr__(self, "mu_table", tuple(table))
+
+    def __hash__(self):
+        return hash((self.size, frozenset(self.orders.items())))
 
     def order(self, i: int, j: int):
         return self.orders[(min(i, j), max(i, j))]
 
     def infinite_pairs(self):
         """All unordered pairs {i, j} with infinite order, sorted."""
-        return [p for p in sorted(self.orders) if not is_finite_order(self.orders[p])]
+        return [p for p, _, mu_n in self.mu_table if mu_n is None]
 
     def finite_pairs(self):
-        return [p for p in sorted(self.orders) if is_finite_order(self.orders[p])]
-
-    @functools.cached_property
-    def mu_table(self) -> tuple:
-        """((i, j), n, mu(n)) for every pair, sorted by pair, with None
-        for mu of an infinite order; built on first use and kept."""
-        return tuple((p, n, mu(n) if is_finite_order(n) else None)
-                     for p, n in sorted(self.orders.items()))
+        return [p for p, _, mu_n in self.mu_table if mu_n is not None]
 
     @functools.cached_property
     def quad_prism_mismatch(self):
@@ -116,55 +127,31 @@ class EdgeOrders:
         return None
 
 
-@dataclass(frozen=True)
-class QuadPrismOrders:
+class QuadPrismOrders(EdgeOrders):
     """Orders of the labeled quadrilateral prism: finite n12, n23, n34,
     n14 (all >= 3) on the four adjacent pairs, infinite on (1,3), (2,4).
-    Each mu and the full order table are computed on first use and kept.
+    The names n12..n14 and mu12..mu14 read the order table.
     """
 
-    n12: int
-    n23: int
-    n34: int
-    n14: int
-
-    def __post_init__(self):
-        for name in ("n12", "n23", "n34", "n14"):
-            n = getattr(self, name)
+    def __init__(self, n12: int, n23: int, n34: int, n14: int):
+        for name, n in (("n12", n12), ("n23", n23), ("n34", n34), ("n14", n14)):
             if not isinstance(n, int) or n < 3:
                 raise ValueError(f"{name} must be an integer >= 3, got {n!r}")
+        super().__init__(4, {(1, 2): n12, (2, 3): n23, (3, 4): n34, (1, 4): n14,
+                             (1, 3): INFINITY, (2, 4): INFINITY})
 
-    @functools.cached_property
-    def mu12(self) -> float:
-        return mu(self.n12)
+    #: the pattern holds by construction
+    quad_prism_mismatch = None
 
-    @functools.cached_property
-    def mu23(self) -> float:
-        return mu(self.n23)
-
-    @functools.cached_property
-    def mu34(self) -> float:
-        return mu(self.n34)
-
-    @functools.cached_property
-    def mu14(self) -> float:
-        return mu(self.n14)
-
-    @functools.cached_property
-    def _edge_orders(self) -> EdgeOrders:
-        return EdgeOrders(4, {
-            (1, 2): self.n12, (2, 3): self.n23, (3, 4): self.n34, (1, 4): self.n14,
-            (1, 3): INFINITY, (2, 4): INFINITY,
-        })
-
-    def to_edge_orders(self) -> EdgeOrders:
-        """The full order table, built once per instance and shared."""
-        return self._edge_orders
-
-
-def _as_edge_orders(orders) -> EdgeOrders:
-    """The full order table, for callers that accept either form."""
-    return orders.to_edge_orders() if isinstance(orders, QuadPrismOrders) else orders
+    # rows of the sorted mu_table: (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
+    n12 = property(lambda self: self.mu_table[0][1])
+    n14 = property(lambda self: self.mu_table[2][1])
+    n23 = property(lambda self: self.mu_table[3][1])
+    n34 = property(lambda self: self.mu_table[5][1])
+    mu12 = property(lambda self: self.mu_table[0][2])
+    mu14 = property(lambda self: self.mu_table[2][2])
+    mu23 = property(lambda self: self.mu_table[3][2])
+    mu34 = property(lambda self: self.mu_table[5][2])
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def test_criterion_2_vinberg_and_mutations(capsys, chart_points):
     ok = True
     worst = 0.0
     for sys, orders in chart_points:
-        rep = cartan.check_vinberg(sys, orders.to_edge_orders())
+        rep = cartan.check_vinberg(sys, orders)
         ok = ok and rep.passed
         worst = max(worst, *(rep.conditions[c].residual
                              for c in ("C1", "C2", "C3", "C4")))
@@ -91,7 +91,7 @@ def test_criterion_2_vinberg_and_mutations(capsys, chart_points):
             # drop T13 below the admissible half-line
             vmat[0, 2] = -3.9
         mutated = ReflectionSystem(np.eye(4), vmat.T)
-        if not cartan.check_vinberg(mutated, orders.to_edge_orders()).passed:
+        if not cartan.check_vinberg(mutated, orders).passed:
             detected += 1
     ok = ok and detected == 200
     report(capsys, 2, "Vinberg conditions + mutation detection", ok,

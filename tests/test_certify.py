@@ -70,9 +70,9 @@ def test_closed_form_agrees_with_matrix_power():
     cases = []
     for _ in range(40):
         g = random_general(rng)
-        cases.append((charts.build_general(g), g.orders.to_edge_orders()))
+        cases.append((charts.build_general(g), g.orders))
         c = random_concurrent(rng, v44=float(rng.standard_normal()))
-        cases.append((charts.build_concurrent(c), c.orders.to_edge_orders()))
+        cases.append((charts.build_concurrent(c), c.orders))
         s = random_simplex(rng)
         cases.append((charts.build_simplex(s), s.orders))
     assert {n for _, o in cases for n in o.orders.values()} >= {2, 3, 4, 5, 6}
@@ -174,15 +174,32 @@ def test_cocompact_wrong_diagram_raises_on_every_call(table, message):
             certify.is_convex_cocompact(np.eye(4), table)
 
 
+def test_relations_at_an_order_of_a_million():
+    # 4 - mu(10**6) is about 4e-11: the table builds and the relation
+    # residual divides by it without fault
+    o = QuadPrismOrders(3, 3, 3, 10**6)
+    system = charts.build_general(charts.GeneralChartParams(o, 6.0, 6.0, -1.0, -1.0, -1.0))
+    report = certify.verify_relations(system, o)
+    assert isinstance(report, certify.RelationReport)
+    assert report.passed
+
+
 def test_certificates_compute_each_mu_once_per_table(monkeypatch):
-    o = QuadPrismOrders(3, 4, 5, 6)
-    system = charts.build_general(charts.GeneralChartParams(o, 9.0, 5.0, -2.0, -0.5, -3.0))
+    # every mu comes from the table, computed when the orders are built
     calls = []
     real_mu = orbifold.mu
     monkeypatch.setattr(orbifold, "mu", lambda n: calls.append(n) or real_mu(n))
-    for _ in range(2):
+    o = QuadPrismOrders(3, 4, 5, 6)
+    point = charts.build_standard(o, 6.0, 6.0, -1.0, -1.0, -1.0)
+    systems = (charts.build_general(charts.GeneralChartParams(o, 9.0, 5.0, -2.0, -0.5, -3.0)),
+               charts.build_concurrent(charts.ConcurrentChartParams(o, -1.0, -1.0, -1.0, -1.0)),
+               charts.realize_representation(point, a4=1.0))
+    for system in systems:
+        m = cartan.cartan_of(system)
         assert cartan.check_vinberg(system, o).passed
         assert certify.verify_relations(system, o).passed
+        assert cartan.derived_invariant_identities(cartan.cyclic_invariants(m), o).passed
+        certify.is_convex_cocompact(m, o)
     assert sorted(calls) == [3, 4, 5, 6]
 
 

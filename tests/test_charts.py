@@ -236,13 +236,6 @@ def test_classify_case_table():
     assert classify_case(0.0, 0.0) is CaseLabel.III
 
 
-def test_case_semisimple_flags():
-    assert CaseLabel.I.semisimple
-    assert CaseLabel.III.semisimple
-    assert not CaseLabel.I_PRIME.semisimple
-    assert not CaseLabel.II.semisimple
-
-
 def test_general_chart_points_are_semisimple():
     orders = QuadPrismOrders(3, 4, 5, 6)
     p = GeneralChartParams(orders, 9.0, 5.0, -2.0, -0.5, -3.0)

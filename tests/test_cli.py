@@ -291,6 +291,10 @@ def test_flags_of_another_chart_are_usage_errors(argv, stray, capsys):
     assert captured.err == f"error: flags not used by chart {chart!r}: {stray}\n"
 
 
+#: list-valued flags, with the place of the parametrized value in the list
+LIST_VALUES = {"--box": "-100,{}", "--free": "{},-0.7,-1.3"}
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["relations"] + STANDARD_POINT, "--v23"),
     (["vinberg"] + GENERAL_POINT, "--v34"),
@@ -299,9 +303,49 @@ def test_flags_of_another_chart_are_usage_errors(argv, stray, capsys):
     (["relations"] + GENERAL_POINT, "--t13"),
     (["relations"] + GENERAL_POINT, "--tol"),
     (["invariants"] + STANDARD_POINT, "--tol"),
+    (["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6", "--samples", "200"], "--box"),
+    (["simplex", "--n", "3", "--simplex-orders", "3,4,5,3,4,5"], "--free"),
 ])
 @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-.5e1"])
 def test_negative_scientific_value_parses_like_equals_form(argv, flag, value):
-    """``--v23 -1e-3`` reads the same as ``--v23=-1e-3``; argparse used
-    to exit on the first with "expected one argument"."""
+    """``--v23 -1e-3`` reads the same as ``--v23=-1e-3``, and ``--box
+    -100,-1e-3`` as ``--box=-100,-1e-3``; argparse used to exit on the
+    first with "expected one argument"."""
+    value = LIST_VALUES.get(flag, "{}").format(value)
     assert run_cli(argv + [flag, value]) == run_cli(argv + [f"{flag}={value}"])
+
+
+@pytest.mark.parametrize("argv, pair", [
+    (["relations", "--orders", "3,3,3,1000000000", "--chart", "general", "--t13", "6",
+      "--t24", "6", "--v23", "-1", "--v24", "-1", "--v34", "-1"], "(1, 4)"),
+    (["simplex", "--n", "2", "--simplex-orders", "3,3,1000000000"], "(2, 3)"),
+])
+def test_order_whose_mu_rounds_to_four_is_usage_error(argv, pair, capsys):
+    # mu(10**9) is 4.0 in doubles; the relation residual used to divide
+    # by 4 - mu(n) = 0 and end in a ZeroDivisionError traceback
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: order 1000000000 of pair {pair} is too large")
+    assert captured.err.count("\n") == 1
+
+
+def test_non_finite_result_is_usage_error(capsys):
+    # the invariants of this point overflow to inf and NaN, which JSON
+    # cannot hold: nothing is printed on stdout, not half an object
+    argv = ["invariants", "--orders", "3,3,3,3", "--chart", "general", "--t13", "1e308",
+            "--t24", "1e308", "--v23=-1e308", "--v24", "-1", "--v34", "-1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a result is NaN or infinite and has no JSON form\n"
+
+
+@pytest.mark.parametrize("value", ["3", "inf", "nan"])
+@pytest.mark.parametrize("flag", ["--t13", "--t24"])
+def test_scan_outside_the_standard_chart_is_usage_error(flag, value, capsys):
+    argv = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6", "--samples", "100"]
+    assert cli.main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag[2:]} must be >= 4, got {float(value)}\n"

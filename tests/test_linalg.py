@@ -77,12 +77,3 @@ def test_rank_of_deficient_matrix():
         [0.0, 0.0, 0.0, 0.0],
     ])
     assert linalg.rank(m) == 3
-
-
-def test_kernel_basis_annihilates():
-    m = np.array([[1.0, 0.0, 0.0, 0.0],
-                  [0.0, 1.0, 0.0, 0.0],
-                  [1.0, -1.0, 1.0, 0.0]])
-    kern = linalg.kernel_basis(m)
-    assert kern.shape[0] == 1
-    assert np.linalg.norm(m @ kern.T) < 1e-12

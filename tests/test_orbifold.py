@@ -71,12 +71,14 @@ def test_infinite_pairs_single():
 
 def test_quad_prism_orders():
     o = QuadPrismOrders(3, 4, 5, 6)
-    table = o.to_edge_orders()
-    assert table.infinite_pairs() == [(1, 3), (2, 4)]
-    assert table.order(1, 2) == 3
-    assert table.order(3, 4) == 5
-    assert table.order(1, 4) == 6
+    assert isinstance(o, EdgeOrders)
+    assert o.infinite_pairs() == [(1, 3), (2, 4)]
+    assert o.order(1, 2) == 3
+    assert o.order(3, 4) == 5
+    assert o.order(1, 4) == 6
+    assert (o.n12, o.n23, o.n34, o.n14) == (3, 4, 5, 6)
     assert o.mu23 == pytest.approx(2.0)
+    assert o.quad_prism_mismatch is None
 
 
 def test_quad_prism_mu_computed_once(monkeypatch):
@@ -84,7 +86,7 @@ def test_quad_prism_mu_computed_once(monkeypatch):
     monkeypatch.setattr(orbifold, "mu", lambda n: calls.append(n) or mu(n))
     o = QuadPrismOrders(3, 4, 5, 6)
     values = [(o.mu12, o.mu23, o.mu34, o.mu14) for _ in range(3)]
-    assert calls == [3, 4, 5, 6]
+    assert calls == [3, 6, 4, 5]   # the finite pairs (1,2), (1,4), (2,3), (3,4)
     assert values[0] == (mu(3), mu(4), mu(5), mu(6)) == values[2]
     assert o == QuadPrismOrders(3, 4, 5, 6)
     assert hash(o) == hash(QuadPrismOrders(3, 4, 5, 6))
@@ -93,20 +95,36 @@ def test_quad_prism_mu_computed_once(monkeypatch):
 def test_edge_orders_mu_table_built_once(monkeypatch):
     calls = []
     monkeypatch.setattr(orbifold, "mu", lambda n: calls.append(n) or mu(n))
-    table = QuadPrismOrders(3, 4, 5, 6).to_edge_orders()
+    table = EdgeOrders(4, {(1, 2): 3, (2, 3): 4, (3, 4): 5, (1, 4): 6,
+                           (1, 3): INFINITY, (2, 4): INFINITY})
     tables = [table.mu_table for _ in range(3)]
     assert calls == [3, 6, 4, 5]   # the finite pairs (1,2), (1,4), (2,3), (3,4)
     assert tables[0] is tables[2]
     assert tables[0] == (((1, 2), 3, mu(3)), ((1, 3), INFINITY, None),
                          ((1, 4), 6, mu(6)), ((2, 3), 4, mu(4)),
                          ((2, 4), INFINITY, None), ((3, 4), 5, mu(5)))
+    assert table.mu_table == QuadPrismOrders(3, 4, 5, 6).mu_table
 
 
 def test_quad_prism_edge_orders_built_once():
+    # the quad prism is its own order table: one object, one mu_table
     o = QuadPrismOrders(3, 4, 5, 6)
-    assert o.to_edge_orders() is o.to_edge_orders()
-    assert o.to_edge_orders() == QuadPrismOrders(3, 4, 5, 6).to_edge_orders()
+    assert o.mu_table is o.mu_table
+    assert o.orders == QuadPrismOrders(3, 4, 5, 6).orders
     assert o == QuadPrismOrders(3, 4, 5, 6)
+    assert o != QuadPrismOrders(3, 4, 5, 7)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: QuadPrismOrders(3, 3, 3, n),
+    lambda n: EdgeOrders(3, {(1, 2): 3, (1, 3): 3, (2, 3): n}),
+])
+def test_order_whose_mu_rounds_to_four_rejected(build):
+    # mu(10**9) is 4.0 in doubles, the value only an infinite order has
+    assert mu(10**9) == 4.0
+    with pytest.raises(ValueError, match="order 1000000000 of pair"):
+        build(10**9)
+    assert build(10**6).mu_table[-1][2] < 4.0
 
 
 def test_quad_prism_rejects_order_two():
