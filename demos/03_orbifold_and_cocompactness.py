@@ -30,7 +30,7 @@ for t13 in ts:
     row = f"T13={t13:<4}"
     for t24 in ts:
         p = GeneralChartParams(orders, t13, t24, -1.0, -1.0, -1.0)
-        m = build_general(p).raw_cartan()
+        m = build_general(p).cartan
         row += "   yes   " if is_convex_cocompact(m, orders) else "   no    "
     print(row)
 print("(the boundary T = 4 is a valid deformation but not cocompact)")

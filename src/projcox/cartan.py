@@ -19,8 +19,6 @@ from . import linalg
 from .errors import InvariantViolation, UnsupportedShape
 from .orbifold import EdgeOrders, QuadPrismOrders
 
-VINBERG_CONDITIONS = ("C1", "C2", "C3", "C4", "C5")
-
 #: generating set of cyclic invariants for the quad-prism diagram
 GENERATING_CYCLES = ((1, 3), (2, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4))
 
@@ -29,10 +27,17 @@ GENERATING_CYCLES = ((1, 3), (2, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4))
 class ReflectionSystem:
     """Covectors (rows of ``alphas``) and vectors (rows of ``vectors``)
     of f projective reflections in dimension d.
+
+    ``cartan`` is the Cartan matrix M_ij = alpha_i(v_j), computed once,
+    at construction, and read-only; ``cartan_rows`` holds its rows as
+    tuples of Python floats for the scalar checks.  Neither is validated
+    here (see cartan_of).
     """
 
     alphas: np.ndarray
     vectors: np.ndarray
+    cartan: np.ndarray = field(init=False, repr=False, compare=False)
+    cartan_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alphas = np.atleast_2d(np.asarray(self.alphas, dtype=float))
@@ -41,29 +46,20 @@ class ReflectionSystem:
             raise ValueError(f"alphas shape {alphas.shape} != vectors shape {vectors.shape}")
         if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(vectors))):
             raise ValueError("entries must be finite")
+        m = alphas @ vectors.T
+        m.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "vectors", vectors)
-
-    @property
-    def num_sides(self) -> int:
-        return self.alphas.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.alphas.shape[1]
-
-    def raw_cartan(self) -> np.ndarray:
-        """M_ij = alpha_i(v_j), without invariant checks."""
-        return self.alphas @ self.vectors.T
+        object.__setattr__(self, "cartan", m)
+        object.__setattr__(self, "cartan_rows", tuple(map(tuple, m.tolist())))
 
 
 def cartan_of(sys: ReflectionSystem) -> np.ndarray:
-    """Cartan matrix of the system, validated: diagonal 2, off-diagonal
+    """The system's Cartan matrix, validated: diagonal 2, off-diagonal
     <= 0, and zero symmetry (M_ij = 0 iff M_ji = 0).
     """
-    m = sys.raw_cartan()
-    validate_cartan(m)
-    return m
+    _raise_sign_failures(sys.cartan_rows)
+    return sys.cartan
 
 
 def _sign_failures(rows, tol: float):
@@ -89,7 +85,11 @@ def _sign_failures(rows, tol: float):
 
 
 def validate_cartan(m: np.ndarray):
-    c1, c2, c3 = _sign_failures(np.asarray(m, dtype=float).tolist(), linalg.TOL_ALGEBRAIC)
+    _raise_sign_failures(np.asarray(m, dtype=float).tolist())
+
+
+def _raise_sign_failures(rows):
+    c1, c2, c3 = _sign_failures(rows, linalg.TOL_ALGEBRAIC)
     if any(i == j for i, j in c1):
         raise InvariantViolation("diagonal entries must equal 2")
     if c2:
@@ -153,11 +153,10 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     covector with positive coefficients in the sense of the adjacency
     structure.
     """
-    f = sys.num_sides
+    rows = sys.cartan_rows
+    f = len(rows)
     if orders.size != f:
         raise ValueError(f"orders table has {orders.size} sides, system has {f}")
-    m = sys.raw_cartan()
-    rows = m.tolist()
     report = {}
 
     # C1-C3: diagonal 2 and off-diagonal never 2, off-diagonal <= 0,
@@ -196,16 +195,14 @@ def relation_space_trivial(alphas: np.ndarray) -> bool:
     relation space the relation passes iff its coefficients take both
     signs, so neither it nor its negative lies in the nonnegative cone.
     Relation spaces of dimension > 1 are outside the shapes handled
-    here.  One SVD of alphas^T gives both the rank (singular values
-    above linalg.RANK_TOL * s_max) and, at rank f - 1, the relation:
-    the last right singular vector.
+    here.  One SVD of alphas^T gives both the rank (counted as in
+    linalg.rank) and, at rank f - 1, the relation: the last right
+    singular vector.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     f = alphas.shape[0]
     _, s, vt = np.linalg.svd(alphas.T)
-    s = s.tolist()
-    cut = linalg.RANK_TOL * s[0]
-    r = sum(x > cut for x in s)
+    r = linalg._rank_of_singular_values(s)
     if r == f:
         return True
     if f - r > 1:
@@ -269,7 +266,7 @@ class IdentityReport:
 
 
 def derived_invariant_identities(inv: dict, orders: QuadPrismOrders,
-                                 tol: float = 1e-9) -> IdentityReport:
+                                 tol: float = linalg.TOL_ALGEBRAIC) -> IdentityReport:
     """Check that every non-generating cyclic invariant is the stated
     rational expression in the five generators and the mu values.
 
@@ -306,5 +303,5 @@ def projectively_equivalent(m1: np.ndarray, m2: np.ndarray) -> bool:
     Only those five products are taken, each as in cyclic_invariants.
     """
     rows1, rows2 = _rows_4x4(m1), _rows_4x4(m2)
-    return all(_relative_residual(_cycle_product(rows1, c), _cycle_product(rows2, c)) <= 1e-9
-               for c in GENERATING_CYCLES)
+    return all(_relative_residual(_cycle_product(rows1, c), _cycle_product(rows2, c))
+               <= linalg.TOL_ALGEBRAIC for c in GENERATING_CYCLES)

@@ -65,7 +65,7 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     to the identity; the product p is reported and products below
     4 - tol are failures.  A NaN residual fails.
     """
-    m = sys.raw_cartan().tolist()
+    m = sys.cartan_rows
     failures = []
 
     involutions = {}
@@ -105,9 +105,7 @@ def is_convex_cocompact(m: np.ndarray, orders: EdgeOrders) -> bool:
     if mismatch is not None:
         raise WrongDiagram(mismatch)
     rows = np.asarray(m, dtype=float).tolist()
-    t13 = rows[0][2] * rows[2][0]
-    t24 = rows[1][3] * rows[3][1]
-    return t13 > 4.0 and t24 > 4.0
+    return all(p > 4.0 for _, _, mu_n, p, _ in _pair_residuals(rows, orders) if mu_n is None)
 
 
 @dataclass
@@ -118,10 +116,6 @@ class DetLocusReport:
     seed: int
     min_abs_det: dict
     min_e: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(v > 0.0 for v in self.min_abs_det.values())
 
 
 def det_locus_check(orders: QuadPrismOrders, samples: int,
@@ -153,18 +147,6 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
     return DetLocusReport(samples, seed, min_abs_det, min_e)
 
 
-def concurrent_t_products(orders: QuadPrismOrders, v12, v23, v14, v34):
-    """T13 and T24 as functions of the concurrent coordinates
-    (broadcasts over arrays)."""
-    v12, v23, v14, v34 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (v12, v23, v14, v34)))
-    m13 = v23 + orders.mu34 / v34 - 2.0
-    m31 = orders.mu14 / v14 + orders.mu12 / v12 - 2.0
-    m24 = v14 + v34 - 2.0
-    m42 = v12 + orders.mu23 / v23 - 2.0
-    return m13 * m31, m24 * m42
-
-
 @dataclass
 class ConcurrentScanReport:
     """Grid minimum of T13 * T24 over the concurrent chart."""
@@ -191,15 +173,15 @@ def concurrent_t_scan(orders: QuadPrismOrders, grid_points_per_axis: int = 9,
     if lo < -1.0 < hi:
         axis[np.argmin(np.abs(axis + 1.0))] = -1.0
     v12, v23, v14, v34 = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    t13, t24 = concurrent_t_products(orders, v12, v23, v14, v34)
-    product = t13 * t24
+    m13, m31, m24, m42 = charts.concurrent_entries(orders, v12, v23, v14, v34)
+    product = (m13 * m31) * (m24 * m42)
     flat = int(np.argmin(product))
     idx = np.unravel_index(flat, product.shape)
     argmin = tuple(float(a[idx]) for a in (v12, v23, v14, v34))
-    t13_1, t24_1 = concurrent_t_products(orders, -1.0, -1.0, -1.0, -1.0)
+    m13, m31, m24, m42 = charts.concurrent_entries(orders, -1.0, -1.0, -1.0, -1.0)
     return ConcurrentScanReport(g, (float(lo), float(hi)),
                                 float(product[idx]), argmin,
-                                float(t13_1 * t24_1))
+                                float((m13 * m31) * (m24 * m42)))
 
 
 @dataclass
@@ -233,7 +215,7 @@ class StandardScanReport:
 
 def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
                   samples: int, seed: int, box=(-10.0, -0.01),
-                  bins: int = 20, keep_records: bool = False) -> StandardScanReport:
+                  keep_records: bool = False) -> StandardScanReport:
     """Monte-Carlo scan of a4*v44 at fixed (T13, T24), both >= 4 as the
     standard chart requires.
 
@@ -256,9 +238,9 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     if values.size == 0:
         raise ValueError("no valid samples; enlarge the box or sample count")
     kmin = int(np.argmin(values))
-    counts, edges = np.histogram(values, bins=bins)
+    counts, edges = np.histogram(values, bins=20)
     histogram = [{"lo": float(edges[k]), "hi": float(edges[k + 1]),
-                  "count": int(counts[k])} for k in range(bins)]
+                  "count": int(counts[k])} for k in range(20)]
     records = None
     if keep_records:
         records = {

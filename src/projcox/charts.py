@@ -19,7 +19,7 @@ degenerate relative the construction started from.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,17 +95,29 @@ class ConcurrentChartParams:
             raise DomainError("v44 must be finite")
 
 
+def concurrent_entries(orders: QuadPrismOrders, v12, v23, v14, v34):
+    """The Cartan entries (M13, M31, M24, M42) of a concurrent-chart
+    point, so T13 = M13 M31 and T24 = M24 M42.  Operators only, so it
+    takes floats and arrays alike."""
+    return (v23 + orders.mu34 / v34 - 2.0,
+            orders.mu14 / v14 + orders.mu12 / v12 - 2.0,
+            v14 + v34 - 2.0,
+            v12 + orders.mu23 / v23 - 2.0)
+
+
 def build_concurrent(p: ConcurrentChartParams) -> ReflectionSystem:
     """Reflection system of a concurrent-chart point.
 
     alpha_4 = e1* - e2* + e3* annihilates e4, so the Cartan matrix is
-    independent of the free entry v44 and always has M44 = 2.
+    independent of the free entry v44 and always has M44 = 2.  Row 4 of
+    the matrix, M42 included, is alpha_4 applied to the vectors.
     """
     o = p.orders
+    m13, m31, m24, _ = concurrent_entries(o, p.v12, p.v23, p.v14, p.v34)
     vmat = np.array([
-        [2.0, p.v12, p.v23 + o.mu34 / p.v34 - 2.0, p.v14],
-        [o.mu12 / p.v12, 2.0, p.v23, p.v14 + p.v34 - 2.0],
-        [o.mu14 / p.v14 + o.mu12 / p.v12 - 2.0, o.mu23 / p.v23, 2.0, p.v34],
+        [2.0, p.v12, m13, p.v14],
+        [o.mu12 / p.v12, 2.0, p.v23, m24],
+        [m31, o.mu23 / p.v23, 2.0, p.v34],
         [0.0, 0.0, 0.0, p.v44],
     ])
     alphas = np.array([
@@ -119,8 +131,9 @@ def build_concurrent(p: ConcurrentChartParams) -> ReflectionSystem:
 
 @dataclass(frozen=True)
 class StandardChartPoint:
-    """A standard-position point: the five chart coordinates plus the
-    derived quantities solved from the defining linear system."""
+    """A standard-position point: the five chart coordinates, the
+    derived quantities solved from the defining linear system, and the
+    read-only Cartan matrix that system was built from."""
 
     orders: QuadPrismOrders
     t13: float
@@ -132,6 +145,7 @@ class StandardChartPoint:
     a2: float
     a3: float
     a4_v44: float
+    cartan: np.ndarray = field(repr=False, compare=False)
 
 
 def standard_cartan(orders: QuadPrismOrders, t13, t24, v23, v24, v34) -> np.ndarray:
@@ -235,7 +249,7 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
     """
     _require_t(t13=t13, t24=t24)
     _require_negative(v23=v23, v24=v24, v34=v34)
-    _, b, rhs, sol, valid = _solve_standard(orders, t13, t24, v23, v24, v34)
+    m, b, rhs, sol, valid = _solve_standard(orders, t13, t24, v23, v24, v34)
     if not valid:
         raise SingularSystem("standard-chart system matrix is singular")
     a1, a2, a3, a4_v44 = sol
@@ -254,13 +268,14 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
     if abs(a4_v44) <= RESIDUAL_TOL and not (a1 > 0.0 and a2 < 0.0 and a3 > 0.0):
         raise ConditionFailure(
             f"concurrent sign pattern violated: a = ({a1}, {a2}, {a3})")
+    m.flags.writeable = False
     return StandardChartPoint(orders, float(t13), float(t24), float(v23),
                               float(v24), float(v34), float(a1), float(a2),
-                              float(a3), float(a4_v44))
+                              float(a3), float(a4_v44), m)
 
 
 def cartan_of_standard(pt: StandardChartPoint) -> np.ndarray:
-    return standard_cartan(pt.orders, pt.t13, pt.t24, pt.v23, pt.v24, pt.v34)
+    return pt.cartan
 
 
 def realize_representation(pt: StandardChartPoint, a4: float,
@@ -288,7 +303,7 @@ def realize_representation(pt: StandardChartPoint, a4: float,
         [pt.a1, pt.a2, pt.a3, a4],
     ])
     # the first three rows of [v] are those of the Cartan matrix
-    vmat = np.vstack([cartan_of_standard(pt)[:3], (0.0, 0.0, 0.0, v44)])
+    vmat = np.vstack([pt.cartan[:3], (0.0, 0.0, 0.0, v44)])
     return ReflectionSystem(alphas, vmat.T)
 
 
@@ -402,7 +417,7 @@ def is_semisimple(sys: ReflectionSystem) -> bool:
     r = linalg.rank(sys.alphas)
     if linalg.rank(sys.vectors) != r:
         return False
-    return r == sys.dimension or linalg.rank(sys.raw_cartan()) == r
+    return r == sys.alphas.shape[1] or linalg.rank(sys.cartan) == r
 
 
 def sample_negative(rng: np.random.Generator, size=None) -> np.ndarray:

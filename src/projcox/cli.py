@@ -15,7 +15,7 @@ import math
 import re
 import sys
 
-from . import cartan, certify, charts, orbifold
+from . import cartan, certify, charts, linalg, orbifold
 from .errors import ProjCoxError
 
 EXIT_OK = 0
@@ -115,10 +115,10 @@ def cmd_vinberg(args):
 
 def cmd_cocompact(args):
     orders, system, inputs = _build_system(args)
-    m = cartan.cartan_of(system)
-    results = {"T13": float(m[0, 2] * m[2, 0]), "T24": float(m[1, 3] * m[3, 1])}
-    verdicts = {"convex_cocompact": certify.is_convex_cocompact(m, orders)}
-    return inputs, results, {}, verdicts, True
+    verdicts = {"convex_cocompact": certify.is_convex_cocompact(cartan.cartan_of(system), orders)}
+    t13, t24 = (p for _, _, mu_n, p, _ in cartan._pair_residuals(system.cartan_rows, orders)
+                if mu_n is None)
+    return inputs, {"T13": t13, "T24": t24}, {}, verdicts, True
 
 
 def cmd_invariants(args):
@@ -195,28 +195,25 @@ def cmd_simplex(args):
     return inputs, results, _relation_residuals(report), {"pass": report.passed}, report.passed
 
 
-#: a negative number, plain or in scientific notation
-_NEGATIVE = r"-(?:\d+|\d*\.\d+|(?:\d+\.?\d*|\.\d+)[eE][-+]?\d+)"
-
-
 class _Parser(argparse.ArgumentParser):
-    """Reads negative numbers in scientific notation, such as
-    ``--v23 -1e-3``, and comma-separated lists of negative numbers, such
-    as ``--box -10,-1``, as values; argparse itself takes them for
-    flags."""
+    """Reads any token that starts with a single ``-``, such as
+    ``--v23 -1e-3``, ``--v23 -inf`` or ``--box -10,5``, as a value;
+    argparse itself takes most of them for flags.  The one single-dash
+    option, ``-h``, is matched as an option before this is asked."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(rf"^{_NEGATIVE}(?:,{_NEGATIVE})*$")
+        self._negative_number_matcher = re.compile(r"^-[^-]")
 
 
 #: chart subcommands: handler, help and --tol default (None: no --tol)
 _CHART_COMMANDS = {
     "relations": (cmd_relations, "verify Coxeter relations and Vinberg conditions",
                   certify.RELATION_TOL),
-    "vinberg": (cmd_vinberg, "report Vinberg's conditions (C1)-(C5)", 1e-9),
+    "vinberg": (cmd_vinberg, "report Vinberg's conditions (C1)-(C5)", linalg.TOL_ALGEBRAIC),
     "cocompact": (cmd_cocompact, "decide convex cocompactness", None),
-    "invariants": (cmd_invariants, "cyclic invariants and identity residuals", 1e-9),
+    "invariants": (cmd_invariants, "cyclic invariants and identity residuals",
+                   linalg.TOL_ALGEBRAIC),
 }
 
 

@@ -17,6 +17,11 @@ def rank(m) -> int:
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False).tolist()
+    return _rank_of_singular_values(np.linalg.svd(m, compute_uv=False))
+
+
+def _rank_of_singular_values(s) -> int:
+    """Number of the singular values s (descending) above RANK_TOL * s[0]."""
+    s = s.tolist()
     cut = RANK_TOL * s[0]
     return sum(x > cut for x in s)

@@ -183,7 +183,7 @@ def test_criterion_5_determinant_signs(capsys):
     max_det3 = -np.inf
     for _ in range(10_000):
         p = random_concurrent(rng)
-        m = charts.build_concurrent(p).raw_cartan()
+        m = charts.build_concurrent(p).cartan
         max_det3 = max(max_det3, float(np.linalg.det(m[:3, :3])))
     det3_ok = max_det3 < 0.0
 
@@ -283,7 +283,7 @@ def test_criterion_9_cocompactness(capsys):
         for t24 in np.linspace(4.0, 8.0, 20):
             p = charts.GeneralChartParams(O3333, float(t13), float(t24),
                                           -1.0, -1.0, -1.0)
-            m = charts.build_general(p).raw_cartan()
+            m = charts.build_general(p).cartan
             expected = bool(t13 > 4.0 and t24 > 4.0)
             grid_ok = grid_ok and (
                 certify.is_convex_cocompact(m, O3333) == expected)
@@ -292,7 +292,7 @@ def test_criterion_9_cocompactness(capsys):
     concurrent_ok = True
     for _ in range(1000):
         p = random_concurrent(rng)
-        m = charts.build_concurrent(p).raw_cartan()
+        m = charts.build_concurrent(p).cartan
         concurrent_ok = concurrent_ok and certify.is_convex_cocompact(m, p.orders)
 
     ok = grid_ok and concurrent_ok

@@ -34,6 +34,17 @@ def test_reflection_system_shape_checks():
         ReflectionSystem(np.eye(2), [[2.0, np.nan], [-1.0, 2.0]])
 
 
+def test_reflection_system_stores_its_cartan_matrix_read_only():
+    rng = np.random.default_rng(5)
+    alphas, vectors = rng.standard_normal((2, 4, 4))
+    sys = ReflectionSystem(alphas, vectors)
+    assert np.array_equal(sys.cartan, alphas @ vectors.T)
+    assert sys.cartan_rows == tuple(map(tuple, (alphas @ vectors.T).tolist()))
+    with pytest.raises(ValueError, match="read-only"):
+        sys.cartan[0, 1] = 0.0
+    assert cartan_of(concurrent_all_minus_one()).flags.writeable is False
+
+
 def test_cartan_of_concurrent_base_point():
     m = cartan_of(concurrent_all_minus_one())
     # alpha_4 = e1* - e2* + e3* applied to the base-point vectors

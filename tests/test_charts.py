@@ -91,7 +91,7 @@ def test_concurrent_semisimple_iff_v44_zero(seed):
 def test_build_standard_solves_fourth_row():
     pt = build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
     sys = realize_representation(pt, a4=1.0)
-    m = sys.raw_cartan()
+    m = sys.cartan
     # the solved (a1, a2, a3, a4*v44) must reproduce the Cartan row 4
     assert m[3, 0] == pytest.approx(-pt.orders.mu14)
     assert m[3, 1] == pytest.approx(pt.t24 / pt.v24)
@@ -102,7 +102,19 @@ def test_build_standard_solves_fourth_row():
 def test_build_standard_matches_closed_form_cartan():
     pt = build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
     sys = realize_representation(pt, a4=1.0)
-    assert np.allclose(sys.raw_cartan(), charts.cartan_of_standard(pt))
+    assert np.allclose(sys.cartan, charts.cartan_of_standard(pt))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_standard_point_keeps_the_cartan_matrix_of_its_coordinates(seed):
+    rng = np.random.default_rng(seed)
+    pt = random_standard(rng, random_orders(rng))
+    expected = charts.standard_cartan(pt.orders, pt.t13, pt.t24, pt.v23, pt.v24, pt.v34)
+    assert np.array_equal(pt.cartan, expected)
+    assert charts.cartan_of_standard(pt) is pt.cartan
+    with pytest.raises(ValueError, match="read-only"):
+        pt.cartan[0, 0] = 0.0
 
 
 def test_standard_batch_agrees_with_single_solve():
@@ -305,7 +317,7 @@ def test_simplex_order_two_pairs_carry_no_parameter():
                            (2, 3): 3, (2, 4): 2, (3, 4): 3})
     p = SimplexChartParams(3, table, {(2, 3): -1.0, (3, 4): -1.0})
     sys = build_simplex(p)
-    m = sys.raw_cartan()
+    m = sys.cartan
     assert m[0, 2] == m[2, 0] == 0.0
     assert m[1, 3] == m[3, 1] == 0.0
 
@@ -314,7 +326,7 @@ def test_simplex_products_match_mu():
     table = EdgeOrders(4, {(1, 2): 3, (1, 3): 4, (1, 4): 5,
                            (2, 3): 6, (2, 4): 4, (3, 4): 3})
     free = {(2, 3): -0.5, (2, 4): -2.0, (3, 4): -1.5}
-    m = build_simplex(SimplexChartParams(3, table, free)).raw_cartan()
+    m = build_simplex(SimplexChartParams(3, table, free)).cartan
     from projcox.orbifold import mu
     for (i, j) in table.orders:
         assert m[i - 1, j - 1] * m[j - 1, i - 1] == pytest.approx(

@@ -293,6 +293,7 @@ def test_flags_of_another_chart_are_usage_errors(argv, stray, capsys):
 
 #: list-valued flags, with the place of the parametrized value in the list
 LIST_VALUES = {"--box": "-100,{}", "--free": "{},-0.7,-1.3"}
+SCAN_200 = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6", "--samples", "200"]
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -303,7 +304,7 @@ LIST_VALUES = {"--box": "-100,{}", "--free": "{},-0.7,-1.3"}
     (["relations"] + GENERAL_POINT, "--t13"),
     (["relations"] + GENERAL_POINT, "--tol"),
     (["invariants"] + STANDARD_POINT, "--tol"),
-    (["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6", "--samples", "200"], "--box"),
+    (SCAN_200, "--box"),
     (["simplex", "--n", "3", "--simplex-orders", "3,4,5,3,4,5"], "--free"),
 ])
 @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-.5e1"])
@@ -313,6 +314,23 @@ def test_negative_scientific_value_parses_like_equals_form(argv, flag, value):
     first with "expected one argument"."""
     value = LIST_VALUES.get(flag, "{}").format(value)
     assert run_cli(argv + [flag, value]) == run_cli(argv + [f"{flag}={value}"])
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (SCAN_200, "--box", "-10,5"),
+    (["relations"] + GENERAL_POINT, "--v23", "-inf"),
+    (["vinberg"] + GENERAL_POINT, "--v23", "-nan"),
+])
+def test_invalid_negative_value_errs_like_equals_form(argv, flag, value, capsys):
+    """``--box -10,5`` and ``--v23 -inf`` give the one ``error:`` line of
+    ``--box=-10,5`` and ``--v23=-inf``; argparse used to exit on them
+    with its usage text and "expected one argument"."""
+    assert cli.main(argv + [flag, value]) == 2
+    spaced = capsys.readouterr()
+    assert cli.main(argv + [f"{flag}={value}"]) == 2
+    assert capsys.readouterr() == spaced
+    assert spaced.out == ""
+    assert spaced.err.startswith("error: ") and spaced.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, pair", [
