@@ -13,11 +13,10 @@ import numpy as np
 from projcox import QuadPrismOrders, build_standard, projectively_equivalent
 from projcox.cartan import (GENERATING_CYCLES, cyclic_invariants,
                             derived_invariant_identities)
-from projcox.charts import cartan_of_standard
 
 orders = QuadPrismOrders(3, 3, 3, 3)
 point = build_standard(orders, t13=6.0, t24=6.0, v23=-1.0, v24=-1.0, v34=-1.0)
-m = cartan_of_standard(point)
+m = point.cartan
 
 invariants = cyclic_invariants(m)
 print("generating invariants:")
@@ -35,6 +34,5 @@ conjugated = m * np.outer(d, 1.0 / d)
 print(f"\nD M D^-1 equivalent to M: {projectively_equivalent(m, conjugated)}")
 
 # moving a chart coordinate changes the invariants
-moved = cartan_of_standard(
-    build_standard(orders, 6.0, 6.0, -1.5, -1.0, -1.0))
+moved = build_standard(orders, 6.0, 6.0, -1.5, -1.0, -1.0).cartan
 print(f"moved point equivalent to M: {projectively_equivalent(m, moved)}")

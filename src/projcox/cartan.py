@@ -84,10 +84,6 @@ def _sign_failures(rows, tol: float):
     return c1, c2, c3
 
 
-def validate_cartan(m: np.ndarray):
-    _raise_sign_failures(np.asarray(m, dtype=float).tolist())
-
-
 def _raise_sign_failures(rows):
     c1, c2, c3 = _sign_failures(rows, linalg.TOL_ALGEBRAIC)
     if any(i == j for i, j in c1):

@@ -125,7 +125,8 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
 
     On each slice the other T is drawn from the interior distribution
     and (v23, v24, v34) log-uniformly; E is the positive defect in
-    det(M) = (4 - T13)(4 - T24) - E.
+    det(M) = (4 - T13)(4 - T24) - E.  det(M) is the solve's a4*v44 *
+    det M[:3, :3] (see charts.solve_standard_batch).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -219,10 +220,10 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     """Monte-Carlo scan of a4*v44 at fixed (T13, T24), both >= 4 as the
     standard chart requires.
 
-    Coordinates are drawn log-uniformly in |v| over the box;
-    near-singular systems and samples with a non-finite solution or
-    det(M) are dropped from the statistics.  The result is deterministic
-    for a given seed.
+    Coordinates are drawn log-uniformly in |v| over the box; samples
+    with a non-finite solution or det(M) are dropped from the
+    statistics (on the chart the 3x3 block is never singular).  The
+    result is deterministic for a given seed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -232,7 +233,7 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     v24 = charts.sample_negative_box(rng, box[0], box[1], samples)
     v34 = charts.sample_negative_box(rng, box[0], box[1], samples)
     result = charts.solve_standard_batch(orders, t13, t24, v23, v24, v34)
-    # det(M) overflows before the solve does for |v| near the float range
+    # det(M) = a4*v44 * det3 overflows where a4*v44 and det3 are finite
     ok = result["valid"] & np.isfinite(result["det_m"])
     values = result["a4_v44"][ok]
     if values.size == 0:

@@ -9,8 +9,8 @@ Three charts cover the 4-sided polytope with infinite orders on the
   coordinates are (v12, v23, v14, v34) < 0 plus the free entry v44
   (zero on the semisimple slice);
 * the *standard* chart, a gauge in which both previous cases coexist
-  and the dependent data (a1, a2, a3, a4*v44) is recovered from a 4x4
-  linear system.
+  and the dependent data (a1, a2, a3, a4*v44) is recovered in closed
+  form from a block-triangular 4x4 linear system.
 
 The n-simplex chart with all finite orders is included as the
 degenerate relative the construction started from.
@@ -19,6 +19,7 @@ degenerate relative the construction started from.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,71 +149,89 @@ class StandardChartPoint:
     cartan: np.ndarray = field(repr=False, compare=False)
 
 
-def standard_cartan(orders: QuadPrismOrders, t13, t24, v23, v24, v34) -> np.ndarray:
-    """Cartan matrix of a standard-position point (broadcasts)."""
-    t13, t24, v23, v24, v34 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (t13, t24, v23, v24, v34)))
-    m = np.empty(t13.shape + (4, 4))
-    m[..., 0, 0] = 2.0
-    m[..., 0, 1] = -orders.mu12
-    m[..., 0, 2] = -t13
-    m[..., 0, 3] = -1.0
-    m[..., 1, 0] = -1.0
-    m[..., 1, 1] = 2.0
-    m[..., 1, 2] = v23
-    m[..., 1, 3] = v24
-    m[..., 2, 0] = -1.0
-    m[..., 2, 1] = orders.mu23 / v23
-    m[..., 2, 2] = 2.0
-    m[..., 2, 3] = v34
-    m[..., 3, 0] = -orders.mu14
-    m[..., 3, 1] = t24 / v24
-    m[..., 3, 2] = orders.mu34 / v34
-    m[..., 3, 3] = 2.0
-    return m
+def standard_cartan(orders: QuadPrismOrders, t13: float, t24: float,
+                    v23: float, v24: float, v34: float) -> np.ndarray:
+    """Cartan matrix of a standard-position point."""
+    return np.array([
+        [2.0, -orders.mu12, -t13, -1.0],
+        [-1.0, 2.0, v23, v24],
+        [-1.0, orders.mu23 / v23, 2.0, v34],
+        [-orders.mu14, t24 / v24, orders.mu34 / v34, 2.0],
+    ])
 
 
-def _solve_standard(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
+def standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     """Solve the standard-chart system for (a1, a2, a3, a4*v44).
 
     The first three coordinates of v_j are column j of the first three
     rows of M and the fourth is zero except v44, so alpha_4(v_j) = M_4j
-    for j = 1..4 reads b x = rhs: b is the first three rows of M
-    transposed plus an e4 column, rhs is row 4 of M.  Broadcasts over
-    leading sample axes.
+    for j = 1..4 reads sum_i a_i M_ij = M_4j for j = 1..3, a 3x3 system
+    in the block M3 = M[:3, :3], and a4*v44 = 2 + a1 - v24 a2 - v34 a3
+    from j = 4.  The 3x3 system is solved by Cramer's rule from the
+    cofactors C_ij of M3, written in chart coordinates with h = mu23 /
+    v23 so that v23 * h is never formed:
 
-    Returns (m, b, rhs, x, valid): valid marks the samples whose system
-    is nonsingular and whose solution is finite.  Overflowing entries
-    only make samples invalid; no floating-point warning is raised.
+        C00 = 4 - mu23     C01 = 2 - v23      C02 = 2 - h
+        C10 = 2 mu12 - T13 h   C11 = 4 - T13   C12 = mu12 - 2 h
+        C20 = 2 T13 - mu12 v23   C21 = T13 - 2 v23   C22 = 4 - mu12
+
+    and a_i = sum_j (C_ij / det3) r_j with r the first three entries of
+    row 4 of M, (-mu14, T24 / v24, mu34 / v34).  Dividing before
+    multiplying keeps samples with |v| near 1e-155 finite.
+
+    Operators only, so it takes Python floats and arrays alike and does
+    the same IEEE operations in the same order on both.  Returns
+    (a1, a2, a3, a4_v44, det3) with det3 = det M3.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m = standard_cartan(orders, t13, t24, v23, v24, v34)
-        b = np.zeros(m.shape)
-        b[..., :3] = np.swapaxes(m[..., :3, :], -1, -2)
-        b[..., 3, 3] = 1.0
-        rhs = m[..., 3, :]
-        ok = np.abs(np.linalg.det(b)) > linalg.TOL_SINGULAR
-        np.copyto(b, np.eye(4), where=~ok[..., None, None])
-        x = np.linalg.solve(b, rhs[..., None])[..., 0]
-        valid = ok & np.isfinite(x).all(axis=-1)
-    return m, b, rhs, x, valid
+    mu12 = orders.mu12
+    h = orders.mu23 / v23
+    c00, c01, c02 = 4.0 - orders.mu23, 2.0 - v23, 2.0 - h
+    c10, c11, c12 = 2.0 * mu12 - t13 * h, 4.0 - t13, mu12 - 2.0 * h
+    c20, c21, c22 = 2.0 * t13 - mu12 * v23, t13 - 2.0 * v23, 4.0 - mu12
+    det3 = 2.0 * c00 - mu12 * c01 - t13 * c02
+    r0, r1, r2 = -orders.mu14, t24 / v24, orders.mu34 / v34
+    a1 = c00 / det3 * r0 + c01 / det3 * r1 + c02 / det3 * r2
+    a2 = c10 / det3 * r0 + c11 / det3 * r1 + c12 / det3 * r2
+    a3 = c20 / det3 * r0 + c21 / det3 * r1 + c22 / det3 * r2
+    a4_v44 = 2.0 + a1 - v24 * a2 - v34 * a3
+    return a1, a2, a3, a4_v44, det3
 
 
-#: samples per block in solve_standard_batch: a block's M or b takes
-#: 4096 * 16 * 8 bytes = 512 KiB, so the block's arrays stay in the
-#: per-core L2 cache instead of streaming (n, 4, 4) arrays from memory
-_BLOCK = 4096
+def _solution_valid(det3, solution):
+    """Whether the system is nonsingular and its solution finite, for
+    floats and arrays alike."""
+    return (abs(det3) > linalg.TOL_SINGULAR) & np.isfinite(solution).all(axis=0)
+
+
+#: samples per block in solve_standard_batch: a block's live
+#: temporaries, about 18 arrays of 8192 * 8 bytes = 64 KiB, stay in a
+#: 2 MiB per-core L2 cache instead of streaming whole-batch arrays from
+#: memory (4096 measured about 10 % slower, 16384 no faster)
+_BLOCK = 8192
 
 
 def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     """Vectorized solve of the standard-chart system.
 
     Returns a dict with a1, a2, a3, a4_v44, det_m (determinant of the
-    full Cartan matrix) and a validity mask (system nonsingular and
-    solution finite), all of the broadcast shape of the inputs.  The
-    samples are solved in blocks of ``_BLOCK``; each sample's LAPACK
-    calls see the same 4x4 matrices as one whole-batch call would, so
-    the results do not depend on the block size.
+    full Cartan matrix) and a validity mask, all of the broadcast shape
+    of the inputs.  Each sample is :func:`standard_solution` on its
+    coordinates, computed over blocks of ``_BLOCK`` samples; the
+    arithmetic is elementwise, so the results do not depend on the
+    block size.
+
+    M = A V^T with det A = a4 and det V = v44 det M3, so det M =
+    a4*v44 * det3.  A sample is valid when |det3| exceeds
+    ``linalg.TOL_SINGULAR`` and its solution is finite.  On the chart
+    (mu >= 1, T13 >= 4, v23 < 0) the singularity gate never drops a
+    sample:
+
+        det3 = 8 - 2 mu12 - 2 mu23 - 2 T13 + mu12 v23 + T13 mu23 / v23
+             <= 8 - 2 - 2 - 8 - 2 sqrt(mu12 mu23 T13) <= -8
+
+    by AM-GM on the two negative terms, so only a non-finite solution
+    (an entry of M or of the solution overflowing) makes a sample
+    invalid.  Overflow raises no floating-point warning.
     """
     args = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (t13, t24, v23, v24, v34)))
@@ -220,46 +239,52 @@ def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     # a view for 1-d inputs, scalars broadcast along them included
     flat = [x.reshape(-1) for x in args]
     n = flat[0].size
-    sol = np.empty((n, 4))
-    det_m = np.empty(n)
+    # five separate outputs rather than one (5, n) array: at 1e6 samples
+    # each can reuse heap memory freed earlier, so peak RSS stays lower
+    out = [np.empty(n) for _ in range(5)]
     valid = np.empty(n, dtype=bool)
-    for lo in range(0, n, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        m, _, _, sol[block], valid[block] = _solve_standard(
-            orders, *(x[block] for x in flat))
-        with np.errstate(over="ignore", invalid="ignore"):
-            det_m[block] = np.linalg.det(m)
-    sol = sol.reshape(shape + (4,))
-    det_m = det_m.reshape(shape)
-    valid = valid.reshape(shape)
-    return {
-        "a1": sol[..., 0], "a2": sol[..., 1], "a3": sol[..., 2],
-        "a4_v44": sol[..., 3], "det_m": det_m, "valid": valid,
-    }
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo in range(0, n, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            *sol, det3 = standard_solution(orders, *(x[block] for x in flat))
+            for x, y in zip(out, sol):
+                x[block] = y
+            np.multiply(sol[3], det3, out=out[4][block])
+            valid[block] = _solution_valid(det3, sol)
+    a1, a2, a3, a4_v44, det_m = (x.reshape(shape) for x in out)
+    return {"a1": a1, "a2": a2, "a3": a3, "a4_v44": a4_v44,
+            "det_m": det_m, "valid": valid.reshape(shape)}
 
 
 def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
                    v23: float, v24: float, v34: float) -> StandardChartPoint:
     """Solve for (a1, a2, a3, a4*v44) and validate the point.
 
-    This is the one-point case of :func:`solve_standard_batch`.  Besides
-    the solve residuals it re-checks the two inequality conditions of
-    the chart (the T24 product and, when a4*v44 = 0, the concurrent sign
-    pattern a1 > 0, a2 < 0, a3 > 0).
+    This is :func:`standard_solution` on Python floats, so it returns
+    bit for bit the values :func:`solve_standard_batch` gives for the
+    same point, and raises SingularSystem exactly where that marks the
+    point invalid.  It then checks the residual of row 4 of M
+    reconstructed as alpha_4 applied to the vectors, and the two
+    inequality conditions of the chart (the T24 product and, when
+    a4*v44 = 0, the concurrent sign pattern a1 > 0, a2 < 0, a3 > 0).
     """
     _require_t(t13=t13, t24=t24)
     _require_negative(v23=v23, v24=v24, v34=v34)
-    m, b, rhs, sol, valid = _solve_standard(orders, t13, t24, v23, v24, v34)
-    if not valid:
+    t13, t24, v23, v24, v34 = (float(x) for x in (t13, t24, v23, v24, v34))
+    *sol, det3 = standard_solution(orders, t13, t24, v23, v24, v34)
+    if not _solution_valid(det3, sol):
         raise SingularSystem("standard-chart system matrix is singular")
     a1, a2, a3, a4_v44 = sol
-    scale = 1.0 + float(np.max(np.abs(rhs)))
-    # an infinite entry of b meeting a zero of sol makes the residual NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.max(np.abs(b @ sol - rhs)))
-    if not np.isfinite(residual):
+    m = standard_cartan(orders, t13, t24, v23, v24, v34)
+    rows = m.tolist()
+    recon = [a1 * x + a2 * y + a3 * z for x, y, z in zip(*rows[:3])]
+    recon[3] += a4_v44
+    gaps = [abs(x - y) for x, y in zip(recon, rows[3])]
+    # an overflowing product meeting one of the other sign makes a gap NaN
+    if not all(map(math.isfinite, gaps)):
         raise ConditionFailure("solve residual is not finite")
-    if residual > RESIDUAL_TOL * scale:
+    residual = max(gaps)
+    if residual > RESIDUAL_TOL * (1.0 + max(map(abs, rows[3]))):
         raise ConditionFailure(f"solve residual {residual} exceeds tolerance")
     # redundant guard for v24 -> 0-: the (2,4) product must still be >= 4
     prod24 = v24 * (-a1 * orders.mu12 + 2.0 * a2 + a3 * orders.mu23 / v23)
@@ -269,13 +294,8 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
         raise ConditionFailure(
             f"concurrent sign pattern violated: a = ({a1}, {a2}, {a3})")
     m.flags.writeable = False
-    return StandardChartPoint(orders, float(t13), float(t24), float(v23),
-                              float(v24), float(v34), float(a1), float(a2),
-                              float(a3), float(a4_v44), m)
-
-
-def cartan_of_standard(pt: StandardChartPoint) -> np.ndarray:
-    return pt.cartan
+    return StandardChartPoint(orders, t13, t24, v23, v24, v34,
+                              a1, a2, a3, a4_v44, m)
 
 
 def realize_representation(pt: StandardChartPoint, a4: float,

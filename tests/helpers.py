@@ -4,6 +4,7 @@ reference and subprocess runner for the test suite."""
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,60 @@ def mat_power(m, k: int) -> np.ndarray:
         if k:
             base = base @ base
     return result
+
+
+def fraction_det(a) -> Fraction:
+    """Exact determinant of a nonsingular square matrix of Fractions, by
+    Gaussian elimination."""
+    rows = [list(row) for row in a]
+    n = len(rows)
+    det = Fraction(1)
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k] != 0)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+def exact_standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
+    """Exact rational solution of the standard-chart system on the given
+    floats (and the float mu values of the orders).
+
+    alpha_4(v_j) = M_4j reads M3^T a = r for j = 1..3, with M3 = M[:3, :3]
+    and r the first three entries of row 4, and a4*v44 = 2 + a1 -
+    v24 a2 - v34 a3 for j = 4.  Returns ((a1, a2, a3, a4*v44), det M3,
+    det M, sizes): a from the adjugate of M3^T, det M by its own
+    elimination, and sizes the sums of the absolute values of the terms
+    that form each of a1, a2, a3 and a4*v44, the scale of the rounding
+    error any evaluation of those sums carries.
+    """
+    mu12, mu14, mu23, mu34 = (Fraction(x) for x in (
+        orders.mu12, orders.mu14, orders.mu23, orders.mu34))
+    t13, t24, v23, v24, v34 = (Fraction(float(x)) for x in (t13, t24, v23, v24, v34))
+    m = [[Fraction(2), -mu12, -t13, Fraction(-1)],
+         [Fraction(-1), Fraction(2), v23, v24],
+         [Fraction(-1), mu23 / v23, Fraction(2), v34],
+         [-mu14, t24 / v24, mu34 / v34, Fraction(2)]]
+    m3t = [[m[i][j] for i in range(3)] for j in range(3)]
+
+    def cofactor(i, j):
+        (a, b), (c, d) = ([x for k, x in enumerate(row) if k != j]
+                          for k, row in enumerate(m3t) if k != i)
+        return (-1) ** (i + j) * (a * d - b * c)
+
+    det3 = sum(m3t[0][j] * cofactor(0, j) for j in range(3))
+    r = m[3][:3]
+    # a = adj(M3^T) r / det3, with adj(M3^T)_ij the (j, i) cofactor
+    terms = [[cofactor(j, i) * r[j] / det3 for j in range(3)] for i in range(3)]
+    a = [sum(row) for row in terms]
+    a4_terms = [Fraction(2), a[0], -v24 * a[1], -v34 * a[2]]
+    sizes = [sum(map(abs, row)) for row in terms] + [sum(map(abs, a4_terms))]
+    return (*a, sum(a4_terms)), det3, fraction_det(m), sizes
 
 
 ROOT = Path(__file__).resolve().parent.parent

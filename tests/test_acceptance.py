@@ -103,7 +103,7 @@ def test_criterion_3_cyclic_invariants(capsys):
     worst = 0.0
     for _ in range(1000):
         pt = random_standard(rng)
-        m = charts.cartan_of_standard(pt)
+        m = pt.cartan
         rep = cartan.derived_invariant_identities(
             cartan.cyclic_invariants(m), pt.orders)
         worst = max(worst, *rep.residuals.values())
@@ -112,7 +112,7 @@ def test_criterion_3_cyclic_invariants(capsys):
     true_hits = 0
     for _ in range(100):
         pt = random_standard(rng)
-        m = charts.cartan_of_standard(pt)
+        m = pt.cartan
         d = np.exp(rng.uniform(-1.0, 1.0, 4))
         if cartan.projectively_equivalent(m, m * np.outer(d, 1.0 / d)):
             true_hits += 1
@@ -129,11 +129,11 @@ def test_criterion_3_cyclic_invariants(capsys):
         except Exception:
             continue
         pairs += 1
-        g1 = cartan.cyclic_invariants(charts.cartan_of_standard(pt))[(1, 2, 3)]
-        g2 = cartan.cyclic_invariants(charts.cartan_of_standard(other))[(1, 2, 3)]
+        g1 = cartan.cyclic_invariants(pt.cartan)[(1, 2, 3)]
+        g2 = cartan.cyclic_invariants(other.cartan)[(1, 2, 3)]
         assert abs(g1 - g2) >= 1e-3
         if not cartan.projectively_equivalent(
-                charts.cartan_of_standard(pt), charts.cartan_of_standard(other)):
+                pt.cartan, other.cartan):
             false_hits += 1
 
     ok = identities_ok and true_hits == 100 and false_hits == 100
@@ -310,7 +310,7 @@ def test_criterion_10_cross_chart_consistency(capsys):
         pt = charts.concurrent_to_standard(p)
         worst_gauge = max(worst_gauge, abs(pt.a4_v44))
         m_conc = cartan.cartan_of(charts.build_concurrent(p))
-        m_std = charts.cartan_of_standard(pt)
+        m_std = pt.cartan
         if cartan.projectively_equivalent(m_conc, m_std):
             equivalent += 1
     ok = worst_gauge <= 1e-8 and equivalent == 100

@@ -206,7 +206,7 @@ def test_identities_on_base_point():
 def test_identities_on_random_standard_points(seed):
     rng = np.random.default_rng(seed)
     pt = random_standard(rng)
-    m = charts.cartan_of_standard(pt)
+    m = pt.cartan
     report = derived_invariant_identities(cyclic_invariants(m), pt.orders)
     assert report.passed, report.residuals
 
@@ -228,7 +228,7 @@ def test_projectively_equivalent_reflexive():
 def test_diagonal_conjugation_is_equivalence(seed):
     rng = np.random.default_rng(seed)
     pt = random_standard(rng)
-    m = charts.cartan_of_standard(pt)
+    m = pt.cartan
     d = np.exp(rng.uniform(-1.0, 1.0, 4))
     conj = m * np.outer(d, 1.0 / d)
     assert projectively_equivalent(m, conj)
@@ -238,8 +238,7 @@ def test_distinct_points_not_equivalent():
     orders = QuadPrismOrders(3, 3, 3, 3)
     a = charts.build_standard(orders, 6.0, 6.0, -1.0, -1.0, -1.0)
     b = charts.build_standard(orders, 6.0, 6.0, -1.5, -1.0, -1.0)
-    assert not projectively_equivalent(charts.cartan_of_standard(a),
-                                       charts.cartan_of_standard(b))
+    assert not projectively_equivalent(a.cartan, b.cartan)
 
 
 def test_generating_cycles_cover_the_two_infinite_edges():

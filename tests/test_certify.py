@@ -208,7 +208,7 @@ def test_certificates_compute_each_mu_once_per_table(monkeypatch):
 def test_cocompact_invariant_under_diagonal_conjugation(seed):
     rng = np.random.default_rng(seed)
     pt = random_standard(rng)
-    m = charts.cartan_of_standard(pt)
+    m = pt.cartan
     d = np.exp(rng.uniform(-1.0, 1.0, 4))
     conj = m * np.outer(d, 1.0 / d)
     assert (certify.is_convex_cocompact(m, pt.orders)

@@ -1,13 +1,16 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_concurrent, random_orders, random_standard
-from projcox import cartan, charts
+from helpers import (exact_standard_solution, random_concurrent, random_orders,
+                     random_standard)
+from projcox import cartan, charts, linalg
+from projcox.cartan import ReflectionSystem
 from projcox.charts import (CaseLabel, ConcurrentChartParams,
                             GeneralChartParams, SimplexChartParams,
                             build_concurrent, build_general, build_simplex,
@@ -102,7 +105,7 @@ def test_build_standard_solves_fourth_row():
 def test_build_standard_matches_closed_form_cartan():
     pt = build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
     sys = realize_representation(pt, a4=1.0)
-    assert np.allclose(sys.cartan, charts.cartan_of_standard(pt))
+    assert np.allclose(sys.cartan, pt.cartan)
 
 
 @settings(max_examples=30, deadline=None)
@@ -112,7 +115,6 @@ def test_standard_point_keeps_the_cartan_matrix_of_its_coordinates(seed):
     pt = random_standard(rng, random_orders(rng))
     expected = charts.standard_cartan(pt.orders, pt.t13, pt.t24, pt.v23, pt.v24, pt.v34)
     assert np.array_equal(pt.cartan, expected)
-    assert charts.cartan_of_standard(pt) is pt.cartan
     with pytest.raises(ValueError, match="read-only"):
         pt.cartan[0, 0] = 0.0
 
@@ -157,21 +159,71 @@ def test_blocked_batch_equals_one_unblocked_solve():
     t13, t24 = 4.0 + np.exp(rng.uniform(-5.0, 5.0, (2, n)))
     v = -np.exp(rng.uniform(-5.0, 5.0, (3, n)))
     # |v24| or |v34| below 1e-308 overflows the right-hand side; a tiny
-    # |v23| overflows only an entry of b and of M
+    # |v23| overflows h = mu23 / v23 and the cofactors and det3 with it
     for edge in (charts._BLOCK, 2 * charts._BLOCK):
         v[1, edge - 2:edge + 2] = -1e-310
         v[2, edge - 5] = v[2, edge + 5] = -1e-310
         v[0, edge - 9:edge + 9:3] = -1e-310
     orders = QuadPrismOrders(3, 4, 5, 6)
     batch = charts.solve_standard_batch(orders, t13, t24, *v)
-    m, _, _, x, valid = charts._solve_standard(orders, t13, t24, *v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        det_m = np.linalg.det(m)
-    whole = dict(zip(BATCH_KEYS, (*x.T, det_m, valid)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        *sol, det3 = charts.standard_solution(orders, t13, t24, *v)
+        det_m = sol[3] * det3
+    valid = (np.abs(det3) > linalg.TOL_SINGULAR) & np.isfinite(sol).all(axis=0)
+    whole = dict(zip(BATCH_KEYS, (*sol, det_m, valid)))
     assert not batch["valid"][charts._BLOCK - 2:charts._BLOCK + 2].any()
     assert batch["valid"].any()
     for key in BATCH_KEYS:
         assert np.array_equal(batch[key], whole[key], equal_nan=True), key
+
+
+#: (box, T13 = T24) pairs for the exact-rational accuracy test
+ACCURACY_BOXES = (((-10.0, -1e-8), 6.0), ((-10.0, -0.01), 16.0),
+                  ((-1e6, -1e-6), 4.0), ((-7.39, -0.135), 1e4))
+
+
+@pytest.mark.parametrize("orders", [(3, 3, 3, 3), (3, 4, 5, 6), (7, 9, 11, 1000)])
+def test_batch_solve_matches_exact_rational_solve(orders):
+    """Against the exact solution of the same float inputs, each of a1,
+    a2, a3 and a4*v44 is within 1e-12 of the size of the terms whose sum
+    forms it (near a zero of the sum, no evaluation can be relatively
+    accurate), and det M = a4*v44 det3 within 1e-12 of that size times
+    |det3|."""
+    o = QuadPrismOrders(*orders)
+    rng = np.random.default_rng(sum(orders))
+    for box, t in ACCURACY_BOXES:
+        v = charts.sample_negative_box(rng, *box, (3, 200))
+        batch = charts.solve_standard_batch(o, t, t, *v)
+        assert batch["valid"].all()
+        for k in range(v.shape[1]):
+            exact, det3, det_m, sizes = exact_standard_solution(o, t, t, *v[:, k])
+            scales = (*sizes, sizes[3] * abs(det3))
+            for key, want, scale in zip(BATCH_KEYS, (*exact, det_m), scales):
+                err = float(abs(Fraction(float(batch[key][k])) - want) / scale)
+                assert err <= 1e-12, (box, t, k, key, err)
+
+
+@pytest.mark.parametrize("v", [-1e8, -1e9, -1e12])
+def test_build_standard_accepts_large_coordinates(v):
+    """A valid point at |v| = 1e8..1e12 passes the residual gate, with
+    a4*v44 within 1e-14 relative of exact."""
+    orders = QuadPrismOrders(3, 4, 5, 6)
+    pt = build_standard(orders, 6.0, 6.0, v, v, v)
+    exact = exact_standard_solution(orders, 6.0, 6.0, v, v, v)[0][3]
+    assert float(abs(Fraction(pt.a4_v44) - exact) / abs(exact)) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(t13=st.floats(4.0, 1e6), w23=st.floats(1e-6, 1e6),
+       n12=st.integers(3, 1000), n23=st.integers(3, 1000))
+def test_chart_determinant_of_the_three_by_three_block_is_at_most_minus_8(
+        t13, w23, n12, n23):
+    """det M3 = 8 - 2 mu12 - 2 mu23 - 2 T13 + mu12 v23 + T13 mu23 / v23
+    <= -8 on the chart (mu >= 1, T13 >= 4, v23 < 0, AM-GM), so the
+    singularity gate of the solve never drops a chart point."""
+    orders = QuadPrismOrders(n12, n23, 3, 3)
+    det3 = charts.standard_solution(orders, t13, 6.0, -w23, -1.0, -1.0)[4]
+    assert det3 <= -8.0 * (1.0 - 1e-14)
 
 
 @pytest.mark.parametrize("args, shape", [
@@ -220,7 +272,7 @@ def test_realize_representation_rejects_inconsistent_gauge():
 def test_standard_coordinates_roundtrip():
     orders = QuadPrismOrders(3, 4, 5, 6)
     pt = build_standard(orders, 7.0, 5.5, -0.7, -1.3, -2.0)
-    m = charts.cartan_of_standard(pt)
+    m = pt.cartan
     # conjugate by a positive diagonal, then read the coordinates back
     d = np.array([1.0, 2.0, 0.5, 3.0])
     conj = m * np.outer(d, 1.0 / d)
@@ -363,7 +415,7 @@ def test_chart_dimensions_match_deformation_spaces():
 def test_random_standard_points_are_valid(seed):
     rng = np.random.default_rng(seed)
     pt = random_standard(rng, random_orders(rng))
-    m = charts.cartan_of_standard(pt)
-    cartan.validate_cartan(m)
+    m = pt.cartan
+    cartan.cartan_of(ReflectionSystem(np.eye(4), m.T))
     assert m[0, 2] * m[2, 0] == pytest.approx(pt.t13)
     assert m[1, 3] * m[3, 1] == pytest.approx(pt.t24)
