@@ -58,7 +58,14 @@ def cartan_of(sys: ReflectionSystem) -> np.ndarray:
     """The system's Cartan matrix, validated: diagonal 2, off-diagonal
     <= 0, and zero symmetry (M_ij = 0 iff M_ji = 0).
     """
-    _raise_sign_failures(sys.cartan_rows)
+    c1, c2, c3 = _sign_failures(sys.cartan_rows, linalg.TOL_ALGEBRAIC)
+    if any(i == j for i, j in c1):
+        raise InvariantViolation("diagonal entries must equal 2")
+    if c2:
+        raise InvariantViolation("off-diagonal entries must be <= 0")
+    if c3:
+        i, j = c3[0]
+        raise InvariantViolation(f"zero symmetry broken at ({i},{j})")
     return sys.cartan
 
 
@@ -82,17 +89,6 @@ def _sign_failures(rows, tol: float):
           if (abs(rows[i][j]) <= tol) != (abs(rows[j][i]) <= tol)
           and not abs(rows[i][j] * rows[j][i]) > tol]
     return c1, c2, c3
-
-
-def _raise_sign_failures(rows):
-    c1, c2, c3 = _sign_failures(rows, linalg.TOL_ALGEBRAIC)
-    if any(i == j for i, j in c1):
-        raise InvariantViolation("diagonal entries must equal 2")
-    if c2:
-        raise InvariantViolation("off-diagonal entries must be <= 0")
-    if c3:
-        i, j = c3[0]
-        raise InvariantViolation(f"zero symmetry broken at ({i},{j})")
 
 
 @dataclass

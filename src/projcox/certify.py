@@ -96,14 +96,17 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
 
 def is_convex_cocompact(m: np.ndarray, orders: EdgeOrders) -> bool:
     """Convex cocompactness of the quad-prism reflection group:
-    both infinite-pair products must exceed 4 strictly.
+    both infinite-pair products T13 = M13 M31 and T24 = M24 M42 must
+    exceed 4 strictly.  Any other order table raises WrongDiagram.
 
     A point with T13 = 4 or T24 = 4 is a valid deformation but not
     cocompact.
     """
-    mismatch = orders.quad_prism_mismatch
-    if mismatch is not None:
-        raise WrongDiagram(mismatch)
+    table = orders.mu_table
+    if orders.size != 4 or [p for p, _, mu_n in table if mu_n is None] != [(1, 3), (2, 4)]:
+        raise WrongDiagram("expected the quad-prism pattern: infinite (1,3), (2,4)")
+    if any(n < 3 for _, n, mu_n in table if mu_n is not None):
+        raise WrongDiagram("finite orders must be >= 3")
     rows = np.asarray(m, dtype=float).tolist()
     return all(p > 4.0 for _, _, mu_n, p, _ in _pair_residuals(rows, orders) if mu_n is None)
 
@@ -153,26 +156,26 @@ class ConcurrentScanReport:
     """Grid minimum of T13 * T24 over the concurrent chart."""
 
     grid_points_per_axis: int
-    box: tuple
     min_product: float
     argmin: tuple
     product_at_all_minus_one: float
 
 
-def concurrent_t_scan(orders: QuadPrismOrders, grid_points_per_axis: int = 9,
-                      box=(-10.0, -0.1)) -> ConcurrentScanReport:
+#: the range of each concurrent coordinate in concurrent_t_scan
+CONCURRENT_SCAN_BOX = (-10.0, -0.1)
+
+
+def concurrent_t_scan(orders: QuadPrismOrders,
+                      grid_points_per_axis: int = 9) -> ConcurrentScanReport:
     """Minimum of T13 * T24 over a log-spaced grid of the four
-    concurrent coordinates; the grid always contains the all-(-1)
-    point.
+    concurrent coordinates in CONCURRENT_SCAN_BOX; the grid always
+    contains the all-(-1) point.
     """
-    lo, hi = box
-    if not (lo < hi < 0.0):
-        raise ValueError(f"box must satisfy lo < hi < 0, got {box}")
+    lo, hi = CONCURRENT_SCAN_BOX
     g = grid_points_per_axis
     axis = -np.geomspace(-lo, -hi, g)
-    # force -1 onto the grid when the box contains it
-    if lo < -1.0 < hi:
-        axis[np.argmin(np.abs(axis + 1.0))] = -1.0
+    # force -1, inside the box, onto the grid
+    axis[np.argmin(np.abs(axis + 1.0))] = -1.0
     v12, v23, v14, v34 = np.meshgrid(axis, axis, axis, axis, indexing="ij")
     m13, m31, m24, m42 = charts.concurrent_entries(orders, v12, v23, v14, v34)
     product = (m13 * m31) * (m24 * m42)
@@ -180,8 +183,7 @@ def concurrent_t_scan(orders: QuadPrismOrders, grid_points_per_axis: int = 9,
     idx = np.unravel_index(flat, product.shape)
     argmin = tuple(float(a[idx]) for a in (v12, v23, v14, v34))
     m13, m31, m24, m42 = charts.concurrent_entries(orders, -1.0, -1.0, -1.0, -1.0)
-    return ConcurrentScanReport(g, (float(lo), float(hi)),
-                                float(product[idx]), argmin,
+    return ConcurrentScanReport(g, float(product[idx]), argmin,
                                 float((m13 * m31) * (m24 * m42)))
 
 

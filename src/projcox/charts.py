@@ -19,7 +19,6 @@ degenerate relative the construction started from.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,15 @@ from .errors import ConditionFailure, DomainError, GaugeError, SingularSystem
 from .orbifold import EdgeOrders, QuadPrismOrders, is_finite_order
 
 RESIDUAL_TOL = 1e-9
+
+#: gamma_5 = 5u / (1 - 5u), u = 2^-53 (Higham, ch. 3): times the sum of
+#: its |terms|, the rounding bound of a rebuilt entry of row 4 of M
+_GAMMA_5 = 5 * 2.0**-53 / (1 - 5 * 2.0**-53)
+
+#: |x| <= GAUGE_ZERO_TOL reads a4, v44 or a4*v44 as zero in the gauge
+#: (realize_representation, classify_case).  concurrent_to_standard
+#: leaves |a4*v44| below about 1e-11 for |v| up to e^6.
+GAUGE_ZERO_TOL = 1e-10
 
 
 def _require_negative(**named):
@@ -263,8 +271,9 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
     This is :func:`standard_solution` on Python floats, so it returns
     bit for bit the values :func:`solve_standard_batch` gives for the
     same point, and raises SingularSystem exactly where that marks the
-    point invalid.  It then checks the residual of row 4 of M
-    reconstructed as alpha_4 applied to the vectors, and the two
+    point invalid.  It then checks each entry of row 4 of M rebuilt as
+    alpha_4 applied to the vectors, to RESIDUAL_TOL (1 + max|row 4|)
+    plus the rounding bound of the entry's own terms, and the two
     inequality conditions of the chart (the T24 product and, when
     a4*v44 = 0, the concurrent sign pattern a1 > 0, a2 < 0, a3 > 0).
     """
@@ -277,15 +286,15 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
     a1, a2, a3, a4_v44 = sol
     m = standard_cartan(orders, t13, t24, v23, v24, v34)
     rows = m.tolist()
-    recon = [a1 * x + a2 * y + a3 * z for x, y, z in zip(*rows[:3])]
-    recon[3] += a4_v44
-    gaps = [abs(x - y) for x, y in zip(recon, rows[3])]
-    # an overflowing product meeting one of the other sign makes a gap NaN
-    if not all(map(math.isfinite, gaps)):
-        raise ConditionFailure("solve residual is not finite")
-    residual = max(gaps)
-    if residual > RESIDUAL_TOL * (1.0 + max(map(abs, rows[3]))):
-        raise ConditionFailure(f"solve residual {residual} exceeds tolerance")
+    scale = RESIDUAL_TOL * (1.0 + max(map(abs, rows[3])))
+    for j, (x, y, z, target) in enumerate(zip(*rows)):
+        p, q, r = a1 * x, a2 * y, a3 * z
+        s = a4_v44 if j == 3 else 0.0
+        gap = abs(p + q + r + s - target)
+        # the terms' bound keeps the 2 of M44, lost in rounding a4*v44
+        # from |v| = 1e16, from failing; a NaN gap fails
+        if not gap <= scale + _GAMMA_5 * (abs(p) + abs(q) + abs(r) + abs(s)):
+            raise ConditionFailure(f"solve residual {gap} of M4{j + 1} exceeds tolerance")
     # redundant guard for v24 -> 0-: the (2,4) product must still be >= 4
     prod24 = v24 * (-a1 * orders.mu12 + 2.0 * a2 + a3 * orders.mu23 / v23)
     if prod24 < 4.0 - 1e-6 * (1.0 + abs(prod24)):
@@ -299,22 +308,23 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
 
 
 def realize_representation(pt: StandardChartPoint, a4: float,
-                           v44: float = None,
-                           tol: float = 1e-10) -> ReflectionSystem:
+                           v44: float = None) -> ReflectionSystem:
     """Pick a representative (alpha, v) over a standard-chart point.
 
     The chart only fixes the product a4*v44; a representative needs a
     gauge choice of a4.  When a4 != 0 the fourth entry of v4 is forced
-    to a4_v44 / a4 (a caller-supplied v44 = 0 selects the non-semisimple
-    representative on the a4_v44 = 0 locus).  When a4 = 0 the product
-    must vanish and v44 is free.
+    to a4_v44 / a4, and giving v44 as well raises GaugeError.  When
+    a4 = 0 the product must vanish and v44 is free (0 unless given).
+    Zero means |x| <= GAUGE_ZERO_TOL.
     """
-    if abs(a4) <= tol:
-        if abs(pt.a4_v44) > tol:
+    if abs(a4) <= GAUGE_ZERO_TOL:
+        if abs(pt.a4_v44) > GAUGE_ZERO_TOL:
             raise GaugeError("a4 = 0 is inconsistent with a4*v44 != 0")
         a4 = 0.0
         v44 = 0.0 if v44 is None else float(v44)
-    elif v44 is None:
+    elif v44 is not None:
+        raise GaugeError("v44 is a4*v44 / a4 when a4 != 0 and cannot be given")
+    else:
         v44 = pt.a4_v44 / a4
     alphas = np.array([
         [1.0, 0.0, 0.0, 0.0],
@@ -417,10 +427,11 @@ class CaseLabel(enum.Enum):
     III = "III"
 
 
-def classify_case(a4: float, v44: float, tol: float = 1e-10) -> CaseLabel:
-    """Case label from the zero pattern, with |x| <= tol read as zero."""
-    a4_zero = abs(a4) <= tol
-    v44_zero = abs(v44) <= tol
+def classify_case(a4: float, v44: float) -> CaseLabel:
+    """Case label from the zero pattern, with |x| <= GAUGE_ZERO_TOL
+    read as zero."""
+    a4_zero = abs(a4) <= GAUGE_ZERO_TOL
+    v44_zero = abs(v44) <= GAUGE_ZERO_TOL
     if a4_zero:
         return CaseLabel.III if v44_zero else CaseLabel.II
     return CaseLabel.I_PRIME if v44_zero else CaseLabel.I

@@ -178,7 +178,7 @@ def cmd_simplex(args):
     values = [int(x) for x in args.simplex_orders.split(",")]
     if len(values) != len(pairs):
         raise ValueError(f"--simplex-orders expects {len(pairs)} entries "
-                         f"(upper triangle of an {n + 1}-sided table)")
+                         f"(upper triangle of the order table of {n + 1} sides)")
     table = orbifold.EdgeOrders(n + 1, dict(zip(pairs, values)))
     free_pairs = [(i, j) for (i, j) in pairs if i >= 2 and table.order(i, j) >= 3]
     if args.free:

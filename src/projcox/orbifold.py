@@ -11,7 +11,6 @@ chi < 0 must not depend on rounding.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,10 +42,9 @@ def is_finite_order(n) -> bool:
     return not isinstance(n, _Infinity)
 
 
-def _check_order(n, minimum: int = 2):
-    if is_finite_order(n):
-        if not isinstance(n, int) or n < minimum:
-            raise ValueError(f"edge order must be an integer >= {minimum} or INFINITY, got {n!r}")
+def _check_order(n):
+    if is_finite_order(n) and (not isinstance(n, int) or n < 2):
+        raise ValueError(f"edge order must be an integer >= 2 or INFINITY, got {n!r}")
 
 
 def mu(n) -> float:
@@ -108,24 +106,6 @@ class EdgeOrders:
     def order(self, i: int, j: int):
         return self.orders[(min(i, j), max(i, j))]
 
-    def infinite_pairs(self):
-        """All unordered pairs {i, j} with infinite order, sorted."""
-        return [p for p, _, mu_n in self.mu_table if mu_n is None]
-
-    def finite_pairs(self):
-        return [p for p, _, mu_n in self.mu_table if mu_n is not None]
-
-    @functools.cached_property
-    def quad_prism_mismatch(self):
-        """Why the table is not the quad-prism pattern (four sides,
-        infinite (1,3) and (2,4), other orders >= 3), or None when it
-        is; computed on first use and kept."""
-        if self.size != 4 or self.infinite_pairs() != [(1, 3), (2, 4)]:
-            return "expected the quad-prism pattern: infinite (1,3), (2,4)"
-        if any(self.orders[p] < 3 for p in self.finite_pairs()):
-            return "finite orders must be >= 3"
-        return None
-
 
 class QuadPrismOrders(EdgeOrders):
     """Orders of the labeled quadrilateral prism: finite n12, n23, n34,
@@ -139,9 +119,6 @@ class QuadPrismOrders(EdgeOrders):
                 raise ValueError(f"{name} must be an integer >= 3, got {n!r}")
         super().__init__(4, {(1, 2): n12, (2, 3): n23, (3, 4): n34, (1, 4): n14,
                              (1, 3): INFINITY, (2, 4): INFINITY})
-
-    #: the pattern holds by construction
-    quad_prism_mismatch = None
 
     # rows of the sorted mu_table: (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
     n12 = property(lambda self: self.mu_table[0][1])

@@ -157,17 +157,17 @@ def test_criterion_4_semisimplicity_cases(capsys):
 
         # cases I', II, III all sit over the a4*v44 = 0 locus
         pt0 = charts.concurrent_to_standard(random_concurrent(rng))
-        sys = charts.realize_representation(pt0, a4=1.0, tol=1e-8)
-        label = charts.classify_case(1.0, pt0.a4_v44, tol=1e-8)
+        sys = charts.realize_representation(pt0, a4=1.0)
+        label = charts.classify_case(1.0, pt0.a4_v44)
         if label is CaseLabel.I_PRIME and not charts.is_semisimple(sys):
             agree[CaseLabel.I_PRIME] += 1
 
-        sys = charts.realize_representation(pt0, a4=0.0, v44=1.0, tol=1e-8)
+        sys = charts.realize_representation(pt0, a4=0.0, v44=1.0)
         if (charts.classify_case(0.0, 1.0) is CaseLabel.II
                 and not charts.is_semisimple(sys)):
             agree[CaseLabel.II] += 1
 
-        sys = charts.realize_representation(pt0, a4=0.0, v44=0.0, tol=1e-8)
+        sys = charts.realize_representation(pt0, a4=0.0, v44=0.0)
         if (charts.classify_case(0.0, 0.0) is CaseLabel.III
                 and charts.is_semisimple(sys)):
             agree[CaseLabel.III] += 1

@@ -169,6 +169,11 @@ def test_relation_space_high_dimension_unsupported():
     alphas = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0], [2.0, 0, 0, 0]])
     with pytest.raises(UnsupportedShape):
         relation_space_trivial(alphas)
+    # check_vinberg reports such a system as failing C5, without raising
+    vectors = np.array([[2.0, 0, 0, 0], [2.0, 0, 0, 0], [1.0, 0, 0, 0]])
+    orders = EdgeOrders(3, {(1, 2): 3, (1, 3): 3, (2, 3): 3})
+    report = check_vinberg(ReflectionSystem(alphas, vectors), orders)
+    assert not report.conditions["C5"].passed
 
 
 def test_cycle_value_by_hand():

@@ -33,13 +33,18 @@ def test_relations_detect_wrong_order():
     assert ("finite", (1, 2)) in report.failures
 
 
+def finite_pairs(orders: EdgeOrders) -> list:
+    """The pairs of finite order, sorted."""
+    return [p for p, _, mu_n in orders.mu_table if mu_n is not None]
+
+
 def brute_force_verdicts(sys, orders: EdgeOrders) -> dict:
     """Whether ||(R_i R_j)^n - Id||_F <= RELATION_TOL for each finite
     pair, with the power taken by repeated squaring."""
     ident = np.eye(sys.alphas.shape[1])
     r = [reflection(a, v) for a, v in zip(sys.alphas, sys.vectors)]
     verdicts = {}
-    for (i, j) in orders.finite_pairs():
+    for (i, j) in finite_pairs(orders):
         power = mat_power(r[i - 1] @ r[j - 1], orders.order(i, j))
         verdicts[(i, j)] = bool(np.linalg.norm(power - ident) <= certify.RELATION_TOL)
     return verdicts
@@ -57,7 +62,7 @@ def random_simplex(rng) -> charts.SimplexChartParams:
 def with_wrong_order(orders: EdgeOrders, rng) -> tuple:
     """The table with one finite order moved by one, within 2-6, and the
     pair that moved."""
-    pairs = orders.finite_pairs()
+    pairs = finite_pairs(orders)
     pair = pairs[rng.integers(len(pairs))]
     n = orders.order(*pair)
     table = dict(orders.orders)
@@ -85,7 +90,7 @@ def test_closed_form_agrees_with_matrix_power():
         wrong, pair = with_wrong_order(orders, rng)
         report = certify.verify_relations(sys, wrong)
         closed_form = {p: ("finite", p) not in report.failures
-                       for p in wrong.finite_pairs()}
+                       for p in finite_pairs(wrong)}
         assert closed_form == brute_force_verdicts(sys, wrong)
         assert [p for p, ok in closed_form.items() if not ok] == [pair]
 
@@ -115,6 +120,16 @@ def test_order_two_needs_both_entries_zero():
     assert report.failures == [("finite", (1, 2))]
     assert report.finite_pair_residuals[(1, 2)] == 0.5
     assert brute_force_verdicts(sys, orders) == {(1, 2): False}
+
+
+def test_relations_fail_an_infinite_pair_below_four():
+    # the criterion-2 mutation: M13 = -3.9 makes T13 = M13 M31 = 3.9
+    vmat = charts.build_general(
+        charts.GeneralChartParams(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)).vectors.T.copy()
+    vmat[0, 2] = -3.9
+    report = certify.verify_relations(ReflectionSystem(np.eye(4), vmat.T), O3333)
+    assert report.failures == [("infinite", (1, 3))]
+    assert report.infinite_pair_products[(1, 3)] == pytest.approx(3.9)
 
 
 def test_involution_residual_and_normalization():
@@ -168,7 +183,7 @@ def test_cocompact_rejects_wrong_diagram():
      "finite orders must be >= 3"),
 ])
 def test_cocompact_wrong_diagram_raises_on_every_call(table, message):
-    # the pattern check is kept on the table after the first call
+    # the pattern is checked on every call, from the order table
     for _ in range(2):
         with pytest.raises(WrongDiagram, match=message):
             certify.is_convex_cocompact(np.eye(4), table)
@@ -234,11 +249,6 @@ def test_concurrent_scan_minimum_at_base_point():
     assert report.product_at_all_minus_one == pytest.approx(256.0, abs=1e-9)
     assert report.min_product >= 256.0 - 1e-6
     assert report.argmin == (-1.0, -1.0, -1.0, -1.0)
-
-
-def test_concurrent_scan_bad_box():
-    with pytest.raises(ValueError):
-        certify.concurrent_t_scan(O3333, box=(-1.0, 2.0))
 
 
 def test_det_locus_report():

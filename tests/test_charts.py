@@ -49,6 +49,8 @@ def test_general_chart_domain_errors():
         GeneralChartParams(O3333, 3.9, 5.0, -1.0, -1.0, -1.0)
     with pytest.raises(DomainError):
         GeneralChartParams(O3333, 5.0, 5.0, 0.5, -1.0, -1.0)
+    with pytest.raises(DomainError, match="v44 must be finite"):
+        ConcurrentChartParams(O3333, -1.0, -1.0, -1.0, -1.0, float("inf"))
 
 
 # --- concurrent chart ------------------------------------------------------
@@ -203,10 +205,12 @@ def test_batch_solve_matches_exact_rational_solve(orders):
                 assert err <= 1e-12, (box, t, k, key, err)
 
 
-@pytest.mark.parametrize("v", [-1e8, -1e9, -1e12])
+@pytest.mark.parametrize("v", [-1e8, -1e9, -1e12, -1e16, -1e50, -1e300])
 def test_build_standard_accepts_large_coordinates(v):
-    """A valid point at |v| = 1e8..1e12 passes the residual gate, with
-    a4*v44 within 1e-14 relative of exact."""
+    """A valid point at |v| = 1e8..1e300 passes the residual gate, with
+    a4*v44 within 1e-14 relative of exact.  From |v| = 1e16 the constant
+    2 of M44 is lost in rounding a4*v44 (about 3|v|), and only the
+    rounding bound of the rebuilt entry's terms lets the point pass."""
     orders = QuadPrismOrders(3, 4, 5, 6)
     pt = build_standard(orders, 6.0, 6.0, v, v, v)
     exact = exact_standard_solution(orders, 6.0, 6.0, v, v, v)[0][3]
@@ -269,6 +273,14 @@ def test_realize_representation_rejects_inconsistent_gauge():
         realize_representation(pt, a4=0.0)
 
 
+def test_realize_representation_rejects_v44_with_nonzero_a4():
+    # a4 != 0 forces v44 = a4*v44 / a4; another v44 would give a system
+    # with M44 != 2, which is no reflection system
+    pt = build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
+    with pytest.raises(GaugeError):
+        realize_representation(pt, a4=1.0, v44=0.0)
+
+
 def test_standard_coordinates_roundtrip():
     orders = QuadPrismOrders(3, 4, 5, 6)
     pt = build_standard(orders, 7.0, 5.5, -0.7, -1.3, -2.0)
@@ -282,6 +294,9 @@ def test_standard_coordinates_roundtrip():
     assert v23 == pytest.approx(-0.7)
     assert v24 == pytest.approx(-1.3)
     assert v34 == pytest.approx(-2.0)
+    conj[1, 0] = 0.0
+    with pytest.raises(DomainError, match="must be negative to normalize"):
+        standard_coordinates(conj)
 
 
 def test_concurrent_to_standard_kills_a4_v44():
@@ -289,6 +304,46 @@ def test_concurrent_to_standard_kills_a4_v44():
     pt = concurrent_to_standard(p)
     assert abs(pt.a4_v44) <= 1e-10
     assert pt.a1 > 0 and pt.a2 < 0 and pt.a3 > 0
+
+
+#: (T13, T24, v23, v24, v34) points for the residual-gate perturbation test
+PERTURBED_POINTS = ((6.0, 6.0, -1.0, -1.0, -1.0), (6.0, 6.0, -1e8, -1e8, -1e8),
+                    (9.0, 5.0, -2.0, -0.5, -3.0), (4.0, 1e4, -7.0, -0.2, -0.15))
+
+#: the (point, solution entry, relative change) cases the checks of
+#: build_standard accept, of the 64 in the perturbation test; entries
+#: are indices into PERTURBED_POINTS and (a1, a2, a3, a4*v44)
+PERTURBATIONS_ACCEPTED = {
+    (0, 1, 1e-9), (0, 1, -1e-9),
+    (1, 0, 1e-8), (1, 0, 1e-9), (1, 0, -1e-8), (1, 0, -1e-9),
+    (2, 1, 1e-8), (2, 1, 1e-9), (2, 1, -1e-8), (2, 1, -1e-9),
+    (3, 1, 1e-8), (3, 1, 1e-9), (3, 1, -1e-8), (3, 1, -1e-9),
+    (3, 3, 1e-9), (3, 3, -1e-9),
+}
+
+
+def test_build_standard_rejects_perturbed_solutions(monkeypatch):
+    """A solution entry moved by +-1e-8 or +-1e-9 relative fails the
+    checks of build_standard in all but the pinned cases: the rounding
+    bound of an entry's terms adds about 1e-15 of their size to its
+    gate, far below such a move."""
+    orders = QuadPrismOrders(3, 4, 5, 6)
+    exact = charts.standard_solution
+    accepted = set()
+    for k, point in enumerate(PERTURBED_POINTS):
+        for entry in range(4):
+            for eps in (1e-8, 1e-9, -1e-8, -1e-9):
+                def perturbed(*args, entry=entry, eps=eps):
+                    sol = list(exact(*args))
+                    sol[entry] *= 1.0 + eps
+                    return tuple(sol)
+                monkeypatch.setattr(charts, "standard_solution", perturbed)
+                try:
+                    build_standard(orders, *point)
+                except ConditionFailure:
+                    continue
+                accepted.add((k, entry, eps))
+    assert accepted == PERTURBATIONS_ACCEPTED
 
 
 # --- case labels and semisimplicity ---------------------------------------
@@ -314,7 +369,7 @@ def test_case_i_prime_representative_not_semisimple():
 
 def test_case_ii_representative_not_semisimple():
     pt = concurrent_to_standard(ConcurrentChartParams(O3333, -1.0, -1.0, -1.0, -1.0))
-    sys = realize_representation(pt, a4=0.0, v44=1.0, tol=1e-8)
+    sys = realize_representation(pt, a4=0.0, v44=1.0)
     assert not is_semisimple(sys)
 
 
@@ -396,6 +451,15 @@ def test_simplex_rejects_wrong_free_set():
     table = simplex_orders_all(3, 3)
     with pytest.raises(DomainError):
         SimplexChartParams(3, table, {(2, 3): -1.0})
+    with pytest.raises(DomainError, match="v23 must be negative"):
+        SimplexChartParams(3, table, {(2, 3): 0.0, (2, 4): -1.0, (3, 4): -1.0})
+
+
+def test_simplex_rejects_bad_dimension_and_table_size():
+    with pytest.raises(DomainError, match="must be in"):
+        SimplexChartParams(9, simplex_orders_all(9, 3), {})
+    with pytest.raises(DomainError, match="must have n"):
+        SimplexChartParams(3, simplex_orders_all(4, 3), {})
 
 
 # --- structural parameter counts ------------------------------------------

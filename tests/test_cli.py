@@ -213,8 +213,8 @@ def test_scan_with_overflowing_box_fails_cleanly():
 
 
 def test_non_finite_solve_residual_fails_cleanly():
-    # mu23 / v23 overflows to -inf, and inf * 0 in the residual b @ sol
-    # is NaN: the point must fail at the residual check, without a warning
+    # mu23 / v23 overflows to -inf, so the closed-form solution is not
+    # finite: the point fails as SingularSystem, without a warning
     proc = run_python(["-m", "projcox.cli", "relations", "--orders", "3,3,3,3",
                        "--chart", "standard", "--t13", "6", "--t24", "6",
                        "--v23=-1e-310", "--v24", "-10", "--v34", "-0.5"])
@@ -331,6 +331,18 @@ def test_invalid_negative_value_errs_like_equals_form(argv, flag, value, capsys)
     assert capsys.readouterr() == spaced
     assert spaced.out == ""
     assert spaced.err.startswith("error: ") and spaced.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SCAN_200 + ["--box=-10"], "--box expects lo,hi"),
+    (["simplex", "--n", "3", "--simplex-orders", "3,3,3"],
+     "--simplex-orders expects 6 entries (upper triangle of the order table of 4 sides)"),
+    (["simplex", "--n", "3", "--simplex-orders", "3,3,3,3,3,3", "--free=-1"],
+     "--free expects 3 entries"),
+])
+def test_list_flag_of_wrong_length_is_usage_error(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, pair", [

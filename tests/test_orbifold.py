@@ -59,26 +59,39 @@ def test_edge_orders_missing_pair_rejected():
         EdgeOrders(3, {(1, 2): 4, (1, 3): 3})
 
 
+def test_edge_orders_bad_tables_rejected():
+    with pytest.raises(ValueError, match="at least two sides"):
+        EdgeOrders(1, {})
+    with pytest.raises(ValueError, match="bad side pair"):
+        EdgeOrders(2, {(1, 1): 3, (1, 2): 3})
+    with pytest.raises(ValueError, match="conflicting orders"):
+        EdgeOrders(2, {(1, 2): 3, (2, 1): 4})
+
+
+def infinite_pairs(table: EdgeOrders) -> list:
+    """The pairs of infinite order, sorted, read off the mu table."""
+    return [p for p, _, mu_n in table.mu_table if mu_n is None]
+
+
 def test_infinite_pairs_all_finite():
     table = EdgeOrders(3, {(1, 2): 3, (1, 3): 3, (2, 3): 3})
-    assert table.infinite_pairs() == []
+    assert infinite_pairs(table) == []
 
 
 def test_infinite_pairs_single():
     table = EdgeOrders(3, {(1, 2): INFINITY, (1, 3): 3, (2, 3): 3})
-    assert table.infinite_pairs() == [(1, 2)]
+    assert infinite_pairs(table) == [(1, 2)]
 
 
 def test_quad_prism_orders():
     o = QuadPrismOrders(3, 4, 5, 6)
     assert isinstance(o, EdgeOrders)
-    assert o.infinite_pairs() == [(1, 3), (2, 4)]
+    assert infinite_pairs(o) == [(1, 3), (2, 4)]
     assert o.order(1, 2) == 3
     assert o.order(3, 4) == 5
     assert o.order(1, 4) == 6
     assert (o.n12, o.n23, o.n34, o.n14) == (3, 4, 5, 6)
     assert o.mu23 == pytest.approx(2.0)
-    assert o.quad_prism_mismatch is None
 
 
 def test_quad_prism_mu_computed_once(monkeypatch):
@@ -170,6 +183,13 @@ def test_cg05_counts_order_two_corners():
     sig = OrbifoldSignature(1, (), (2, 3, 3, 3, 3), 0)
     assert euler_characteristic(sig) < 0
     assert cg05_dim(sig) == -8 + 3 * 5 - 1
+
+
+def test_signature_input_checks():
+    with pytest.raises(ValueError, match="integers >= 2"):
+        OrbifoldSignature(1, (), (1, 3, 3, 3), 0)
+    with pytest.raises(ValueError, match="full_boundary_count"):
+        OrbifoldSignature(1, (3, 3), (), -1)
 
 
 def test_d_tp_subtracts_boundary():
