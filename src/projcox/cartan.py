@@ -29,15 +29,13 @@ class ReflectionSystem:
     of f projective reflections in dimension d.
 
     ``cartan`` is the Cartan matrix M_ij = alpha_i(v_j), computed once,
-    at construction, and read-only; ``cartan_rows`` holds its rows as
-    tuples of Python floats for the scalar checks.  Neither is validated
-    here (see cartan_of).
+    at construction, as a tuple of rows, each a tuple of Python floats.
+    It is not validated here (see cartan_of).
     """
 
     alphas: np.ndarray
     vectors: np.ndarray
-    cartan: np.ndarray = field(init=False, repr=False, compare=False)
-    cartan_rows: tuple = field(init=False, repr=False, compare=False)
+    cartan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alphas = np.atleast_2d(np.asarray(self.alphas, dtype=float))
@@ -46,19 +44,16 @@ class ReflectionSystem:
             raise ValueError(f"alphas shape {alphas.shape} != vectors shape {vectors.shape}")
         if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(vectors))):
             raise ValueError("entries must be finite")
-        m = alphas @ vectors.T
-        m.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "cartan", m)
-        object.__setattr__(self, "cartan_rows", tuple(map(tuple, m.tolist())))
+        object.__setattr__(self, "cartan", tuple(map(tuple, (alphas @ vectors.T).tolist())))
 
 
-def cartan_of(sys: ReflectionSystem) -> np.ndarray:
-    """The system's Cartan matrix, validated: diagonal 2, off-diagonal
-    <= 0, and zero symmetry (M_ij = 0 iff M_ji = 0).
+def cartan_of(sys: ReflectionSystem) -> tuple:
+    """The system's Cartan matrix rows, validated: diagonal 2,
+    off-diagonal <= 0, and zero symmetry (M_ij = 0 iff M_ji = 0).
     """
-    c1, c2, c3 = _sign_failures(sys.cartan_rows, linalg.TOL_ALGEBRAIC)
+    c1, c2, c3 = _sign_failures(sys.cartan, linalg.TOL_ALGEBRAIC)
     if any(i == j for i, j in c1):
         raise InvariantViolation("diagonal entries must equal 2")
     if c2:
@@ -72,7 +67,7 @@ def cartan_of(sys: ReflectionSystem) -> np.ndarray:
 def _sign_failures(rows, tol: float):
     """Failing 1-based pairs of Vinberg's (C1) diagonal 2 and off-diagonal
     never 2, (C2) off-diagonal <= 0 and (C3) zero symmetry, read off the
-    Cartan matrix rows (lists of floats).
+    Cartan matrix rows.
 
     C3 fails a pair when one entry is zero to within tol, the other is
     not, and their product M_ij M_ji is zero to within tol as well.  A
@@ -145,7 +140,7 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     covector with positive coefficients in the sense of the adjacency
     structure.
     """
-    rows = sys.cartan_rows
+    rows = sys.cartan
     f = len(rows)
     if orders.size != f:
         raise ValueError(f"orders table has {orders.size} sides, system has {f}")
@@ -207,8 +202,8 @@ def relation_space_trivial(alphas: np.ndarray) -> bool:
 
 
 def _cycle_product(rows, cycle) -> float:
-    """M_{i1 i2} M_{i2 i3} ... M_{ik i1} over the rows (lists of
-    floats), multiplied left to right starting from 1.0."""
+    """M_{i1 i2} M_{i2 i3} ... M_{ik i1} over the matrix rows,
+    multiplied left to right starting from 1.0."""
     value = 1.0
     k = len(cycle)
     for t in range(k):
@@ -225,15 +220,18 @@ _CYCLES_4 = (
     + tuple((1,) + tail for tail in permutations((2, 3, 4))))
 
 
-def _rows_4x4(m) -> list:
-    """The rows of a 4x4 matrix as lists of Python floats."""
+def _rows_4x4(m):
+    """The rows of a 4x4 matrix: the library's tuple of row 4-tuples as
+    it is, any other form converted once to lists of Python floats."""
+    if type(m) is tuple and len(m) == 4 and all(type(r) is tuple and len(r) == 4 for r in m):
+        return m
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
-        raise UnsupportedShape("cyclic invariants are implemented for f = 4")
+        raise UnsupportedShape(f"expected a 4x4 matrix, got shape {m.shape}")
     return m.tolist()
 
 
-def cyclic_invariants(m: np.ndarray) -> dict:
+def cyclic_invariants(m) -> dict:
     """All cyclic invariants M_{i1 i2} M_{i2 i3} ... M_{ik i1} of lengths
     2, 3, 4 of a 4x4 Cartan matrix, keyed by canonical cycle (smallest
     index first; both orientations of each cycle of length >= 3)."""
@@ -289,7 +287,7 @@ def derived_invariant_identities(inv: dict, orders: QuadPrismOrders,
     return IdentityReport(residuals, tol)
 
 
-def projectively_equivalent(m1: np.ndarray, m2: np.ndarray) -> bool:
+def projectively_equivalent(m1, m2) -> bool:
     """Whether two 4x4 Cartan matrices are conjugate by a positive
     diagonal matrix, i.e. agree on the generating cyclic invariants.
     Only those five products are taken, each as in cyclic_invariants.

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import charts
-from .cartan import ReflectionSystem, _pair_residuals
+from .cartan import ReflectionSystem, _pair_residuals, _rows_4x4
 from .errors import NormalizationError, WrongDiagram
 from .linalg import TOL_ALGEBRAIC
 from .orbifold import EdgeOrders, QuadPrismOrders
@@ -65,7 +65,7 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     to the identity; the product p is reported and products below
     4 - tol are failures.  A NaN residual fails.
     """
-    m = sys.cartan_rows
+    m = sys.cartan
     failures = []
 
     involutions = {}
@@ -94,7 +94,7 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     return RelationReport(involutions, finite_res, infinite_prod, tol, failures)
 
 
-def is_convex_cocompact(m: np.ndarray, orders: EdgeOrders) -> bool:
+def is_convex_cocompact(m, orders: EdgeOrders) -> bool:
     """Convex cocompactness of the quad-prism reflection group:
     both infinite-pair products T13 = M13 M31 and T24 = M24 M42 must
     exceed 4 strictly.  Any other order table raises WrongDiagram.
@@ -107,7 +107,7 @@ def is_convex_cocompact(m: np.ndarray, orders: EdgeOrders) -> bool:
         raise WrongDiagram("expected the quad-prism pattern: infinite (1,3), (2,4)")
     if any(n < 3 for _, n, mu_n in table if mu_n is not None):
         raise WrongDiagram("finite orders must be >= 3")
-    rows = np.asarray(m, dtype=float).tolist()
+    rows = _rows_4x4(m)
     return all(p > 4.0 for _, _, mu_n, p, _ in _pair_residuals(rows, orders) if mu_n is None)
 
 
@@ -171,6 +171,8 @@ def concurrent_t_scan(orders: QuadPrismOrders,
     concurrent coordinates in CONCURRENT_SCAN_BOX; the grid always
     contains the all-(-1) point.
     """
+    if grid_points_per_axis < 1:
+        raise ValueError("grid_points_per_axis must be >= 1")
     lo, hi = CONCURRENT_SCAN_BOX
     g = grid_points_per_axis
     axis = -np.geomspace(-lo, -hi, g)
@@ -223,9 +225,9 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     standard chart requires.
 
     Coordinates are drawn log-uniformly in |v| over the box; samples
-    with a non-finite solution or det(M) are dropped from the
-    statistics (on the chart the 3x3 block is never singular).  The
-    result is deterministic for a given seed.
+    with a non-finite solution are dropped (on the chart the 3x3 block
+    is never singular), while det(M), which no statistic uses, may read
+    +-inf.  The result is deterministic for a given seed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -235,8 +237,7 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     v24 = charts.sample_negative_box(rng, box[0], box[1], samples)
     v34 = charts.sample_negative_box(rng, box[0], box[1], samples)
     result = charts.solve_standard_batch(orders, t13, t24, v23, v24, v34)
-    # det(M) = a4*v44 * det3 overflows where a4*v44 and det3 are finite
-    ok = result["valid"] & np.isfinite(result["det_m"])
+    ok = result["valid"]
     values = result["a4_v44"][ok]
     if values.size == 0:
         raise ValueError("no valid samples; enlarge the box or sample count")

@@ -19,12 +19,13 @@ degenerate relative the construction started from.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .cartan import ReflectionSystem, cartan_of
+from .cartan import ReflectionSystem, _rows_4x4, cartan_of
 from .errors import ConditionFailure, DomainError, GaugeError, SingularSystem
 from .orbifold import EdgeOrders, QuadPrismOrders, is_finite_order
 
@@ -42,13 +43,13 @@ GAUGE_ZERO_TOL = 1e-10
 
 def _require_negative(**named):
     for name, value in named.items():
-        if not np.isfinite(value) or value >= 0.0:
+        if not math.isfinite(value) or value >= 0.0:
             raise DomainError(f"{name} must be negative, got {value}")
 
 
 def _require_t(**named):
     for name, value in named.items():
-        if not np.isfinite(value) or value < 4.0:
+        if not math.isfinite(value) or value < 4.0:
             raise DomainError(f"{name} must be >= 4, got {value}")
 
 
@@ -100,7 +101,7 @@ class ConcurrentChartParams:
 
     def __post_init__(self):
         _require_negative(v12=self.v12, v23=self.v23, v14=self.v14, v34=self.v34)
-        if not np.isfinite(self.v44):
+        if not math.isfinite(self.v44):
             raise DomainError("v44 must be finite")
 
 
@@ -142,7 +143,7 @@ def build_concurrent(p: ConcurrentChartParams) -> ReflectionSystem:
 class StandardChartPoint:
     """A standard-position point: the five chart coordinates, the
     derived quantities solved from the defining linear system, and the
-    read-only Cartan matrix that system was built from."""
+    rows of the Cartan matrix that system was built from."""
 
     orders: QuadPrismOrders
     t13: float
@@ -154,18 +155,16 @@ class StandardChartPoint:
     a2: float
     a3: float
     a4_v44: float
-    cartan: np.ndarray = field(repr=False, compare=False)
+    cartan: tuple = field(repr=False, compare=False)
 
 
 def standard_cartan(orders: QuadPrismOrders, t13: float, t24: float,
-                    v23: float, v24: float, v34: float) -> np.ndarray:
-    """Cartan matrix of a standard-position point."""
-    return np.array([
-        [2.0, -orders.mu12, -t13, -1.0],
-        [-1.0, 2.0, v23, v24],
-        [-1.0, orders.mu23 / v23, 2.0, v34],
-        [-orders.mu14, t24 / v24, orders.mu34 / v34, 2.0],
-    ])
+                    v23: float, v24: float, v34: float) -> tuple:
+    """Cartan matrix rows of a standard-position point."""
+    return ((2.0, -orders.mu12, -t13, -1.0),
+            (-1.0, 2.0, v23, v24),
+            (-1.0, orders.mu23 / v23, 2.0, v34),
+            (-orders.mu14, t24 / v24, orders.mu34 / v34, 2.0))
 
 
 def standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
@@ -270,22 +269,23 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
 
     This is :func:`standard_solution` on Python floats, so it returns
     bit for bit the values :func:`solve_standard_batch` gives for the
-    same point, and raises SingularSystem exactly where that marks the
-    point invalid.  It then checks each entry of row 4 of M rebuilt as
-    alpha_4 applied to the vectors, to RESIDUAL_TOL (1 + max|row 4|)
-    plus the rounding bound of the entry's own terms, and the two
-    inequality conditions of the chart (the T24 product and, when
-    a4*v44 = 0, the concurrent sign pattern a1 > 0, a2 < 0, a3 > 0).
+    same point, and raises where that marks the point invalid (DomainError
+    for an overflowed solution).  It then checks each entry of row 4 of
+    M rebuilt as alpha_4 applied to the vectors, to RESIDUAL_TOL (1 +
+    max|row 4|) plus the rounding bound of the entry's own terms, and
+    the two inequality conditions of the chart (the T24 product and,
+    when a4*v44 = 0, the concurrent sign pattern a1 > 0, a2 < 0, a3 > 0).
     """
     _require_t(t13=t13, t24=t24)
     _require_negative(v23=v23, v24=v24, v34=v34)
     t13, t24, v23, v24, v34 = (float(x) for x in (t13, t24, v23, v24, v34))
     *sol, det3 = standard_solution(orders, t13, t24, v23, v24, v34)
     if not _solution_valid(det3, sol):
-        raise SingularSystem("standard-chart system matrix is singular")
+        if math.isfinite(det3) and abs(det3) <= linalg.TOL_SINGULAR:
+            raise SingularSystem("standard-chart system matrix is singular")
+        raise DomainError("standard-chart solve overflowed: the coordinates are too large")
     a1, a2, a3, a4_v44 = sol
-    m = standard_cartan(orders, t13, t24, v23, v24, v34)
-    rows = m.tolist()
+    rows = standard_cartan(orders, t13, t24, v23, v24, v34)
     scale = RESIDUAL_TOL * (1.0 + max(map(abs, rows[3])))
     for j, (x, y, z, target) in enumerate(zip(*rows)):
         p, q, r = a1 * x, a2 * y, a3 * z
@@ -302,9 +302,8 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
     if abs(a4_v44) <= RESIDUAL_TOL and not (a1 > 0.0 and a2 < 0.0 and a3 > 0.0):
         raise ConditionFailure(
             f"concurrent sign pattern violated: a = ({a1}, {a2}, {a3})")
-    m.flags.writeable = False
     return StandardChartPoint(orders, t13, t24, v23, v24, v34,
-                              a1, a2, a3, a4_v44, m)
+                              a1, a2, a3, a4_v44, rows)
 
 
 def realize_representation(pt: StandardChartPoint, a4: float,
@@ -333,24 +332,23 @@ def realize_representation(pt: StandardChartPoint, a4: float,
         [pt.a1, pt.a2, pt.a3, a4],
     ])
     # the first three rows of [v] are those of the Cartan matrix
-    vmat = np.vstack([pt.cartan[:3], (0.0, 0.0, 0.0, v44)])
+    vmat = np.array([*pt.cartan[:3], (0.0, 0.0, 0.0, v44)])
     return ReflectionSystem(alphas, vmat.T)
 
 
-def standard_coordinates(m: np.ndarray):
+def standard_coordinates(m):
     """Read standard-position coordinates off a 4x4 Cartan matrix.
 
-    Conjugates by the positive diagonal matrix fixing M21 = M31 =
-    M14 = -1, then returns (t13, t24, v23, v24, v34).
+    Conjugates by the positive diagonal matrix c fixing M21 = M31 =
+    M14 = -1, entry by entry as M_ij * (c_i * (1 / c_j)), then returns
+    (t13, t24, v23, v24, v34).
     """
-    m = np.asarray(m, dtype=float)
-    if m[1, 0] >= 0 or m[2, 0] >= 0 or m[0, 3] >= 0:
+    m = _rows_4x4(m)
+    if m[1][0] >= 0 or m[2][0] >= 0 or m[0][3] >= 0:
         raise DomainError("entries M21, M31, M14 must be negative to normalize")
-    c = np.array([1.0, -1.0 / m[1, 0], -1.0 / m[2, 0], -m[0, 3]])
-    mn = m * np.outer(c, 1.0 / c)
-    t13 = m[0, 2] * m[2, 0]
-    t24 = m[1, 3] * m[3, 1]
-    return t13, t24, mn[1, 2], mn[1, 3], mn[2, 3]
+    c = (1.0, -1.0 / m[1][0], -1.0 / m[2][0], -m[0][3])
+    v23, v24, v34 = (m[i][j] * (c[i] * (1.0 / c[j])) for i, j in ((1, 2), (1, 3), (2, 3)))
+    return m[0][2] * m[2][0], m[1][3] * m[3][1], v23, v24, v34
 
 
 def concurrent_to_standard(p: ConcurrentChartParams) -> StandardChartPoint:
@@ -392,7 +390,7 @@ class SimplexChartParams:
             raise DomainError(
                 f"free parameters must be exactly the pairs {sorted(expected)}")
         for (i, j), value in self.free.items():
-            if not np.isfinite(value) or value >= 0.0:
+            if not math.isfinite(value) or value >= 0.0:
                 raise DomainError(f"free parameter v{i}{j} must be negative")
 
     @property

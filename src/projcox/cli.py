@@ -115,10 +115,9 @@ def cmd_vinberg(args):
 
 def cmd_cocompact(args):
     orders, system, inputs = _build_system(args)
-    verdicts = {"convex_cocompact": certify.is_convex_cocompact(cartan.cartan_of(system), orders)}
-    t13, t24 = (p for _, _, mu_n, p, _ in cartan._pair_residuals(system.cartan_rows, orders)
-                if mu_n is None)
-    return inputs, {"T13": t13, "T24": t24}, {}, verdicts, True
+    m = cartan.cartan_of(system)
+    return (inputs, {"T13": m[0][2] * m[2][0], "T24": m[1][3] * m[3][1]}, {},
+            {"convex_cocompact": certify.is_convex_cocompact(m, orders)}, True)
 
 
 def cmd_invariants(args):

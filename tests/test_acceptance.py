@@ -183,7 +183,7 @@ def test_criterion_5_determinant_signs(capsys):
     max_det3 = -np.inf
     for _ in range(10_000):
         p = random_concurrent(rng)
-        m = charts.build_concurrent(p).cartan
+        m = np.asarray(charts.build_concurrent(p).cartan)
         max_det3 = max(max_det3, float(np.linalg.det(m[:3, :3])))
     det3_ok = max_det3 < 0.0
 

@@ -11,6 +11,7 @@ from projcox.cartan import (GENERATING_CYCLES, ReflectionSystem, cartan_of,
                             check_vinberg, cyclic_invariants,
                             derived_invariant_identities,
                             projectively_equivalent, relation_space_trivial)
+from projcox.certify import is_convex_cocompact
 from projcox.errors import InvariantViolation, UnsupportedShape
 from projcox.orbifold import EdgeOrders, QuadPrismOrders
 
@@ -34,19 +35,36 @@ def test_reflection_system_shape_checks():
         ReflectionSystem(np.eye(2), [[2.0, np.nan], [-1.0, 2.0]])
 
 
+def _is_4x4_rows(m):
+    """Whether m is a tuple of four 4-tuples of Python floats."""
+    return (type(m) is tuple and len(m) == 4
+            and all(type(row) is tuple and len(row) == 4 for row in m)
+            and all(type(x) is float for row in m for x in row))
+
+
 def test_reflection_system_stores_its_cartan_matrix_read_only():
     rng = np.random.default_rng(5)
     alphas, vectors = rng.standard_normal((2, 4, 4))
     sys = ReflectionSystem(alphas, vectors)
-    assert np.array_equal(sys.cartan, alphas @ vectors.T)
-    assert sys.cartan_rows == tuple(map(tuple, (alphas @ vectors.T).tolist()))
-    with pytest.raises(ValueError, match="read-only"):
-        sys.cartan[0, 1] = 0.0
-    assert cartan_of(concurrent_all_minus_one()).flags.writeable is False
+    assert _is_4x4_rows(sys.cartan)
+    assert [list(row) for row in sys.cartan] == (alphas @ vectors.T).tolist()
+    with pytest.raises(TypeError):
+        sys.cartan[0][1] = 0.0
+    concurrent = concurrent_all_minus_one()
+    m = cartan_of(concurrent)
+    assert _is_4x4_rows(m)
+    assert [list(row) for row in m] == (concurrent.alphas @ concurrent.vectors.T).tolist()
+    pt = charts.build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
+    realized = charts.realize_representation(pt, a4=1.0)
+    assert _is_4x4_rows(pt.cartan)
+    # rows 1-3 of [v] are those of M, so alpha_1..alpha_3 = e_i* read them back
+    assert pt.cartan[:3] == realized.cartan[:3]
+    assert [list(row) for row in realized.cartan] == (
+        realized.alphas @ realized.vectors.T).tolist()
 
 
 def test_cartan_of_concurrent_base_point():
-    m = cartan_of(concurrent_all_minus_one())
+    m = np.asarray(cartan_of(concurrent_all_minus_one()))
     # alpha_4 = e1* - e2* + e3* applied to the base-point vectors
     assert np.allclose(np.diag(m), 2.0)
     assert m[0, 2] == pytest.approx(-4.0)   # v23 + mu34/v34 - 2 = -1 - 1 - 2
@@ -217,7 +235,7 @@ def test_identities_on_random_standard_points(seed):
 
 
 def test_identities_detect_perturbation():
-    m = cartan_of(concurrent_all_minus_one()).copy()
+    m = np.array(cartan_of(concurrent_all_minus_one()))
     m[1, 2] *= 1.0 + 1e-3
     report = derived_invariant_identities(cyclic_invariants(m), O3333)
     assert not report.passed
@@ -273,11 +291,13 @@ WIDE_ENTRIES = st.builds(lambda sign, e: sign * 10.0 ** e,
 @given(entries=st.lists(WIDE_ENTRIES, min_size=16, max_size=16))
 def test_invariants_equal_numpy_scalar_products(entries):
     m = np.array(entries).reshape(4, 4)
-    inv = cyclic_invariants(m)
-    assert len(inv) == 20
-    for cycle, value in inv.items():
-        assert type(value) is float
-        assert value.hex() == _numpy_cycle_product(m, cycle).hex()
+    rows = tuple(map(tuple, m.tolist()))
+    for given_m in (m, rows):
+        inv = cyclic_invariants(given_m)
+        assert len(inv) == 20
+        for cycle, value in inv.items():
+            assert type(value) is float
+            assert value.hex() == _numpy_cycle_product(m, cycle).hex()
 
 
 def _all_invariants_agree(m1, m2, tol=1e-9):
@@ -309,9 +329,14 @@ def test_projective_equivalence_agrees_with_all_invariants(seed, coordinate):
 def test_invariants_need_a_4x4_matrix():
     m3 = np.full((3, 3), -1.0) + 3.0 * np.eye(3)
     m4 = cartan_of(concurrent_all_minus_one())
-    with pytest.raises(UnsupportedShape):
-        cyclic_invariants(m3)
-    with pytest.raises(UnsupportedShape):
-        projectively_equivalent(m3, m4)
-    with pytest.raises(UnsupportedShape):
-        projectively_equivalent(m4, m3)
+    for m in (m3, tuple(map(tuple, m3.tolist()))):
+        with pytest.raises(UnsupportedShape):
+            cyclic_invariants(m)
+        with pytest.raises(UnsupportedShape):
+            projectively_equivalent(m, m4)
+        with pytest.raises(UnsupportedShape):
+            projectively_equivalent(m4, m)
+        with pytest.raises(UnsupportedShape, match="4x4"):
+            is_convex_cocompact(m, O3333)
+        with pytest.raises(UnsupportedShape, match="4x4"):
+            charts.standard_coordinates(m)

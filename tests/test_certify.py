@@ -234,7 +234,7 @@ def test_concurrent_t_products_match_cartan():
     rng = np.random.default_rng(11)
     for _ in range(20):
         p = random_concurrent(rng)
-        m = cartan.cartan_of(charts.build_concurrent(p))
+        m = np.asarray(cartan.cartan_of(charts.build_concurrent(p)))
         m13, m31, m24, m42 = charts.concurrent_entries(
             p.orders, p.v12, p.v23, p.v14, p.v34)
         # build_concurrent writes M13, M31 and M24; M42 is alpha_4(v_2)
@@ -249,6 +249,12 @@ def test_concurrent_scan_minimum_at_base_point():
     assert report.product_at_all_minus_one == pytest.approx(256.0, abs=1e-9)
     assert report.min_product >= 256.0 - 1e-6
     assert report.argmin == (-1.0, -1.0, -1.0, -1.0)
+
+
+def test_concurrent_scan_needs_a_grid_point():
+    with pytest.raises(ValueError, match="grid_points_per_axis must be >= 1"):
+        certify.concurrent_t_scan(O3333, grid_points_per_axis=0)
+    assert certify.concurrent_t_scan(O3333, grid_points_per_axis=1).argmin == (-1.0,) * 4
 
 
 def test_det_locus_report():

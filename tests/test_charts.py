@@ -17,8 +17,7 @@ from projcox.charts import (CaseLabel, ConcurrentChartParams,
                             build_standard, classify_case,
                             concurrent_to_standard, is_semisimple,
                             realize_representation, standard_coordinates)
-from projcox.errors import (ConditionFailure, DomainError, GaugeError,
-                            SingularSystem)
+from projcox.errors import ConditionFailure, DomainError, GaugeError
 from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
@@ -29,7 +28,7 @@ O3333 = QuadPrismOrders(3, 3, 3, 3)
 def test_general_chart_cartan_entries():
     orders = QuadPrismOrders(3, 4, 5, 6)
     p = GeneralChartParams(orders, 9.0, 5.0, -2.0, -0.5, -3.0)
-    m = cartan.cartan_of(build_general(p))
+    m = np.asarray(cartan.cartan_of(build_general(p)))
     assert m[0, 2] == pytest.approx(-9.0)          # v13 = -T13
     assert m[2, 0] == pytest.approx(-1.0)
     assert m[3, 1] == pytest.approx(5.0 / -0.5)    # v42 = T24 / v24
@@ -40,7 +39,7 @@ def test_general_chart_cartan_entries():
 
 def test_general_chart_boundary_t_allowed():
     p = GeneralChartParams(O3333, 4.0, 4.0, -1.0, -1.0, -1.0)
-    m = cartan.cartan_of(build_general(p))
+    m = np.asarray(cartan.cartan_of(build_general(p)))
     assert m[0, 2] * m[2, 0] == pytest.approx(4.0)
 
 
@@ -57,14 +56,14 @@ def test_general_chart_domain_errors():
 
 def test_concurrent_base_point_t_sixteen():
     p = ConcurrentChartParams(O3333, -1.0, -1.0, -1.0, -1.0)
-    m = cartan.cartan_of(build_concurrent(p))
+    m = np.asarray(cartan.cartan_of(build_concurrent(p)))
     assert m[0, 2] * m[2, 0] == pytest.approx(16.0)
     assert m[1, 3] * m[3, 1] == pytest.approx(16.0)
 
 
 def test_concurrent_base_point_det3x3():
     p = ConcurrentChartParams(O3333, -1.0, -1.0, -1.0, -1.0)
-    m = cartan.cartan_of(build_concurrent(p))
+    m = np.asarray(cartan.cartan_of(build_concurrent(p)))
     assert np.linalg.det(m[:3, :3]) == pytest.approx(-36.0)
 
 
@@ -96,7 +95,7 @@ def test_concurrent_semisimple_iff_v44_zero(seed):
 def test_build_standard_solves_fourth_row():
     pt = build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
     sys = realize_representation(pt, a4=1.0)
-    m = sys.cartan
+    m = np.asarray(sys.cartan)
     # the solved (a1, a2, a3, a4*v44) must reproduce the Cartan row 4
     assert m[3, 0] == pytest.approx(-pt.orders.mu14)
     assert m[3, 1] == pytest.approx(pt.t24 / pt.v24)
@@ -117,13 +116,13 @@ def test_standard_point_keeps_the_cartan_matrix_of_its_coordinates(seed):
     pt = random_standard(rng, random_orders(rng))
     expected = charts.standard_cartan(pt.orders, pt.t13, pt.t24, pt.v23, pt.v24, pt.v34)
     assert np.array_equal(pt.cartan, expected)
-    with pytest.raises(ValueError, match="read-only"):
-        pt.cartan[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        pt.cartan[0][0] = 0.0
 
 
 def test_standard_batch_agrees_with_single_solve():
     """build_standard is the one-point batch: equal values wherever it
-    returns, and SingularSystem exactly where the batch marks invalid."""
+    returns, and an overflow error exactly where the batch marks invalid."""
     rng = np.random.default_rng(11)
     n = 520
     for orders in (O3333, QuadPrismOrders(3, 4, 5, 6), QuadPrismOrders(6, 5, 4, 3),
@@ -139,7 +138,7 @@ def test_standard_batch_agrees_with_single_solve():
         for k in range(n):
             point = (orders, t13[k], t24[k], *v[:, k])
             if not batch["valid"][k]:
-                with pytest.raises(SingularSystem):
+                with pytest.raises(DomainError, match="overflowed"):
                     build_standard(*point)
                 continue
             try:
@@ -424,7 +423,7 @@ def test_simplex_order_two_pairs_carry_no_parameter():
                            (2, 3): 3, (2, 4): 2, (3, 4): 3})
     p = SimplexChartParams(3, table, {(2, 3): -1.0, (3, 4): -1.0})
     sys = build_simplex(p)
-    m = sys.cartan
+    m = np.asarray(sys.cartan)
     assert m[0, 2] == m[2, 0] == 0.0
     assert m[1, 3] == m[3, 1] == 0.0
 
@@ -433,7 +432,7 @@ def test_simplex_products_match_mu():
     table = EdgeOrders(4, {(1, 2): 3, (1, 3): 4, (1, 4): 5,
                            (2, 3): 6, (2, 4): 4, (3, 4): 3})
     free = {(2, 3): -0.5, (2, 4): -2.0, (3, 4): -1.5}
-    m = build_simplex(SimplexChartParams(3, table, free)).cartan
+    m = np.asarray(build_simplex(SimplexChartParams(3, table, free)).cartan)
     from projcox.orbifold import mu
     for (i, j) in table.orders:
         assert m[i - 1, j - 1] * m[j - 1, i - 1] == pytest.approx(
@@ -479,7 +478,7 @@ def test_chart_dimensions_match_deformation_spaces():
 def test_random_standard_points_are_valid(seed):
     rng = np.random.default_rng(seed)
     pt = random_standard(rng, random_orders(rng))
-    m = pt.cartan
+    m = np.asarray(pt.cartan)
     cartan.cartan_of(ReflectionSystem(np.eye(4), m.T))
     assert m[0, 2] * m[2, 0] == pytest.approx(pt.t13)
     assert m[1, 3] * m[3, 1] == pytest.approx(pt.t24)

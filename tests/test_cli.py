@@ -202,19 +202,47 @@ def test_unwritable_csv_file_is_usage_error(tmp_path, capsys):
 
 
 def test_scan_with_overflowing_box_fails_cleanly():
-    # |v| down to 1e-310 overflows mu/v and det(M): every sample is
-    # dropped, with no numpy warning on the way
+    # |v| from 1e-309 down overflows mu/v and the solution: every sample
+    # is dropped, with no numpy warning on the way
     proc = run_python(["-m", "projcox.cli", "scan", "--orders", "3,3,3,3",
                        "--t13", "6", "--t24", "6", "--samples", "100",
-                       "--box=-1e-300,-1e-310"])
+                       "--box=-1e-309,-1e-320"])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: no valid samples; enlarge the box or sample count\n"
 
 
+def test_scan_keeps_samples_whose_det_m_overflows(tmp_path):
+    # a4*v44 reaches 1e299 and is finite, while det(M) = a4*v44 * det3
+    # overflows: the samples count, and the CSV's det_M reads -inf
+    argv = ["-W", "error", "-m", "projcox.cli", "scan", "--orders", "3,4,5,6",
+            "--t13", "6", "--t24", "6", "--seed", "0", "--box=-1e-280,-1e-300"]
+    proc = run_python(argv + ["--samples", "20000"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["results"]["valid_samples"] == 20000
+    out_file = tmp_path / "scan.csv"
+    proc = run_python(argv + ["--samples", "100", "--out", "csv", "--file", str(out_file)])
+    assert proc.returncode == 0 and proc.stderr == ""
+    with open(out_file, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 100
+    assert {row["det_M"] for row in rows} == {"-inf"}
+
+
+def test_overflowing_standard_solve_is_not_called_singular():
+    # det3 = -1e308 is finite and far from zero; the solution overflows
+    proc = run_python(["-m", "projcox.cli", "relations", "--orders", "3,4,5,6",
+                       "--chart", "standard", "--t13", "6", "--t24", "6",
+                       "--v23=-1e308", "--v24=-1e308", "--v34=-1e308"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "singular" not in proc.stderr
+
+
 def test_non_finite_solve_residual_fails_cleanly():
     # mu23 / v23 overflows to -inf, so the closed-form solution is not
-    # finite: the point fails as SingularSystem, without a warning
+    # finite: the point fails as an overflowed solve, without a warning
     proc = run_python(["-m", "projcox.cli", "relations", "--orders", "3,3,3,3",
                        "--chart", "standard", "--t13", "6", "--t24", "6",
                        "--v23=-1e-310", "--v24", "-10", "--v34", "-0.5"])
