@@ -10,10 +10,10 @@ matrix, which is decided here through cyclic invariants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
-
-import numpy as np
+from functools import cached_property
+from itertools import chain, combinations, permutations
 
 from . import linalg
 from .errors import InvariantViolation, UnsupportedShape
@@ -23,30 +23,59 @@ from .orbifold import EdgeOrders, QuadPrismOrders
 GENERATING_CYCLES = ((1, 3), (2, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4))
 
 
-@dataclass(frozen=True)
-class ReflectionSystem:
-    """Covectors (rows of ``alphas``) and vectors (rows of ``vectors``)
-    of f projective reflections in dimension d.
+def _tuple_rows(rows) -> tuple:
+    return tuple(map(tuple, rows))
 
-    ``cartan`` is the Cartan matrix M_ij = alpha_i(v_j), computed once,
-    at construction, as a tuple of rows, each a tuple of Python floats.
-    It is not validated here (see cartan_of).
+
+@dataclass(frozen=True, init=False)
+class ReflectionSystem:
+    """Covectors alpha_1..alpha_f and vectors v_1..v_f of f projective
+    reflections in dimension d, with their Cartan matrix M_ij =
+    alpha_i(v_j).
+
+    All three are held as tuples of rows, each a tuple of Python floats:
+    ``alpha_rows``, ``vector_rows`` and ``cartan``.  The chart builders
+    hand over the rows of all three, the Cartan rows being the ones
+    their coordinates give.  A system given only as (alphas, vectors),
+    in any array form, multiplies out its Cartan matrix once, at
+    construction, as ``alphas @ vectors.T``.  ``alphas`` and
+    ``vectors`` are the rows as 2-D float ndarrays, built on first
+    access.  The Cartan matrix is not validated here (see cartan_of).
     """
 
-    alphas: np.ndarray
-    vectors: np.ndarray
-    cartan: tuple = field(init=False, repr=False, compare=False)
+    alpha_rows: tuple
+    vector_rows: tuple
+    cartan: tuple = field(repr=False)
 
-    def __post_init__(self):
-        alphas = np.atleast_2d(np.asarray(self.alphas, dtype=float))
-        vectors = np.atleast_2d(np.asarray(self.vectors, dtype=float))
-        if alphas.shape != vectors.shape:
-            raise ValueError(f"alphas shape {alphas.shape} != vectors shape {vectors.shape}")
-        if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(vectors))):
+    def __init__(self, alphas, vectors, cartan=None):
+        if cartan is None:
+            import numpy as np
+            a = np.atleast_2d(np.asarray(alphas, dtype=float))
+            v = np.atleast_2d(np.asarray(vectors, dtype=float))
+            if a.shape != v.shape:
+                raise ValueError(f"alphas shape {a.shape} != vectors shape {v.shape}")
+            alphas, vectors = _tuple_rows(a.tolist()), _tuple_rows(v.tolist())
+        if not all(map(math.isfinite, chain(*alphas, *vectors))):
             raise ValueError("entries must be finite")
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "cartan", tuple(map(tuple, (alphas @ vectors.T).tolist())))
+        if cartan is None:
+            # the arrays are the values of the cached properties below
+            self.__dict__.update(alphas=a, vectors=v)
+            cartan = _tuple_rows((a @ v.T).tolist())
+        object.__setattr__(self, "alpha_rows", alphas)
+        object.__setattr__(self, "vector_rows", vectors)
+        object.__setattr__(self, "cartan", cartan)
+
+    @cached_property
+    def alphas(self):
+        """The covectors, as the rows of a float ndarray."""
+        import numpy as np
+        return np.array(self.alpha_rows)
+
+    @cached_property
+    def vectors(self):
+        """The vectors, as the rows of a float ndarray."""
+        import numpy as np
+        return np.array(self.vector_rows)
 
 
 def cartan_of(sys: ReflectionSystem) -> tuple:
@@ -166,7 +195,7 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
 
     # C5: nonempty interior via the relation-space certificate
     try:
-        c5_ok = relation_space_trivial(sys.alphas)
+        c5_ok = relation_space_trivial(sys.alpha_rows)
     except UnsupportedShape:
         c5_ok = False
     report["C5"] = ConditionCheck(c5_ok)
@@ -174,7 +203,7 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     return VinbergReport(report)
 
 
-def relation_space_trivial(alphas: np.ndarray) -> bool:
+def relation_space_trivial(alphas) -> bool:
     """Whether every nonzero linear relation among the alphas has
     coefficients of both signs.
 
@@ -182,23 +211,22 @@ def relation_space_trivial(alphas: np.ndarray) -> bool:
     relation space the relation passes iff its coefficients take both
     signs, so neither it nor its negative lies in the nonnegative cone.
     Relation spaces of dimension > 1 are outside the shapes handled
-    here.  One SVD of alphas^T gives both the rank (counted as in
-    linalg.rank) and, at rank f - 1, the relation: the last right
-    singular vector.
+    here.  One complete-pivoting elimination of alphas^T gives both the
+    rank (counted as in linalg.rank) and, at rank f - 1, the relation:
+    back substitution with the coefficient of the column left without a
+    pivot set to 1.
     """
-    alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
-    f = alphas.shape[0]
-    _, s, vt = np.linalg.svd(alphas.T)
-    r = linalg._rank_of_singular_values(s)
-    if r == f:
+    pivots, free = linalg._eliminate([list(c) for c in zip(*linalg._rows(alphas))])
+    if not free:
         return True
-    if f - r > 1:
+    if len(free) > 1:
         raise UnsupportedShape("relation space has dimension > 1")
-    coeffs = vt[-1]
-    scale = np.max(np.abs(coeffs))
-    has_pos = np.any(coeffs > 1e-8 * scale)
-    has_neg = np.any(coeffs < -1e-8 * scale)
-    return bool(has_pos and has_neg)
+    coeffs = {free[0]: 1.0}
+    for j, row in reversed(pivots):
+        coeffs[j] = -sum(row[k] * c for k, c in coeffs.items()) / row[j]
+    values = coeffs.values()
+    cut = 1e-8 * max(map(abs, values))
+    return any(c > cut for c in values) and any(c < -cut for c in values)
 
 
 def _cycle_product(rows, cycle) -> float:
@@ -225,10 +253,11 @@ def _rows_4x4(m):
     it is, any other form converted once to lists of Python floats."""
     if type(m) is tuple and len(m) == 4 and all(type(r) is tuple and len(r) == 4 for r in m):
         return m
-    m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4):
-        raise UnsupportedShape(f"expected a 4x4 matrix, got shape {m.shape}")
-    return m.tolist()
+    rows = linalg._rows(m)
+    if len(rows) != 4 or len(rows[0]) != 4:
+        raise UnsupportedShape(f"expected a 4x4 matrix, got {len(rows)} rows "
+                               f"of {len(rows[0]) if rows else 0}")
+    return rows
 
 
 def cyclic_invariants(m) -> dict:

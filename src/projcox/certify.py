@@ -6,8 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import charts
 from .cartan import ReflectionSystem, _pair_residuals, _rows_4x4
 from .errors import NormalizationError, WrongDiagram
@@ -133,6 +131,7 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    import numpy as np
     rng = np.random.default_rng(seed)
     min_abs_det = {}
     min_e = {}
@@ -173,6 +172,7 @@ def concurrent_t_scan(orders: QuadPrismOrders,
     """
     if grid_points_per_axis < 1:
         raise ValueError("grid_points_per_axis must be >= 1")
+    import numpy as np
     lo, hi = CONCURRENT_SCAN_BOX
     g = grid_points_per_axis
     axis = -np.geomspace(-lo, -hi, g)
@@ -232,6 +232,7 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     charts._require_t(t13=t13, t24=t24)
+    import numpy as np
     rng = np.random.default_rng(seed)
     v23 = charts.sample_negative_box(rng, box[0], box[1], samples)
     v24 = charts.sample_negative_box(rng, box[0], box[1], samples)

@@ -21,13 +21,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .cartan import ReflectionSystem, _rows_4x4, cartan_of
-from .errors import ConditionFailure, DomainError, GaugeError, SingularSystem
+from .errors import ConditionFailure, DomainError, GaugeError
 from .orbifold import EdgeOrders, QuadPrismOrders, is_finite_order
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RESIDUAL_TOL = 1e-9
 
@@ -39,6 +41,13 @@ _GAMMA_5 = 5 * 2.0**-53 / (1 - 5 * 2.0**-53)
 #: (realize_representation, classify_case).  concurrent_to_standard
 #: leaves |a4*v44| below about 1e-11 for |v| up to e^6.
 GAUGE_ZERO_TOL = 1e-10
+
+
+def _identity(d: int) -> tuple:
+    return tuple(tuple(1.0 if i == j else 0.0 for j in range(d)) for i in range(d))
+
+
+_IDENTITY_4 = _identity(4)
 
 
 def _require_negative(**named):
@@ -76,15 +85,12 @@ def build_general(p: GeneralChartParams) -> ReflectionSystem:
     Cartan matrix itself, with v13 = -T13 and v42 = T24 / v24.
     """
     o = p.orders
-    v13 = -p.t13
-    v42 = p.t24 / p.v24
-    vmat = np.array([
-        [2.0, -o.mu12, v13, -o.mu14],
-        [-1.0, 2.0, p.v23, p.v24],
-        [-1.0, o.mu23 / p.v23, 2.0, p.v34],
-        [-1.0, v42, o.mu34 / p.v34, 2.0],
-    ])
-    return ReflectionSystem(np.eye(4), vmat.T)
+    t13, t24, v23, v24, v34 = map(float, (p.t13, p.t24, p.v23, p.v24, p.v34))
+    vmat = ((2.0, -o.mu12, -t13, -o.mu14),
+            (-1.0, 2.0, v23, v24),
+            (-1.0, o.mu23 / v23, 2.0, v34),
+            (-1.0, t24 / v24, o.mu34 / v34, 2.0))
+    return ReflectionSystem(_IDENTITY_4, tuple(zip(*vmat)), vmat)
 
 
 @dataclass(frozen=True)
@@ -120,23 +126,18 @@ def build_concurrent(p: ConcurrentChartParams) -> ReflectionSystem:
 
     alpha_4 = e1* - e2* + e3* annihilates e4, so the Cartan matrix is
     independent of the free entry v44 and always has M44 = 2.  Row 4 of
-    the matrix, M42 included, is alpha_4 applied to the vectors.
+    the matrix, M42 included, is alpha_4 applied to the vectors, summed
+    as (M1j - M2j) + M3j.
     """
     o = p.orders
-    m13, m31, m24, _ = concurrent_entries(o, p.v12, p.v23, p.v14, p.v34)
-    vmat = np.array([
-        [2.0, p.v12, m13, p.v14],
-        [o.mu12 / p.v12, 2.0, p.v23, m24],
-        [m31, o.mu23 / p.v23, 2.0, p.v34],
-        [0.0, 0.0, 0.0, p.v44],
-    ])
-    alphas = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [1.0, -1.0, 1.0, 0.0],
-    ])
-    return ReflectionSystem(alphas, vmat.T)
+    v12, v23, v14, v34, v44 = map(float, (p.v12, p.v23, p.v14, p.v34, p.v44))
+    m13, m31, m24, _ = concurrent_entries(o, v12, v23, v14, v34)
+    r1 = (2.0, v12, m13, v14)
+    r2 = (o.mu12 / v12, 2.0, v23, m24)
+    r3 = (m31, o.mu23 / v23, 2.0, v34)
+    cartan = (r1, r2, r3, tuple((x - y) + z for x, y, z in zip(r1, r2, r3)))
+    return ReflectionSystem((*_IDENTITY_4[:3], (1.0, -1.0, 1.0, 0.0)),
+                            tuple(zip(r1, r2, r3, (0.0, 0.0, 0.0, v44))), cartan)
 
 
 @dataclass(frozen=True)
@@ -204,12 +205,6 @@ def standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     return a1, a2, a3, a4_v44, det3
 
 
-def _solution_valid(det3, solution):
-    """Whether the system is nonsingular and its solution finite, for
-    floats and arrays alike."""
-    return (abs(det3) > linalg.TOL_SINGULAR) & np.isfinite(solution).all(axis=0)
-
-
 #: samples per block in solve_standard_batch: a block's live
 #: temporaries, about 18 arrays of 8192 * 8 bytes = 64 KiB, stay in a
 #: 2 MiB per-core L2 cache instead of streaming whole-batch arrays from
@@ -240,6 +235,7 @@ def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     (an entry of M or of the solution overflowing) makes a sample
     invalid.  Overflow raises no floating-point warning.
     """
+    import numpy as np
     args = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (t13, t24, v23, v24, v34)))
     shape = args[0].shape
@@ -257,7 +253,7 @@ def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
             for x, y in zip(out, sol):
                 x[block] = y
             np.multiply(sol[3], det3, out=out[4][block])
-            valid[block] = _solution_valid(det3, sol)
+            valid[block] = (np.abs(det3) > linalg.TOL_SINGULAR) & np.isfinite(sol).all(axis=0)
     a1, a2, a3, a4_v44, det_m = (x.reshape(shape) for x in out)
     return {"a1": a1, "a2": a2, "a3": a3, "a4_v44": a4_v44,
             "det_m": det_m, "valid": valid.reshape(shape)}
@@ -269,20 +265,20 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
 
     This is :func:`standard_solution` on Python floats, so it returns
     bit for bit the values :func:`solve_standard_batch` gives for the
-    same point, and raises where that marks the point invalid (DomainError
-    for an overflowed solution).  It then checks each entry of row 4 of
-    M rebuilt as alpha_4 applied to the vectors, to RESIDUAL_TOL (1 +
-    max|row 4|) plus the rounding bound of the entry's own terms, and
-    the two inequality conditions of the chart (the T24 product and,
-    when a4*v44 = 0, the concurrent sign pattern a1 > 0, a2 < 0, a3 > 0).
+    same point, and raises DomainError where that marks the point
+    invalid.  On the chart det3 <= -8 (see solve_standard_batch), so an
+    invalid point is always an overflowed solution.  It then checks each
+    entry of row 4 of M rebuilt as alpha_4 applied to the vectors, to
+    RESIDUAL_TOL (1 + max|row 4|) plus the rounding bound of the entry's
+    own terms, and the two inequality conditions of the chart (the T24
+    product and, when a4*v44 = 0, the concurrent sign pattern a1 > 0,
+    a2 < 0, a3 > 0).
     """
     _require_t(t13=t13, t24=t24)
     _require_negative(v23=v23, v24=v24, v34=v34)
     t13, t24, v23, v24, v34 = (float(x) for x in (t13, t24, v23, v24, v34))
-    *sol, det3 = standard_solution(orders, t13, t24, v23, v24, v34)
-    if not _solution_valid(det3, sol):
-        if math.isfinite(det3) and abs(det3) <= linalg.TOL_SINGULAR:
-            raise SingularSystem("standard-chart system matrix is singular")
+    *sol, _ = standard_solution(orders, t13, t24, v23, v24, v34)
+    if not all(map(math.isfinite, sol)):
         raise DomainError("standard-chart solve overflowed: the coordinates are too large")
     a1, a2, a3, a4_v44 = sol
     rows = standard_cartan(orders, t13, t24, v23, v24, v34)
@@ -314,7 +310,8 @@ def realize_representation(pt: StandardChartPoint, a4: float,
     gauge choice of a4.  When a4 != 0 the fourth entry of v4 is forced
     to a4_v44 / a4, and giving v44 as well raises GaugeError.  When
     a4 = 0 the product must vanish and v44 is free (0 unless given).
-    Zero means |x| <= GAUGE_ZERO_TOL.
+    Zero means |x| <= GAUGE_ZERO_TOL.  The system keeps the chart's own
+    Cartan rows, ``pt.cartan``.
     """
     if abs(a4) <= GAUGE_ZERO_TOL:
         if abs(pt.a4_v44) > GAUGE_ZERO_TOL:
@@ -324,16 +321,12 @@ def realize_representation(pt: StandardChartPoint, a4: float,
     elif v44 is not None:
         raise GaugeError("v44 is a4*v44 / a4 when a4 != 0 and cannot be given")
     else:
+        a4 = float(a4)
         v44 = pt.a4_v44 / a4
-    alphas = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [pt.a1, pt.a2, pt.a3, a4],
-    ])
+    alphas = (*_IDENTITY_4[:3], (pt.a1, pt.a2, pt.a3, a4))
     # the first three rows of [v] are those of the Cartan matrix
-    vmat = np.array([*pt.cartan[:3], (0.0, 0.0, 0.0, v44)])
-    return ReflectionSystem(alphas, vmat.T)
+    return ReflectionSystem(alphas, tuple(zip(*pt.cartan[:3], (0.0, 0.0, 0.0, v44))),
+                            pt.cartan)
 
 
 def standard_coordinates(m):
@@ -402,18 +395,19 @@ def build_simplex(p: SimplexChartParams) -> ReflectionSystem:
     """Reflection system of an n-simplex chart point: alphas the dual
     basis, [v] the Cartan matrix with v_ij * v_ji = mu_ij."""
     d = p.n + 1
-    vmat = 2.0 * np.eye(d)
+    vmat = [[2.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
     for (i, j), order, muij in p.orders.mu_table:
         if order == 2:
             continue
         if i == 1:
-            vmat[0, j - 1] = -muij
-            vmat[j - 1, 0] = -1.0
+            vmat[0][j - 1] = -muij
+            vmat[j - 1][0] = -1.0
         else:
-            vij = p.free[(i, j)]
-            vmat[i - 1, j - 1] = vij
-            vmat[j - 1, i - 1] = muij / vij
-    return ReflectionSystem(np.eye(d), vmat.T)
+            vij = float(p.free[(i, j)])
+            vmat[i - 1][j - 1] = vij
+            vmat[j - 1][i - 1] = muij / vij
+    vmat = tuple(map(tuple, vmat))
+    return ReflectionSystem(_identity(d), tuple(zip(*vmat)), vmat)
 
 
 class CaseLabel(enum.Enum):
@@ -443,19 +437,21 @@ def is_semisimple(sys: ReflectionSystem) -> bool:
     splits iff rank A = rank V = rank M for the Cartan matrix M = A V^T.
     At rank A = rank V = d the intersection is zero already.
     """
-    r = linalg.rank(sys.alphas)
-    if linalg.rank(sys.vectors) != r:
+    r = linalg.rank(sys.alpha_rows)
+    if linalg.rank(sys.vector_rows) != r:
         return False
-    return r == sys.alphas.shape[1] or linalg.rank(sys.cartan) == r
+    return r == len(sys.alpha_rows[0]) or linalg.rank(sys.cartan) == r
 
 
 def sample_negative(rng: np.random.Generator, size=None) -> np.ndarray:
     """Negative coordinates spread log-uniformly over [-e^2, -e^-2]."""
+    import numpy as np
     return -np.exp(rng.uniform(-2.0, 2.0, size))
 
 
 def sample_t(rng: np.random.Generator, size=None) -> np.ndarray:
     """Interior T values 4 + e^U with U uniform on [-3, 3]."""
+    import numpy as np
     return 4.0 + np.exp(rng.uniform(-3.0, 3.0, size))
 
 
@@ -464,4 +460,5 @@ def sample_negative_box(rng: np.random.Generator, lo: float, hi: float,
     """Log-uniform negatives in [lo, hi] with lo < hi < 0."""
     if not (lo < hi < 0.0):
         raise DomainError(f"box must satisfy lo < hi < 0, got [{lo}, {hi}]")
+    import numpy as np
     return -np.exp(rng.uniform(np.log(-hi), np.log(-lo), size))

@@ -22,6 +22,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+#: scan CSV rows converted to Python floats at a time: csv writes a float
+#: as its repr, and converting block by block keeps the Python floats of
+#: one block, not of the whole scan, alive at once
+_CSV_BLOCK = 1024
+
 
 def _parse_orders(text: str) -> orbifold.QuadPrismOrders:
     parts = text.split(",")
@@ -163,8 +168,9 @@ def cmd_scan(args):
     try:
         writer = csv.writer(stream)
         writer.writerow(columns)
-        for row in zip(*(report.records[c] for c in columns)):
-            writer.writerow([repr(float(x)) for x in row])
+        records = [report.records[c] for c in columns]
+        for lo in range(0, len(records[0]), _CSV_BLOCK):
+            writer.writerows(zip(*(x[lo:lo + _CSV_BLOCK].tolist() for x in records)))
     finally:
         if args.file:
             stream.close()

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from projcox import charts
-from projcox.errors import ConditionFailure, NormalizationError, SingularSystem
+from projcox.errors import ConditionFailure, NormalizationError
 from projcox.orbifold import QuadPrismOrders
 
 ORDER_CHOICES = (3, 4, 5, 6)
@@ -57,7 +57,8 @@ def random_concurrent(rng: np.random.Generator, orders: QuadPrismOrders = None,
 
 def random_standard(rng: np.random.Generator, orders: QuadPrismOrders = None,
                     spread: float = 2.0) -> charts.StandardChartPoint:
-    """A valid standard-chart point; resamples past singular systems."""
+    """A valid standard-chart point; resamples past points that fail the
+    chart's conditions."""
     while True:
         o = orders if orders is not None else random_orders(rng)
         try:
@@ -68,7 +69,7 @@ def random_standard(rng: np.random.Generator, orders: QuadPrismOrders = None,
                 sample_negative_spread(rng, spread),
                 sample_negative_spread(rng, spread),
                 sample_negative_spread(rng, spread))
-        except (SingularSystem, ConditionFailure):
+        except ConditionFailure:
             continue
 
 
@@ -87,6 +88,12 @@ def reflection(a, v) -> np.ndarray:
     if abs(p - 2.0) > 1e-9:
         raise NormalizationError(f"a(v) = {p}, expected 2")
     return np.eye(a.shape[0]) - np.outer(v, a)
+
+
+def svd_rank(m) -> int:
+    """Reference rank: the singular values above 1e-8 times the largest."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > 1e-8 * s[0]))
 
 
 def mat_power(m, k: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (exact_standard_solution, random_concurrent, random_orders,
-                     random_standard)
+                     random_standard, svd_rank)
 from projcox import cartan, charts, linalg
 from projcox.cartan import ReflectionSystem
 from projcox.charts import (CaseLabel, ConcurrentChartParams,
@@ -372,11 +372,6 @@ def test_case_ii_representative_not_semisimple():
     assert not is_semisimple(sys)
 
 
-def _svd_rank(m) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > 1e-8 * s[0]))
-
-
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rank_alphas=st.integers(1, 4),
        rank_vectors=st.integers(1, 4), shared=st.integers(0, 3))
@@ -387,13 +382,13 @@ def test_semisimple_agrees_with_splitting_definition(seed, rank_alphas,
     exactly when the dimensions add up to 4 and the two span V."""
     rng = np.random.default_rng(seed)
     alphas = rng.standard_normal((4, rank_alphas)) @ rng.standard_normal((rank_alphas, 4))
-    kernel = np.linalg.svd(alphas)[2][_svd_rank(alphas):]
+    kernel = np.linalg.svd(alphas)[2][svd_rank(alphas):]
     shared = min(shared, kernel.shape[0], rank_vectors)
     basis = np.vstack([kernel[:shared],
                        rng.standard_normal((rank_vectors - shared, 4))])
     vectors = rng.standard_normal((4, rank_vectors)) @ basis
-    splits = (kernel.shape[0] + _svd_rank(vectors) == 4
-              and _svd_rank(np.vstack([kernel, vectors])) == 4)
+    splits = (kernel.shape[0] + svd_rank(vectors) == 4
+              and svd_rank(np.vstack([kernel, vectors])) == 4)
     assert is_semisimple(cartan.ReflectionSystem(alphas, vectors)) == splits
 
 

@@ -192,6 +192,37 @@ def test_readme_command_output_is_unchanged(name):
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+#: runs in a fresh interpreter: `import projcox`, then cli.main on each
+#: argv of argv[1] (JSON), must leave numpy unimported; then `scan`,
+#: argv[2], runs as usual
+_NUMPY_FREE_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stdout
+import projcox
+assert "numpy" not in sys.modules, "import projcox loaded numpy"
+from projcox import cli
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (code, argv)
+    assert "numpy" not in sys.modules, argv
+assert cli.main(sys.argv[2].split()) == 0
+"""
+
+
+def test_only_scan_imports_numpy(tmp_path):
+    points = (GENERAL_POINT, CONCURRENT_BASE, STANDARD_POINT)
+    argvs = [[name] + point for name in ("relations", "vinberg", "cocompact", "invariants")
+             for point in points]
+    argvs += [README_COMMANDS[name].split() for name in ("orbifold", "simplex")]
+    csv_file = tmp_path / "scan.csv"
+    scan = f"{README_COMMANDS['scan_csv']} --file {csv_file}"
+    proc = run_python(["-c", _NUMPY_FREE_SCRIPT, json.dumps(argvs), scan])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert csv_file.read_bytes() == (GOLDEN / "scan_csv.out").read_bytes()
+
+
 def test_unwritable_csv_file_is_usage_error(tmp_path, capsys):
     argv = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6",
             "--samples", "200", "--out", "csv",

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import mat_power, reflection
+from helpers import mat_power, reflection, svd_rank
 from projcox import linalg
-from projcox.errors import NormalizationError
+from projcox.cartan import relation_space_trivial
+from projcox.errors import NormalizationError, UnsupportedShape
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0, 0.0])
@@ -77,3 +78,72 @@ def test_rank_of_deficient_matrix():
         [0.0, 0.0, 0.0, 0.0],
     ])
     assert linalg.rank(m) == 3
+
+
+def _low_rank(rng, shape, r):
+    """A random matrix of the given shape and rank r, scaled by a factor
+    log-uniform in [1e-6, 1e6]."""
+    scale = 10.0 ** rng.uniform(-6.0, 6.0)
+    return scale * rng.standard_normal((shape[0], r)) @ rng.standard_normal((r, shape[1]))
+
+
+@pytest.mark.parametrize("size", range(3, 10))
+def test_rank_agrees_with_svd_rank(size):
+    """Sizes 3 to 9 are the simplex chart's f = n + 1, 4 the quad prism's."""
+    rng = np.random.default_rng(size)
+    for _ in range(300):
+        m = _low_rank(rng, (size, size), int(rng.integers(0, size + 1)))
+        assert linalg.rank(m) == svd_rank(m)
+        assert linalg.rank(tuple(map(tuple, m.tolist()))) == svd_rank(m)
+
+
+def _svd_relation_verdict(alphas):
+    """Reference for relation_space_trivial from one SVD of alphas^T:
+    the rank as svd_rank counts it and, at rank f - 1, the sign pattern
+    of the last right singular vector; None for a relation space of
+    dimension > 1."""
+    f = alphas.shape[0]
+    _, s, vt = np.linalg.svd(alphas.T)
+    r = int(np.sum(s > 1e-8 * s[0]))
+    if r == f:
+        return True
+    if f - r > 1:
+        return None
+    cut = 1e-8 * np.max(np.abs(vt[-1]))
+    return bool(np.any(vt[-1] > cut) and np.any(vt[-1] < -cut))
+
+
+@pytest.mark.parametrize("f", range(3, 10))
+def test_relation_space_trivial_agrees_with_svd(f):
+    """f covectors in R^f of rank f, f - 1 or f - 2.  At rank f - 1 the
+    relation is (c, 1) for alpha_f = -(c_1 alpha_1 + ... ), with c
+    positive half the time, so both verdicts occur."""
+    rng = np.random.default_rng(100 + f)
+    verdicts = set()
+    for _ in range(300):
+        r = int(rng.integers(f - 2, f + 1))
+        if r == f - 1:
+            base = _low_rank(rng, (f - 1, f), f - 1)
+            c = np.exp(rng.uniform(-2.0, 2.0, f - 1))
+            if rng.integers(0, 2):
+                c *= rng.choice((-1.0, 1.0), f - 1)
+            alphas = rng.permutation(np.vstack([base, -(c @ base)]))
+        else:
+            alphas = _low_rank(rng, (f, f), r)
+        expected = _svd_relation_verdict(alphas)
+        verdicts.add(expected)
+        if expected is None:
+            with pytest.raises(UnsupportedShape):
+                relation_space_trivial(alphas)
+        else:
+            assert relation_space_trivial(alphas) is expected
+    assert verdicts == {True, False, None}
+
+
+def test_rank_needs_a_matrix():
+    with pytest.raises(UnsupportedShape):
+        linalg.rank([[1.0, 2.0], [3.0]])
+    with pytest.raises(UnsupportedShape):
+        linalg.rank([1.0, 2.0])
+    assert linalg.rank(np.zeros((0, 4))) == 0
+    assert linalg.rank(np.zeros((3, 3))) == 0
