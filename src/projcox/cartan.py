@@ -23,10 +23,6 @@ from .orbifold import EdgeOrders, QuadPrismOrders
 GENERATING_CYCLES = ((1, 3), (2, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4))
 
 
-def _tuple_rows(rows) -> tuple:
-    return tuple(map(tuple, rows))
-
-
 @dataclass(frozen=True, init=False)
 class ReflectionSystem:
     """Covectors alpha_1..alpha_f and vectors v_1..v_f of f projective
@@ -37,7 +33,7 @@ class ReflectionSystem:
     ``alpha_rows``, ``vector_rows`` and ``cartan``.  The chart builders
     hand over the rows of all three, the Cartan rows being the ones
     their coordinates give.  A system given only as (alphas, vectors),
-    in any array form, multiplies out its Cartan matrix once, at
+    each read by linalg._rows, multiplies out its Cartan matrix once, at
     construction, as ``alphas @ vectors.T``.  ``alphas`` and
     ``vectors`` are the rows as 2-D float ndarrays, built on first
     access.  The Cartan matrix is not validated here (see cartan_of).
@@ -49,20 +45,16 @@ class ReflectionSystem:
 
     def __init__(self, alphas, vectors, cartan=None):
         if cartan is None:
-            import numpy as np
-            a = np.atleast_2d(np.asarray(alphas, dtype=float))
-            v = np.atleast_2d(np.asarray(vectors, dtype=float))
-            if a.shape != v.shape:
-                raise ValueError(f"alphas shape {a.shape} != vectors shape {v.shape}")
-            alphas, vectors = _tuple_rows(a.tolist()), _tuple_rows(v.tolist())
+            alphas, vectors = linalg._rows(alphas), linalg._rows(vectors)
+            shapes = [(len(x), len(x[0]) if x else 0) for x in (alphas, vectors)]
+            if shapes[0] != shapes[1]:
+                raise ValueError("alphas shape {} != vectors shape {}".format(*shapes))
         if not all(map(math.isfinite, chain(*alphas, *vectors))):
             raise ValueError("entries must be finite")
-        if cartan is None:
-            # the arrays are the values of the cached properties below
-            self.__dict__.update(alphas=a, vectors=v)
-            cartan = _tuple_rows((a @ v.T).tolist())
         object.__setattr__(self, "alpha_rows", alphas)
         object.__setattr__(self, "vector_rows", vectors)
+        if cartan is None:
+            cartan = linalg._rows(self.alphas @ self.vectors.T)
         object.__setattr__(self, "cartan", cartan)
 
     @cached_property
@@ -216,7 +208,7 @@ def relation_space_trivial(alphas) -> bool:
     back substitution with the coefficient of the column left without a
     pivot set to 1.
     """
-    pivots, free = linalg._eliminate([list(c) for c in zip(*linalg._rows(alphas))])
+    pivots, free = linalg._eliminate(zip(*linalg._rows(alphas)))
     if not free:
         return True
     if len(free) > 1:
@@ -248,23 +240,11 @@ _CYCLES_4 = (
     + tuple((1,) + tail for tail in permutations((2, 3, 4))))
 
 
-def _rows_4x4(m):
-    """The rows of a 4x4 matrix: the library's tuple of row 4-tuples as
-    it is, any other form converted once to lists of Python floats."""
-    if type(m) is tuple and len(m) == 4 and all(type(r) is tuple and len(r) == 4 for r in m):
-        return m
-    rows = linalg._rows(m)
-    if len(rows) != 4 or len(rows[0]) != 4:
-        raise UnsupportedShape(f"expected a 4x4 matrix, got {len(rows)} rows "
-                               f"of {len(rows[0]) if rows else 0}")
-    return rows
-
-
 def cyclic_invariants(m) -> dict:
     """All cyclic invariants M_{i1 i2} M_{i2 i3} ... M_{ik i1} of lengths
     2, 3, 4 of a 4x4 Cartan matrix, keyed by canonical cycle (smallest
     index first; both orientations of each cycle of length >= 3)."""
-    rows = _rows_4x4(m)
+    rows = linalg._rows(m, (4, 4))
     return {c: _cycle_product(rows, c) for c in _CYCLES_4}
 
 
@@ -321,6 +301,6 @@ def projectively_equivalent(m1, m2) -> bool:
     diagonal matrix, i.e. agree on the generating cyclic invariants.
     Only those five products are taken, each as in cyclic_invariants.
     """
-    rows1, rows2 = _rows_4x4(m1), _rows_4x4(m2)
+    rows1, rows2 = linalg._rows(m1, (4, 4)), linalg._rows(m2, (4, 4))
     return all(_relative_residual(_cycle_product(rows1, c), _cycle_product(rows2, c))
                <= linalg.TOL_ALGEBRAIC for c in GENERATING_CYCLES)

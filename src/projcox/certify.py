@@ -7,9 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import charts
-from .cartan import ReflectionSystem, _pair_residuals, _rows_4x4
+from .cartan import ReflectionSystem, _pair_residuals
 from .errors import NormalizationError, WrongDiagram
-from .linalg import TOL_ALGEBRAIC
+from .linalg import TOL_ALGEBRAIC, _rows
 from .orbifold import EdgeOrders, QuadPrismOrders
 
 #: Gate on the residual of each Coxeter relation.  The residuals are
@@ -105,7 +105,7 @@ def is_convex_cocompact(m, orders: EdgeOrders) -> bool:
         raise WrongDiagram("expected the quad-prism pattern: infinite (1,3), (2,4)")
     if any(n < 3 for _, n, mu_n in table if mu_n is not None):
         raise WrongDiagram("finite orders must be >= 3")
-    rows = _rows_4x4(m)
+    rows = _rows(m, (4, 4))
     return all(p > 4.0 for _, _, mu_n, p, _ in _pair_residuals(rows, orders) if mu_n is None)
 
 
@@ -176,17 +176,15 @@ def concurrent_t_scan(orders: QuadPrismOrders,
     lo, hi = CONCURRENT_SCAN_BOX
     g = grid_points_per_axis
     axis = -np.geomspace(-lo, -hi, g)
-    # force -1, inside the box, onto the grid
-    axis[np.argmin(np.abs(axis + 1.0))] = -1.0
+    # force -1, inside the box, onto the grid at index k
+    k = int(np.argmin(np.abs(axis + 1.0)))
+    axis[k] = -1.0
     v12, v23, v14, v34 = np.meshgrid(axis, axis, axis, axis, indexing="ij")
     m13, m31, m24, m42 = charts.concurrent_entries(orders, v12, v23, v14, v34)
     product = (m13 * m31) * (m24 * m42)
-    flat = int(np.argmin(product))
-    idx = np.unravel_index(flat, product.shape)
+    idx = np.unravel_index(np.argmin(product), product.shape)
     argmin = tuple(float(a[idx]) for a in (v12, v23, v14, v34))
-    m13, m31, m24, m42 = charts.concurrent_entries(orders, -1.0, -1.0, -1.0, -1.0)
-    return ConcurrentScanReport(g, float(product[idx]), argmin,
-                                float((m13 * m31) * (m24 * m42)))
+    return ConcurrentScanReport(g, float(product[idx]), argmin, float(product[k, k, k, k]))
 
 
 @dataclass

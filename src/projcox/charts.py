@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .cartan import ReflectionSystem, _rows_4x4, cartan_of
+from .cartan import ReflectionSystem, cartan_of
 from .errors import ConditionFailure, DomainError, GaugeError
 from .orbifold import EdgeOrders, QuadPrismOrders, is_finite_order
 
@@ -336,7 +336,7 @@ def standard_coordinates(m):
     M14 = -1, entry by entry as M_ij * (c_i * (1 / c_j)), then returns
     (t13, t24, v23, v24, v34).
     """
-    m = _rows_4x4(m)
+    m = linalg._rows(m, (4, 4))
     if m[1][0] >= 0 or m[2][0] >= 0 or m[0][3] >= 0:
         raise DomainError("entries M21, M31, M14 must be negative to normalize")
     c = (1.0, -1.0 / m[1][0], -1.0 / m[2][0], -m[0][3])
@@ -373,13 +373,11 @@ class SimplexChartParams:
             raise DomainError(f"simplex dimension n must be in [2, 8], got {self.n}")
         if self.orders.size != self.n + 1:
             raise DomainError("orders table must have n + 1 sides")
-        for (i, j), order in self.orders.orders.items():
-            if not is_finite_order(order):
-                raise DomainError("simplex chart requires all finite orders")
+        if not all(map(is_finite_order, self.orders.orders.values())):
+            raise DomainError("simplex chart requires all finite orders")
         expected = {(i, j) for (i, j) in self.orders.orders
                     if i >= 2 and self.orders.order(i, j) >= 3}
-        given = set(self.free)
-        if given != expected:
+        if set(self.free) != expected:
             raise DomainError(
                 f"free parameters must be exactly the pairs {sorted(expected)}")
         for (i, j), value in self.free.items():

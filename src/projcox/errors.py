@@ -29,10 +29,6 @@ class DomainError(ProjCoxError):
     """Chart parameters violate the chart's defining inequalities."""
 
 
-class SingularSystem(ProjCoxError):
-    """The linear system defining a chart point is singular."""
-
-
 class ConditionFailure(ProjCoxError):
     """A post-solve consistency condition failed."""
 

@@ -5,6 +5,8 @@ measured against the first one.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import UnsupportedShape
 
 TOL_ALGEBRAIC = 1e-9
@@ -13,24 +15,32 @@ TOL_SINGULAR = 1e-12
 RANK_TOL = 1e-8
 
 
-def _rows(m) -> list:
-    """The rows of a matrix as lists of Python floats: an ndarray
-    through its ``tolist``, any other nested sequence entry by entry.
-    A ragged or non-2-D input raises UnsupportedShape."""
-    if hasattr(m, "tolist"):
-        m = m.tolist()
-    try:
-        rows = [[float(x) for x in row] for row in m]
-    except TypeError:
-        raise UnsupportedShape("expected a matrix: a sequence of rows of numbers") from None
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise UnsupportedShape(f"rows of unequal lengths {[len(row) for row in rows]}")
-    return rows
+def _rows(m, shape=None) -> tuple:
+    """The rows of a matrix as a tuple of tuples of Python floats: the
+    library's own rows as they are, an ndarray through its ``tolist``,
+    any other nested sequence entry by entry.  A ragged or non-2-D
+    input, or one whose (rows, columns) is not ``shape``, raises
+    UnsupportedShape."""
+    if not (type(m) is tuple and all(type(row) is tuple for row in m)
+            and set(map(type, chain(*m))) == {float}):
+        if hasattr(m, "tolist"):
+            m = m.tolist()
+        try:
+            m = tuple(tuple(map(float, row)) for row in m)
+        except TypeError:
+            raise UnsupportedShape("expected a matrix: a sequence of rows of numbers") from None
+    width = len(m[0]) if m else 0
+    if any(len(row) != width for row in m):
+        raise UnsupportedShape(f"rows of unequal lengths {[len(row) for row in m]}")
+    if shape is not None and (len(m), width) != shape:
+        raise UnsupportedShape(f"expected a {shape[0]}x{shape[1]} matrix, "
+                               f"got {len(m)} rows of {width}")
+    return m
 
 
 def _eliminate(rows):
     """Gaussian elimination with complete pivoting of a matrix given as
-    lists of Python floats (see _rows), which it consumes.
+    rows of Python floats (see _rows), on list copies of the rows.
 
     Each step takes the largest remaining entry as the pivot; a pivot at
     or below RANK_TOL times the first one counts as zero and ends the
@@ -39,6 +49,7 @@ def _eliminate(rows):
     the pivot row, and free the columns left without a pivot.  The
     number of pivots is the numerical rank.
     """
+    rows = [list(row) for row in rows]
     free = list(range(len(rows[0]))) if rows else []
     pivots = []
     cut = None

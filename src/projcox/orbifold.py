@@ -11,6 +11,7 @@ chi < 0 must not depend on rounding.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,40 +19,30 @@ from fractions import Fraction
 from .errors import InfiniteOrder, NonHyperbolic
 
 
-class _Infinity:
-    """Distinguished infinite edge order (singleton)."""
+class _Infinity(enum.Enum):
+    """Distinguished infinite edge order (a one-member enum)."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    INFINITY = "INFINITY"
 
     def __repr__(self):
         return "INFINITY"
 
-    def __reduce__(self):
-        return (_Infinity, ())
+    __str__ = __repr__
 
 
-INFINITY = _Infinity()
+INFINITY = _Infinity.INFINITY
 
 
 def is_finite_order(n) -> bool:
-    return not isinstance(n, _Infinity)
-
-
-def _check_order(n):
-    if is_finite_order(n) and (not isinstance(n, int) or n < 2):
-        raise ValueError(f"edge order must be an integer >= 2 or INFINITY, got {n!r}")
+    return n is not INFINITY
 
 
 def mu(n) -> float:
-    """4 cos^2(pi/n) for a finite order n >= 2."""
-    if not is_finite_order(n):
+    """4 cos^2(pi/n) for a finite order n >= 2, which it checks."""
+    if n is INFINITY:
         raise InfiniteOrder("mu is undefined for infinite orders; use the T >= 4 parameter")
-    _check_order(n)
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"edge order must be an integer >= 2 or INFINITY, got {n!r}")
     return 4.0 * math.cos(math.pi / n) ** 2
 
 
@@ -81,7 +72,6 @@ class EdgeOrders:
         for (i, j), n in self.orders.items():
             if i == j or not (1 <= i <= self.size and 1 <= j <= self.size):
                 raise ValueError(f"bad side pair ({i},{j})")
-            _check_order(n)
             key = (min(i, j), max(i, j))
             if key in normalized and normalized[key] != n:
                 raise ValueError(f"conflicting orders for pair {key}")

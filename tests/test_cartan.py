@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_concurrent, random_general, random_standard
-from projcox import cartan, charts
+from projcox import cartan, charts, linalg
 from projcox.cartan import (GENERATING_CYCLES, ReflectionSystem, cartan_of,
                             check_vinberg, cyclic_invariants,
                             derived_invariant_identities,
@@ -333,6 +333,16 @@ def test_ragged_matrix_is_an_unsupported_shape():
         cyclic_invariants(ragged)
     with pytest.raises(UnsupportedShape):
         projectively_equivalent(ragged, cartan_of(concurrent_all_minus_one()))
+    # a raw (alphas, vectors) system is read through the same converter,
+    # which refuses a 1-D input as well
+    with pytest.raises(UnsupportedShape):
+        ReflectionSystem(ragged, np.eye(4))
+    with pytest.raises(UnsupportedShape):
+        ReflectionSystem([1.0, 0.0], [2.0, 0.0])
+    # the library's own rows pass through unconverted
+    rows = cartan_of(concurrent_all_minus_one())
+    assert linalg._rows(rows) is rows
+    assert linalg._rows(np.array(rows), (4, 4)) == rows
 
 
 def test_invariants_need_a_4x4_matrix():

@@ -1,10 +1,13 @@
 import csv
 import io
 import json
-from contextlib import redirect_stdout
+import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import run_python
 from projcox import cli
@@ -438,3 +441,104 @@ def test_scan_outside_the_standard_chart_is_usage_error(flag, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {flag[2:]} must be >= 4, got {float(value)}\n"
+
+
+#: argv values at and beyond the edges of the float range, plus tokens
+#: that are not numbers at all
+_EDGE_NUMBERS = ("0", "-0", "-1", "4", "6", "1e308", "-1e308", "5e-324", "-5e-324",
+                 "1e16", "-1e-16", "nan", "inf", "-inf", "x", "")
+_number = st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats().map(repr))
+_integer = st.one_of(st.sampled_from(("0", "-1", "1.5", "1e3", "x", "")),
+                     st.integers(-5, 2000).map(str))
+
+
+def _mostly(valid, wild):
+    """A value of ``valid`` seven times in eight, else one of ``wild``."""
+    return st.integers(0, 7).flatmap(lambda k: wild if k == 7 else valid)
+
+
+def _joined(values, min_size=0, max_size=6):
+    return st.lists(values, min_size=min_size, max_size=max_size).map(",".join)
+
+
+#: |v| from e^-30 to e^30 and T - 4 from e^-10 to e^30
+_abs_v = st.floats(-30.0, 30.0).map(math.exp)
+_negative = _mostly(_abs_v.map(lambda x: repr(-x)),
+                    st.one_of(_number, st.floats(-1e308, 0.0, exclude_max=True).map(repr)))
+_t = _mostly(st.floats(-10.0, 30.0).map(lambda x: repr(4.0 + math.exp(x))),
+             st.one_of(_number, st.floats(4.0, 1e308).map(repr)))
+_finite = _mostly(st.floats(-1e3, 1e3).map(repr), _number)
+_orders = _mostly(_joined(st.integers(3, 10**6).map(str), 4, 4),
+                  st.one_of(st.sampled_from(("2,3,3,3", "1000000000,3,3,3", "3,3,3",
+                                             "3,,3,3", "-3,3,3,3")), _joined(_integer)))
+
+
+@st.composite
+def _argv(draw):
+    """An argv of any subcommand, mostly valid, with edge and malformed
+    values mixed in."""
+    command = draw(st.sampled_from(("relations", "vinberg", "cocompact", "invariants",
+                                    "scan", "simplex", "orbifold")))
+    if command == "scan":
+        box = st.tuples(_abs_v, _abs_v).map(lambda b: f"{-max(b)!r},{-min(b)!r}")
+        return ["scan", "--orders", draw(_orders), "--t13", draw(_t), "--t24", draw(_t),
+                "--samples", draw(_mostly(st.integers(1, 2000).map(str), _integer)),
+                "--seed", draw(_mostly(st.integers(0, 2**70).map(str), _integer)),
+                "--box", draw(_mostly(box, _joined(_number, 0, 3)))]
+    if command == "simplex":
+        n = draw(st.integers(1, 9))
+        pairs = [(i, j) for i in range(1, n + 2) for j in range(i + 1, n + 2)]
+        orders = draw(st.lists(st.integers(2, 12), min_size=len(pairs), max_size=len(pairs)))
+        free = sum(1 for (i, _), order in zip(pairs, orders) if i >= 2 and order >= 3)
+        argv = ["simplex", "--n", str(n), "--simplex-orders",
+                draw(_mostly(st.just(",".join(map(str, orders))), _joined(_integer)))]
+        if draw(st.booleans()):
+            argv.append("--free=" + draw(_mostly(_joined(_negative, free, free),
+                                                 _joined(_number))))
+        return argv
+    if command == "orbifold":
+        singular = _mostly(_joined(st.integers(2, 50).map(str)), _joined(_integer))
+        chi = _mostly(st.integers(-3, 2).map(str), _integer)
+        return ["orbifold", "--chi-underlying", draw(chi),
+                "--cones", draw(singular), "--corners", draw(singular),
+                "--boundary", draw(_mostly(st.integers(0, 3).map(str), _integer))]
+    chart = draw(st.sampled_from(sorted(cli._CHART_FLAGS)))
+    flags = list(cli._CHART_FLAGS[chart])
+    # one time in four, one flag too many (stray or repeated) or one too few
+    if not draw(st.integers(0, 3)):
+        flags += draw(st.lists(st.sampled_from(cli._COORDINATE_FLAGS), max_size=1))
+        flags = draw(st.permutations(flags))[:len(flags) - draw(st.integers(0, 1))]
+    argv = [command, "--orders", draw(_orders), "--chart", chart]
+    for flag in flags:
+        value = _t if flag in ("t13", "t24") else _finite if flag == "v44" else _negative
+        argv += [f"--{flag}", draw(value)]
+    if command != "cocompact" and draw(st.booleans()):
+        argv += ["--tol", draw(_mostly(st.floats(0.0, 1.0).map(repr), _number))]
+    return argv
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in the JSON output")
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_fuzzed_argv_ends_in_a_clean_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse refusing a flag
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        lines = err.splitlines()
+        assert lines and "error:" in lines[-1]
+        assert not any("error:" in line for line in lines[:-1])
+        # argparse puts its usage before its one error line
+        assert len(lines) == 1 or lines[0].startswith("usage: ")
+    else:
+        assert err == ""
+        json.loads(out, parse_constant=_reject_constant)
