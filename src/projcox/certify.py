@@ -137,8 +137,8 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
     min_e = {}
     for slice_name in ("T13=4", "T24=4"):
         t_free = charts.sample_t(rng, samples)
-        t13 = np.full(samples, 4.0) if slice_name == "T13=4" else t_free
-        t24 = t_free if slice_name == "T13=4" else np.full(samples, 4.0)
+        t13 = 4.0 if slice_name == "T13=4" else t_free
+        t24 = t_free if slice_name == "T13=4" else 4.0
         v23 = charts.sample_negative(rng, samples)
         v24 = charts.sample_negative(rng, samples)
         v34 = charts.sample_negative(rng, samples)
@@ -225,35 +225,46 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     Coordinates are drawn log-uniformly in |v| over the box; samples
     with a non-finite solution are dropped (on the chart the 3x3 block
     is never singular), while det(M), which no statistic uses, may read
-    +-inf.  The result is deterministic for a given seed.
+    +-inf.  The solve runs block by block and keeps only a4*v44 and the
+    validity mask, plus det(M) for the records.  The result is
+    deterministic for a given seed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     charts._require_t(t13=t13, t24=t24)
     import numpy as np
     rng = np.random.default_rng(seed)
-    v23 = charts.sample_negative_box(rng, box[0], box[1], samples)
-    v24 = charts.sample_negative_box(rng, box[0], box[1], samples)
-    v34 = charts.sample_negative_box(rng, box[0], box[1], samples)
-    result = charts.solve_standard_batch(orders, t13, t24, v23, v24, v34)
-    ok = result["valid"]
-    values = result["a4_v44"][ok]
+    # one draw: the same stream as v23, v24 and v34 drawn in turn
+    v = charts.sample_negative_box(rng, box[0], box[1], (3, samples))
+    a4_v44 = np.empty(samples)
+    ok = np.empty(samples, dtype=bool)
+    det_m = np.empty(samples) if keep_records else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, sol, det3, valid in charts._standard_blocks(orders, t13, t24, *v):
+            a4_v44[block] = sol[3]
+            ok[block] = valid
+            if keep_records:
+                np.multiply(sol[3], det3, out=det_m[block])
+    every = bool(ok.all())
+    values = a4_v44 if every else a4_v44[ok]
     if values.size == 0:
         raise ValueError("no valid samples; enlarge the box or sample count")
-    kmin = int(np.argmin(values))
-    counts, edges = np.histogram(values, bins=20)
+    kmin, kmax = int(np.argmin(values)), int(np.argmax(values))
+    low, high = float(values[kmin]), float(values[kmax])
+    counts, edges = np.histogram(values, bins=20, range=(low, high))
     histogram = [{"lo": float(edges[k]), "hi": float(edges[k + 1]),
                   "count": int(counts[k])} for k in range(20)]
     records = None
     if keep_records:
+        v23, v24, v34 = v if every else v[:, ok]
         records = {
-            "v23": v23[ok], "v24": v24[ok], "v34": v34[ok],
-            "a4v44": values, "det_M": result["det_m"][ok],
+            "v23": v23, "v24": v24, "v34": v34,
+            "a4v44": values, "det_M": det_m if every else det_m[ok],
             "T13_prod": np.full(values.shape, float(t13)),
             "T24_prod": np.full(values.shape, float(t24)),
         }
+    at = kmin if every else int(np.flatnonzero(ok)[kmin])
     return StandardScanReport(
-        samples, int(np.sum(ok)), seed, (float(box[0]), float(box[1])),
-        float(t13), float(t24), float(np.min(values)), float(np.max(values)),
-        (float(v23[ok][kmin]), float(v24[ok][kmin]), float(v34[ok][kmin])),
+        samples, int(values.size), seed, (float(box[0]), float(box[1])),
+        float(t13), float(t24), low, high, tuple(map(float, v[:, at])),
         histogram, records)

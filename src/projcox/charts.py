@@ -205,11 +205,36 @@ def standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     return a1, a2, a3, a4_v44, det3
 
 
-#: samples per block in solve_standard_batch: a block's live
-#: temporaries, about 18 arrays of 8192 * 8 bytes = 64 KiB, stay in a
-#: 2 MiB per-core L2 cache instead of streaming whole-batch arrays from
-#: memory (4096 measured about 10 % slower, 16384 no faster)
+#: samples per block of the batch solve: a block's live temporaries,
+#: about 18 arrays of 8192 * 8 bytes = 64 KiB, stay in a 2 MiB per-core
+#: L2 cache instead of streaming whole-batch arrays from memory (4096
+#: measured about 10 % slower, 16384 no faster)
 _BLOCK = 8192
+
+
+def _standard_blocks(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
+    """Run :func:`standard_solution` over blocks of ``_BLOCK`` samples of
+    the broadcast, flattened inputs.
+
+    Yields (block, [a1, a2, a3, a4_v44], det3, valid) per block, with
+    block the slice of the flattened samples it covers and valid as
+    :func:`solve_standard_batch` defines it.  A 0-d input stays a
+    scalar, which the operators broadcast with the same IEEE
+    operations, so det3 is a scalar where T13 and v23 both are.
+    """
+    import numpy as np
+    args = [np.asarray(x, dtype=float) for x in (t13, t24, v23, v24, v34)]
+    shape = np.broadcast_shapes(*(x.shape for x in args))
+    # a view for inputs of the full shape
+    flat = [x if x.ndim == 0 else np.broadcast_to(x, shape).reshape(-1) for x in args]
+    for lo in range(0, math.prod(shape), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            *sol, det3 = standard_solution(orders, *(x[block] if x.ndim else x for x in flat))
+        valid = np.abs(det3) > linalg.TOL_SINGULAR
+        for x in sol:
+            valid &= np.isfinite(x)
+        yield block, sol, det3, valid
 
 
 def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
@@ -218,9 +243,9 @@ def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     Returns a dict with a1, a2, a3, a4_v44, det_m (determinant of the
     full Cartan matrix) and a validity mask, all of the broadcast shape
     of the inputs.  Each sample is :func:`standard_solution` on its
-    coordinates, computed over blocks of ``_BLOCK`` samples; the
-    arithmetic is elementwise, so the results do not depend on the
-    block size.
+    coordinates, computed over blocks of ``_BLOCK`` samples
+    (:func:`_standard_blocks`); the arithmetic is elementwise, so the
+    results do not depend on the block size.
 
     M = A V^T with det A = a4 and det V = v44 det M3, so det M =
     a4*v44 * det3.  A sample is valid when |det3| exceeds
@@ -236,24 +261,18 @@ def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     invalid.  Overflow raises no floating-point warning.
     """
     import numpy as np
-    args = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (t13, t24, v23, v24, v34)))
-    shape = args[0].shape
-    # a view for 1-d inputs, scalars broadcast along them included
-    flat = [x.reshape(-1) for x in args]
-    n = flat[0].size
+    shape = np.broadcast_shapes(*map(np.shape, (t13, t24, v23, v24, v34)))
+    n = math.prod(shape)
     # five separate outputs rather than one (5, n) array: at 1e6 samples
     # each can reuse heap memory freed earlier, so peak RSS stays lower
     out = [np.empty(n) for _ in range(5)]
     valid = np.empty(n, dtype=bool)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for lo in range(0, n, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            *sol, det3 = standard_solution(orders, *(x[block] for x in flat))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, sol, det3, ok in _standard_blocks(orders, t13, t24, v23, v24, v34):
             for x, y in zip(out, sol):
                 x[block] = y
             np.multiply(sol[3], det3, out=out[4][block])
-            valid[block] = (np.abs(det3) > linalg.TOL_SINGULAR) & np.isfinite(sol).all(axis=0)
+            valid[block] = ok
     a1, a2, a3, a4_v44, det_m = (x.reshape(shape) for x in out)
     return {"a1": a1, "a2": a2, "a3": a3, "a4_v44": a4_v44,
             "det_m": det_m, "valid": valid.reshape(shape)}
@@ -441,22 +460,32 @@ def is_semisimple(sys: ReflectionSystem) -> bool:
     return r == len(sys.alpha_rows[0]) or linalg.rank(sys.cartan) == r
 
 
+def _negative_exp(rng: np.random.Generator, lo: float, hi: float, size) -> np.ndarray:
+    """-e^U with U uniform on [lo, hi], computed in place on an array
+    draw; a size=None draw is a Python float and gives numpy's float64."""
+    import numpy as np
+    u = rng.uniform(lo, hi, size)
+    out = None if size is None else u
+    return np.negative(np.exp(u, out=out), out=out)
+
+
 def sample_negative(rng: np.random.Generator, size=None) -> np.ndarray:
     """Negative coordinates spread log-uniformly over [-e^2, -e^-2]."""
-    import numpy as np
-    return -np.exp(rng.uniform(-2.0, 2.0, size))
+    return _negative_exp(rng, -2.0, 2.0, size)
 
 
 def sample_t(rng: np.random.Generator, size=None) -> np.ndarray:
     """Interior T values 4 + e^U with U uniform on [-3, 3]."""
     import numpy as np
-    return 4.0 + np.exp(rng.uniform(-3.0, 3.0, size))
+    u = rng.uniform(-3.0, 3.0, size)
+    out = None if size is None else u
+    return np.add(4.0, np.exp(u, out=out), out=out)
 
 
 def sample_negative_box(rng: np.random.Generator, lo: float, hi: float,
                         size=None) -> np.ndarray:
-    """Log-uniform negatives in [lo, hi] with lo < hi < 0."""
-    if not (lo < hi < 0.0):
-        raise DomainError(f"box must satisfy lo < hi < 0, got [{lo}, {hi}]")
+    """Log-uniform negatives in [lo, hi] with -inf < lo < hi < 0."""
+    if not (-math.inf < lo < hi < 0.0):
+        raise DomainError(f"box must satisfy -inf < lo < hi < 0, got [{lo}, {hi}]")
     import numpy as np
-    return -np.exp(rng.uniform(np.log(-hi), np.log(-lo), size))
+    return _negative_exp(rng, np.log(-hi), np.log(-lo), size)

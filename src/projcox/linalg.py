@@ -15,18 +15,33 @@ TOL_SINGULAR = 1e-12
 RANK_TOL = 1e-8
 
 
+def _float_row(row) -> tuple:
+    """One row as a tuple of Python floats.  Text raises TypeError:
+    float() reads '1.5', and a string or bytes row iterates into its
+    characters."""
+    if isinstance(row, (str, bytes)):
+        raise TypeError("a row of text")
+    row = tuple(row)
+    # an ndarray's tolist rows are Python floats already
+    if set(map(type, row)) == {float}:
+        return row
+    if any(isinstance(x, (str, bytes)) for x in row):
+        raise TypeError("an entry of text")
+    return tuple(map(float, row))
+
+
 def _rows(m, shape=None) -> tuple:
     """The rows of a matrix as a tuple of tuples of Python floats: the
     library's own rows as they are, an ndarray through its ``tolist``,
     any other nested sequence entry by entry.  A ragged or non-2-D
-    input, or one whose (rows, columns) is not ``shape``, raises
-    UnsupportedShape."""
+    input, a row or entry of text, or a matrix whose (rows, columns) is
+    not ``shape``, raises UnsupportedShape."""
     if not (type(m) is tuple and all(type(row) is tuple for row in m)
             and set(map(type, chain(*m))) == {float}):
         if hasattr(m, "tolist"):
             m = m.tolist()
         try:
-            m = tuple(tuple(map(float, row)) for row in m)
+            m = tuple(map(_float_row, m))
         except TypeError:
             raise UnsupportedShape("expected a matrix: a sequence of rows of numbers") from None
     width = len(m[0]) if m else 0

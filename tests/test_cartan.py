@@ -339,6 +339,13 @@ def test_ragged_matrix_is_an_unsupported_shape():
         ReflectionSystem(ragged, np.eye(4))
     with pytest.raises(UnsupportedShape):
         ReflectionSystem([1.0, 0.0], [2.0, 0.0])
+    # text is refused, not read character by character
+    with pytest.raises(UnsupportedShape):
+        linalg._rows(['12', '34'])
+    with pytest.raises(UnsupportedShape):
+        cyclic_invariants(['1234'] * 4)
+    with pytest.raises(UnsupportedShape):
+        linalg._rows([[1.0, '2'], [b'3', 4.0]])
     # the library's own rows pass through unconverted
     rows = cartan_of(concurrent_all_minus_one())
     assert linalg._rows(rows) is rows

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,70 @@ def test_det_locus_report():
     assert report.min_abs_det["T24=4"] > 1e-6
     assert report.min_e["T13=4"] > 0.0
     assert report.min_e["T24=4"] > 0.0
+
+
+@pytest.mark.parametrize("seed, samples, min_det", [
+    (0, 2000, {"T13=4": 64.53077690455821, "T24=4": 65.29535610368139}),
+    (31, 10_000, {"T13=4": 64.80960632244002, "T24=4": 65.02007530612224}),
+])
+def test_det_locus_report_is_pinned(seed, samples, min_det):
+    """The fixed T = 4 enters the solve as the scalar 4.0, not as an
+    array of it; the report keeps every bit it had with the array."""
+    report = certify.det_locus_check(O3333, samples=samples, seed=seed)
+    assert report == certify.DetLocusReport(samples, seed, min_det, min_det)
+
+
+def rebuilt_scan(orders, t, samples, seed, box):
+    """standard_scan's summary and records rebuilt from
+    solve_standard_batch on the same draws, made in turn."""
+    rng = np.random.default_rng(seed)
+    v = [charts.sample_negative_box(rng, *box, samples) for _ in range(3)]
+    result = charts.solve_standard_batch(orders, t, t, *v)
+    ok = result["valid"]
+    values = result["a4_v44"][ok]
+    k = int(np.argmin(values))
+    counts, edges = np.histogram(values, bins=20)
+    summary = {
+        "samples": samples, "valid_samples": int(np.sum(ok)), "seed": seed,
+        "box": list(box), "t13": t, "t24": t,
+        "min_a4_v44": float(np.min(values)), "max_a4_v44": float(np.max(values)),
+        "argmin": {name: float(x[ok][k]) for name, x in zip(("v23", "v24", "v34"), v)},
+        "histogram": [{"lo": float(edges[j]), "hi": float(edges[j + 1]),
+                       "count": int(counts[j])} for j in range(20)],
+    }
+    records = {"v23": v[0][ok], "v24": v[1][ok], "v34": v[2][ok], "a4v44": values,
+               "det_M": result["det_m"][ok], "T13_prod": np.full(values.shape, t),
+               "T24_prod": np.full(values.shape, t)}
+    return summary, records
+
+
+@pytest.mark.parametrize("box, valid", [((-10.0, -1e-8), 2000), ((-1e-300, -1e-320), 118)])
+def test_standard_scan_equals_a_rebuild_from_the_batch_solve(box, valid):
+    """The block-by-block scan gives bit for bit the summary and records
+    of the whole-array solve, with every sample valid and, in the tiny
+    box where most solutions overflow, through the masked path."""
+    report = certify.standard_scan(O3333, 6.0, 6.0, samples=2000, seed=1, box=box,
+                                   keep_records=True)
+    summary, records = rebuilt_scan(O3333, 6.0, 2000, 1, box)
+    assert report.valid_samples == valid
+    assert report.summary == summary
+    assert set(report.records) == set(records)
+    for key, x in records.items():
+        assert report.records[key].tobytes() == x.tobytes(), key
+
+
+def test_standard_scan_peak_memory():
+    """The scan keeps the three coordinate rows, a4*v44 and the validity
+    mask, plus one block's temporaries: its peak stays below eight float
+    arrays of the sample size."""
+    samples = 100_000
+    tracemalloc.start()
+    try:
+        certify.standard_scan(O3333, 6, 6, samples=samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * samples
 
 
 def test_standard_scan_deterministic():

@@ -243,6 +243,41 @@ def test_standard_batch_output_shapes(args, shape):
     assert all(np.ravel(batch[key])[0] == first[key] for key in BATCH_KEYS)
 
 
+@pytest.mark.parametrize("position", range(5))
+def test_one_array_among_scalars_equals_the_broadcast_call(position):
+    """A 0-d input stays a scalar in the solve; the operators broadcast
+    it with the same IEEE operations as an array of its value, so every
+    output is bitwise that of the fully broadcast call, overflowing
+    samples included."""
+    rng = np.random.default_rng(position)
+    n = charts._BLOCK + 77
+    point = [6.5, 9.0, -0.7, -0.5, -2.0]
+    if position < 2:
+        column = 4.0 + np.exp(rng.uniform(-5.0, 5.0, n))
+        column[:5] = 1.5e308
+    else:
+        column = -np.exp(rng.uniform(-5.0, 5.0, n))
+        column[:5] = -1e-310
+    args = [column if k == position else x for k, x in enumerate(point)]
+    full = [column if k == position else np.full(n, x) for k, x in enumerate(point)]
+    orders = QuadPrismOrders(3, 4, 5, 6)
+    mixed = charts.solve_standard_batch(orders, *args)
+    broadcast = charts.solve_standard_batch(orders, *full)
+    assert not mixed["valid"].all()
+    for key in BATCH_KEYS:
+        assert mixed[key].tobytes() == broadcast[key].tobytes(), key
+
+
+def test_one_draw_of_three_rows_is_three_draws_in_turn():
+    """The scan draws its three coordinates as one (3, N) array: the same
+    stream, and the same bits, as three draws of N made in turn."""
+    box = (-10.0, -1e-8)
+    rows = charts.sample_negative_box(np.random.default_rng(4), *box, (3, 1000))
+    rng = np.random.default_rng(4)
+    turns = [charts.sample_negative_box(rng, *box, 1000) for _ in range(3)]
+    assert rows.tobytes() == np.stack(turns).tobytes()
+
+
 def test_standard_batch_memory_per_sample():
     """The batch solve allocates its outputs and one block's temporaries,
     not (n, 4, 4) arrays: at most 64 bytes per sample."""

@@ -382,6 +382,8 @@ def test_negative_scientific_value_parses_like_equals_form(argv, flag, value):
     (SCAN_200, "--box", "-10,5"),
     (["relations"] + GENERAL_POINT, "--v23", "-inf"),
     (["vinberg"] + GENERAL_POINT, "--v23", "-nan"),
+    # a log-uniform draw over an infinite box overflowed inside numpy
+    (SCAN_200, "--box", "-inf,-1"),
 ])
 def test_invalid_negative_value_errs_like_equals_form(argv, flag, value, capsys):
     """``--box -10,5`` and ``--v23 -inf`` give the one ``error:`` line of
