@@ -213,39 +213,14 @@ _BLOCK = 8192
 
 
 def _standard_blocks(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
-    """Run :func:`standard_solution` over blocks of ``_BLOCK`` samples of
-    the broadcast, flattened inputs.
+    """Run :func:`standard_solution` over blocks of ``_BLOCK`` samples;
+    each input is a scalar or a 1-D array of the sample count.
 
     Yields (block, [a1, a2, a3, a4_v44], det3, valid) per block, with
-    block the slice of the flattened samples it covers and valid as
-    :func:`solve_standard_batch` defines it.  A 0-d input stays a
-    scalar, which the operators broadcast with the same IEEE
-    operations, so det3 is a scalar where T13 and v23 both are.
-    """
-    import numpy as np
-    args = [np.asarray(x, dtype=float) for x in (t13, t24, v23, v24, v34)]
-    shape = np.broadcast_shapes(*(x.shape for x in args))
-    # a view for inputs of the full shape
-    flat = [x if x.ndim == 0 else np.broadcast_to(x, shape).reshape(-1) for x in args]
-    for lo in range(0, math.prod(shape), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            *sol, det3 = standard_solution(orders, *(x[block] if x.ndim else x for x in flat))
-        valid = np.abs(det3) > linalg.TOL_SINGULAR
-        for x in sol:
-            valid &= np.isfinite(x)
-        yield block, sol, det3, valid
-
-
-def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
-    """Vectorized solve of the standard-chart system.
-
-    Returns a dict with a1, a2, a3, a4_v44, det_m (determinant of the
-    full Cartan matrix) and a validity mask, all of the broadcast shape
-    of the inputs.  Each sample is :func:`standard_solution` on its
-    coordinates, computed over blocks of ``_BLOCK`` samples
-    (:func:`_standard_blocks`); the arithmetic is elementwise, so the
-    results do not depend on the block size.
+    block the slice of the samples it covers.  A scalar stays a scalar,
+    which the operators broadcast with the same IEEE operations as an
+    array of its value, so det3 is a scalar where T13 and v23 both are.
+    The arithmetic is elementwise, so no value depends on the block size.
 
     M = A V^T with det A = a4 and det V = v44 det M3, so det M =
     a4*v44 * det3.  A sample is valid when |det3| exceeds
@@ -261,21 +236,15 @@ def solve_standard_batch(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     invalid.  Overflow raises no floating-point warning.
     """
     import numpy as np
-    shape = np.broadcast_shapes(*map(np.shape, (t13, t24, v23, v24, v34)))
-    n = math.prod(shape)
-    # five separate outputs rather than one (5, n) array: at 1e6 samples
-    # each can reuse heap memory freed earlier, so peak RSS stays lower
-    out = [np.empty(n) for _ in range(5)]
-    valid = np.empty(n, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block, sol, det3, ok in _standard_blocks(orders, t13, t24, v23, v24, v34):
-            for x, y in zip(out, sol):
-                x[block] = y
-            np.multiply(sol[3], det3, out=out[4][block])
-            valid[block] = ok
-    a1, a2, a3, a4_v44, det_m = (x.reshape(shape) for x in out)
-    return {"a1": a1, "a2": a2, "a3": a3, "a4_v44": a4_v44,
-            "det_m": det_m, "valid": valid.reshape(shape)}
+    args = [np.asarray(x, dtype=float) for x in (t13, t24, v23, v24, v34)]
+    for lo in range(0, max(x.size for x in args), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            *sol, det3 = standard_solution(orders, *(x[block] if x.ndim else x for x in args))
+        valid = np.abs(det3) > linalg.TOL_SINGULAR
+        for x in sol:
+            valid &= np.isfinite(x)
+        yield block, sol, det3, valid
 
 
 def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
@@ -283,9 +252,9 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
     """Solve for (a1, a2, a3, a4*v44) and validate the point.
 
     This is :func:`standard_solution` on Python floats, so it returns
-    bit for bit the values :func:`solve_standard_batch` gives for the
+    bit for bit the values :func:`_standard_blocks` gives for the
     same point, and raises DomainError where that marks the point
-    invalid.  On the chart det3 <= -8 (see solve_standard_batch), so an
+    invalid.  On the chart det3 <= -8 (see _standard_blocks), so an
     invalid point is always an overflowed solution.  It then checks each
     entry of row 4 of M rebuilt as alpha_4 applied to the vectors, to
     RESIDUAL_TOL (1 + max|row 4|) plus the rounding bound of the entry's

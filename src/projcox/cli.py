@@ -289,7 +289,7 @@ def main(argv=None) -> int:
             raise ValueError("a result is NaN or infinite and has no JSON form") from None
         sys.stdout.write(text + "\n")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
-    except (ProjCoxError, ValueError, OSError) as exc:
+    except (ProjCoxError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from projcox import charts
+from projcox import charts, linalg
 from projcox.errors import ConditionFailure, NormalizationError
 from projcox.orbifold import QuadPrismOrders
 
@@ -128,6 +128,17 @@ def fraction_det(a) -> Fraction:
             f = rows[i][k] / rows[k][k]
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
     return det
+
+
+def whole_standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34) -> dict:
+    """charts.standard_solution on whole arrays, the reference for the
+    blocked solve: a1, a2, a3, a4_v44, det_m = a4*v44 det3 and the valid
+    mask (|det3| above linalg.TOL_SINGULAR and a finite solution)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        *sol, det3 = charts.standard_solution(orders, t13, t24, v23, v24, v34)
+        det_m = sol[3] * det3
+    valid = (np.abs(det3) > linalg.TOL_SINGULAR) & np.isfinite(sol).all(axis=0)
+    return dict(zip(("a1", "a2", "a3", "a4_v44", "det_m", "valid"), (*sol, det_m, valid)))
 
 
 def exact_standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):

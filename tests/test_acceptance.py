@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (balanced_realization, random_concurrent, random_general,
-                     random_orders, random_standard)
+                     random_orders, random_standard, whole_standard_solution)
 from projcox import cartan, certify, charts, orbifold
 from projcox.cartan import ReflectionSystem
 from projcox.charts import CaseLabel
@@ -196,7 +196,7 @@ def test_criterion_5_determinant_signs(capsys):
         v23 = charts.sample_negative(rng, n)
         v24 = charts.sample_negative(rng, n)
         v34 = charts.sample_negative(rng, n)
-        res = charts.solve_standard_batch(orders, t13, t24, v23, v24, v34)
+        res = whole_standard_solution(orders, t13, t24, v23, v24, v34)
         e = (4.0 - t13) * (4.0 - t24) - res["det_m"]
         min_e = min(min_e, float(np.min(e[res["valid"]])))
     e_ok = min_e > 0.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (mat_power, random_concurrent, random_general, random_standard,
-                     reflection)
+                     reflection, whole_standard_solution)
 from projcox import cartan, certify, charts, orbifold
 from projcox.cartan import ReflectionSystem
 from projcox.errors import NormalizationError, WrongDiagram
@@ -267,23 +267,45 @@ def test_det_locus_report():
     assert report.min_e["T24=4"] > 0.0
 
 
-@pytest.mark.parametrize("seed, samples, min_det", [
-    (0, 2000, {"T13=4": 64.53077690455821, "T24=4": 65.29535610368139}),
-    (31, 10_000, {"T13=4": 64.80960632244002, "T24=4": 65.02007530612224}),
+@pytest.mark.parametrize("orders, seed, samples, min_det", [
+    pytest.param(O3333, 0, 2000, {"T13=4": 64.53077690455821, "T24=4": 65.29535610368139},
+                 id="0-2000-min_det0"),
+    pytest.param(O3333, 31, 10_000, {"T13=4": 64.80960632244002, "T24=4": 65.02007530612224},
+                 id="31-10000-min_det1"),
+    # more than two _BLOCKs: the running minima cross block boundaries
+    pytest.param(QuadPrismOrders(3, 4, 5, 6), 7, 20_000,
+                 {"T13=4": 134.26958832515422, "T24=4": 133.3131905485297},
+                 id="3456-7-20000"),
 ])
-def test_det_locus_report_is_pinned(seed, samples, min_det):
+def test_det_locus_report_is_pinned(orders, seed, samples, min_det):
     """The fixed T = 4 enters the solve as the scalar 4.0, not as an
-    array of it; the report keeps every bit it had with the array."""
-    report = certify.det_locus_check(O3333, samples=samples, seed=seed)
+    array of it, and the minima are folded block by block; the report
+    keeps every bit it had with whole-array solves."""
+    report = certify.det_locus_check(orders, samples=samples, seed=seed)
     assert report == certify.DetLocusReport(samples, seed, min_det, min_det)
 
 
+def test_det_locus_check_peak_memory():
+    """The check keeps the sampled coordinates of one slice and one
+    block's temporaries, not whole-sample solve outputs: its peak stays
+    below eight float arrays of the sample size."""
+    samples = 200_000
+    certify.det_locus_check(O3333, samples=1, seed=0)
+    tracemalloc.start()
+    try:
+        certify.det_locus_check(O3333, samples=samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * samples
+
+
 def rebuilt_scan(orders, t, samples, seed, box):
-    """standard_scan's summary and records rebuilt from
-    solve_standard_batch on the same draws, made in turn."""
+    """standard_scan's summary and records rebuilt from the whole-array
+    solve on the same draws, made in turn."""
     rng = np.random.default_rng(seed)
     v = [charts.sample_negative_box(rng, *box, samples) for _ in range(3)]
-    result = charts.solve_standard_batch(orders, t, t, *v)
+    result = whole_standard_solution(orders, t, t, *v)
     ok = result["valid"]
     values = result["a4_v44"][ok]
     k = int(np.argmin(values))

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (exact_standard_solution, random_concurrent, random_orders,
-                     random_standard, svd_rank)
-from projcox import cartan, charts, linalg
+                     random_standard, svd_rank, whole_standard_solution)
+from projcox import cartan, charts
 from projcox.cartan import ReflectionSystem
 from projcox.charts import (CaseLabel, ConcurrentChartParams,
                             GeneralChartParams, SimplexChartParams,
@@ -121,8 +120,9 @@ def test_standard_point_keeps_the_cartan_matrix_of_its_coordinates(seed):
 
 
 def test_standard_batch_agrees_with_single_solve():
-    """build_standard is the one-point batch: equal values wherever it
-    returns, and an overflow error exactly where the batch marks invalid."""
+    """build_standard is the one-point batch: equal values to the
+    whole-array solve wherever it returns, and an overflow error exactly
+    where that marks invalid."""
     rng = np.random.default_rng(11)
     n = 520
     for orders in (O3333, QuadPrismOrders(3, 4, 5, 6), QuadPrismOrders(6, 5, 4, 3),
@@ -133,7 +133,7 @@ def test_standard_batch_agrees_with_single_solve():
         # the solution is not finite
         v[1, :4] = -1e-310
         v[2, 4:8] = -1e-310
-        batch = charts.solve_standard_batch(orders, t13, t24, *v)
+        batch = whole_standard_solution(orders, t13, t24, *v)
         assert not batch["valid"][:8].any()
         for k in range(n):
             point = (orders, t13[k], t24[k], *v[:, k])
@@ -152,6 +152,18 @@ def test_standard_batch_agrees_with_single_solve():
 BATCH_KEYS = ("a1", "a2", "a3", "a4_v44", "det_m", "valid")
 
 
+def blocked_solve(orders, *args) -> dict:
+    """The blocks of charts._standard_blocks put back together, with
+    det_m = a4*v44 det3, in the keys of whole_standard_solution."""
+    n = max(np.size(x) for x in args)
+    out = {key: np.empty(n, dtype=bool if key == "valid" else float) for key in BATCH_KEYS}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, sol, det3, valid in charts._standard_blocks(orders, *args):
+            for key, x in zip(BATCH_KEYS, (*sol, sol[3] * det3, valid)):
+                out[key][block] = x
+    return out
+
+
 def test_blocked_batch_equals_one_unblocked_solve():
     """Solving in blocks changes no bit of any output, across block
     boundaries and for overflowing samples on either side of them."""
@@ -166,12 +178,8 @@ def test_blocked_batch_equals_one_unblocked_solve():
         v[2, edge - 5] = v[2, edge + 5] = -1e-310
         v[0, edge - 9:edge + 9:3] = -1e-310
     orders = QuadPrismOrders(3, 4, 5, 6)
-    batch = charts.solve_standard_batch(orders, t13, t24, *v)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        *sol, det3 = charts.standard_solution(orders, t13, t24, *v)
-        det_m = sol[3] * det3
-    valid = (np.abs(det3) > linalg.TOL_SINGULAR) & np.isfinite(sol).all(axis=0)
-    whole = dict(zip(BATCH_KEYS, (*sol, det_m, valid)))
+    batch = blocked_solve(orders, t13, t24, *v)
+    whole = whole_standard_solution(orders, t13, t24, *v)
     assert not batch["valid"][charts._BLOCK - 2:charts._BLOCK + 2].any()
     assert batch["valid"].any()
     for key in BATCH_KEYS:
@@ -194,7 +202,7 @@ def test_batch_solve_matches_exact_rational_solve(orders):
     rng = np.random.default_rng(sum(orders))
     for box, t in ACCURACY_BOXES:
         v = charts.sample_negative_box(rng, *box, (3, 200))
-        batch = charts.solve_standard_batch(o, t, t, *v)
+        batch = whole_standard_solution(o, t, t, *v)
         assert batch["valid"].all()
         for k in range(v.shape[1]):
             exact, det3, det_m, sizes = exact_standard_solution(o, t, t, *v[:, k])
@@ -229,26 +237,12 @@ def test_chart_determinant_of_the_three_by_three_block_is_at_most_minus_8(
     assert det3 <= -8.0 * (1.0 - 1e-14)
 
 
-@pytest.mark.parametrize("args, shape", [
-    ((6.0, 6.0, -1.0, -1.0, -1.0), ()),
-    ((6.0, 16.0, -np.ones(7), -2.0 * np.ones(7), -0.5 * np.ones(7)), (7,)),
-    ((6.0, np.full((3, 1), 16.0), -np.ones((3, 3000)), -1.0, -0.5), (3, 3000)),
-])
-def test_standard_batch_output_shapes(args, shape):
-    batch = charts.solve_standard_batch(O3333, *args)
-    for key in BATCH_KEYS:
-        assert np.shape(batch[key]) == shape, key
-    assert batch["valid"].dtype == bool
-    first = charts.solve_standard_batch(O3333, *(np.ravel(a)[0] for a in args))
-    assert all(np.ravel(batch[key])[0] == first[key] for key in BATCH_KEYS)
-
-
 @pytest.mark.parametrize("position", range(5))
 def test_one_array_among_scalars_equals_the_broadcast_call(position):
-    """A 0-d input stays a scalar in the solve; the operators broadcast
-    it with the same IEEE operations as an array of its value, so every
-    output is bitwise that of the fully broadcast call, overflowing
-    samples included."""
+    """A 0-d input stays a scalar in the blocked solve; the operators
+    broadcast it with the same IEEE operations as an array of its value,
+    so every output is bitwise that of the whole-array solve on full
+    arrays, overflowing samples included."""
     rng = np.random.default_rng(position)
     n = charts._BLOCK + 77
     point = [6.5, 9.0, -0.7, -0.5, -2.0]
@@ -261,8 +255,8 @@ def test_one_array_among_scalars_equals_the_broadcast_call(position):
     args = [column if k == position else x for k, x in enumerate(point)]
     full = [column if k == position else np.full(n, x) for k, x in enumerate(point)]
     orders = QuadPrismOrders(3, 4, 5, 6)
-    mixed = charts.solve_standard_batch(orders, *args)
-    broadcast = charts.solve_standard_batch(orders, *full)
+    mixed = blocked_solve(orders, *args)
+    broadcast = whole_standard_solution(orders, *full)
     assert not mixed["valid"].all()
     for key in BATCH_KEYS:
         assert mixed[key].tobytes() == broadcast[key].tobytes(), key
@@ -276,21 +270,6 @@ def test_one_draw_of_three_rows_is_three_draws_in_turn():
     rng = np.random.default_rng(4)
     turns = [charts.sample_negative_box(rng, *box, 1000) for _ in range(3)]
     assert rows.tobytes() == np.stack(turns).tobytes()
-
-
-def test_standard_batch_memory_per_sample():
-    """The batch solve allocates its outputs and one block's temporaries,
-    not (n, 4, 4) arrays: at most 64 bytes per sample."""
-    n = 200_000
-    rng = np.random.default_rng(0)
-    v = -np.exp(rng.uniform(-5.0, 5.0, (3, n)))
-    tracemalloc.start()
-    try:
-        charts.solve_standard_batch(O3333, 6.0, 6.0, *v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / n <= 64.0
 
 
 def test_realize_representation_gauge_invariance():

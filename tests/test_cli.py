@@ -246,6 +246,17 @@ def test_scan_with_overflowing_box_fails_cleanly():
     assert proc.stderr == "error: no valid samples; enlarge the box or sample count\n"
 
 
+def test_scan_with_unallocatable_sample_count_fails_cleanly(capsys):
+    # 3 x 1e15 float64 coordinates (21 PiB) exceed the address space, so
+    # the draw fails at once, before any memory is touched
+    argv = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6",
+            "--samples", "1000000000000000"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_scan_keeps_samples_whose_det_m_overflows(tmp_path):
     # a4*v44 reaches 1e299 and is finite, while det(M) = a4*v44 * det3
     # overflows: the samples count, and the CSV's det_M reads -inf
