@@ -129,7 +129,7 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
     det(M) = (4 - T13)(4 - T24) - E.  det(M) is the solve's a4*v44 *
     det M[:3, :3] (see charts._standard_blocks); on a T = 4 slice the
     product is a signed zero, so E = -det(M) exactly.  Both minima are
-    folded block by block over the valid samples.
+    folded block by block over the samples with a finite a4*v44.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -144,9 +144,9 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
         v24 = charts.sample_negative(rng, samples)
         v34 = charts.sample_negative(rng, samples)
         low_abs = low_e = float("inf")
-        for _, sol, det3, valid in charts._standard_blocks(orders, t13, t24, v23, v24, v34):
+        for _, a4_v44, det3 in charts._standard_blocks(orders, t13, t24, v23, v24, v34):
             with np.errstate(over="ignore", invalid="ignore"):
-                det_m = (sol[3] * det3)[valid]
+                det_m = (a4_v44 * det3)[np.isfinite(a4_v44)]
             if det_m.size:
                 low_abs = min(low_abs, float(np.min(np.abs(det_m))))
                 low_e = min(low_e, -float(np.max(det_m)))
@@ -184,11 +184,12 @@ def concurrent_t_scan(orders: QuadPrismOrders,
     # force -1, inside the box, onto the grid at index k
     k = int(np.argmin(np.abs(axis + 1.0)))
     axis[k] = -1.0
-    v12, v23, v14, v34 = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    m13, m31, m24, m42 = charts.concurrent_entries(orders, v12, v23, v14, v34)
-    product = (m13 * m31) * (m24 * m42)
+    # sparse axes: an entry is computed on the axes it reads, not the grid
+    grid = np.meshgrid(axis, axis, axis, axis, indexing="ij", sparse=True)
+    m = charts.concurrent_cartan(orders, *grid)
+    product = (m[0][2] * m[2][0]) * (m[1][3] * m[3][1])
     idx = np.unravel_index(np.argmin(product), product.shape)
-    argmin = tuple(float(a[idx]) for a in (v12, v23, v14, v34))
+    argmin = tuple(float(axis[i]) for i in idx)
     return ConcurrentScanReport(g, float(product[idx]), argmin, float(product[k, k, k, k]))
 
 
@@ -228,11 +229,11 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     standard chart requires.
 
     Coordinates are drawn log-uniformly in |v| over the box; samples
-    with a non-finite solution are dropped (on the chart the 3x3 block
-    is never singular), while det(M), which no statistic uses, may read
-    +-inf.  The solve runs block by block and keeps only a4*v44 and the
-    validity mask, plus det(M) for the records.  The result is
-    deterministic for a given seed.
+    whose a4*v44 is not finite are dropped (the validity rule of
+    charts._standard_blocks), while det(M), which no statistic uses,
+    may read +-inf.  The solve runs block by block and keeps only
+    a4*v44, plus det(M) for the records.  The result is deterministic
+    for a given seed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -242,14 +243,13 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     # one draw: the same stream as v23, v24 and v34 drawn in turn
     v = charts.sample_negative_box(rng, box[0], box[1], (3, samples))
     a4_v44 = np.empty(samples)
-    ok = np.empty(samples, dtype=bool)
     det_m = np.empty(samples) if keep_records else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, sol, det3, valid in charts._standard_blocks(orders, t13, t24, *v):
-            a4_v44[block] = sol[3]
-            ok[block] = valid
+        for block, x, det3 in charts._standard_blocks(orders, t13, t24, *v):
+            a4_v44[block] = x
             if keep_records:
-                np.multiply(sol[3], det3, out=det_m[block])
+                np.multiply(x, det3, out=det_m[block])
+    ok = np.isfinite(a4_v44)
     every = bool(ok.all())
     values = a4_v44 if every else a4_v44[ok]
     if values.size == 0:

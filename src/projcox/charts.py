@@ -111,33 +111,31 @@ class ConcurrentChartParams:
             raise DomainError("v44 must be finite")
 
 
-def concurrent_entries(orders: QuadPrismOrders, v12, v23, v14, v34):
-    """The Cartan entries (M13, M31, M24, M42) of a concurrent-chart
-    point, so T13 = M13 M31 and T24 = M24 M42.  Operators only, so it
-    takes floats and arrays alike."""
-    return (v23 + orders.mu34 / v34 - 2.0,
-            orders.mu14 / v14 + orders.mu12 / v12 - 2.0,
-            v14 + v34 - 2.0,
-            v12 + orders.mu23 / v23 - 2.0)
+def concurrent_cartan(orders: QuadPrismOrders, v12, v23, v14, v34) -> tuple:
+    """Cartan matrix rows of a concurrent-chart point, so T13 = M13 M31
+    and T24 = M24 M42.  Row 4 is alpha_4 = e1* - e2* + e3* applied to
+    the vectors, M1j - M2j + M3j, with the cancellation done exactly.
+    Operators only, so it takes floats and arrays alike."""
+    h12, h23 = orders.mu12 / v12, orders.mu23 / v23
+    h14, h34 = orders.mu14 / v14, orders.mu34 / v34
+    return ((2.0, v12, v23 + h34 - 2.0, v14),
+            (h12, 2.0, v23, v14 + v34 - 2.0),
+            (h14 + h12 - 2.0, h23, 2.0, v34),
+            (h14, v12 + h23 - 2.0, h34, 2.0))
 
 
 def build_concurrent(p: ConcurrentChartParams) -> ReflectionSystem:
     """Reflection system of a concurrent-chart point.
 
     alpha_4 = e1* - e2* + e3* annihilates e4, so the Cartan matrix is
-    independent of the free entry v44 and always has M44 = 2.  Row 4 of
-    the matrix, M42 included, is alpha_4 applied to the vectors, summed
-    as (M1j - M2j) + M3j.
+    independent of the free entry v44, and M44 = 2 exactly, in floats
+    too: the rows are :func:`concurrent_cartan` on Python floats, the
+    same bits the grid scan reads.
     """
-    o = p.orders
     v12, v23, v14, v34, v44 = map(float, (p.v12, p.v23, p.v14, p.v34, p.v44))
-    m13, m31, m24, _ = concurrent_entries(o, v12, v23, v14, v34)
-    r1 = (2.0, v12, m13, v14)
-    r2 = (o.mu12 / v12, 2.0, v23, m24)
-    r3 = (m31, o.mu23 / v23, 2.0, v34)
-    cartan = (r1, r2, r3, tuple((x - y) + z for x, y, z in zip(r1, r2, r3)))
+    cartan = concurrent_cartan(p.orders, v12, v23, v14, v34)
     return ReflectionSystem((*_IDENTITY_4[:3], (1.0, -1.0, 1.0, 0.0)),
-                            tuple(zip(r1, r2, r3, (0.0, 0.0, 0.0, v44))), cartan)
+                            tuple(zip(*cartan[:3], (0.0, 0.0, 0.0, v44))), cartan)
 
 
 @dataclass(frozen=True)
@@ -216,35 +214,33 @@ def _standard_blocks(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     """Run :func:`standard_solution` over blocks of ``_BLOCK`` samples;
     each input is a scalar or a 1-D array of the sample count.
 
-    Yields (block, [a1, a2, a3, a4_v44], det3, valid) per block, with
-    block the slice of the samples it covers.  A scalar stays a scalar,
-    which the operators broadcast with the same IEEE operations as an
-    array of its value, so det3 is a scalar where T13 and v23 both are.
-    The arithmetic is elementwise, so no value depends on the block size.
+    Yields (block, a4_v44, det3) per block, with block the slice of the
+    samples it covers.  A scalar stays a scalar, which the operators
+    broadcast with the same IEEE operations as an array of its value,
+    so det3 is a scalar where T13 and v23 both are.  The arithmetic is
+    elementwise, so no value depends on the block size.
 
     M = A V^T with det A = a4 and det V = v44 det M3, so det M =
-    a4*v44 * det3.  A sample is valid when |det3| exceeds
-    ``linalg.TOL_SINGULAR`` and its solution is finite.  On the chart
-    (mu >= 1, T13 >= 4, v23 < 0) the singularity gate never drops a
-    sample:
+    a4*v44 * det3.  A sample is valid iff a4*v44 is finite.  A
+    non-finite a1, a2 or a3 makes a4*v44 = 2 + a1 - v24 a2 - v34 a3
+    non-finite (v24, v34 < 0), and on the chart (mu >= 1, T13 >= 4,
+    v23 < 0) the 3x3 block is never singular:
 
         det3 = 8 - 2 mu12 - 2 mu23 - 2 T13 + mu12 v23 + T13 mu23 / v23
              <= 8 - 2 - 2 - 8 - 2 sqrt(mu12 mu23 T13) <= -8
 
-    by AM-GM on the two negative terms, so only a non-finite solution
-    (an entry of M or of the solution overflowing) makes a sample
-    invalid.  Overflow raises no floating-point warning.
+    by AM-GM on the two negative terms.  So only overflow, of an entry
+    of M or of the solution, makes a sample invalid, and it raises no
+    floating-point warning.
     """
     import numpy as np
     args = [np.asarray(x, dtype=float) for x in (t13, t24, v23, v24, v34)]
     for lo in range(0, max(x.size for x in args), _BLOCK):
         block = slice(lo, lo + _BLOCK)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            *sol, det3 = standard_solution(orders, *(x[block] if x.ndim else x for x in args))
-        valid = np.abs(det3) > linalg.TOL_SINGULAR
-        for x in sol:
-            valid &= np.isfinite(x)
-        yield block, sol, det3, valid
+            *_, a4_v44, det3 = standard_solution(
+                orders, *(x[block] if x.ndim else x for x in args))
+        yield block, a4_v44, det3
 
 
 def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
@@ -252,23 +248,21 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
     """Solve for (a1, a2, a3, a4*v44) and validate the point.
 
     This is :func:`standard_solution` on Python floats, so it returns
-    bit for bit the values :func:`_standard_blocks` gives for the
-    same point, and raises DomainError where that marks the point
-    invalid.  On the chart det3 <= -8 (see _standard_blocks), so an
-    invalid point is always an overflowed solution.  It then checks each
-    entry of row 4 of M rebuilt as alpha_4 applied to the vectors, to
-    RESIDUAL_TOL (1 + max|row 4|) plus the rounding bound of the entry's
-    own terms, and the two inequality conditions of the chart (the T24
-    product and, when a4*v44 = 0, the concurrent sign pattern a1 > 0,
-    a2 < 0, a3 > 0).
+    bit for bit the values :func:`_standard_blocks` gives for the same
+    point, and raises DomainError where a4*v44 is not finite, the one
+    validity rule of the batch (see _standard_blocks).  It then checks
+    each entry of row 4 of M rebuilt as alpha_4 applied to the vectors,
+    to RESIDUAL_TOL (1 + max|row 4|) plus the rounding bound of the
+    entry's own terms, and the two inequality conditions of the chart
+    (the T24 product and, when a4*v44 = 0, the concurrent sign pattern
+    a1 > 0, a2 < 0, a3 > 0).
     """
     _require_t(t13=t13, t24=t24)
     _require_negative(v23=v23, v24=v24, v34=v34)
     t13, t24, v23, v24, v34 = (float(x) for x in (t13, t24, v23, v24, v34))
-    *sol, _ = standard_solution(orders, t13, t24, v23, v24, v34)
-    if not all(map(math.isfinite, sol)):
+    a1, a2, a3, a4_v44, _ = standard_solution(orders, t13, t24, v23, v24, v34)
+    if not math.isfinite(a4_v44):
         raise DomainError("standard-chart solve overflowed: the coordinates are too large")
-    a1, a2, a3, a4_v44 = sol
     rows = standard_cartan(orders, t13, t24, v23, v24, v34)
     scale = RESIDUAL_TOL * (1.0 + max(map(abs, rows[3])))
     for j, (x, y, z, target) in enumerate(zip(*rows)):
@@ -429,32 +423,33 @@ def is_semisimple(sys: ReflectionSystem) -> bool:
     return r == len(sys.alpha_rows[0]) or linalg.rank(sys.cartan) == r
 
 
-def _negative_exp(rng: np.random.Generator, lo: float, hi: float, size) -> np.ndarray:
-    """-e^U with U uniform on [lo, hi], computed in place on an array
-    draw; a size=None draw is a Python float and gives numpy's float64."""
+def _exp_uniform(rng: np.random.Generator, lo: float, hi: float, size) -> np.ndarray:
+    """e^U with U uniform on [lo, hi], computed in place on the draw."""
     import numpy as np
     u = rng.uniform(lo, hi, size)
-    out = None if size is None else u
-    return np.negative(np.exp(u, out=out), out=out)
+    return np.exp(u, out=u)
 
 
-def sample_negative(rng: np.random.Generator, size=None) -> np.ndarray:
+def sample_negative(rng: np.random.Generator, size) -> np.ndarray:
     """Negative coordinates spread log-uniformly over [-e^2, -e^-2]."""
-    return _negative_exp(rng, -2.0, 2.0, size)
+    x = _exp_uniform(rng, -2.0, 2.0, size)
+    x *= -1.0
+    return x
 
 
-def sample_t(rng: np.random.Generator, size=None) -> np.ndarray:
+def sample_t(rng: np.random.Generator, size) -> np.ndarray:
     """Interior T values 4 + e^U with U uniform on [-3, 3]."""
-    import numpy as np
-    u = rng.uniform(-3.0, 3.0, size)
-    out = None if size is None else u
-    return np.add(4.0, np.exp(u, out=out), out=out)
+    x = _exp_uniform(rng, -3.0, 3.0, size)
+    x += 4.0
+    return x
 
 
 def sample_negative_box(rng: np.random.Generator, lo: float, hi: float,
-                        size=None) -> np.ndarray:
+                        size) -> np.ndarray:
     """Log-uniform negatives in [lo, hi] with -inf < lo < hi < 0."""
     if not (-math.inf < lo < hi < 0.0):
         raise DomainError(f"box must satisfy -inf < lo < hi < 0, got [{lo}, {hi}]")
     import numpy as np
-    return _negative_exp(rng, np.log(-hi), np.log(-lo), size)
+    x = _exp_uniform(rng, np.log(-hi), np.log(-lo), size)
+    x *= -1.0
+    return x

@@ -153,6 +153,8 @@ def cmd_orbifold(args):
 
 def cmd_scan(args):
     """The JSON envelope's parts, or None once the CSV is written."""
+    if args.file is not None and args.out == "json":
+        raise ValueError("flag not used by --out json: --file")
     orders = _parse_orders(args.orders)
     box = _parse_box(args.box)
     report = certify.standard_scan(orders, args.t13, args.t24, args.samples,
@@ -164,7 +166,7 @@ def cmd_scan(args):
                   "samples": args.samples, "box": list(box)}
         return inputs, report.summary, {}, {}, True
     columns = ("v23", "v24", "v34", "a4v44", "det_M", "T13_prod", "T24_prod")
-    stream = open(args.file, "w", newline="") if args.file else sys.stdout
+    stream = sys.stdout if args.file is None else open(args.file, "w", newline="")
     try:
         writer = csv.writer(stream)
         writer.writerow(columns)
@@ -172,7 +174,7 @@ def cmd_scan(args):
         for lo in range(0, len(records[0]), _CSV_BLOCK):
             writer.writerows(zip(*(x[lo:lo + _CSV_BLOCK].tolist() for x in records)))
     finally:
-        if args.file:
+        if args.file is not None:
             stream.close()
     return None
 

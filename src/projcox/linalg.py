@@ -10,7 +10,6 @@ from itertools import chain
 from .errors import UnsupportedShape
 
 TOL_ALGEBRAIC = 1e-9
-TOL_SINGULAR = 1e-12
 #: pivots at or below RANK_TOL times the first pivot count as zero
 RANK_TOL = 1e-8
 

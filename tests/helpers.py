@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from projcox import charts, linalg
+from projcox import charts
 from projcox.errors import ConditionFailure, NormalizationError
 from projcox.orbifold import QuadPrismOrders
 
@@ -133,11 +133,12 @@ def fraction_det(a) -> Fraction:
 def whole_standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34) -> dict:
     """charts.standard_solution on whole arrays, the reference for the
     blocked solve: a1, a2, a3, a4_v44, det_m = a4*v44 det3 and the valid
-    mask (|det3| above linalg.TOL_SINGULAR and a finite solution)."""
+    mask by the full rule, |det3| above 1e-12 and every output finite,
+    against which the library's one rule (a finite a4*v44) is tested."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         *sol, det3 = charts.standard_solution(orders, t13, t24, v23, v24, v34)
         det_m = sol[3] * det3
-    valid = (np.abs(det3) > linalg.TOL_SINGULAR) & np.isfinite(sol).all(axis=0)
+    valid = (np.abs(det3) > 1e-12) & np.isfinite(sol).all(axis=0)
     return dict(zip(("a1", "a2", "a3", "a4_v44", "det_m", "valid"), (*sol, det_m, valid)))
 
 

@@ -50,10 +50,18 @@ def test_reflection_system_stores_its_cartan_matrix_read_only():
     assert [list(row) for row in sys.cartan] == (alphas @ vectors.T).tolist()
     with pytest.raises(TypeError):
         sys.cartan[0][1] = 0.0
-    concurrent = concurrent_all_minus_one()
+    orders, coords = QuadPrismOrders(3, 4, 5, 6), (-1.3, -0.7, -2.1, -0.4)
+    concurrent = charts.build_concurrent(charts.ConcurrentChartParams(orders, *coords))
     m = cartan_of(concurrent)
     assert _is_4x4_rows(m)
-    assert [list(row) for row in m] == (concurrent.alphas @ concurrent.vectors.T).tolist()
+    # the system keeps the closed-form rows; its alphas and vectors
+    # multiply back to rows 1-3 exactly and to row 4, M1j - M2j + M3j,
+    # within the rounding bound of its three terms
+    assert m == charts.concurrent_cartan(orders, *coords)
+    product, rows = concurrent.alphas @ concurrent.vectors.T, np.array(m)
+    assert np.array_equal(product[:3], rows[:3])
+    bound = charts._GAMMA_5 * np.abs(rows[:3]).sum(axis=0)
+    assert (np.abs(product[3] - rows[3]) <= bound).all()
     pt = charts.build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
     realized = charts.realize_representation(pt, a4=1.0)
     assert _is_4x4_rows(pt.cartan)

@@ -158,6 +158,25 @@ def test_relations_random_general_points(orders, t, log_v):
     assert report.passed
 
 
+@pytest.mark.parametrize("chart", ["general", "concurrent"])
+@settings(max_examples=150, deadline=None)
+@given(orders=st.tuples(*[st.integers(3, 5000)] * 4),
+       log_x=st.tuples(*[st.floats(-9.0, 9.0)] * 5))
+def test_valid_points_pass_over_the_whole_domain(chart, orders, log_x):
+    """Any edge order from 3 to 5000, with |v| and T - 4 from 1e-9 to
+    1e9: a general or concurrent point passes Vinberg's conditions and
+    the Coxeter relations."""
+    o = QuadPrismOrders(*orders)
+    x = [10.0 ** e for e in log_x]
+    if chart == "general":
+        sys = charts.build_general(
+            charts.GeneralChartParams(o, 4.0 + x[0], 4.0 + x[1], -x[2], -x[3], -x[4]))
+    else:
+        sys = charts.build_concurrent(charts.ConcurrentChartParams(o, *(-y for y in x[:4])))
+    assert cartan.check_vinberg(sys, o).passed
+    assert certify.verify_relations(sys, o).passed
+
+
 def test_cocompact_strict_inequality():
     at_boundary = charts.build_general(
         charts.GeneralChartParams(O3333, 4.0, 6.0, -1.0, -1.0, -1.0))
@@ -233,17 +252,22 @@ def test_cocompact_invariant_under_diagonal_conjugation(seed):
 
 
 def test_concurrent_t_products_match_cartan():
+    """The point and the grid read one source, charts.concurrent_cartan:
+    over 10^4 points with |v| in [e^-8, e^8], the rows of
+    build_concurrent are bit for bit those of the array call, so T13 and
+    T24 of the grid are the point's, and M44 is exactly 2."""
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        p = random_concurrent(rng)
-        m = np.asarray(cartan.cartan_of(charts.build_concurrent(p)))
-        m13, m31, m24, m42 = charts.concurrent_entries(
-            p.orders, p.v12, p.v23, p.v14, p.v34)
-        # build_concurrent writes M13, M31 and M24; M42 is alpha_4(v_2)
-        assert (m13, m31, m24) == (m[0, 2], m[2, 0], m[1, 3])
-        assert m42 == pytest.approx(m[3, 1])
-        assert m13 * m31 == pytest.approx(m[0, 2] * m[2, 0])
-        assert m24 * m42 == pytest.approx(m[1, 3] * m[3, 1])
+    n = 2500
+    for orders in (O3333, QuadPrismOrders(3, 4, 5, 6), QuadPrismOrders(1000, 7, 1000, 3),
+                   QuadPrismOrders(4, 1000, 5, 1000)):
+        v = -np.exp(rng.uniform(-8.0, 8.0, (4, n)))
+        rows = charts.concurrent_cartan(orders, *v)
+        grid = np.array([[np.broadcast_to(x, n) for x in row] for row in rows])
+        points = np.array([
+            charts.build_concurrent(charts.ConcurrentChartParams(orders, *v[:, k])).cartan
+            for k in range(n)])
+        assert np.array_equal(points, grid.transpose(2, 0, 1))
+        assert (points[:, 3, 3] == 2.0).all()
 
 
 def test_concurrent_scan_minimum_at_base_point():

@@ -150,23 +150,29 @@ def test_standard_batch_agrees_with_single_solve():
 
 
 BATCH_KEYS = ("a1", "a2", "a3", "a4_v44", "det_m", "valid")
+#: what the blocks of charts._standard_blocks give, with valid the one
+#: rule of the library: a finite a4*v44
+BLOCKED_KEYS = ("a4_v44", "det_m", "valid")
 
 
 def blocked_solve(orders, *args) -> dict:
     """The blocks of charts._standard_blocks put back together, with
-    det_m = a4*v44 det3, in the keys of whole_standard_solution."""
+    det_m = a4*v44 det3 and valid = isfinite(a4*v44), in the keys of
+    whole_standard_solution."""
     n = max(np.size(x) for x in args)
-    out = {key: np.empty(n, dtype=bool if key == "valid" else float) for key in BATCH_KEYS}
+    out = {key: np.empty(n, dtype=bool if key == "valid" else float) for key in BLOCKED_KEYS}
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, sol, det3, valid in charts._standard_blocks(orders, *args):
-            for key, x in zip(BATCH_KEYS, (*sol, sol[3] * det3, valid)):
+        for block, a4_v44, det3 in charts._standard_blocks(orders, *args):
+            for key, x in zip(BLOCKED_KEYS, (a4_v44, a4_v44 * det3, np.isfinite(a4_v44))):
                 out[key][block] = x
     return out
 
 
 def test_blocked_batch_equals_one_unblocked_solve():
-    """Solving in blocks changes no bit of any output, across block
-    boundaries and for overflowing samples on either side of them."""
+    """Solving in blocks changes no bit of a4*v44 or det M, across
+    block boundaries and for overflowing samples on either side of them,
+    and a finite a4*v44 marks valid exactly the samples the full rule
+    does (|det3| > 1e-12 and every output finite)."""
     rng = np.random.default_rng(5)
     n = 2 * charts._BLOCK + 123
     t13, t24 = 4.0 + np.exp(rng.uniform(-5.0, 5.0, (2, n)))
@@ -182,7 +188,7 @@ def test_blocked_batch_equals_one_unblocked_solve():
     whole = whole_standard_solution(orders, t13, t24, *v)
     assert not batch["valid"][charts._BLOCK - 2:charts._BLOCK + 2].any()
     assert batch["valid"].any()
-    for key in BATCH_KEYS:
+    for key in BLOCKED_KEYS:
         assert np.array_equal(batch[key], whole[key], equal_nan=True), key
 
 
@@ -258,7 +264,7 @@ def test_one_array_among_scalars_equals_the_broadcast_call(position):
     mixed = blocked_solve(orders, *args)
     broadcast = whole_standard_solution(orders, *full)
     assert not mixed["valid"].all()
-    for key in BATCH_KEYS:
+    for key in BLOCKED_KEYS:
         assert mixed[key].tobytes() == broadcast[key].tobytes(), key
 
 

@@ -235,6 +235,28 @@ def test_unwritable_csv_file_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("out", [["--out", "json"], []])
+def test_scan_file_without_csv_output_is_usage_error(out, tmp_path, capsys):
+    # --file names where the CSV goes; with JSON output it is a stray flag
+    target = tmp_path / "x.csv"
+    argv = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6", "--samples", "10"]
+    assert cli.main(argv + out + ["--file", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: flag not used by --out json: --file\n"
+    assert not target.exists()
+
+
+def test_scan_csv_to_an_empty_path_is_usage_error(capsys):
+    # an empty --file is a path that cannot be opened, not stdout
+    argv = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6", "--samples", "10",
+            "--out", "csv", "--file", ""]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_scan_with_overflowing_box_fails_cleanly():
     # |v| from 1e-309 down overflows mu/v and the solution: every sample
     # is dropped, with no numpy warning on the way
@@ -348,6 +370,20 @@ def test_vinberg_uses_tolerance():
     code, doc = run_json(["vinberg", "--tol", "1e-18"] + point)
     assert code == 1
     assert doc["results"]["C4"]["passed"] is False
+
+
+@pytest.mark.parametrize("coordinates", [
+    ["--v12=-1e-9", "--v23=-0.7", "--v14=-2.1", "--v34=-0.4"],
+    ["--v12=-1.3", "--v23=-0.7", "--v14=-1e9", "--v34=-0.4"],
+    ["--v12=-1.3", "--v23=-0.7", "--v14=-2.1", "--v34=-1e9"],
+])
+def test_concurrent_points_with_a_far_coordinate_pass(coordinates):
+    # row 4 in closed form: rebuilt as (M1j - M2j) + M3j, it lost M41,
+    # M44 = 2 and M43, in turn, to cancellation at these points
+    code, doc = run_json(["relations", "--orders", "3,4,5,6", "--chart", "concurrent"]
+                         + coordinates)
+    assert code == 0
+    assert doc["results"]["relations_passed"] and doc["results"]["vinberg_passed"]
 
 
 @pytest.mark.parametrize("argv, stray", [
