@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, permutations
+from operator import itemgetter
 
 from . import linalg
 from .errors import InvariantViolation, UnsupportedShape
@@ -69,42 +70,53 @@ class ReflectionSystem:
         import numpy as np
         return np.array(self.vector_rows)
 
+    @cached_property
+    def sign_failures(self):
+        """_sign_failures of the rows at TOL_ALGEBRAIC, for cartan_of and check_vinberg."""
+        return _sign_failures(self.cartan, linalg.TOL_ALGEBRAIC)
+
 
 def cartan_of(sys: ReflectionSystem) -> tuple:
     """The system's Cartan matrix rows, validated: diagonal 2,
     off-diagonal <= 0, and zero symmetry (M_ij = 0 iff M_ji = 0).
     """
-    c1, c2, c3 = _sign_failures(sys.cartan, linalg.TOL_ALGEBRAIC)
+    c1, c2, c3 = sys.sign_failures
     if any(i == j for i, j in c1):
         raise InvariantViolation("diagonal entries must equal 2")
     if c2:
         raise InvariantViolation("off-diagonal entries must be <= 0")
     if c3:
-        i, j = c3[0]
-        raise InvariantViolation(f"zero symmetry broken at ({i},{j})")
+        raise InvariantViolation("zero symmetry broken at ({},{})".format(*c3[0]))
     return sys.cartan
 
 
 def _sign_failures(rows, tol: float):
     """Failing 1-based pairs of Vinberg's (C1) diagonal 2 and off-diagonal
     never 2, (C2) off-diagonal <= 0 and (C3) zero symmetry, read off the
-    Cartan matrix rows.
+    Cartan matrix rows in one pass over the off-diagonal pairs.  Each
+    list is in row-major order, C1's diagonal failures first.
 
     C3 fails a pair when one entry is zero to within tol, the other is
     not, and their product M_ij M_ji is zero to within tol as well.  A
     positive diagonal gauge leaves the product fixed, so a valid pair
     with M_ij = -1e10 and M_ji = -1e-10 passes.
     """
-    f = len(rows)
-    c1 = [(i + 1, i + 1) for i in range(f) if abs(rows[i][i] - 2.0) > tol]
-    c1 += [(i + 1, j + 1) for i in range(f) for j in range(f)
-           if i != j and abs(rows[i][j] - 2.0) <= tol]
-    c2 = [(i + 1, j + 1) for i in range(f) for j in range(f)
-          if i != j and rows[i][j] > tol]
-    c3 = [(i + 1, j + 1) for i in range(f) for j in range(i + 1, f)
-          if (abs(rows[i][j]) <= tol) != (abs(rows[j][i]) <= tol)
-          and not abs(rows[i][j] * rows[j][i]) > tol]
-    return c1, c2, c3
+    c1, c2, c3 = [], [], []
+    # for 0 <= tol < 2, a pair of entries both below -tol fails nothing
+    low = -tol if 0.0 <= tol < 2.0 else -math.inf
+    for i, j in combinations(range(len(rows)), 2):
+        x, y = rows[i][j], rows[j][i]
+        if x < low and y < low:
+            continue
+        for pair, z in (((i + 1, j + 1), x), ((j + 1, i + 1), y)):
+            if abs(z - 2.0) <= tol:
+                c1.append(pair)
+            if z > tol:
+                c2.append(pair)
+        if (abs(x) <= tol) != (abs(y) <= tol) and not abs(x * y) > tol:
+            c3.append((i + 1, j + 1))
+    diagonal = [(i, i) for i, row in enumerate(rows, 1) if abs(row[i - 1] - 2.0) > tol]
+    return diagonal + sorted(c1), sorted(c2), c3
 
 
 @dataclass
@@ -167,9 +179,9 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
         raise ValueError(f"orders table has {orders.size} sides, system has {f}")
     report = {}
 
-    # C1-C3: diagonal 2 and off-diagonal never 2, off-diagonal <= 0,
-    # zero symmetry
-    c1_fail, c2_fail, c3_fail = _sign_failures(rows, tol)
+    # C1-C3: diagonal 2 (off-diagonal never 2), off-diagonal <= 0, zero symmetry
+    c1_fail, c2_fail, c3_fail = (sys.sign_failures if tol == linalg.TOL_ALGEBRAIC
+                                 else _sign_failures(rows, tol))
     diag_res = max(abs(rows[i][i] - 2.0) for i in range(f))
     report["C1"] = ConditionCheck(not c1_fail, diag_res, c1_fail)
     c2_res = max((rows[i - 1][j - 1] for i, j in c2_fail), default=0.0)
@@ -177,8 +189,7 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     report["C3"] = ConditionCheck(not c3_fail, 0.0, c3_fail)
 
     # C4: products match mu for finite orders, >= 4 for infinite ones
-    c4_fail = []
-    c4_res = 0.0
+    c4_fail, c4_res = [], 0.0
     for pair, _, _, _, res in _pair_residuals(rows, orders):
         c4_res = max(c4_res, res)
         if not res <= tol:
@@ -207,8 +218,16 @@ def relation_space_trivial(alphas) -> bool:
     rank (counted as in linalg.rank) and, at rank f - 1, the relation:
     back substitution with the coefficient of the column left without a
     pivot set to 1.
+
+    Each nonzero covector is first divided by its largest |entry|, as
+    an alpha_4 near 1e8 would push unit covectors' pivots under RANK_TOL
+    times the first; a positive scale keeps each coefficient's sign.
     """
-    pivots, free = linalg._eliminate(zip(*linalg._rows(alphas)))
+    scaled = []
+    for row in linalg._rows(alphas):
+        top = max(map(abs, row)) if row else 0.0
+        scaled.append(tuple([x / top for x in row]) if top and top != 1.0 else row)
+    pivots, free = linalg._eliminate(zip(*scaled))
     if not free:
         return True
     if len(free) > 1:
@@ -221,14 +240,9 @@ def relation_space_trivial(alphas) -> bool:
     return any(c > cut for c in values) and any(c < -cut for c in values)
 
 
-def _cycle_product(rows, cycle) -> float:
-    """M_{i1 i2} M_{i2 i3} ... M_{ik i1} over the matrix rows,
-    multiplied left to right starting from 1.0."""
-    value = 1.0
-    k = len(cycle)
-    for t in range(k):
-        value *= rows[cycle[t] - 1][cycle[(t + 1) % k] - 1]
-    return value
+def _cycle_entries(cycle):
+    """Getter of a cycle's entries M_{i1 i2} ... M_{ik i1} from 16 row-major ones."""
+    return itemgetter(*(4 * i + j - 5 for i, j in zip(cycle, cycle[1:] + cycle[:1])))
 
 
 #: the canonical cycles of lengths 2, 3, 4 on sides 1..4, both
@@ -238,18 +252,20 @@ _CYCLES_4 = (
     + tuple((s[0],) + tail for s in combinations(range(1, 5), 3)
             for tail in permutations(s[1:]))
     + tuple((1,) + tail for tail in permutations((2, 3, 4))))
+_CYCLE_ENTRIES = tuple((c, _cycle_entries(c)) for c in _CYCLES_4)
+_GENERATOR_ENTRIES = tuple(map(_cycle_entries, GENERATING_CYCLES))
 
 
 def cyclic_invariants(m) -> dict:
     """All cyclic invariants M_{i1 i2} M_{i2 i3} ... M_{ik i1} of lengths
     2, 3, 4 of a 4x4 Cartan matrix, keyed by canonical cycle (smallest
-    index first; both orientations of each cycle of length >= 3)."""
-    rows = linalg._rows(m, (4, 4))
-    return {c: _cycle_product(rows, c) for c in _CYCLES_4}
+    index first; both orientations of each cycle of length >= 3).
 
-
-def _relative_residual(x: float, y: float) -> float:
-    return abs(x - y) / (1.0 + abs(x) + abs(y))
+    Every product here and in projectively_equivalent is taken left to
+    right along the cycle, starting from 1.0.
+    """
+    flat = sum(linalg._rows(m, (4, 4)), ())
+    return {c: math.prod(entries(flat), start=1.0) for c, entries in _CYCLE_ENTRIES}
 
 
 @dataclass
@@ -291,16 +307,19 @@ def derived_invariant_identities(inv: dict, orders: QuadPrismOrders,
         (1, 4, 2, 3): m14 * t24 * g123 / g124,
         (1, 4, 3, 2): m12 * m23 * m34 * m14 * t13 / (g123 * g134),
     }
-    residuals = {cycle: _relative_residual(inv[cycle], value)
-                 for cycle, value in expected.items()}
-    return IdentityReport(residuals, tol)
+    return IdentityReport({c: abs(x - y) / (1.0 + abs(x) + abs(y))
+                           for c, y in expected.items() for x in [inv[c]]}, tol)
 
 
 def projectively_equivalent(m1, m2) -> bool:
     """Whether two 4x4 Cartan matrices are conjugate by a positive
-    diagonal matrix, i.e. agree on the generating cyclic invariants.
+    diagonal matrix, i.e. agree on the generating cyclic invariants to
+    a relative residual |x - y| / (1 + |x| + |y|) of TOL_ALGEBRAIC.
     Only those five products are taken, each as in cyclic_invariants.
     """
-    rows1, rows2 = linalg._rows(m1, (4, 4)), linalg._rows(m2, (4, 4))
-    return all(_relative_residual(_cycle_product(rows1, c), _cycle_product(rows2, c))
-               <= linalg.TOL_ALGEBRAIC for c in GENERATING_CYCLES)
+    flat1, flat2 = (sum(linalg._rows(m, (4, 4)), ()) for m in (m1, m2))
+    for entries in _GENERATOR_ENTRIES:
+        x, y = math.prod(entries(flat1), start=1.0), math.prod(entries(flat2), start=1.0)
+        if not abs(x - y) / (1.0 + abs(x) + abs(y)) <= linalg.TOL_ALGEBRAIC:
+            return False
+    return True

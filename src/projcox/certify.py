@@ -105,8 +105,8 @@ def is_convex_cocompact(m, orders: EdgeOrders) -> bool:
         raise WrongDiagram("expected the quad-prism pattern: infinite (1,3), (2,4)")
     if any(n < 3 for _, n, mu_n in table if mu_n is not None):
         raise WrongDiagram("finite orders must be >= 3")
-    rows = _rows(m, (4, 4))
-    return all(p > 4.0 for _, _, mu_n, p, _ in _pair_residuals(rows, orders) if mu_n is None)
+    (_, _, m13, _), (_, _, _, m24), (m31, _, _, _), (_, m42, _, _) = _rows(m, (4, 4))
+    return m13 * m31 > 4.0 and m24 * m42 > 4.0
 
 
 @dataclass

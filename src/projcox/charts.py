@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from . import linalg
 from .cartan import ReflectionSystem, cartan_of
 from .errors import ConditionFailure, DomainError, GaugeError
-from .orbifold import EdgeOrders, QuadPrismOrders, is_finite_order
+from .orbifold import INFINITY, EdgeOrders, QuadPrismOrders
 
 if TYPE_CHECKING:
     import numpy as np
@@ -355,7 +355,7 @@ class SimplexChartParams:
             raise DomainError(f"simplex dimension n must be in [2, 8], got {self.n}")
         if self.orders.size != self.n + 1:
             raise DomainError("orders table must have n + 1 sides")
-        if not all(map(is_finite_order, self.orders.orders.values())):
+        if INFINITY in self.orders.orders.values():
             raise DomainError("simplex chart requires all finite orders")
         expected = {(i, j) for (i, j) in self.orders.orders
                     if i >= 2 and self.orders.order(i, j) >= 3}

@@ -35,7 +35,7 @@ def _rows(m, shape=None) -> tuple:
     any other nested sequence entry by entry.  A ragged or non-2-D
     input, a row or entry of text, or a matrix whose (rows, columns) is
     not ``shape``, raises UnsupportedShape."""
-    if not (type(m) is tuple and all(type(row) is tuple for row in m)
+    if not (type(m) is tuple and set(map(type, m)) == {tuple}
             and set(map(type, chain(*m))) == {float}):
         if hasattr(m, "tolist"):
             m = m.tolist()
@@ -44,7 +44,7 @@ def _rows(m, shape=None) -> tuple:
         except TypeError:
             raise UnsupportedShape("expected a matrix: a sequence of rows of numbers") from None
     width = len(m[0]) if m else 0
-    if any(len(row) != width for row in m):
+    if len(set(map(len, m))) > 1:
         raise UnsupportedShape(f"rows of unequal lengths {[len(row) for row in m]}")
     if shape is not None and (len(m), width) != shape:
         raise UnsupportedShape(f"expected a {shape[0]}x{shape[1]} matrix, "

@@ -33,10 +33,6 @@ class _Infinity(enum.Enum):
 INFINITY = _Infinity.INFINITY
 
 
-def is_finite_order(n) -> bool:
-    return n is not INFINITY
-
-
 def mu(n) -> float:
     """4 cos^2(pi/n) for a finite order n >= 2, which it checks."""
     if n is INFINITY:
@@ -66,23 +62,23 @@ class EdgeOrders:
     mu_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.size < 2:
+        size = self.size
+        if size < 2:
             raise ValueError("need at least two sides")
         normalized = {}
         for (i, j), n in self.orders.items():
-            if i == j or not (1 <= i <= self.size and 1 <= j <= self.size):
+            if i == j or not (1 <= i <= size and 1 <= j <= size):
                 raise ValueError(f"bad side pair ({i},{j})")
-            key = (min(i, j), max(i, j))
-            if key in normalized and normalized[key] != n:
+            key = (i, j) if i < j else (j, i)
+            if normalized.setdefault(key, n) != n:
                 raise ValueError(f"conflicting orders for pair {key}")
-            normalized[key] = n
-        for i in range(1, self.size + 1):
-            for j in range(i + 1, self.size + 1):
-                if (i, j) not in normalized:
-                    raise ValueError(f"missing order for pair ({i},{j})")
+        if len(normalized) < size * (size - 1) // 2:
+            missing = next((i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)
+                           if (i, j) not in normalized)
+            raise ValueError(f"missing order for pair ({missing[0]},{missing[1]})")
         table = []
         for pair, n in sorted(normalized.items()):
-            mu_n = mu(n) if is_finite_order(n) else None
+            mu_n = None if n is INFINITY else mu(n)
             if mu_n == 4.0:
                 raise ValueError(f"order {n} of pair {pair} is too large: mu(n) rounds "
                                  "to 4 in doubles, the value of an infinite order")

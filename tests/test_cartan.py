@@ -1,4 +1,8 @@
 import dataclasses
+import hashlib
+import math
+import pickle
+import random
 
 import numpy as np
 import pytest
@@ -11,8 +15,8 @@ from projcox.cartan import (GENERATING_CYCLES, ReflectionSystem, cartan_of,
                             check_vinberg, cyclic_invariants,
                             derived_invariant_identities,
                             projectively_equivalent, relation_space_trivial)
-from projcox.certify import is_convex_cocompact
-from projcox.errors import InvariantViolation, UnsupportedShape
+from projcox.certify import is_convex_cocompact, verify_relations
+from projcox.errors import InvariantViolation, ProjCoxError, UnsupportedShape
 from projcox.orbifold import EdgeOrders, QuadPrismOrders
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
@@ -203,6 +207,89 @@ def test_relation_space_high_dimension_unsupported():
     assert not report.conditions["C5"].passed
 
 
+def _concurrent_point_in_the_standard_chart(orders, v):
+    """A concurrent point mapped to the standard chart and realized, with
+    a4 = 0 where |a4*v44| <= 1e-10 and a4 = 1 elsewhere."""
+    pt = charts.concurrent_to_standard(charts.ConcurrentChartParams(orders, *v))
+    return pt, charts.realize_representation(pt, a4=0.0 if abs(pt.a4_v44) <= 1e-10 else 1.0)
+
+
+def test_c5_passes_a_standard_point_with_large_a():
+    # a2 and a3 reach 1.3e8: unscaled, the unit covectors' pivots fall
+    # under RANK_TOL times the first and the relation space reads 2-D
+    orders = QuadPrismOrders(5, 3, 3, 5)
+    v = (-1.8736073673332666e-4, -1.5549663298848966, -9322.35854410505,
+         -3.705378681633734e-4)
+    pt, sys = _concurrent_point_in_the_standard_chart(orders, v)
+    assert min(pt.a2, -pt.a3) < -1e8
+    assert sys.alpha_rows[3][3] == 0.0
+    report = check_vinberg(sys, orders)
+    assert report.passed, failed(report)
+
+
+def test_concurrent_points_pass_vinberg_in_the_standard_chart():
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        orders = QuadPrismOrders(*map(int, rng.integers(3, 7, 4)))
+        v = -np.exp(rng.uniform(math.log(1e-4), math.log(1e4), 4))
+        _, sys = _concurrent_point_in_the_standard_chart(orders, v.tolist())
+        report = check_vinberg(sys, orders)
+        assert report.passed, (orders, v.tolist(), failed(report))
+
+
+def test_sign_failures_list_pairs_in_row_major_order():
+    rows = ((2.0, 0.0, 2.0), (0.5, 2.0, -1.0), (-1.0, 2.0, 1.0))
+    report = check_vinberg(ReflectionSystem(np.eye(3), np.transpose(rows)),
+                           EdgeOrders(3, {(1, 2): 3, (1, 3): 3, (2, 3): 3}))
+    assert report.conditions["C1"].failures == [(3, 3), (1, 3), (3, 2)]
+    assert report.conditions["C2"].failures == [(1, 3), (2, 1), (3, 2)]
+    assert report.conditions["C3"].failures == [(1, 2)]
+
+
+def _reference_sign_failures(rows, tol):
+    """C1-C3 failures entry by entry, one condition at a time."""
+    f = len(rows)
+    c1 = [(i + 1, i + 1) for i in range(f) if abs(rows[i][i] - 2.0) > tol]
+    c1 += [(i + 1, j + 1) for i in range(f) for j in range(f)
+           if i != j and abs(rows[i][j] - 2.0) <= tol]
+    c2 = [(i + 1, j + 1) for i in range(f) for j in range(f)
+          if i != j and rows[i][j] > tol]
+    c3 = [(i + 1, j + 1) for i in range(f) for j in range(i + 1, f)
+          if (abs(rows[i][j]) <= tol) != (abs(rows[j][i]) <= tol)
+          and not abs(rows[i][j] * rows[j][i]) > tol]
+    return c1, c2, c3
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(st.sampled_from((-3.0, -2.0, -1.0, -1e-3, -1e-9, -0.0, 0.0, 1e-9,
+                                         1e-3, 1.0, 2.0, 2.5, 3.0)), min_size=16, max_size=16),
+       tol=st.sampled_from((-1.0, 0.0, 1e-9, 1e-3, 1.5, 2.0, 2.5, 5.0, math.nan)))
+def test_sign_failures_equal_the_entrywise_reference(entries, tol):
+    rows = tuple(tuple(entries[4 * i:4 * i + 4]) for i in range(4))
+    assert cartan._sign_failures(rows, tol) == _reference_sign_failures(rows, tol)
+
+
+def test_shared_sign_check_keeps_each_tolerance():
+    # M_12 = +5e-4 passes C2 at tol 1e-3 and fails it at the default
+    rows = ((2.0, 5e-4, -1.0), (-1.0, 2.0, -1.0), (-1.0, -1.0, 2.0))
+    orders = EdgeOrders(3, {(1, 2): 3, (1, 3): 3, (2, 3): 3})
+    for tols in ((1e-3, linalg.TOL_ALGEBRAIC), (linalg.TOL_ALGEBRAIC, 1e-3)):
+        sys = ReflectionSystem(np.eye(3), np.transpose(rows))
+        for tol in tols:
+            c2 = check_vinberg(sys, orders, tol=tol).conditions["C2"]
+            assert c2.passed == (tol == 1e-3)
+            assert c2.failures == ([] if c2.passed else [(1, 2)])
+            with pytest.raises(InvariantViolation, match="<= 0"):
+                cartan_of(sys)
+    # the stored result is not part of the value
+    fresh = ReflectionSystem(np.eye(3), np.transpose(rows))
+    for other in (sys, pickle.loads(pickle.dumps(sys)), pickle.loads(pickle.dumps(fresh))):
+        assert other == fresh
+        assert repr(other) == repr(fresh)
+        assert check_vinberg(other, orders, tol=1e-3).conditions["C2"].passed
+        assert not check_vinberg(other, orders).conditions["C2"].passed
+
+
 def test_cycle_value_by_hand():
     inv = cyclic_invariants(np.arange(1.0, 17.0).reshape(4, 4))
     assert inv[(1, 3)] == 3.0 * 9.0
@@ -374,3 +461,87 @@ def test_invariants_need_a_4x4_matrix():
             is_convex_cocompact(m, O3333)
         with pytest.raises(UnsupportedShape, match="4x4"):
             charts.standard_coordinates(m)
+
+
+def _pinned_points():
+    """(system, orders) pairs over the scalar path: 20 points per chart
+    at orders 3-6, mutated general points (a sign flip, T13 dropped to
+    3.9), a T13 = 4 point and points at orders 1000.  Coordinates come
+    from random.Random, rounded to 6 digits, so the set is fixed."""
+    rng = random.Random(2025)
+
+    def neg():
+        return -round(math.exp(rng.uniform(-2.0, 2.0)), 6)
+
+    def t():
+        return round(4.0 + math.exp(rng.uniform(-2.0, 2.0)), 6)
+
+    def small():
+        return QuadPrismOrders(*(rng.choice((3, 4, 5, 6)) for _ in range(4)))
+
+    points = []
+    for _ in range(20):
+        o = small()
+        points.append((charts.build_general(
+            charts.GeneralChartParams(o, t(), t(), neg(), neg(), neg())), o))
+        o = small()
+        points.append((charts.build_concurrent(charts.ConcurrentChartParams(
+            o, neg(), neg(), neg(), neg(), round(rng.uniform(-1.0, 1.0), 6))), o))
+        o = small()
+        pt = charts.build_standard(o, t(), t(), neg(), neg(), neg())
+        points.append((charts.realize_representation(
+            pt, a4=max(math.sqrt(abs(pt.a4_v44)), 1e-6)), o))
+    for flip in ((0, 1), (1, 3), (3, 2), None, None, None):
+        o = small()
+        vmat = [list(row) for row in charts.build_general(
+            charts.GeneralChartParams(o, t(), t(), neg(), neg(), neg())).cartan]
+        if flip:
+            vmat[flip[0]][flip[1]] *= -1.0
+        else:
+            vmat[0][2] = -3.9
+        points.append((ReflectionSystem(np.eye(4), np.array(vmat).T), o))
+    o = small()
+    points.append((charts.build_general(
+        charts.GeneralChartParams(o, 4.0, t(), neg(), neg(), neg())), o))
+    o = QuadPrismOrders(1000, 1000, 1000, 1000)
+    points.append((charts.build_general(
+        charts.GeneralChartParams(o, t(), t(), neg(), neg(), neg())), o))
+    points.append((charts.build_concurrent(
+        charts.ConcurrentChartParams(o, neg(), neg(), neg(), neg())), o))
+    return points, rng
+
+
+def _scalar_path_digest():
+    points, rng = _pinned_points()
+    parts = []
+    previous = None
+    for sys, o in points:
+        parts.append(repr(check_vinberg(sys, o)))
+        parts.append(repr(check_vinberg(sys, o, tol=1e-6)))
+        parts.append(repr(verify_relations(sys, o)))
+        try:
+            m = cartan_of(sys)
+        except ProjCoxError as exc:
+            parts.append(f"{type(exc).__name__}: {exc}")
+            continue
+        parts.append(repr(is_convex_cocompact(m, o)))
+        inv = cyclic_invariants(m)
+        parts.append(repr([(c, x.hex()) for c, x in inv.items()]))
+        parts.append(repr(derived_invariant_identities(inv, o).residuals))
+        d = [math.exp(rng.uniform(-1.0, 1.0)) for _ in range(4)]
+        conj = tuple(tuple(x * (d[i] / d[j]) for j, x in enumerate(row))
+                     for i, row in enumerate(m))
+        parts.append(repr(projectively_equivalent(m, conj)))
+        parts.append(repr(projectively_equivalent(np.array(conj), m)))
+        if previous is not None:
+            parts.append(repr(projectively_equivalent(m, previous)))
+        previous = m
+    return len(points), hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def test_scalar_path_is_pinned():
+    """Every verdict, residual and invariant of the scalar path, hashed
+    over a fixed set of points: a rewrite of the path must keep its
+    answers bit for bit."""
+    assert _scalar_path_digest() == (
+        69, "69b74937d477f540b1c95e075d022e60666c1776c4f651cfba01176316a50c0e")

@@ -55,8 +55,16 @@ def test_edge_orders_symmetric_lookup():
 
 
 def test_edge_orders_missing_pair_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"missing order for pair \(2,3\)"):
         EdgeOrders(3, {(1, 2): 4, (1, 3): 3})
+    with pytest.raises(ValueError, match=r"missing order for pair \(1,3\)"):
+        EdgeOrders(4, {(2, 1): 3, (1, 4): 3, (2, 3): 3, (2, 4): 3, (3, 4): 3})
+
+
+def test_edge_orders_accepts_a_pair_given_twice_with_one_order():
+    table = EdgeOrders(3, {(1, 2): 4, (2, 1): 4, (1, 3): 3, (3, 2): 5})
+    assert table.orders == {(1, 2): 4, (1, 3): 3, (2, 3): 5}
+    assert table == EdgeOrders(3, {(1, 2): 4, (1, 3): 3, (2, 3): 5})
 
 
 def test_edge_orders_bad_tables_rejected():
@@ -66,6 +74,19 @@ def test_edge_orders_bad_tables_rejected():
         EdgeOrders(2, {(1, 1): 3, (1, 2): 3})
     with pytest.raises(ValueError, match="conflicting orders"):
         EdgeOrders(2, {(1, 2): 3, (2, 1): 4})
+
+
+def test_edge_orders_errors_keep_their_precedence():
+    # pairs are read in the table's order, a bad pair or a conflict
+    # raising where it is met; then a missing pair; then an order too large
+    with pytest.raises(ValueError, match=r"bad side pair \(1,4\)"):
+        EdgeOrders(3, {(1, 4): 3, (1, 2): 3, (2, 1): 4})
+    with pytest.raises(ValueError, match=r"conflicting orders for pair \(1, 2\)"):
+        EdgeOrders(3, {(1, 2): 3, (2, 1): 4, (1, 4): 3})
+    with pytest.raises(ValueError, match="conflicting orders"):
+        EdgeOrders(3, {(1, 2): 3, (2, 1): 4})
+    with pytest.raises(ValueError, match="missing order"):
+        EdgeOrders(3, {(1, 2): 10**9, (1, 3): 3})
 
 
 def infinite_pairs(table: EdgeOrders) -> list:
