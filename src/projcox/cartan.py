@@ -140,6 +140,11 @@ class VinbergReport:
         return all(c.passed for c in self.conditions.values())
 
 
+def _t_products(m):
+    """(T13, T24) = (M13 M31, M24 M42) of 4x4 Cartan rows, of floats or arrays."""
+    return m[0][2] * m[2][0], m[1][3] * m[3][1]
+
+
 def _pair_residuals(rows, orders: EdgeOrders):
     """Yield ((i, j), n, mu(n), p, r) for each pair of the orders table
     (mu from ``orders.mu_table``, None for an infinite order), read off

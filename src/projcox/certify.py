@@ -4,10 +4,11 @@ convex cocompactness, and the appendix-style numeric scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from . import charts
-from .cartan import ReflectionSystem, _pair_residuals
+from .cartan import ReflectionSystem, _pair_residuals, _t_products
 from .errors import NormalizationError, WrongDiagram
 from .linalg import TOL_ALGEBRAIC, _rows
 from .orbifold import EdgeOrders, QuadPrismOrders
@@ -105,8 +106,8 @@ def is_convex_cocompact(m, orders: EdgeOrders) -> bool:
         raise WrongDiagram("expected the quad-prism pattern: infinite (1,3), (2,4)")
     if any(n < 3 for _, n, mu_n in table if mu_n is not None):
         raise WrongDiagram("finite orders must be >= 3")
-    (_, _, m13, _), (_, _, _, m24), (m31, _, _, _), (_, m42, _, _) = _rows(m, (4, 4))
-    return m13 * m31 > 4.0 and m24 * m42 > 4.0
+    t13, t24 = _t_products(_rows(m, (4, 4)))
+    return t13 > 4.0 and t24 > 4.0
 
 
 @dataclass
@@ -140,9 +141,8 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
         t_free = charts.sample_t(rng, samples)
         t13 = 4.0 if slice_name == "T13=4" else t_free
         t24 = t_free if slice_name == "T13=4" else 4.0
-        v23 = charts.sample_negative(rng, samples)
-        v24 = charts.sample_negative(rng, samples)
-        v34 = charts.sample_negative(rng, samples)
+        v23, v24, v34 = charts.sample_negative_box(
+            rng, -math.exp(2.0), -math.exp(-2.0), (3, samples))
         low_abs = low_e = float("inf")
         for _, a4_v44, det3 in charts._standard_blocks(orders, t13, t24, v23, v24, v34):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -165,8 +165,10 @@ class ConcurrentScanReport:
     product_at_all_minus_one: float
 
 
-#: the range of each concurrent coordinate in concurrent_t_scan
+#: the range of each concurrent coordinate in concurrent_t_scan, and
+#: of v23, v24 and v34 in standard_scan unless it is given a box
 CONCURRENT_SCAN_BOX = (-10.0, -0.1)
+STANDARD_SCAN_BOX = (-10.0, -0.01)
 
 
 def concurrent_t_scan(orders: QuadPrismOrders,
@@ -186,8 +188,8 @@ def concurrent_t_scan(orders: QuadPrismOrders,
     axis[k] = -1.0
     # sparse axes: an entry is computed on the axes it reads, not the grid
     grid = np.meshgrid(axis, axis, axis, axis, indexing="ij", sparse=True)
-    m = charts.concurrent_cartan(orders, *grid)
-    product = (m[0][2] * m[2][0]) * (m[1][3] * m[3][1])
+    t13, t24 = _t_products(charts.concurrent_cartan(orders, *grid))
+    product = t13 * t24
     idx = np.unravel_index(np.argmin(product), product.shape)
     argmin = tuple(float(axis[i]) for i in idx)
     return ConcurrentScanReport(g, float(product[idx]), argmin, float(product[k, k, k, k]))
@@ -211,19 +213,14 @@ class StandardScanReport:
 
     @property
     def summary(self) -> dict:
-        return {
-            "samples": self.samples, "valid_samples": self.valid_samples,
-            "seed": self.seed, "box": list(self.box),
-            "t13": self.t13, "t24": self.t24,
-            "min_a4_v44": self.min_a4_v44, "max_a4_v44": self.max_a4_v44,
-            "argmin": {"v23": self.argmin[0], "v24": self.argmin[1],
-                       "v34": self.argmin[2]},
-            "histogram": self.histogram,
-        }
+        """The fields but the records, with the box a list and argmin keyed by coordinate."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
+        out.update(box=list(self.box), argmin=dict(zip(("v23", "v24", "v34"), self.argmin)))
+        return out
 
 
 def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
-                  samples: int, seed: int, box=(-10.0, -0.01),
+                  samples: int, seed: int, box=STANDARD_SCAN_BOX,
                   keep_records: bool = False) -> StandardScanReport:
     """Monte-Carlo scan of a4*v44 at fixed (T13, T24), both >= 4 as the
     standard chart requires.
@@ -256,6 +253,8 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
         raise ValueError("no valid samples; enlarge the box or sample count")
     kmin, kmax = int(np.argmin(values)), int(np.argmax(values))
     low, high = float(values[kmin]), float(values[kmax])
+    if not math.isfinite(high - low):
+        raise ValueError("the range of a4*v44 overflows; narrow the box or lower T")
     counts, edges = np.histogram(values, bins=20, range=(low, high))
     histogram = [{"lo": float(edges[k]), "hi": float(edges[k + 1]),
                   "count": int(counts[k])} for k in range(20)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .cartan import ReflectionSystem, cartan_of
+from .cartan import ReflectionSystem, _t_products, cartan_of
 from .errors import ConditionFailure, DomainError, GaugeError
 from .orbifold import INFINITY, EdgeOrders, QuadPrismOrders
 
@@ -253,9 +253,9 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
     validity rule of the batch (see _standard_blocks).  It then checks
     each entry of row 4 of M rebuilt as alpha_4 applied to the vectors,
     to RESIDUAL_TOL (1 + max|row 4|) plus the rounding bound of the
-    entry's own terms, and the two inequality conditions of the chart
-    (the T24 product and, when a4*v44 = 0, the concurrent sign pattern
-    a1 > 0, a2 < 0, a3 > 0).
+    entry's own terms; the rebuilt M42 = T24 / v24 is the chart's T24.
+    When a4*v44 = 0 the point must also have the concurrent sign
+    pattern a1 > 0, a2 < 0, a3 > 0.
     """
     _require_t(t13=t13, t24=t24)
     _require_negative(v23=v23, v24=v24, v34=v34)
@@ -273,10 +273,6 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
         # from |v| = 1e16, from failing; a NaN gap fails
         if not gap <= scale + _GAMMA_5 * (abs(p) + abs(q) + abs(r) + abs(s)):
             raise ConditionFailure(f"solve residual {gap} of M4{j + 1} exceeds tolerance")
-    # redundant guard for v24 -> 0-: the (2,4) product must still be >= 4
-    prod24 = v24 * (-a1 * orders.mu12 + 2.0 * a2 + a3 * orders.mu23 / v23)
-    if prod24 < 4.0 - 1e-6 * (1.0 + abs(prod24)):
-        raise ConditionFailure(f"(2,4) product {prod24} fell below 4")
     if abs(a4_v44) <= RESIDUAL_TOL and not (a1 > 0.0 and a2 < 0.0 and a3 > 0.0):
         raise ConditionFailure(
             f"concurrent sign pattern violated: a = ({a1}, {a2}, {a3})")
@@ -323,7 +319,7 @@ def standard_coordinates(m):
         raise DomainError("entries M21, M31, M14 must be negative to normalize")
     c = (1.0, -1.0 / m[1][0], -1.0 / m[2][0], -m[0][3])
     v23, v24, v34 = (m[i][j] * (c[i] * (1.0 / c[j])) for i, j in ((1, 2), (1, 3), (2, 3)))
-    return m[0][2] * m[2][0], m[1][3] * m[3][1], v23, v24, v34
+    return (*_t_products(m), v23, v24, v34)
 
 
 def concurrent_to_standard(p: ConcurrentChartParams) -> StandardChartPoint:
@@ -334,6 +330,12 @@ def concurrent_to_standard(p: ConcurrentChartParams) -> StandardChartPoint:
     m = cartan_of(build_concurrent(p))
     t13, t24, v23, v24, v34 = standard_coordinates(m)
     return build_standard(p.orders, t13, t24, v23, v24, v34)
+
+
+def _simplex_free_pairs(orders: EdgeOrders) -> list:
+    """The simplex chart's free pairs (i, j), 2 <= i < j, of order >= 3,
+    in row-major order; every order must be finite."""
+    return [pair for pair, n, _ in orders.mu_table if pair[0] >= 2 and n >= 3]
 
 
 @dataclass(frozen=True)
@@ -357,11 +359,9 @@ class SimplexChartParams:
             raise DomainError("orders table must have n + 1 sides")
         if INFINITY in self.orders.orders.values():
             raise DomainError("simplex chart requires all finite orders")
-        expected = {(i, j) for (i, j) in self.orders.orders
-                    if i >= 2 and self.orders.order(i, j) >= 3}
-        if set(self.free) != expected:
-            raise DomainError(
-                f"free parameters must be exactly the pairs {sorted(expected)}")
+        expected = _simplex_free_pairs(self.orders)
+        if set(self.free) != set(expected):
+            raise DomainError(f"free parameters must be exactly the pairs {expected}")
         for (i, j), value in self.free.items():
             if not math.isfinite(value) or value >= 0.0:
                 raise DomainError(f"free parameter v{i}{j} must be negative")
@@ -428,13 +428,6 @@ def _exp_uniform(rng: np.random.Generator, lo: float, hi: float, size) -> np.nda
     import numpy as np
     u = rng.uniform(lo, hi, size)
     return np.exp(u, out=u)
-
-
-def sample_negative(rng: np.random.Generator, size) -> np.ndarray:
-    """Negative coordinates spread log-uniformly over [-e^2, -e^-2]."""
-    x = _exp_uniform(rng, -2.0, 2.0, size)
-    x *= -1.0
-    return x
 
 
 def sample_t(rng: np.random.Generator, size) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -47,13 +48,14 @@ def _keyed(values: dict) -> dict:
     return {"-".join(str(i) for i in key): v for key, v in values.items()}
 
 
-#: coordinate flags of the chart subcommands, and the ones each chart reads
-_COORDINATE_FLAGS = ("t13", "t24", "v23", "v24", "v34", "v12", "v14", "v44")
+#: each chart's coordinate flags, named by its parameter fields (the
+#: standard chart's by the general chart's), and their ordered union
 _CHART_FLAGS = {
-    "general": ("t13", "t24", "v23", "v24", "v34"),
-    "concurrent": ("v12", "v23", "v14", "v34", "v44"),
-    "standard": ("t13", "t24", "v23", "v24", "v34"),
-}
+    chart: tuple(f.name for f in dataclasses.fields(params) if f.name != "orders")
+    for chart, params in (("general", charts.GeneralChartParams),
+                          ("concurrent", charts.ConcurrentChartParams),
+                          ("standard", charts.GeneralChartParams))}
+_COORDINATE_FLAGS = tuple(dict.fromkeys(sum(_CHART_FLAGS.values(), ())))
 
 
 def _build_system(args):
@@ -121,7 +123,7 @@ def cmd_vinberg(args):
 def cmd_cocompact(args):
     orders, system, inputs = _build_system(args)
     m = cartan.cartan_of(system)
-    return (inputs, {"T13": m[0][2] * m[2][0], "T24": m[1][3] * m[3][1]}, {},
+    return (inputs, dict(zip(("T13", "T24"), cartan._t_products(m))), {},
             {"convex_cocompact": certify.is_convex_cocompact(m, orders)}, True)
 
 
@@ -165,12 +167,11 @@ def cmd_scan(args):
                   "t13": args.t13, "t24": args.t24,
                   "samples": args.samples, "box": list(box)}
         return inputs, report.summary, {}, {}, True
-    columns = ("v23", "v24", "v34", "a4v44", "det_M", "T13_prod", "T24_prod")
     stream = sys.stdout if args.file is None else open(args.file, "w", newline="")
     try:
         writer = csv.writer(stream)
-        writer.writerow(columns)
-        records = [report.records[c] for c in columns]
+        writer.writerow(report.records.keys())
+        records = list(report.records.values())
         for lo in range(0, len(records[0]), _CSV_BLOCK):
             writer.writerows(zip(*(x[lo:lo + _CSV_BLOCK].tolist() for x in records)))
     finally:
@@ -187,7 +188,7 @@ def cmd_simplex(args):
         raise ValueError(f"--simplex-orders expects {len(pairs)} entries "
                          f"(upper triangle of the order table of {n + 1} sides)")
     table = orbifold.EdgeOrders(n + 1, dict(zip(pairs, values)))
-    free_pairs = [(i, j) for (i, j) in pairs if i >= 2 and table.order(i, j) >= 3]
+    free_pairs = charts._simplex_free_pairs(table)
     if args.free:
         free_values = [float(x) for x in args.free.split(",")]
         if len(free_values) != len(free_pairs):
@@ -257,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t24", type=float, required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--box", default="-10,-0.01", help="bounds lo,hi for v23, v24, v34")
+    p.add_argument("--box", default="{},{}".format(*certify.STANDARD_SCAN_BOX),
+                   help="bounds lo,hi for v23, v24, v34")
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.add_argument("--file", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_scan)

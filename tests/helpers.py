@@ -73,6 +73,19 @@ def random_standard(rng: np.random.Generator, orders: QuadPrismOrders = None,
             continue
 
 
+#: valid standard-chart points at orders (3, 4, 5, 6), as (T13, T24,
+#: v23, v24, v34), whose a1, a2, a3 reach 1e6 to 1e7: a (2,4) product
+#: re-derived from them, v24 (-a1 mu12 + 2 a2 + a3 mu23 / v23), loses
+#: T24 to cancellation (3.42 and 3.99999), while the Cartan rows give
+#: T24 exactly and the rebuilt row 4 passes its residual gate
+STANDARD_POINTS_NEAR_T24_EDGE = (
+    (4.000000017500994, 4.1, -6.949901985130551e-08, -65532260.325421974,
+     -5.744693267582314e-08),
+    (4.0926480970829635, 4.0, -1.052812436265076, -40921.29124243229,
+     -2.444760483719347e-07),
+)
+
+
 def balanced_realization(pt: charts.StandardChartPoint):
     """Representative with a4 = sqrt(|a4*v44|), splitting the product
     evenly between alpha_4 and v_4 to keep matrix entries moderate."""

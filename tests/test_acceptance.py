@@ -5,6 +5,7 @@ and enforces the stated tolerances and runtime budgets.  Seeds are fixed
 so every run is reproducible.
 """
 
+import math
 import time
 
 import numpy as np
@@ -18,6 +19,9 @@ from projcox.charts import CaseLabel
 from projcox.orbifold import QuadPrismOrders
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
+
+#: the band of |v| in criterion 5, [e^-2, e^2]
+V_BAND = (-math.exp(2.0), -math.exp(-2.0))
 
 
 def report(capsys, number, label, passed, detail=""):
@@ -193,9 +197,7 @@ def test_criterion_5_determinant_signs(capsys):
         n = 10_000 // len(orders_pool)
         t13 = charts.sample_t(rng, n)
         t24 = charts.sample_t(rng, n)
-        v23 = charts.sample_negative(rng, n)
-        v24 = charts.sample_negative(rng, n)
-        v34 = charts.sample_negative(rng, n)
+        v23, v24, v34 = (charts.sample_negative_box(rng, *V_BAND, n) for _ in range(3))
         res = whole_standard_solution(orders, t13, t24, v23, v24, v34)
         e = (4.0 - t13) * (4.0 - t24) - res["det_m"]
         min_e = min(min_e, float(np.min(e[res["valid"]])))

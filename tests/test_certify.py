@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (mat_power, random_concurrent, random_general, random_standard,
-                     reflection, whole_standard_solution)
+from helpers import (STANDARD_POINTS_NEAR_T24_EDGE, balanced_realization, mat_power,
+                     random_concurrent, random_general, random_standard, reflection,
+                     whole_standard_solution)
 from projcox import cartan, certify, charts, orbifold
 from projcox.cartan import ReflectionSystem
 from projcox.errors import NormalizationError, WrongDiagram
@@ -158,23 +160,53 @@ def test_relations_random_general_points(orders, t, log_v):
     assert report.passed
 
 
-@pytest.mark.parametrize("chart", ["general", "concurrent"])
+@pytest.mark.parametrize("chart", ["general", "concurrent", "standard"])
 @settings(max_examples=150, deadline=None)
 @given(orders=st.tuples(*[st.integers(3, 5000)] * 4),
-       log_x=st.tuples(*[st.floats(-9.0, 9.0)] * 5))
-def test_valid_points_pass_over_the_whole_domain(chart, orders, log_x):
+       log_x=st.tuples(*[st.floats(-9.0, 9.0)] * 5),
+       moved=st.tuples(st.integers(0, 3), st.sampled_from((-1, 1))))
+def test_valid_points_pass_over_the_whole_domain(chart, orders, log_x, moved):
     """Any edge order from 3 to 5000, with |v| and T - 4 from 1e-9 to
-    1e9: a general or concurrent point passes Vinberg's conditions and
-    the Coxeter relations."""
+    1e9: a point of each chart passes Vinberg's conditions and the
+    Coxeter relations, a standard point realized at a4 = 1 and at the
+    balanced a4, and the relations fail exactly at the one finite order
+    moved by one.
+
+    Vinberg's conditions are left out of the moved half: C4 gates the
+    unscaled |M_ij M_ji - mu(n)|, about 8pi^2/n^3 for a neighbouring
+    order, which falls below its 1e-9 gate from about n = 4300."""
     o = QuadPrismOrders(*orders)
     x = [10.0 ** e for e in log_x]
     if chart == "general":
-        sys = charts.build_general(
-            charts.GeneralChartParams(o, 4.0 + x[0], 4.0 + x[1], -x[2], -x[3], -x[4]))
+        systems = [charts.build_general(
+            charts.GeneralChartParams(o, 4.0 + x[0], 4.0 + x[1], -x[2], -x[3], -x[4]))]
+    elif chart == "concurrent":
+        systems = [charts.build_concurrent(
+            charts.ConcurrentChartParams(o, *(-y for y in x[:4])))]
     else:
-        sys = charts.build_concurrent(charts.ConcurrentChartParams(o, *(-y for y in x[:4])))
-    assert cartan.check_vinberg(sys, o).passed
-    assert certify.verify_relations(sys, o).passed
+        pt = charts.build_standard(o, 4.0 + x[0], 4.0 + x[1], -x[2], -x[3], -x[4])
+        systems = [charts.realize_representation(pt, a4=1.0), balanced_realization(pt)]
+    pair = finite_pairs(o)[moved[0]]
+    table = dict(o.orders)
+    table[pair] += moved[1]
+    wrong = EdgeOrders(4, table)
+    for sys in systems:
+        assert cartan.check_vinberg(sys, o).passed
+        assert certify.verify_relations(sys, o).passed
+        assert certify.verify_relations(sys, wrong).failures == [("finite", pair)]
+
+
+@pytest.mark.parametrize("point", STANDARD_POINTS_NEAR_T24_EDGE)
+def test_standard_points_near_the_t24_edge_pass(point):
+    """Valid standard points whose solution reaches 1e7 build, read
+    their T13 and T24 off the Cartan rows, and pass Vinberg's conditions
+    and the relations at a4 = 1 and at the balanced a4."""
+    o = QuadPrismOrders(3, 4, 5, 6)
+    pt = charts.build_standard(o, *point)
+    assert cartan._t_products(pt.cartan) == point[:2]
+    for sys in (charts.realize_representation(pt, a4=1.0), balanced_realization(pt)):
+        assert cartan.check_vinberg(sys, o).passed
+        assert certify.verify_relations(sys, o).passed
 
 
 def test_cocompact_strict_inequality():
@@ -277,6 +309,20 @@ def test_concurrent_scan_minimum_at_base_point():
     assert report.argmin == (-1.0, -1.0, -1.0, -1.0)
 
 
+@pytest.mark.parametrize("orders, grid, minimum, argmin, at_minus_one", [
+    ((3, 3, 3, 3), 9, 256.00000000000006, (-1.0,) * 4, 256.00000000000006),
+    ((3, 3, 3, 3), 17, 256.00000000000006, (-1.0,) * 4, 256.00000000000006),
+    ((3, 4, 5, 6), 9, 564.0205982409213, (-1.0,) + (-1.7782794100389228,) * 3,
+     674.1640786499875),
+    ((3, 4, 5, 6), 17, 563.1918630097874,
+     (-1.0, -1.333521432163324, -1.7782794100389228, -1.7782794100389228),
+     674.1640786499875),
+])
+def test_concurrent_scan_is_pinned(orders, grid, minimum, argmin, at_minus_one):
+    report = certify.concurrent_t_scan(QuadPrismOrders(*orders), grid)
+    assert report == certify.ConcurrentScanReport(grid, minimum, argmin, at_minus_one)
+
+
 def test_concurrent_scan_needs_a_grid_point():
     with pytest.raises(ValueError, match="grid_points_per_axis must be >= 1"):
         certify.concurrent_t_scan(O3333, grid_points_per_axis=0)
@@ -307,6 +353,21 @@ def test_det_locus_report_is_pinned(orders, seed, samples, min_det):
     keeps every bit it had with whole-array solves."""
     report = certify.det_locus_check(orders, samples=samples, seed=seed)
     assert report == certify.DetLocusReport(samples, seed, min_det, min_det)
+
+
+def test_det_locus_minima_are_pinned():
+    """Every bit of the minima at three order tables and four seeds: the
+    sha256 of their hex forms, as recorded when v23, v24 and v34 were
+    three draws in turn of -e^U, U uniform on [-2, 2]."""
+    digest = hashlib.sha256()
+    for orders in ((3, 3, 3, 3), (3, 4, 5, 6), (7, 9, 11, 1000)):
+        for seed in (0, 1, 2, 73):
+            report = certify.det_locus_check(QuadPrismOrders(*orders), 2000, seed)
+            for minima in (report.min_abs_det, report.min_e):
+                for key in ("T13=4", "T24=4"):
+                    digest.update(minima[key].hex().encode())
+    assert digest.hexdigest() == (
+        "e25d938e94685fe2a0c2ca3d03b01bb8316c24522b81652fe7178c91640c19ec")
 
 
 def test_det_locus_check_peak_memory():

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +280,15 @@ def test_one_draw_of_three_rows_is_three_draws_in_turn():
     assert rows.tobytes() == np.stack(turns).tobytes()
 
 
+def test_box_sampler_at_the_criterion_5_band_keeps_its_draws():
+    """Acceptance criterion 5 and det_locus_check draw v in [-e^2, -e^-2]
+    from the box sampler: log(e^+-2) is +-2 in doubles, so the draws are
+    those of -e^U with U uniform on [-2, 2], the same bits."""
+    box = charts.sample_negative_box(np.random.default_rng(31), -math.exp(2.0),
+                                     -math.exp(-2.0), 10_000)
+    assert (box == -np.exp(np.random.default_rng(31).uniform(-2.0, 2.0, 10_000))).all()
+
+
 def test_realize_representation_gauge_invariance():
     pt = build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
     m1 = cartan.cartan_of(realize_representation(pt, a4=1.0))
@@ -316,6 +327,19 @@ def test_standard_coordinates_roundtrip():
     conj[1, 0] = 0.0
     with pytest.raises(DomainError, match="must be negative to normalize"):
         standard_coordinates(conj)
+
+
+def test_standard_coordinates_are_pinned():
+    """Every bit of the coordinates read off the Cartan rows of
+    acceptance criterion 10's 100 concurrent points: the sha256 of their
+    reprs."""
+    rng = np.random.default_rng(53)
+    digest = hashlib.sha256()
+    for _ in range(100):
+        m = cartan.cartan_of(build_concurrent(random_concurrent(rng)))
+        digest.update(repr(standard_coordinates(m)).encode())
+    assert digest.hexdigest() == (
+        "eff7de52618c3c3693cd65e3816357e94404ce5ff4dcb888c81ee9e2edb379a4")
 
 
 def test_concurrent_to_standard_kills_a4_v44():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import run_python
+from helpers import STANDARD_POINTS_NEAR_T24_EDGE, run_python
 from projcox import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -195,6 +195,16 @@ def test_readme_command_output_is_unchanged(name):
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["relations", "vinberg", "cocompact", "invariants", "scan"])
+def test_help_text_is_unchanged(name, monkeypatch):
+    # argparse wraps help to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(SystemExit, match="^0$"):
+        cli.main([name, "--help"])
+    assert buf.getvalue().encode() == (GOLDEN / f"help_{name}.out").read_bytes()
+
+
 #: runs in a fresh interpreter: `import projcox`, then cli.main on each
 #: argv of argv[1] (JSON), must leave numpy unimported; then `scan`,
 #: argv[2], runs as usual
@@ -266,6 +276,17 @@ def test_scan_with_overflowing_box_fails_cleanly():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: no valid samples; enlarge the box or sample count\n"
+
+
+def test_scan_whose_a4_v44_range_overflows_fails_cleanly(capsys):
+    # a4*v44 runs from about -7e305 to 1.8e308: both ends are finite, but
+    # the histogram's width, their difference, is not
+    argv = ["scan", "--orders", "3,3,3,3", "--t13", "5", "--t24", "1e308",
+            "--samples", "319", "--box=-20.085536923187668,-1.0"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the range of a4*v44 overflows; narrow the box or lower T\n"
 
 
 def test_scan_with_unallocatable_sample_count_fails_cleanly(capsys):
@@ -384,6 +405,14 @@ def test_concurrent_points_with_a_far_coordinate_pass(coordinates):
                          + coordinates)
     assert code == 0
     assert doc["results"]["relations_passed"] and doc["results"]["vinberg_passed"]
+
+
+@pytest.mark.parametrize("point", STANDARD_POINTS_NEAR_T24_EDGE)
+def test_standard_points_near_the_t24_edge_pass(point):
+    flags = [f"--{name}={x!r}" for name, x in zip(("t13", "t24", "v23", "v24", "v34"), point)]
+    code, doc = run_json(["relations", "--orders", "3,4,5,6", "--chart", "standard"] + flags)
+    assert code == 0
+    assert doc["verdicts"]["pass"] is True
 
 
 @pytest.mark.parametrize("argv, stray", [
