@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations
 from operator import itemgetter
 
@@ -227,12 +227,17 @@ def relation_space_trivial(alphas) -> bool:
     Each nonzero covector is first divided by its largest |entry|, as
     an alpha_4 near 1e8 would push unit covectors' pivots under RANK_TOL
     times the first; a positive scale keeps each coefficient's sign.
+    The verdicts of the last 64 row sets are kept, as the general and
+    concurrent charts hand over the same covectors at every point.
     """
-    scaled = []
-    for row in linalg._rows(alphas):
-        top = max(map(abs, row)) if row else 0.0
-        scaled.append(tuple([x / top for x in row]) if top and top != 1.0 else row)
-    pivots, free = linalg._eliminate(zip(*scaled))
+    return _relation_space_trivial(linalg._rows(alphas))
+
+
+@lru_cache(maxsize=64)
+def _relation_space_trivial(rows) -> bool:
+    """relation_space_trivial of linalg._rows, keyed by value (0.0 and
+    -0.0 alike); an UnsupportedShape is not kept and raises each time."""
+    pivots, free = linalg._eliminate(zip(*linalg._scaled(rows)))
     if not free:
         return True
     if len(free) > 1:

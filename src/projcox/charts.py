@@ -48,6 +48,8 @@ def _identity(d: int) -> tuple:
 
 
 _IDENTITY_4 = _identity(4)
+#: the concurrent chart's covectors, alpha_4 = e1* - e2* + e3*
+_CONCURRENT_ALPHAS = (*_IDENTITY_4[:3], (1.0, -1.0, 1.0, 0.0))
 
 
 def _require_negative(**named):
@@ -134,7 +136,7 @@ def build_concurrent(p: ConcurrentChartParams) -> ReflectionSystem:
     """
     v12, v23, v14, v34, v44 = map(float, (p.v12, p.v23, p.v14, p.v34, p.v44))
     cartan = concurrent_cartan(p.orders, v12, v23, v14, v34)
-    return ReflectionSystem((*_IDENTITY_4[:3], (1.0, -1.0, 1.0, 0.0)),
+    return ReflectionSystem(_CONCURRENT_ALPHAS,
                             tuple(zip(*cartan[:3], (0.0, 0.0, 0.0, v44))), cartan)
 
 

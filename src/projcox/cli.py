@@ -48,37 +48,37 @@ def _keyed(values: dict) -> dict:
     return {"-".join(str(i) for i in key): v for key, v in values.items()}
 
 
-#: each chart's coordinate flags, named by its parameter fields (the
-#: standard chart's by the general chart's), and their ordered union
-_CHART_FLAGS = {
-    chart: tuple(f.name for f in dataclasses.fields(params) if f.name != "orders")
+#: each chart's coordinate fields, those of its parameters (the standard
+#: chart's those of the general chart); their names are its flags
+_CHART_FIELDS = {
+    chart: tuple(f for f in dataclasses.fields(params) if f.name != "orders")
     for chart, params in (("general", charts.GeneralChartParams),
                           ("concurrent", charts.ConcurrentChartParams),
                           ("standard", charts.GeneralChartParams))}
+_CHART_FLAGS = {chart: tuple(f.name for f in fields) for chart, fields in _CHART_FIELDS.items()}
 _COORDINATE_FLAGS = tuple(dict.fromkeys(sum(_CHART_FLAGS.values(), ())))
 
 
 def _build_system(args):
     """Chart point, reflection system and JSON inputs from the chart
-    flags.  Every flag the chart reads must be given (v44 defaults to 0)
-    and no other coordinate flag may be."""
+    flags.  Every flag the chart reads must be given, unless its field
+    has a default, and no other coordinate flag may be."""
     used = _CHART_FLAGS[args.chart]
     stray = [n for n in _COORDINATE_FLAGS
              if n not in used and getattr(args, n) is not None]
     if stray:
         raise ValueError(f"flags not used by chart {args.chart!r}: "
                          + ", ".join(f"--{n}" for n in stray))
-    missing = [n for n in used if n != "v44" and getattr(args, n) is None]
+    coords = {f.name: f.default if getattr(args, f.name) is None else getattr(args, f.name)
+              for f in _CHART_FIELDS[args.chart]}
+    missing = [n for n, value in coords.items() if value is dataclasses.MISSING]
     if missing:
         raise ValueError("missing flags for chart "
                          f"{args.chart!r}: " + ", ".join(f"--{n}" for n in missing))
     orders = _parse_orders(args.orders)
-    coords = {n: getattr(args, n) for n in used}
     if args.chart == "general":
         system = charts.build_general(charts.GeneralChartParams(orders, **coords))
     elif args.chart == "concurrent":
-        if coords["v44"] is None:
-            coords["v44"] = 0.0
         system = charts.build_concurrent(charts.ConcurrentChartParams(orders, **coords))
     else:
         point = charts.build_standard(orders, **coords)

@@ -1,6 +1,6 @@
-"""Numerical rank of small dense matrices over IEEE doubles, by Gaussian
-elimination with complete pivoting in pure Python, with each pivot
-measured against the first one.
+"""Numerical rank of small dense matrices over IEEE doubles: Gaussian
+elimination with complete pivoting in pure Python, of rows scaled to a
+largest |entry| of 1, each pivot measured against the first one.
 """
 
 from __future__ import annotations
@@ -52,6 +52,14 @@ def _rows(m, shape=None) -> tuple:
     return m
 
 
+def _scaled(rows) -> list:
+    """Each nonzero row divided by its largest |entry|, which keeps the rank
+    and the signs of a relation's coefficients: unscaled, a row near 1e8
+    pushes the pivots of unit rows under RANK_TOL times the first."""
+    tops = [max(map(abs, row), default=0.0) for row in rows]
+    return [[x / top for x in row] if top and top != 1.0 else row for row, top in zip(rows, tops)]
+
+
 def _eliminate(rows):
     """Gaussian elimination with complete pivoting of a matrix given as
     rows of Python floats (see _rows), on list copies of the rows.
@@ -91,6 +99,6 @@ def _eliminate(rows):
 
 
 def rank(m) -> int:
-    """Numerical rank: the pivots of complete-pivoting elimination above
-    RANK_TOL times the first (largest) pivot."""
-    return len(_eliminate(_rows(m))[0])
+    """Numerical rank: the pivots of complete-pivoting elimination of
+    the _scaled rows above RANK_TOL times the first (largest) pivot."""
+    return len(_eliminate(_scaled(_rows(m)))[0])

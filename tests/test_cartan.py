@@ -207,6 +207,85 @@ def test_relation_space_high_dimension_unsupported():
     assert not report.conditions["C5"].passed
 
 
+_ENTRY = st.one_of(st.sampled_from((0.0, -0.0)),
+                   st.floats(1e-9, 1e9).flatmap(lambda x: st.sampled_from((x, -x))))
+
+
+@st.composite
+def _covectors(draw):
+    """4x4 alphas with entries of either sign in [1e-9, 1e9] or zeros of
+    either sign; half of them with a zero last column, so of rank 3 or
+    less, as the standard chart's alphas at a4 = 0."""
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=4, max_size=4), min_size=4, max_size=4))
+    if draw(st.booleans()):
+        rows = [row[:3] + [draw(st.sampled_from((0.0, -0.0)))] for row in rows]
+    return tuple(map(tuple, rows))
+
+
+def _verdict(f, alphas):
+    """f(alphas), or UnsupportedShape where f raises it."""
+    try:
+        return f(alphas)
+    except UnsupportedShape:
+        return UnsupportedShape
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_covectors(), form=st.sampled_from((tuple, list, np.array)))
+def test_cached_verdict_equals_the_uncached_one(rows, form):
+    """The verdict, computed or looked up, is that of the function
+    without its cache; rows with the sign of every zero flipped are the
+    same key and have the same verdict."""
+    alphas = rows if form is tuple else form([form(row) for row in rows])
+    uncached = cartan._relation_space_trivial.__wrapped__
+    expected = _verdict(uncached, rows)
+    assert _verdict(relation_space_trivial, alphas) == expected
+    assert _verdict(relation_space_trivial, alphas) == expected
+    flipped = tuple(tuple(x if x else -x for x in row) for row in rows)
+    assert _verdict(uncached, flipped) == _verdict(relation_space_trivial, flipped) == expected
+
+
+def test_two_dimensional_relation_spaces_raise_on_every_call():
+    alphas = ((1.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0),
+              (0.0, 1.0, 0.0, 0.0), (0.0, -3.0, 0.0, 0.0))
+    before = cartan._relation_space_trivial.cache_info()
+    for _ in range(3):
+        with pytest.raises(UnsupportedShape):
+            relation_space_trivial(alphas)
+    after = cartan._relation_space_trivial.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 3)
+
+
+def test_check_vinberg_reuses_the_chart_constant_covectors():
+    """General and concurrent points share their chart's covectors, so
+    once each chart's are in the cache, further points add hits only."""
+    rng = np.random.default_rng(3)
+    systems = [(charts.build_general(p), p.orders)
+               for p in (random_general(rng), random_general(rng))]
+    systems += [(charts.build_concurrent(p), p.orders)
+                for p in (random_concurrent(rng), random_concurrent(rng))]
+    for sys, orders in systems[::2]:
+        check_vinberg(sys, orders)
+    before = cartan._relation_space_trivial.cache_info()
+    for sys, orders in systems:
+        assert check_vinberg(sys, orders).conditions["C5"].passed
+    after = cartan._relation_space_trivial.cache_info()
+    assert after.hits == before.hits + 4
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+def test_cache_stays_at_its_bound():
+    rng = np.random.default_rng(4)
+    seen = set()
+    for _ in range(10_000):
+        alphas = charts.realize_representation(random_standard(rng), a4=1.0).alpha_rows
+        seen.add(alphas)
+        relation_space_trivial(alphas)
+    info = cartan._relation_space_trivial.cache_info()
+    assert len(seen) == 10_000
+    assert info.currsize == info.maxsize == 64
+
+
 def _concurrent_point_in_the_standard_chart(orders, v):
     """A concurrent point mapped to the standard chart and realized, with
     a4 = 0 where |a4*v44| <= 1e-10 and a4 = 1 elsewhere."""

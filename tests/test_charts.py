@@ -416,6 +416,40 @@ def test_case_ii_representative_not_semisimple():
     assert not is_semisimple(sys)
 
 
+def test_semisimple_survives_a_unit_covector_beside_a_large_one():
+    """Mapped to the standard chart and realized at a4 = 0, this
+    concurrent point has alpha_4 = (a1, a2, a3, 0) with |a1| near 1e8,
+    beside the unit covectors: unscaled, the elimination read the
+    alphas at rank 1 and M at rank 2, where numpy's SVD rank is 3 for
+    both."""
+    p = ConcurrentChartParams(QuadPrismOrders(5, 3, 3, 5), -1.8736073673332666e-4,
+                              -1.5549663298848966, -9322.35854410505,
+                              -3.705378681633734e-4)
+    sys = realize_representation(concurrent_to_standard(p), a4=0.0)
+    assert np.linalg.matrix_rank(sys.alphas) == np.linalg.matrix_rank(sys.cartan) == 3
+    assert is_semisimple(build_concurrent(p))
+    assert is_semisimple(sys)
+
+
+def test_semisimple_agrees_across_charts_over_a_wide_domain():
+    """3000 concurrent points at orders 3-6 with |v| log-uniform in
+    [1e-4, 1e4], each semisimple in its own chart, are semisimple in the
+    standard chart too wherever they realize at a4 = 0 (|a4*v44| <=
+    GAUGE_ZERO_TOL); unscaled, 273 of these 2944 read as not."""
+    rng = np.random.default_rng(0)
+    realized = 0
+    for _ in range(3000):
+        orders = QuadPrismOrders(*map(int, rng.integers(3, 7, 4)))
+        v = -np.exp(rng.uniform(math.log(1e-4), math.log(1e4), 4))
+        p = ConcurrentChartParams(orders, *v.tolist())
+        assert is_semisimple(build_concurrent(p))
+        pt = concurrent_to_standard(p)
+        if abs(pt.a4_v44) <= charts.GAUGE_ZERO_TOL:
+            realized += 1
+            assert is_semisimple(realize_representation(pt, a4=0.0)), p
+    assert realized == 2944
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rank_alphas=st.integers(1, 4),
        rank_vectors=st.integers(1, 4), shared=st.integers(0, 3))

@@ -97,6 +97,19 @@ def test_rank_agrees_with_svd_rank(size):
         assert linalg.rank(tuple(map(tuple, m.tolist()))) == svd_rank(m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(3, 9),
+       exponents=st.lists(st.floats(-8.0, 8.0), min_size=9, max_size=9))
+def test_rank_is_unchanged_by_positive_row_scaling(seed, size, exponents):
+    """Rows scaled by factors in [1e-8, 1e8], which without the per-row
+    scaling would push the pivots of the small rows under RANK_TOL times
+    the first."""
+    rng = np.random.default_rng(seed)
+    m = _low_rank(rng, (size, size), int(rng.integers(0, size + 1)))
+    scales = 10.0 ** np.array(exponents[:size])
+    assert linalg.rank(m * scales[:, None]) == linalg.rank(m)
+
+
 def _svd_relation_verdict(alphas):
     """Reference for relation_space_trivial from one SVD of alphas^T:
     the rank as svd_rank counts it and, at rank f - 1, the sign pattern
