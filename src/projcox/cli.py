@@ -9,7 +9,7 @@ byte-identical for identical flags and seed.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import dataclasses
 import json
 import math
@@ -23,9 +23,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-#: scan CSV rows converted to Python floats at a time: csv writes a float
-#: as its repr, and converting block by block keeps the Python floats of
-#: one block, not of the whole scan, alive at once
+#: scan CSV rows written at a time, so that the floats and text of one
+#: block, not of the whole scan, are alive at once
 _CSV_BLOCK = 1024
 
 
@@ -154,7 +153,10 @@ def cmd_orbifold(args):
 
 
 def cmd_scan(args):
-    """The JSON envelope's parts, or None once the CSV is written."""
+    """The JSON envelope's parts, or None once the CSV is written: the
+    header v23,v24,v34,a4v44,det_M,T13_prod,T24_prod, then one row per
+    valid sample, each value its repr and each row ended by CRLF, written
+    _CSV_BLOCK rows at a time."""
     if args.file is not None and args.out == "json":
         raise ValueError("flag not used by --out json: --file")
     orders = _parse_orders(args.orders)
@@ -167,16 +169,13 @@ def cmd_scan(args):
                   "t13": args.t13, "t24": args.t24,
                   "samples": args.samples, "box": list(box)}
         return inputs, report.summary, {}, {}, True
-    stream = sys.stdout if args.file is None else open(args.file, "w", newline="")
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(report.records.keys())
-        records = list(report.records.values())
-        for lo in range(0, len(records[0]), _CSV_BLOCK):
-            writer.writerows(zip(*(x[lo:lo + _CSV_BLOCK].tolist() for x in records)))
-    finally:
-        if args.file is not None:
-            stream.close()
+    with (contextlib.nullcontext(sys.stdout) if args.file is None
+          else open(args.file, "w", newline="")) as stream:
+        stream.write(",".join(report.records) + "\r\n")
+        columns = list(report.records.values())
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = zip(*(map(repr, x[lo:lo + _CSV_BLOCK].tolist()) for x in columns))
+            stream.write("\r\n".join(map(",".join, rows)) + "\r\n")
     return None
 
 

@@ -194,10 +194,15 @@ def exact_standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(args):
-    """Run a fresh interpreter with the package source on its path."""
+def python_env():
+    """This process's environment with the package source on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable] + list(args), cwd=ROOT, env=env,
+    return env
+
+
+def run_python(args):
+    """Run a fresh interpreter with the package source on its path."""
+    return subprocess.run([sys.executable] + list(args), cwd=ROOT, env=python_env(),
                           capture_output=True, text=True, timeout=120)

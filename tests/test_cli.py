@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import STANDARD_POINTS_NEAR_T24_EDGE, run_python
-from projcox import cli
+from helpers import ROOT, STANDARD_POINTS_NEAR_T24_EDGE, python_env, run_python
+from projcox import certify, cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -127,20 +131,103 @@ def test_scan_json_deterministic():
     assert out1 == out2  # byte-identical for identical flags + seed
 
 
+def scan_records(argv):
+    """The records certify.standard_scan returns for a CSV scan argv."""
+    args = cli.build_parser().parse_args(argv)
+    return certify.standard_scan(cli._parse_orders(args.orders), args.t13, args.t24,
+                                 args.samples, args.seed, cli._parse_box(args.box),
+                                 keep_records=True).records
+
+
+def reference_csv(argv) -> bytes:
+    """The scan's CSV as csv.writer writes it, the writer the CLI once
+    used: the reference for the CLI's own block writer."""
+    records = scan_records(argv)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(records)
+    writer.writerows(zip(*(x.tolist() for x in records.values())))
+    return buf.getvalue().encode()
+
+
+SCAN_CSV = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6", "--out", "csv"]
+
+
 def test_scan_csv_schema(tmp_path):
     out_file = tmp_path / "scan.csv"
-    argv = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6",
-            "--samples", "200", "--seed", "0", "--out", "csv",
-            "--file", str(out_file)]
-    code, _ = run_cli(argv)
+    argv = SCAN_CSV + ["--samples", "200", "--seed", "0"]
+    code, _ = run_cli(argv + ["--file", str(out_file)])
     assert code == 0
     with open(out_file, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["v23", "v24", "v34", "a4v44", "det_M",
-                       "T13_prod", "T24_prod"]
-    assert len(rows) >= 100
-    # repr round-trip keeps full precision
-    assert float(rows[1][3]) == float(rows[1][3])
+        header, *rows = list(csv.reader(fh))
+    assert header == ["v23", "v24", "v34", "a4v44", "det_M", "T13_prod", "T24_prod"]
+    records = scan_records(argv)
+    assert list(records) == header
+    assert len(rows) == 200
+    assert all(len(row) == 7 for row in rows)
+    # each cell reads back as exactly the double the scan computed
+    for row, values in zip(rows, zip(*(x.tolist() for x in records.values()))):
+        assert [float(cell).hex() for cell in row] == [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("argv", [
+    *(SCAN_CSV + ["--samples", str(n), "--seed", "7"] for n in (1, 1023, 1024, 1025, 2049)),
+    # det_M reads -inf in every row
+    ["scan", "--orders", "3,4,5,6", "--t13", "6", "--t24", "6", "--seed", "0",
+     "--box=-1e-280,-1e-300", "--samples", "1500", "--out", "csv"],
+    # exponent-form reprs, from 1e-300 up to 1e+297
+    SCAN_CSV + ["--samples", "2049", "--seed", "1", "--box=-10,-1e-300"],
+])
+def test_scan_csv_bytes_match_the_csv_module(argv, tmp_path):
+    expected = reference_csv(argv)
+    code, out = run_cli(argv)
+    assert code == 0
+    assert out.encode() == expected
+    out_file = tmp_path / "scan.csv"
+    code, out = run_cli(argv + ["--file", str(out_file)])
+    assert (code, out) == (0, "")
+    assert out_file.read_bytes() == expected
+
+
+def test_scan_csv_holds_one_block_of_text_at_a_time(monkeypatch):
+    # tracing starts once the scan has returned its records, so the peak
+    # is what writing the CSV adds to them: one block of 1024 rows takes
+    # about 0.5 MB, while 1e5 samples as text would take about 50 MB of
+    # Python strings
+    scan = certify.standard_scan
+
+    def scan_then_trace(*args, **kwargs):
+        report = scan(*args, **kwargs)
+        tracemalloc.start()
+        return report
+
+    monkeypatch.setattr(certify, "standard_scan", scan_then_trace)
+    try:
+        code = cli.main(SCAN_CSV + ["--samples", "100000", "--file", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert 0 < peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_scan_csv_into_a_closed_pipe_fails_cleanly(unbuffered):
+    # as in `projcox scan ... --out csv | head -1`: the reader closes its
+    # end after one line, long before the 700 kB of CSV are written
+    env = python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = SCAN_CSV + ["--samples", "10000"]
+    with subprocess.Popen([sys.executable, "-m", "projcox.cli", *argv], cwd=ROOT, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"v23,v24,v34,a4v44,det_M,T13_prod,T24_prod\r\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 2
+    assert err == b"error: [Errno 32] Broken pipe\n"
 
 
 def test_simplex_subcommand():
