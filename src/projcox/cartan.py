@@ -119,25 +119,28 @@ def _sign_failures(rows, tol: float):
     return diagonal + sorted(c1), sorted(c2), c3
 
 
-@dataclass
-class ConditionCheck:
-    """Outcome of one Vinberg condition: worst residual and the pairs
-    that failed (1-based)."""
+class Check(tuple):
+    """One check of a certificate: (name, where, value, bound, passed).
 
-    passed: bool
-    residual: float = 0.0
-    failures: list = field(default_factory=list)
+    ``where`` is the place checked as a tuple of 1-based sides (a side,
+    a pair or a cycle), or for a Vinberg condition the tuple of pairs
+    that failed it; ``value`` is the residual or product read there and
+    ``bound`` the tolerance in force.  Built as Check((name, where,
+    value, bound, passed)), at the cost of a bare tuple.
+    """
+
+    __slots__ = ()
+    name, where, value, bound, passed = map(property, map(itemgetter, range(5)))
 
 
-@dataclass
-class VinbergReport:
-    """Per-condition results of check_vinberg."""
+class Verdict(tuple):
+    """The Checks of one certificate, in order; it passes when each does."""
 
-    conditions: dict
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.conditions.values())
+        return all(map(Check.passed.fget, self))
 
 
 def _t_products(m):
@@ -169,8 +172,12 @@ def _pair_residuals(rows, orders: EdgeOrders):
 
 
 def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
-                  tol: float = linalg.TOL_ALGEBRAIC) -> VinbergReport:
-    """Run conditions (C1)-(C5) on the system and report each outcome.
+                  tol: float = linalg.TOL_ALGEBRAIC) -> Verdict:
+    """Run conditions (C1)-(C5) on the system: a Verdict of five Checks,
+    C1..C5, each bound by tol.  A check's ``where`` is the tuple of
+    1-based pairs that failed it and its ``value`` the worst residual:
+    max |M_ii - 2| for C1, the largest positive off-diagonal entry for
+    C2, the largest _pair_residuals r for C4, and 0.0 for C3 and C5.
 
     C5 (nonempty interior) is certified through the linear-relation
     criterion: either the alphas are independent, or their single
@@ -182,16 +189,12 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     f = len(rows)
     if orders.size != f:
         raise ValueError(f"orders table has {orders.size} sides, system has {f}")
-    report = {}
 
     # C1-C3: diagonal 2 (off-diagonal never 2), off-diagonal <= 0, zero symmetry
     c1_fail, c2_fail, c3_fail = (sys.sign_failures if tol == linalg.TOL_ALGEBRAIC
                                  else _sign_failures(rows, tol))
     diag_res = max(abs(rows[i][i] - 2.0) for i in range(f))
-    report["C1"] = ConditionCheck(not c1_fail, diag_res, c1_fail)
     c2_res = max((rows[i - 1][j - 1] for i, j in c2_fail), default=0.0)
-    report["C2"] = ConditionCheck(not c2_fail, c2_res, c2_fail)
-    report["C3"] = ConditionCheck(not c3_fail, 0.0, c3_fail)
 
     # C4: products match mu for finite orders, >= 4 for infinite ones
     c4_fail, c4_res = [], 0.0
@@ -199,16 +202,18 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
         c4_res = max(c4_res, res)
         if not res <= tol:
             c4_fail.append(pair)
-    report["C4"] = ConditionCheck(not c4_fail, c4_res, c4_fail)
 
     # C5: nonempty interior via the relation-space certificate
     try:
         c5_ok = relation_space_trivial(sys.alpha_rows)
     except UnsupportedShape:
         c5_ok = False
-    report["C5"] = ConditionCheck(c5_ok)
 
-    return VinbergReport(report)
+    return Verdict((Check(("C1", tuple(c1_fail), diag_res, tol, not c1_fail)),
+                    Check(("C2", tuple(c2_fail), c2_res, tol, not c2_fail)),
+                    Check(("C3", tuple(c3_fail), 0.0, tol, not c3_fail)),
+                    Check(("C4", tuple(c4_fail), c4_res, tol, not c4_fail)),
+                    Check(("C5", (), 0.0, tol, c5_ok))))
 
 
 def relation_space_trivial(alphas) -> bool:
@@ -278,22 +283,12 @@ def cyclic_invariants(m) -> dict:
     return {c: math.prod(entries(flat), start=1.0) for c, entries in _CYCLE_ENTRIES}
 
 
-@dataclass
-class IdentityReport:
-    """Residuals of the eleven derived-invariant identities."""
-
-    residuals: dict
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(r <= self.tol for r in self.residuals.values())
-
-
 def derived_invariant_identities(inv: dict, orders: QuadPrismOrders,
-                                 tol: float = linalg.TOL_ALGEBRAIC) -> IdentityReport:
+                                 tol: float = linalg.TOL_ALGEBRAIC) -> Verdict:
     """Check that every non-generating cyclic invariant is the stated
-    rational expression in the five generators and the mu values.
+    rational expression in the five generators and the mu values: a
+    Verdict of eleven ``identity`` Checks, one per cycle (its ``where``),
+    each with its residual as value and tol as bound.
 
     For the infinite edge (2,4) the length-2 invariant itself plays the
     role of mu.  Residuals are relative: |x - y| / (1 + |x| + |y|).
@@ -317,8 +312,8 @@ def derived_invariant_identities(inv: dict, orders: QuadPrismOrders,
         (1, 4, 2, 3): m14 * t24 * g123 / g124,
         (1, 4, 3, 2): m12 * m23 * m34 * m14 * t13 / (g123 * g134),
     }
-    return IdentityReport({c: abs(x - y) / (1.0 + abs(x) + abs(y))
-                           for c, y in expected.items() for x in [inv[c]]}, tol)
+    return Verdict(Check(("identity", c, r, tol, r <= tol)) for c, y in expected.items()
+                   for x in [inv[c]] for r in [abs(x - y) / (1.0 + abs(x) + abs(y))])
 
 
 def projectively_equivalent(m1, m2) -> bool:

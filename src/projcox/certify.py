@@ -5,10 +5,10 @@ convex cocompactness, and the appendix-style numeric scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from . import charts
-from .cartan import ReflectionSystem, _pair_residuals, _t_products
+from .cartan import Check, ReflectionSystem, Verdict, _pair_residuals, _t_products
 from .errors import NormalizationError, WrongDiagram
 from .linalg import TOL_ALGEBRAIC, _rows
 from .orbifold import EdgeOrders, QuadPrismOrders
@@ -21,26 +21,13 @@ from .orbifold import EdgeOrders, QuadPrismOrders
 RELATION_TOL = 1e-7
 
 
-@dataclass
-class RelationReport:
-    """Residuals of the Coxeter relations of one reflection system."""
-
-    involution_residuals: dict
-    finite_pair_residuals: dict
-    infinite_pair_products: dict
-    tol: float
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
-                     tol: float = RELATION_TOL) -> RelationReport:
+                     tol: float = RELATION_TOL) -> Verdict:
     """Check R_i^2 = Id, (R_i R_j)^n_ij = Id for finite orders, and
     infinite order of R_i R_j for infinite ones, all read off the Cartan
-    matrix M_ij = alpha_i(v_j).
+    matrix M_ij = alpha_i(v_j).  The Verdict holds one Check per place,
+    each bound by tol: an ``involution`` check per side (i,), then a
+    ``finite`` or ``infinite`` check per pair (i, j), in pair order.
 
     R_i is an involution iff M_ii = 2; the residual is |M_ii - 2|, and
     a system off it by more than TOL_ALGEBRAIC is not a reflection
@@ -65,32 +52,20 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     4 - tol are failures.  A NaN residual fails.
     """
     m = sys.cartan
-    failures = []
-
-    involutions = {}
+    checks = []
     for i, row in enumerate(m, start=1):
         res = abs(row[i - 1] - 2.0)
         if not res <= TOL_ALGEBRAIC:
             raise NormalizationError(f"a(v) = {row[i - 1]}, expected 2")
-        involutions[i] = res
-        if not res <= tol:
-            failures.append(("involution", i))
-
-    finite_res = {}
-    infinite_prod = {}
+        checks.append(Check(("involution", (i,), res, tol, res <= tol)))
     for pair, n, mu_n, prod, res in _pair_residuals(m, orders):
         if mu_n is None:
-            infinite_prod[pair] = prod
-            if not res <= tol:
-                failures.append(("infinite", pair))
+            checks.append(Check(("infinite", pair, prod, tol, res <= tol)))
             continue
         if n >= 3:
             res /= 4.0 - mu_n
-        finite_res[pair] = res
-        if not res <= tol:
-            failures.append(("finite", pair))
-
-    return RelationReport(involutions, finite_res, infinite_prod, tol, failures)
+        checks.append(Check(("finite", pair, res, tol, res <= tol)))
+    return Verdict(checks)
 
 
 def is_convex_cocompact(m, orders: EdgeOrders) -> bool:

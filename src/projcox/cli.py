@@ -42,9 +42,13 @@ def _parse_box(text: str):
     return float(parts[0]), float(parts[1])
 
 
-def _keyed(values: dict) -> dict:
-    """The values with their index-tuple keys written as "i-j-k"."""
-    return {"-".join(str(i) for i in key): v for key, v in values.items()}
+def _keyed(values, name=None) -> dict:
+    """Values keyed by index tuples written as "i-j-k": a dict's, or with
+    a name the value of each of a verdict's checks of that name, keyed
+    by its place."""
+    items = values.items() if name is None else (
+        (c.where, c.value) for c in values if c.name == name)
+    return {"-".join(map(str, key)): v for key, v in items}
 
 
 #: each chart's coordinate fields, those of its parameters (the standard
@@ -88,13 +92,6 @@ def _build_system(args):
     return orders, system, inputs
 
 
-def _relation_residuals(report) -> dict:
-    return {
-        "involutions": {str(i): r for i, r in report.involution_residuals.items()},
-        "finite_pairs": _keyed(report.finite_pair_residuals),
-    }
-
-
 # Each cmd_* returns (inputs, results, residuals, verdicts, ok) for main
 # to print as one JSON object; ok False means a check failed.
 
@@ -105,17 +102,18 @@ def cmd_relations(args):
     vinberg_passed = cartan.check_vinberg(system, orders).passed
     ok = report.passed and vinberg_passed
     results = {"relations_passed": report.passed, "vinberg_passed": vinberg_passed,
-               "infinite_pair_products": _keyed(report.infinite_pair_products)}
-    return inputs, results, _relation_residuals(report), {"pass": ok}, ok
+               "infinite_pair_products": _keyed(report, "infinite")}
+    residuals = {"involutions": _keyed(report, "involution"),
+                 "finite_pairs": _keyed(report, "finite")}
+    return inputs, results, residuals, {"pass": ok}, ok
 
 
 def cmd_vinberg(args):
     orders, system, inputs = _build_system(args)
     report = cartan.check_vinberg(system, orders, args.tol)
-    conditions = report.conditions.items()
-    results = {name: {"passed": c.passed, "failures": [list(p) for p in c.failures]}
-               for name, c in conditions}
-    residuals = {name: c.residual for name, c in conditions}
+    results = {c.name: {"passed": c.passed, "failures": [list(p) for p in c.where]}
+               for c in report}
+    residuals = {c.name: c.value for c in report}
     return inputs, results, residuals, {"pass": report.passed}, report.passed
 
 
@@ -130,7 +128,7 @@ def cmd_invariants(args):
     orders, system, inputs = _build_system(args)
     invariants = cartan.cyclic_invariants(cartan.cartan_of(system))
     identities = cartan.derived_invariant_identities(invariants, orders, args.tol)
-    return (inputs, _keyed(invariants), _keyed(identities.residuals),
+    return (inputs, _keyed(invariants), _keyed(identities, "identity"),
             {"identities_pass": identities.passed}, identities.passed)
 
 
@@ -199,7 +197,9 @@ def cmd_simplex(args):
     inputs = {"n": n, "orders": values, "free": _keyed(params.free)}
     results = {"parameter_count": params.parameter_count,
                "relations_passed": report.passed}
-    return inputs, results, _relation_residuals(report), {"pass": report.passed}, report.passed
+    residuals = {"involutions": _keyed(report, "involution"),
+                 "finite_pairs": _keyed(report, "finite")}
+    return inputs, results, residuals, {"pass": report.passed}, report.passed
 
 
 class _Parser(argparse.ArgumentParser):

@@ -89,9 +89,6 @@ class EdgeOrders:
     def __hash__(self):
         return hash((self.size, frozenset(self.orders.items())))
 
-    def order(self, i: int, j: int):
-        return self.orders[(min(i, j), max(i, j))]
-
 
 class QuadPrismOrders(EdgeOrders):
     """Orders of the labeled quadrilateral prism: finite n12, n23, n34,

@@ -490,7 +490,7 @@ def test_simplex_products_match_mu():
     from projcox.orbifold import mu
     for (i, j) in table.orders:
         assert m[i - 1, j - 1] * m[j - 1, i - 1] == pytest.approx(
-            mu(table.order(i, j)), abs=1e-12)
+            mu(table.orders[(i, j)]), abs=1e-12)
 
 
 def test_simplex_rejects_infinite_orders():

