@@ -11,7 +11,6 @@ matrix, which is decided here through cyclic invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations
 from operator import itemgetter
@@ -24,25 +23,21 @@ from .orbifold import EdgeOrders, QuadPrismOrders
 GENERATING_CYCLES = ((1, 3), (2, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4))
 
 
-@dataclass(frozen=True, init=False)
 class ReflectionSystem:
     """Covectors alpha_1..alpha_f and vectors v_1..v_f of f projective
     reflections in dimension d, with their Cartan matrix M_ij =
     alpha_i(v_j).
 
     All three are held as tuples of rows, each a tuple of Python floats:
-    ``alpha_rows``, ``vector_rows`` and ``cartan``.  The chart builders
-    hand over the rows of all three, the Cartan rows being the ones
-    their coordinates give.  A system given only as (alphas, vectors),
-    each read by linalg._rows, multiplies out its Cartan matrix once, at
-    construction, as ``alphas @ vectors.T``.  ``alphas`` and
-    ``vectors`` are the rows as 2-D float ndarrays, built on first
-    access.  The Cartan matrix is not validated here (see cartan_of).
+    ``alpha_rows``, ``vector_rows`` and ``cartan``, all read-only.  The
+    chart builders hand over the rows of all three, the Cartan rows
+    being the ones their coordinates give.  A system given only as
+    (alphas, vectors), each read by linalg._rows, multiplies out its
+    Cartan matrix once, at construction, as ``alphas @ vectors.T``.
+    ``alphas`` and ``vectors`` are the rows as 2-D float ndarrays, built
+    on first access.  Systems compare and hash by the three row tuples.
+    The Cartan matrix is not validated here (see cartan_of).
     """
-
-    alpha_rows: tuple
-    vector_rows: tuple
-    cartan: tuple = field(repr=False)
 
     def __init__(self, alphas, vectors, cartan=None):
         if cartan is None:
@@ -52,11 +47,29 @@ class ReflectionSystem:
                 raise ValueError("alphas shape {} != vectors shape {}".format(*shapes))
         if not all(map(math.isfinite, chain(*alphas, *vectors))):
             raise ValueError("entries must be finite")
-        object.__setattr__(self, "alpha_rows", alphas)
-        object.__setattr__(self, "vector_rows", vectors)
+        fields = vars(self)
+        fields.update(alpha_rows=alphas, vector_rows=vectors)
         if cartan is None:
             cartan = linalg._rows(self.alphas @ self.vectors.T)
-        object.__setattr__(self, "cartan", cartan)
+        fields["cartan"] = cartan
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha_rows, self.vector_rows, self.cartan) == (
+            other.alpha_rows, other.vector_rows, other.cartan)
+
+    def __hash__(self):
+        return hash((self.alpha_rows, self.vector_rows, self.cartan))
+
+    def __repr__(self):
+        return (f"ReflectionSystem(alpha_rows={self.alpha_rows!r}, "
+                f"vector_rows={self.vector_rows!r})")
 
     @cached_property
     def alphas(self):

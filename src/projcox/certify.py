@@ -5,7 +5,7 @@ convex cocompactness, and the appendix-style numeric scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from . import charts
 from .cartan import Check, ReflectionSystem, Verdict, _pair_residuals, _t_products
@@ -85,14 +85,10 @@ def is_convex_cocompact(m, orders: EdgeOrders) -> bool:
     return t13 > 4.0 and t24 > 4.0
 
 
-@dataclass
-class DetLocusReport:
+class DetLocusReport(namedtuple("DetLocusReport", "samples seed min_abs_det min_e")):
     """Extremes observed over the T13 = 4 and T24 = 4 boundary slices."""
 
-    samples: int
-    seed: int
-    min_abs_det: dict
-    min_e: dict
+    __slots__ = ()
 
 
 def det_locus_check(orders: QuadPrismOrders, samples: int,
@@ -130,14 +126,11 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
     return DetLocusReport(samples, seed, min_abs_det, min_e)
 
 
-@dataclass
-class ConcurrentScanReport:
+class ConcurrentScanReport(namedtuple("ConcurrentScanReport", "grid_points_per_axis min_product "
+                                      "argmin product_at_all_minus_one")):
     """Grid minimum of T13 * T24 over the concurrent chart."""
 
-    grid_points_per_axis: int
-    min_product: float
-    argmin: tuple
-    product_at_all_minus_one: float
+    __slots__ = ()
 
 
 #: the range of each concurrent coordinate in concurrent_t_scan, and
@@ -170,26 +163,18 @@ def concurrent_t_scan(orders: QuadPrismOrders,
     return ConcurrentScanReport(g, float(product[idx]), argmin, float(product[k, k, k, k]))
 
 
-@dataclass
-class StandardScanReport:
+class StandardScanReport(namedtuple("StandardScanReport", "samples valid_samples seed box t13 t24 "
+                                    "min_a4_v44 max_a4_v44 argmin histogram records",
+                                    defaults=(None,))):
     """Distribution of a4*v44 over random standard-chart points."""
 
-    samples: int
-    valid_samples: int
-    seed: int
-    box: tuple
-    t13: float
-    t24: float
-    min_a4_v44: float
-    max_a4_v44: float
-    argmin: tuple
-    histogram: list
-    records: dict = None
+    __slots__ = ()
 
     @property
     def summary(self) -> dict:
         """The fields but the records, with the box a list and argmin keyed by coordinate."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
+        out = self._asdict()
+        del out["records"]
         out.update(box=list(self.box), argmin=dict(zip(("v23", "v24", "v34"), self.argmin)))
         return out
 
@@ -225,7 +210,8 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     every = bool(ok.all())
     values = a4_v44 if every else a4_v44[ok]
     if values.size == 0:
-        raise ValueError("no valid samples; enlarge the box or sample count")
+        raise ValueError("a4*v44 overflows at every sample; bring the box nearer -1 "
+                         "or lower T")
     kmin, kmax = int(np.argmin(values)), int(np.argmax(values))
     low, high = float(values[kmin]), float(values[kmax])
     if not math.isfinite(high - low):

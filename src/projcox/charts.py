@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from . import linalg
@@ -64,20 +64,23 @@ def _require_t(**named):
             raise DomainError(f"{name} must be >= 4, got {value}")
 
 
-@dataclass(frozen=True)
-class GeneralChartParams:
+# A chart's parameters are a named tuple whose constructor validates
+# them; namedtuple's _replace builds through _make, so _make calls the
+# constructor.
+
+
+class GeneralChartParams(namedtuple("GeneralChartParams", "orders t13 t24 v23 v24 v34")):
     """Coordinates of the general-position chart: R^3 x [4, inf)^2."""
 
-    orders: QuadPrismOrders
-    t13: float
-    t24: float
-    v23: float
-    v24: float
-    v34: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_t(t13=self.t13, t24=self.t24)
         _require_negative(v23=self.v23, v24=self.v24, v34=self.v34)
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def build_general(p: GeneralChartParams) -> ReflectionSystem:
@@ -87,7 +90,7 @@ def build_general(p: GeneralChartParams) -> ReflectionSystem:
     Cartan matrix itself, with v13 = -T13 and v42 = T24 / v24.
     """
     o = p.orders
-    t13, t24, v23, v24, v34 = map(float, (p.t13, p.t24, p.v23, p.v24, p.v34))
+    t13, t24, v23, v24, v34 = map(float, p[1:])
     vmat = ((2.0, -o.mu12, -t13, -o.mu14),
             (-1.0, 2.0, v23, v24),
             (-1.0, o.mu23 / v23, 2.0, v34),
@@ -95,22 +98,21 @@ def build_general(p: GeneralChartParams) -> ReflectionSystem:
     return ReflectionSystem(_IDENTITY_4, tuple(zip(*vmat)), vmat)
 
 
-@dataclass(frozen=True)
-class ConcurrentChartParams:
+class ConcurrentChartParams(namedtuple("ConcurrentChartParams", "orders v12 v23 v14 v34 v44",
+                                       defaults=(0.0,))):
     """Coordinates of the concurrent chart; v44 = 0 is the semisimple
     slice."""
 
-    orders: QuadPrismOrders
-    v12: float
-    v23: float
-    v14: float
-    v34: float
-    v44: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_negative(v12=self.v12, v23=self.v23, v14=self.v14, v34=self.v34)
         if not math.isfinite(self.v44):
             raise DomainError("v44 must be finite")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def concurrent_cartan(orders: QuadPrismOrders, v12, v23, v14, v34) -> tuple:
@@ -134,29 +136,20 @@ def build_concurrent(p: ConcurrentChartParams) -> ReflectionSystem:
     too: the rows are :func:`concurrent_cartan` on Python floats, the
     same bits the grid scan reads.
     """
-    v12, v23, v14, v34, v44 = map(float, (p.v12, p.v23, p.v14, p.v34, p.v44))
+    v12, v23, v14, v34, v44 = map(float, p[1:])
     cartan = concurrent_cartan(p.orders, v12, v23, v14, v34)
     return ReflectionSystem(_CONCURRENT_ALPHAS,
                             tuple(zip(*cartan[:3], (0.0, 0.0, 0.0, v44))), cartan)
 
 
-@dataclass(frozen=True)
-class StandardChartPoint:
+class StandardChartPoint(namedtuple("StandardChartPoint",
+                                    "orders t13 t24 v23 v24 v34 a1 a2 a3 a4_v44 cartan")):
     """A standard-position point: the five chart coordinates, the
     derived quantities solved from the defining linear system, and the
-    rows of the Cartan matrix that system was built from."""
+    rows of the Cartan matrix that system was built from.  Not
+    validated here: build_standard is what checks a point."""
 
-    orders: QuadPrismOrders
-    t13: float
-    t24: float
-    v23: float
-    v24: float
-    v34: float
-    a1: float
-    a2: float
-    a3: float
-    a4_v44: float
-    cartan: tuple = field(repr=False, compare=False)
+    __slots__ = ()
 
 
 def standard_cartan(orders: QuadPrismOrders, t13: float, t24: float,
@@ -340,8 +333,7 @@ def _simplex_free_pairs(orders: EdgeOrders) -> list:
     return [pair for pair, n, _ in orders.mu_table if pair[0] >= 2 and n >= 3]
 
 
-@dataclass(frozen=True)
-class SimplexChartParams:
+class SimplexChartParams(namedtuple("SimplexChartParams", "n orders free")):
     """Free coordinates of the Coxeter n-simplex chart.
 
     ``free`` maps pairs (i, j) with 2 <= i < j <= n + 1 and finite
@@ -350,23 +342,26 @@ class SimplexChartParams:
     carry no parameter: both Cartan entries vanish.
     """
 
-    n: int
-    orders: EdgeOrders
-    free: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 2 <= self.n <= 8:
-            raise DomainError(f"simplex dimension n must be in [2, 8], got {self.n}")
-        if self.orders.size != self.n + 1:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        n, orders, free = self
+        if not 2 <= n <= 8:
+            raise DomainError(f"simplex dimension n must be in [2, 8], got {n}")
+        if orders.size != n + 1:
             raise DomainError("orders table must have n + 1 sides")
-        if INFINITY in self.orders.orders.values():
+        if INFINITY in orders.orders.values():
             raise DomainError("simplex chart requires all finite orders")
-        expected = _simplex_free_pairs(self.orders)
-        if set(self.free) != set(expected):
+        expected = _simplex_free_pairs(orders)
+        if set(free) != set(expected):
             raise DomainError(f"free parameters must be exactly the pairs {expected}")
-        for (i, j), value in self.free.items():
+        for (i, j), value in free.items():
             if not math.isfinite(value) or value >= 0.0:
                 raise DomainError(f"free parameter v{i}{j} must be negative")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def parameter_count(self) -> int:

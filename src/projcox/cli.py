@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import re
@@ -51,14 +50,12 @@ def _keyed(values, name=None) -> dict:
     return {"-".join(map(str, key)): v for key, v in items}
 
 
-#: each chart's coordinate fields, those of its parameters (the standard
-#: chart's those of the general chart); their names are its flags
-_CHART_FIELDS = {
-    chart: tuple(f for f in dataclasses.fields(params) if f.name != "orders")
-    for chart, params in (("general", charts.GeneralChartParams),
-                          ("concurrent", charts.ConcurrentChartParams),
-                          ("standard", charts.GeneralChartParams))}
-_CHART_FLAGS = {chart: tuple(f.name for f in fields) for chart, fields in _CHART_FIELDS.items()}
+#: each chart's parameter record (the standard chart's that of the
+#: general chart); its fields but the orders are the chart's flags
+_CHART_PARAMS = {"general": charts.GeneralChartParams,
+                 "concurrent": charts.ConcurrentChartParams,
+                 "standard": charts.GeneralChartParams}
+_CHART_FLAGS = {chart: params._fields[1:] for chart, params in _CHART_PARAMS.items()}
 _COORDINATE_FLAGS = tuple(dict.fromkeys(sum(_CHART_FLAGS.values(), ())))
 
 
@@ -72,9 +69,10 @@ def _build_system(args):
     if stray:
         raise ValueError(f"flags not used by chart {args.chart!r}: "
                          + ", ".join(f"--{n}" for n in stray))
-    coords = {f.name: f.default if getattr(args, f.name) is None else getattr(args, f.name)
-              for f in _CHART_FIELDS[args.chart]}
-    missing = [n for n, value in coords.items() if value is dataclasses.MISSING]
+    defaults = _CHART_PARAMS[args.chart]._field_defaults
+    coords = {n: defaults.get(n) if getattr(args, n) is None else getattr(args, n)
+              for n in used}
+    missing = [n for n, value in coords.items() if value is None]
     if missing:
         raise ValueError("missing flags for chart "
                          f"{args.chart!r}: " + ", ".join(f"--{n}" for n in missing))

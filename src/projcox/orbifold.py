@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 
 from .errors import InfiniteOrder, NonHyperbolic
 
@@ -42,7 +41,6 @@ def mu(n) -> float:
     return 4.0 * math.cos(math.pi / n) ** 2
 
 
-@dataclass(frozen=True)
 class EdgeOrders:
     """Symmetric table of edge orders of an f-sided labeled polytope.
 
@@ -55,18 +53,16 @@ class EdgeOrders:
     once, at construction.  A finite order whose mu rounds to 4 (from
     about n = 3e8) cannot be told from an infinite one in doubles and is
     rejected.
+
+    The fields ``size``, ``orders`` and ``mu_table`` are read-only.
+    Tables of one class compare and hash by (size, orders).
     """
 
-    size: int
-    orders: dict = field(default_factory=dict)
-    mu_table: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        size = self.size
+    def __init__(self, size: int, orders: dict = None):
         if size < 2:
             raise ValueError("need at least two sides")
         normalized = {}
-        for (i, j), n in self.orders.items():
+        for (i, j), n in (orders or {}).items():
             if i == j or not (1 <= i <= size and 1 <= j <= size):
                 raise ValueError(f"bad side pair ({i},{j})")
             key = (i, j) if i < j else (j, i)
@@ -83,11 +79,23 @@ class EdgeOrders:
                 raise ValueError(f"order {n} of pair {pair} is too large: mu(n) rounds "
                                  "to 4 in doubles, the value of an infinite order")
             table.append((pair, n, mu_n))
-        object.__setattr__(self, "orders", normalized)
-        object.__setattr__(self, "mu_table", tuple(table))
+        vars(self).update(size=size, orders=normalized, mu_table=tuple(table))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.orders) == (other.size, other.orders)
 
     def __hash__(self):
         return hash((self.size, frozenset(self.orders.items())))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(size={self.size!r}, orders={self.orders!r})"
 
 
 class QuadPrismOrders(EdgeOrders):
@@ -114,31 +122,35 @@ class QuadPrismOrders(EdgeOrders):
     mu34 = property(lambda self: self.mu_table[5][2])
 
 
-@dataclass(frozen=True)
-class OrbifoldSignature:
+class OrbifoldSignature(namedtuple("OrbifoldSignature", "chi_underlying cone_orders "
+                                   "corner_orders full_boundary_count")):
     """Singular-point data of a 2-orbifold entering the Euler
-    characteristic and dimension formulas.
+    characteristic and dimension formulas: a named tuple, with
+    chi_underlying held as a Fraction and the orders as tuples.
     """
 
-    chi_underlying: Fraction
-    cone_orders: tuple = ()
-    corner_orders: tuple = ()
-    full_boundary_count: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "chi_underlying", Fraction(self.chi_underlying))
-        object.__setattr__(self, "cone_orders", tuple(self.cone_orders))
-        object.__setattr__(self, "corner_orders", tuple(self.corner_orders))
-        for q in self.cone_orders + self.corner_orders:
+    def __new__(cls, chi_underlying, cone_orders=(), corner_orders=(),
+                full_boundary_count=0):
+        from fractions import Fraction
+        chi_underlying = Fraction(chi_underlying)
+        cone_orders, corner_orders = tuple(cone_orders), tuple(corner_orders)
+        for q in cone_orders + corner_orders:
             if not isinstance(q, int) or q < 2:
                 raise ValueError(f"singular-point orders must be integers >= 2, got {q!r}")
-        if self.full_boundary_count < 0:
+        if full_boundary_count < 0:
             raise ValueError("full_boundary_count must be >= 0")
+        return super().__new__(cls, chi_underlying, cone_orders, corner_orders,
+                               full_boundary_count)
+
+    # namedtuple's _replace builds through _make; the constructor validates
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def quadrilateral_signature(n1: int, n2: int, n3: int, n4: int) -> OrbifoldSignature:
     """Disk with four corner reflectors: D^2(; n1, n2, n3, n4)."""
-    return OrbifoldSignature(Fraction(1), (), (n1, n2, n3, n4), 0)
+    return OrbifoldSignature(1, (), (n1, n2, n3, n4), 0)
 
 
 def euler_characteristic(sig: OrbifoldSignature) -> Fraction:
@@ -148,6 +160,7 @@ def euler_characteristic(sig: OrbifoldSignature) -> Fraction:
     over cone points q_i, corner reflectors r_j and full boundary
     components.
     """
+    from fractions import Fraction
     chi = sig.chi_underlying
     for q in sig.cone_orders:
         chi -= 1 - Fraction(1, q)

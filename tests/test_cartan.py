@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import pickle
@@ -494,8 +493,7 @@ def test_projective_equivalence_agrees_with_all_invariants(seed, coordinate):
     diagonal conjugates and on a coordinate moved by a relative 1e-6."""
     rng = np.random.default_rng(seed)
     params = random_general(rng)
-    moved = dataclasses.replace(
-        params, **{coordinate: getattr(params, coordinate) * (1.0 + 1e-6)})
+    moved = params._replace(**{coordinate: getattr(params, coordinate) * (1.0 + 1e-6)})
     m = cartan_of(charts.build_general(params))
     d = np.exp(rng.uniform(-1.0, 1.0, 4))
     for other in (m, m * np.outer(d, 1.0 / d)):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import tracemalloc
 
@@ -253,7 +252,7 @@ def test_relabelling_the_sides_moves_each_check_with_its_place(seed, chart, move
     if chart == "general":
         params = random_general(rng)
         if rng.integers(4) == 0:
-            params = dataclasses.replace(params, t13=4.0)
+            params = params._replace(t13=4.0)
         sys, orders = charts.build_general(params), params.orders
     elif chart == "concurrent":
         params = random_concurrent(rng, v44=float(rng.standard_normal()))

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -87,7 +86,7 @@ def test_concurrent_semisimple_iff_v44_zero(seed):
     rng = np.random.default_rng(seed)
     p0 = random_concurrent(rng, v44=0.0)
     assert is_semisimple(build_concurrent(p0))
-    p1 = dataclasses.replace(p0, v44=float(np.sign(rng.standard_normal()) or 1.0))
+    p1 = p0._replace(v44=float(np.sign(rng.standard_normal()) or 1.0))
     assert not is_semisimple(build_concurrent(p1))
 
 
@@ -518,7 +517,7 @@ def test_simplex_rejects_bad_dimension_and_table_size():
 # --- structural parameter counts ------------------------------------------
 
 def coordinate_fields(cls, exclude=("orders",)):
-    return [f.name for f in dataclasses.fields(cls) if f.name not in exclude]
+    return [name for name in cls._fields if name not in exclude]
 
 
 def test_chart_dimensions_match_deformation_spaces():

@@ -293,19 +293,26 @@ def test_help_text_is_unchanged(name, monkeypatch):
 
 
 #: runs in a fresh interpreter: `import projcox`, then cli.main on each
-#: argv of argv[1] (JSON), must leave numpy unimported; then `scan`,
-#: argv[2], runs as usual
+#: argv of argv[1] (JSON), must leave numpy unimported, and dataclasses,
+#: inspect and fractions as well where the interpreter had not loaded
+#: them, fractions until `orbifold` runs; then `scan`, argv[2], runs as
+#: usual
 _NUMPY_FREE_SCRIPT = """
 import io, json, sys
 from contextlib import redirect_stdout
+unloaded = {"dataclasses", "inspect", "fractions"} - set(sys.modules)
 import projcox
 assert "numpy" not in sys.modules, "import projcox loaded numpy"
+assert unloaded.isdisjoint(sys.modules), unloaded.intersection(sys.modules)
 from projcox import cli
 for argv in json.loads(sys.argv[1]):
     with redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     assert code == 0, (code, argv)
     assert "numpy" not in sys.modules, argv
+    if argv[0] == "orbifold":
+        unloaded.discard("fractions")
+    assert unloaded.isdisjoint(sys.modules), (argv, unloaded.intersection(sys.modules))
 assert cli.main(sys.argv[2].split()) == 0
 """
 
@@ -314,7 +321,7 @@ def test_only_scan_imports_numpy(tmp_path):
     points = (GENERAL_POINT, CONCURRENT_BASE, STANDARD_POINT)
     argvs = [[name] + point for name in ("relations", "vinberg", "cocompact", "invariants")
              for point in points]
-    argvs += [README_COMMANDS[name].split() for name in ("orbifold", "simplex")]
+    argvs += [README_COMMANDS[name].split() for name in ("simplex", "orbifold")]
     csv_file = tmp_path / "scan.csv"
     scan = f"{README_COMMANDS['scan_csv']} --file {csv_file}"
     proc = run_python(["-c", _NUMPY_FREE_SCRIPT, json.dumps(argvs), scan])
@@ -354,6 +361,11 @@ def test_scan_csv_to_an_empty_path_is_usage_error(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+#: a scan's error when every sample is dropped: more samples or a larger
+#: box would not help
+_ALL_OVERFLOW = "error: a4*v44 overflows at every sample; bring the box nearer -1 or lower T\n"
+
+
 def test_scan_with_overflowing_box_fails_cleanly():
     # |v| from 1e-309 down overflows mu/v and the solution: every sample
     # is dropped, with no numpy warning on the way
@@ -362,7 +374,17 @@ def test_scan_with_overflowing_box_fails_cleanly():
                        "--box=-1e-309,-1e-320"])
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: no valid samples; enlarge the box or sample count\n"
+    assert proc.stderr == _ALL_OVERFLOW
+
+
+def test_scan_at_overflowing_t_fails_cleanly():
+    # T13 and T24 near the largest double overflow every sample of the
+    # default box
+    proc = run_python(["-m", "projcox.cli", "scan", "--orders", "3,3,3,3",
+                       "--t13", "1e308", "--t24", "1e308", "--samples", "100"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == _ALL_OVERFLOW
 
 
 def test_scan_whose_a4_v44_range_overflows_fails_cleanly(capsys):
