@@ -99,28 +99,37 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
     On each slice the other T is drawn from the interior distribution
     and (v23, v24, v34) log-uniformly; E is the positive defect in
     det(M) = (4 - T13)(4 - T24) - E.  det(M) is the solve's a4*v44 *
-    det M[:3, :3] (see charts._standard_blocks); on a T = 4 slice the
-    product is a signed zero, so E = -det(M) exactly.  Both minima are
-    folded block by block over the samples with a finite a4*v44.
+    det M[:3, :3] (see charts._standard_block); on a T = 4 slice the
+    product is a signed zero, so E = -det(M) exactly.
+
+    The samples are those of ``rng = np.random.default_rng(seed)``
+    drawing, slice by slice, ``charts.sample_t(rng, samples)`` and then
+    v23, v24 and v34 as one (3, samples) box draw, but read one block
+    at a time (charts._drawn_blocks): slice s's free T starts at double
+    4 * samples * s of the stream and its row r of v at 4 * samples * s
+    + (1 + r) * samples.  Both minima are folded block by block over the
+    samples with a finite a4*v44, so nothing of the sample size is kept.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     import numpy as np
-    rng = np.random.default_rng(seed)
+    draw_v = charts._box_draw(-math.exp(2.0), -math.exp(-2.0))
     min_abs_det, min_e = {}, {}
-    for slice_name in ("T13=4", "T24=4"):
-        t_free = charts.sample_t(rng, samples)
-        t13 = 4.0 if slice_name == "T13=4" else t_free
-        t24 = t_free if slice_name == "T13=4" else 4.0
-        v23, v24, v34 = charts.sample_negative_box(
-            rng, -math.exp(2.0), -math.exp(-2.0), (3, samples))
+    for s, slice_name in enumerate(("T13=4", "T24=4")):
+        start = 4 * samples * s
+        rows = [(start, charts.sample_t)] + [
+            (start + (1 + r) * samples, draw_v) for r in range(3)]
         low_abs = low_e = float("inf")
-        for _, a4_v44, det3 in charts._standard_blocks(orders, t13, t24, v23, v24, v34):
+        for _, (t_free, v23, v24, v34) in charts._drawn_blocks(seed, rows, samples):
+            t13, t24 = (4.0, t_free) if s == 0 else (t_free, 4.0)
+            a4_v44, det3 = charts._standard_block(orders, t13, t24, v23, v24, v34)
             with np.errstate(over="ignore", invalid="ignore"):
                 det_m = (a4_v44 * det3)[np.isfinite(a4_v44)]
             if det_m.size:
                 low_abs = min(low_abs, float(np.min(np.abs(det_m))))
                 low_e = min(low_e, -float(np.max(det_m)))
+            # free this block's arrays before the next block is solved
+            del a4_v44, det3, det_m
         min_abs_det[slice_name] = low_abs
         min_e[slice_name] = low_e
     return DetLocusReport(samples, seed, min_abs_det, min_e)
@@ -185,27 +194,34 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     """Monte-Carlo scan of a4*v44 at fixed (T13, T24), both >= 4 as the
     standard chart requires.
 
-    Coordinates are drawn log-uniformly in |v| over the box; samples
+    Coordinates are drawn log-uniformly in |v| over the box: the samples
+    are ``charts.sample_negative_box(np.random.default_rng(seed), *box,
+    (3, samples))``, rows v23, v24 and v34, read one block at a time
+    (charts._drawn_blocks; row r starts at double r * samples of the
+    stream), so the result is deterministic for a given seed.  Samples
     whose a4*v44 is not finite are dropped (the validity rule of
-    charts._standard_blocks), while det(M), which no statistic uses,
-    may read +-inf.  The solve runs block by block and keeps only
-    a4*v44, plus det(M) for the records.  The result is deterministic
-    for a given seed.
+    charts._standard_block), while det(M), which no statistic uses, may
+    read +-inf.  Each block is solved as soon as it is drawn; what
+    outlives the block is a4*v44, 8 bytes per sample, plus the
+    coordinate rows and det(M) when the records are kept.  The
+    coordinates of the minimum are drawn again from the jumped streams,
+    one double of each row, after the solve.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     charts._require_t(t13=t13, t24=t24)
     import numpy as np
-    rng = np.random.default_rng(seed)
-    # one draw: the same stream as v23, v24 and v34 drawn in turn
-    v = charts.sample_negative_box(rng, box[0], box[1], (3, samples))
+    draw = charts._box_draw(*box)
+    rows = [(r * samples, draw) for r in range(3)]
     a4_v44 = np.empty(samples)
+    v = np.empty((3, samples)) if keep_records else None
     det_m = np.empty(samples) if keep_records else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, x, det3 in charts._standard_blocks(orders, t13, t24, *v):
-            a4_v44[block] = x
+        for block, coords in charts._drawn_blocks(seed, rows, samples):
+            a4_v44[block], det3 = charts._standard_block(orders, t13, t24, *coords)
             if keep_records:
-                np.multiply(x, det3, out=det_m[block])
+                v[:, block] = coords
+                np.multiply(a4_v44[block], det3, out=det_m[block])
     ok = np.isfinite(a4_v44)
     every = bool(ok.all())
     values = a4_v44 if every else a4_v44[ok]
@@ -229,7 +245,8 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
             "T24_prod": np.full(values.shape, float(t24)),
         }
     at = kmin if every else int(np.flatnonzero(ok)[kmin])
+    _, point = next(charts._drawn_blocks(seed, [(start + at, draw) for start, _ in rows], 1))
+    argmin = tuple(float(x[0]) for x in point)
     return StandardScanReport(
         samples, int(values.size), seed, (float(box[0]), float(box[1])),
-        float(t13), float(t24), low, high, tuple(map(float, v[:, at])),
-        histogram, records)
+        float(t13), float(t24), low, high, argmin, histogram, records)

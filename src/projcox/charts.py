@@ -198,19 +198,17 @@ def standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     return a1, a2, a3, a4_v44, det3
 
 
-#: samples per block of the batch solve: a block's live temporaries,
-#: about 18 arrays of 8192 * 8 bytes = 64 KiB, stay in a 2 MiB per-core
-#: L2 cache instead of streaming whole-batch arrays from memory (4096
-#: measured about 10 % slower, 16384 no faster)
+#: samples per block of the scans' draws and solve: a block's draws and
+#: live temporaries, about 21 arrays of 8192 * 8 bytes = 64 KiB, stay in
+#: a 2 MiB per-core L2 cache instead of streaming whole-batch arrays from
+#: memory (4096 measured about 10 % slower, 16384 no faster)
 _BLOCK = 8192
 
 
-def _standard_blocks(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
-    """Run :func:`standard_solution` over blocks of ``_BLOCK`` samples;
-    each input is a scalar or a 1-D array of the sample count.
-
-    Yields (block, a4_v44, det3) per block, with block the slice of the
-    samples it covers.  A scalar stays a scalar, which the operators
+def _standard_block(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
+    """(a4_v44, det3) of :func:`standard_solution` on one block of
+    samples, with overflow silent.  Each input is a scalar or an array
+    of the block's samples; a scalar stays a scalar, which the operators
     broadcast with the same IEEE operations as an array of its value,
     so det3 is a scalar where T13 and v23 both are.  The arithmetic is
     elementwise, so no value depends on the block size.
@@ -229,13 +227,30 @@ def _standard_blocks(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     floating-point warning.
     """
     import numpy as np
-    args = [np.asarray(x, dtype=float) for x in (t13, t24, v23, v24, v34)]
-    for lo in range(0, max(x.size for x in args), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            *_, a4_v44, det3 = standard_solution(
-                orders, *(x[block] if x.ndim else x for x in args))
-        yield block, a4_v44, det3
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        *_, a4_v44, det3 = standard_solution(orders, t13, t24, v23, v24, v34)
+    return a4_v44, det3
+
+
+def _drawn_blocks(seed: int, rows, samples: int):
+    """The rows of a scan's samples, drawn one block of ``_BLOCK``
+    samples at a time.
+
+    ``rows`` holds one (start, draw) pair per row: the row is
+    ``draw(rng, samples)`` with rng the stream of
+    ``np.random.default_rng(seed)`` from its start-th double on.  A
+    draw takes one double of the stream per value, so PCG64 jumps to
+    each row's start and every block reads the next stretch of its
+    row: each row has the bytes of the one-shot draw.  Yields
+    (block, drawn) per block, with block the slice of the samples it
+    covers and drawn the block of each row, in the order of rows.
+    """
+    import numpy as np
+    streams = [(np.random.Generator(np.random.PCG64(seed).advance(start)), draw)
+               for start, draw in rows]
+    for lo in range(0, samples, _BLOCK):
+        n = min(_BLOCK, samples - lo)
+        yield slice(lo, lo + n), [draw(rng, n) for rng, draw in streams]
 
 
 def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
@@ -243,9 +258,9 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
     """Solve for (a1, a2, a3, a4*v44) and validate the point.
 
     This is :func:`standard_solution` on Python floats, so it returns
-    bit for bit the values :func:`_standard_blocks` gives for the same
+    bit for bit the values :func:`_standard_block` gives for the same
     point, and raises DomainError where a4*v44 is not finite, the one
-    validity rule of the batch (see _standard_blocks).  It then checks
+    validity rule of the batch (see _standard_block).  It then checks
     each entry of row 4 of M rebuilt as alpha_4 applied to the vectors,
     to RESIDUAL_TOL (1 + max|row 4|) plus the rounding bound of the
     entry's own terms; the rebuilt M42 = T24 / v24 is the chart's T24.
@@ -428,18 +443,33 @@ def _exp_uniform(rng: np.random.Generator, lo: float, hi: float, size) -> np.nda
 
 
 def sample_t(rng: np.random.Generator, size) -> np.ndarray:
-    """Interior T values 4 + e^U with U uniform on [-3, 3]."""
+    """Interior T values 4 + e^U with U uniform on [-3, 3], one double
+    of rng's stream per value."""
     x = _exp_uniform(rng, -3.0, 3.0, size)
     x += 4.0
     return x
 
 
-def sample_negative_box(rng: np.random.Generator, lo: float, hi: float,
-                        size) -> np.ndarray:
-    """Log-uniform negatives in [lo, hi] with -inf < lo < hi < 0."""
+def _box_draw(lo: float, hi: float):
+    """The draw of :func:`sample_negative_box` over [lo, hi] as a
+    function of (rng, size), with the box checked and the logs of its
+    bounds taken once, so that a scan pays for them once and not once
+    per block."""
     if not (-math.inf < lo < hi < 0.0):
         raise DomainError(f"box must satisfy -inf < lo < hi < 0, got [{lo}, {hi}]")
     import numpy as np
-    x = _exp_uniform(rng, np.log(-hi), np.log(-lo), size)
-    x *= -1.0
-    return x
+    u_lo, u_hi = np.log(-hi), np.log(-lo)
+
+    def draw(rng: np.random.Generator, size) -> np.ndarray:
+        x = _exp_uniform(rng, u_lo, u_hi, size)
+        x *= -1.0
+        return x
+
+    return draw
+
+
+def sample_negative_box(rng: np.random.Generator, lo: float, hi: float,
+                        size) -> np.ndarray:
+    """Log-uniform negatives in [lo, hi] with -inf < lo < hi < 0, one
+    double of rng's stream per value."""
+    return _box_draw(lo, hi)(rng, size)

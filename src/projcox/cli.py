@@ -165,13 +165,16 @@ def cmd_scan(args):
                   "t13": args.t13, "t24": args.t24,
                   "samples": args.samples, "box": list(box)}
         return inputs, report.summary, {}, {}, True
+    # the last two columns, T13_prod and T24_prod, hold the scan's T13
+    # and T24 in every row: their text is formatted once, as each row's tail
+    *columns, _, _ = report.records.values()
+    tail = f",{report.t13!r},{report.t24!r}\r\n"
     with (contextlib.nullcontext(sys.stdout) if args.file is None
           else open(args.file, "w", newline="")) as stream:
         stream.write(",".join(report.records) + "\r\n")
-        columns = list(report.records.values())
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
             rows = zip(*(map(repr, x[lo:lo + _CSV_BLOCK].tolist()) for x in columns))
-            stream.write("\r\n".join(map(",".join, rows)) + "\r\n")
+            stream.write(tail.join(map(",".join, rows)) + tail)
     return None
 
 

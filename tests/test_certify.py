@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -440,9 +441,10 @@ def test_det_locus_minima_are_pinned():
 
 
 def test_det_locus_check_peak_memory():
-    """The check keeps the sampled coordinates of one slice and one
-    block's temporaries, not whole-sample solve outputs: its peak stays
-    below eight float arrays of the sample size."""
+    """The check draws its samples one block at a time and folds its
+    minima per block, so it keeps nothing of the sample size: its peak,
+    one block's draws and solve temporaries, stays below one float array
+    of 2e5 samples."""
     samples = 200_000
     certify.det_locus_check(O3333, samples=1, seed=0)
     tracemalloc.start()
@@ -451,7 +453,37 @@ def test_det_locus_check_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 8 * samples
+    assert peak < 8 * samples
+
+
+def rebuilt_det_locus(orders, samples, seed):
+    """det_locus_check's report rebuilt from the whole-array solve on the
+    one-shot draws of default_rng(seed), slice by slice: the free T,
+    then v23, v24 and v34 as one (3, samples) draw."""
+    rng = np.random.default_rng(seed)
+    min_abs_det, min_e = {}, {}
+    for name in ("T13=4", "T24=4"):
+        t_free = charts.sample_t(rng, samples)
+        v = charts.sample_negative_box(rng, -math.exp(2.0), -math.exp(-2.0), (3, samples))
+        t13, t24 = (4.0, t_free) if name == "T13=4" else (t_free, 4.0)
+        result = whole_standard_solution(orders, t13, t24, *v)
+        det_m = result["det_m"][np.isfinite(result["a4_v44"])]
+        min_abs_det[name] = float(np.min(np.abs(det_m)))
+        min_e[name] = -float(np.max(det_m))
+    return certify.DetLocusReport(samples, seed, min_abs_det, min_e)
+
+
+@pytest.mark.parametrize("orders, seed", [(O3333, 0), (QuadPrismOrders(3, 4, 5, 6), 9)])
+def test_det_locus_check_equals_a_rebuild_from_the_one_shot_draw(orders, seed):
+    """Drawn block by block from jumped streams, the samples are bit for
+    bit those of the one-shot draw, across block edges and in the second
+    slice, whose stream starts at 4 * samples."""
+    samples = 3 * charts._BLOCK + 11
+    report = certify.det_locus_check(orders, samples, seed)
+    rebuilt = rebuilt_det_locus(orders, samples, seed)
+    assert report == rebuilt
+    for got, want in zip(report[2:], rebuilt[2:]):
+        assert {k: x.hex() for k, x in got.items()} == {k: x.hex() for k, x in want.items()}
 
 
 def rebuilt_scan(orders, t, samples, seed, box):
@@ -478,14 +510,24 @@ def rebuilt_scan(orders, t, samples, seed, box):
     return summary, records
 
 
-@pytest.mark.parametrize("box, valid", [((-10.0, -1e-8), 2000), ((-1e-300, -1e-320), 118)])
-def test_standard_scan_equals_a_rebuild_from_the_batch_solve(box, valid):
-    """The block-by-block scan gives bit for bit the summary and records
-    of the whole-array solve, with every sample valid and, in the tiny
-    box where most solutions overflow, through the masked path."""
-    report = certify.standard_scan(O3333, 6.0, 6.0, samples=2000, seed=1, box=box,
+@pytest.mark.parametrize("box, samples, valid", [
+    pytest.param((-10.0, -1e-8), 2000, 2000, id="box0-2000"),
+    pytest.param((-1e-300, -1e-320), 2000, 118, id="box1-118"),
+    # two blocks and a part one, drawn from jumped streams
+    pytest.param((-10.0, -1e-8), 2 * charts._BLOCK + 7, 2 * charts._BLOCK + 7,
+                 id="box0-two-blocks-and-7"),
+    pytest.param((-1e-300, -1e-320), 2 * charts._BLOCK + 7, 942,
+                 id="box1-two-blocks-and-7"),
+    pytest.param((-10.0, -1e-8), 1, 1, id="box0-1"),
+])
+def test_standard_scan_equals_a_rebuild_from_the_batch_solve(box, samples, valid):
+    """The scan, drawn and solved block by block, gives bit for bit the
+    summary and records of the whole-array solve on the one-shot draw,
+    with every sample valid and, in the tiny box where most solutions
+    overflow, through the masked path."""
+    report = certify.standard_scan(O3333, 6.0, 6.0, samples=samples, seed=1, box=box,
                                    keep_records=True)
-    summary, records = rebuilt_scan(O3333, 6.0, 2000, 1, box)
+    summary, records = rebuilt_scan(O3333, 6.0, samples, 1, box)
     assert report.valid_samples == valid
     assert report.summary == summary
     assert set(report.records) == set(records)
@@ -494,17 +536,19 @@ def test_standard_scan_equals_a_rebuild_from_the_batch_solve(box, valid):
 
 
 def test_standard_scan_peak_memory():
-    """The scan keeps the three coordinate rows, a4*v44 and the validity
-    mask, plus one block's temporaries: its peak stays below eight float
-    arrays of the sample size."""
-    samples = 100_000
+    """The scan draws and solves one block at a time and keeps a4*v44
+    and its finite mask, 9 bytes per sample: over many blocks its peak,
+    the histogram's temporaries included, stays below three float arrays
+    of the sample size."""
+    samples = 200_000
+    certify.standard_scan(O3333, 6, 6, samples=1, seed=0)
     tracemalloc.start()
     try:
         certify.standard_scan(O3333, 6, 6, samples=samples, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 8 * samples
+    assert peak < 3 * 8 * samples
 
 
 def test_standard_scan_deterministic():

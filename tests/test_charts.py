@@ -151,19 +151,23 @@ def test_standard_batch_agrees_with_single_solve():
 
 
 BATCH_KEYS = ("a1", "a2", "a3", "a4_v44", "det_m", "valid")
-#: what the blocks of charts._standard_blocks give, with valid the one
-#: rule of the library: a finite a4*v44
+#: what charts._standard_block gives, with valid the one rule of the
+#: library: a finite a4*v44
 BLOCKED_KEYS = ("a4_v44", "det_m", "valid")
 
 
 def blocked_solve(orders, *args) -> dict:
-    """The blocks of charts._standard_blocks put back together, with
-    det_m = a4*v44 det3 and valid = isfinite(a4*v44), in the keys of
+    """charts._standard_block run over blocks of charts._BLOCK samples,
+    as the scans run it, and put back together, with det_m = a4*v44
+    det3 and valid = isfinite(a4*v44), in the keys of
     whole_standard_solution."""
     n = max(np.size(x) for x in args)
     out = {key: np.empty(n, dtype=bool if key == "valid" else float) for key in BLOCKED_KEYS}
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, a4_v44, det3 in charts._standard_blocks(orders, *args):
+        for lo in range(0, n, charts._BLOCK):
+            block = slice(lo, lo + charts._BLOCK)
+            a4_v44, det3 = charts._standard_block(
+                orders, *(x[block] if np.ndim(x) else x for x in args))
             for key, x in zip(BLOCKED_KEYS, (a4_v44, a4_v44 * det3, np.isfinite(a4_v44))):
                 out[key][block] = x
     return out
@@ -270,13 +274,42 @@ def test_one_array_among_scalars_equals_the_broadcast_call(position):
 
 
 def test_one_draw_of_three_rows_is_three_draws_in_turn():
-    """The scan draws its three coordinates as one (3, N) array: the same
-    stream, and the same bits, as three draws of N made in turn."""
+    """The scan's samples are one (3, N) draw, read block by block: the
+    same stream, and the same bits, as three draws of N made in turn,
+    which is why row r starts at double r * N."""
     box = (-10.0, -1e-8)
     rows = charts.sample_negative_box(np.random.default_rng(4), *box, (3, 1000))
     rng = np.random.default_rng(4)
     turns = [charts.sample_negative_box(rng, *box, 1000) for _ in range(3)]
     assert rows.tobytes() == np.stack(turns).tobytes()
+
+
+@pytest.mark.parametrize("seed, k, n", [(0, 0, 5), (1, 8191, 8193), (73, 123_457, 3)])
+def test_a_jumped_stream_reads_on_where_the_one_shot_draw_is(seed, k, n):
+    """uniform takes one double of the PCG64 stream per value, so a
+    generator jumped k doubles ahead draws entries k .. k + n of the
+    one-shot draw: what charts._drawn_blocks rests on.  Should numpy
+    change how uniform reads its stream, this fails, not the goldens
+    drifting unseen."""
+    jumped = np.random.Generator(np.random.PCG64(seed).advance(k)).uniform(-2.5, 3.0, n)
+    whole = np.random.default_rng(seed).uniform(-2.5, 3.0, k + n)
+    assert jumped.tobytes() == whole[k:].tobytes()
+
+
+@pytest.mark.parametrize("samples", [1, charts._BLOCK - 1, 3 * charts._BLOCK + 5])
+@pytest.mark.parametrize("box", [(-10.0, -1e-8), (-10.0, -0.01), (-1e-300, -1e-320)])
+def test_drawn_blocks_are_the_one_shot_draw(samples, box):
+    """Rows drawn block by block from their jumped streams, put back
+    together, are byte for byte the one-shot (3, samples) draw of
+    default_rng(seed), and the blocks tile the samples in order."""
+    draw = charts._box_draw(*box)
+    rows = [(r * samples, draw) for r in range(3)]
+    blocks = list(charts._drawn_blocks(7, rows, samples))
+    assert [b for b, _ in blocks] == [slice(lo, min(lo + charts._BLOCK, samples))
+                                      for lo in range(0, samples, charts._BLOCK)]
+    drawn = np.concatenate([np.stack(block_rows) for _, block_rows in blocks], axis=1)
+    whole = charts.sample_negative_box(np.random.default_rng(7), *box, (3, samples))
+    assert drawn.tobytes() == whole.tobytes()
 
 
 def test_box_sampler_at_the_criterion_5_band_keeps_its_draws():

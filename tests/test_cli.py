@@ -177,6 +177,9 @@ def test_scan_csv_schema(tmp_path):
      "--box=-1e-280,-1e-300", "--samples", "1500", "--out", "csv"],
     # exponent-form reprs, from 1e-300 up to 1e+297
     SCAN_CSV + ["--samples", "2049", "--seed", "1", "--box=-10,-1e-300"],
+    # T13_prod and T24_prod, formatted once per scan, not round numbers
+    ["scan", "--orders", "3,4,5,6", "--t13", "4.1", "--t24", "1e5", "--samples", "1025",
+     "--seed", "3", "--out", "csv"],
 ])
 def test_scan_csv_bytes_match_the_csv_module(argv, tmp_path):
     expected = reference_csv(argv)
