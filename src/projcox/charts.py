@@ -37,11 +37,6 @@ RESIDUAL_TOL = 1e-9
 #: its |terms|, the rounding bound of a rebuilt entry of row 4 of M
 _GAMMA_5 = 5 * 2.0**-53 / (1 - 5 * 2.0**-53)
 
-#: |x| <= GAUGE_ZERO_TOL reads a4, v44 or a4*v44 as zero in the gauge
-#: (realize_representation, classify_case).  concurrent_to_standard
-#: leaves |a4*v44| below about 1e-11 for |v| up to e^6.
-GAUGE_ZERO_TOL = 1e-10
-
 
 def _identity(d: int) -> tuple:
     return tuple(tuple(1.0 if i == j else 0.0 for j in range(d)) for i in range(d))
@@ -145,9 +140,9 @@ def build_concurrent(p: ConcurrentChartParams) -> ReflectionSystem:
 class StandardChartPoint(namedtuple("StandardChartPoint",
                                     "orders t13 t24 v23 v24 v34 a1 a2 a3 a4_v44 cartan")):
     """A standard-position point: the five chart coordinates, the
-    derived quantities solved from the defining linear system, and the
-    rows of the Cartan matrix that system was built from.  Not
-    validated here: build_standard is what checks a point."""
+    derived quantities (a1, a2, a3, a4*v44), and the rows of its Cartan
+    matrix.  Not validated here: build_standard and
+    concurrent_to_standard are what check a point."""
 
     __slots__ = ()
 
@@ -297,19 +292,18 @@ def realize_representation(pt: StandardChartPoint, a4: float,
     The chart only fixes the product a4*v44; a representative needs a
     gauge choice of a4.  When a4 != 0 the fourth entry of v4 is forced
     to a4_v44 / a4, and giving v44 as well raises GaugeError.  When
-    a4 = 0 the product must vanish and v44 is free (0 unless given).
-    Zero means |x| <= GAUGE_ZERO_TOL.  The system keeps the chart's own
-    Cartan rows, ``pt.cartan``.
+    a4 = 0 the product must be 0.0 and v44 is free (0 unless given);
+    :func:`concurrent_to_standard` gives that product exactly.  The
+    system keeps the chart's own Cartan rows, ``pt.cartan``.
     """
-    if abs(a4) <= GAUGE_ZERO_TOL:
-        if abs(pt.a4_v44) > GAUGE_ZERO_TOL:
+    a4 = float(a4)
+    if a4 == 0.0:
+        if pt.a4_v44 != 0.0:
             raise GaugeError("a4 = 0 is inconsistent with a4*v44 != 0")
-        a4 = 0.0
         v44 = 0.0 if v44 is None else float(v44)
     elif v44 is not None:
         raise GaugeError("v44 is a4*v44 / a4 when a4 != 0 and cannot be given")
     else:
-        a4 = float(a4)
         v44 = pt.a4_v44 / a4
     alphas = (*_IDENTITY_4[:3], (pt.a1, pt.a2, pt.a3, a4))
     # the first three rows of [v] are those of the Cartan matrix
@@ -333,13 +327,20 @@ def standard_coordinates(m):
 
 
 def concurrent_to_standard(p: ConcurrentChartParams) -> StandardChartPoint:
-    """Map a concurrent point into the standard chart by gauge
-    normalization.  The result has a4*v44 = 0 up to roundoff and a
-    projectively equivalent Cartan matrix.
-    """
+    """Map a concurrent point into the standard chart in closed form:
+    conjugating by the c of :func:`standard_coordinates` sends alpha_4
+    = e1* - e2* + e3* to c4 (1/c1, -1/c2, 1/c3, 0), so with M the
+    point's Cartan matrix (a1, a2, a3) = (-M14, -M14 M21, M14 M31) and
+    a4*v44 = 0.0 exactly.  The five coordinates are checked as a
+    general chart's; the rows, :func:`standard_cartan`'s, are
+    projectively equivalent to M."""
     m = cartan_of(build_concurrent(p))
-    t13, t24, v23, v24, v34 = standard_coordinates(m)
-    return build_standard(p.orders, t13, t24, v23, v24, v34)
+    q = GeneralChartParams(p.orders, *standard_coordinates(m))
+    m14, rows = m[0][3], standard_cartan(*q)
+    a2, a3 = -m14 * m[1][0], m14 * m[2][0]
+    if not all(map(math.isfinite, (a2, a3, *rows[2], *rows[3]))):
+        raise DomainError("standard-chart map overflowed: the coordinates are too large")
+    return StandardChartPoint(*q, -m14, a2, a3, 0.0, rows)
 
 
 def _simplex_free_pairs(orders: EdgeOrders) -> list:
@@ -412,13 +413,11 @@ class CaseLabel(enum.Enum):
 
 
 def classify_case(a4: float, v44: float) -> CaseLabel:
-    """Case label from the zero pattern, with |x| <= GAUGE_ZERO_TOL
-    read as zero."""
-    a4_zero = abs(a4) <= GAUGE_ZERO_TOL
-    v44_zero = abs(v44) <= GAUGE_ZERO_TOL
-    if a4_zero:
-        return CaseLabel.III if v44_zero else CaseLabel.II
-    return CaseLabel.I_PRIME if v44_zero else CaseLabel.I
+    """Case label from the zero pattern; zero means 0.0, as
+    :func:`realize_representation` reads it."""
+    if a4 == 0.0:
+        return CaseLabel.III if v44 == 0.0 else CaseLabel.II
+    return CaseLabel.I_PRIME if v44 == 0.0 else CaseLabel.I
 
 
 def is_semisimple(sys: ReflectionSystem) -> bool:

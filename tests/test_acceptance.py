@@ -309,7 +309,7 @@ def test_criterion_10_cross_chart_consistency(capsys):
         m_std = pt.cartan
         if cartan.projectively_equivalent(m_conc, m_std):
             equivalent += 1
-    ok = worst_gauge <= 1e-8 and equivalent == 100
+    ok = worst_gauge == 0.0 and equivalent == 100
     report(capsys, 10, "concurrent-to-standard round trip", ok,
            f"max |a4*v44| {worst_gauge:.2e}, equivalent {equivalent}/100")
 

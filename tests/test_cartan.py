@@ -291,10 +291,10 @@ def test_cache_stays_at_its_bound():
 
 
 def _concurrent_point_in_the_standard_chart(orders, v):
-    """A concurrent point mapped to the standard chart and realized, with
-    a4 = 0 where |a4*v44| <= 1e-10 and a4 = 1 elsewhere."""
+    """A concurrent point mapped to the standard chart and realized at
+    a4 = 0, where its a4*v44 is 0.0."""
     pt = charts.concurrent_to_standard(charts.ConcurrentChartParams(orders, *v))
-    return pt, charts.realize_representation(pt, a4=0.0 if abs(pt.a4_v44) <= 1e-10 else 1.0)
+    return pt, charts.realize_representation(pt, a4=0.0)
 
 
 def test_c5_passes_a_standard_point_with_large_a():
@@ -311,21 +311,18 @@ def test_c5_passes_a_standard_point_with_large_a():
 
 
 def test_concurrent_points_pass_vinberg_in_the_standard_chart():
-    """Those realized at a4 = 0, semisimple in their own chart (v44 = 0),
-    are semisimple there too; with unscaled ranks 273 of the 2944 read
-    as not."""
+    """Each realizes at a4 = 0 and, semisimple in its own chart
+    (v44 = 0), is semisimple there too.  With unscaled ranks 273 of the
+    points read as not; with a4*v44 solved rather than 0.0, 56 could not
+    be realized at a4 = 0."""
     rng = np.random.default_rng(0)
-    realized = 0
     for _ in range(3000):
         orders = QuadPrismOrders(*map(int, rng.integers(3, 7, 4)))
         v = -np.exp(rng.uniform(math.log(1e-4), math.log(1e4), 4))
         _, sys = _concurrent_point_in_the_standard_chart(orders, v.tolist())
         report = check_vinberg(sys, orders)
         assert report.passed, (orders, v.tolist(), failed(report))
-        if sys.alpha_rows[3][3] == 0.0:
-            realized += 1
-            assert charts.is_semisimple(sys), (orders, v.tolist())
-    assert realized == 2944
+        assert charts.is_semisimple(sys), (orders, v.tolist())
 
 
 def _reference_sign_failures(rows, tol):

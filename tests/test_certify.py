@@ -379,6 +379,20 @@ def test_concurrent_scan_minimum_at_base_point():
     assert report.argmin == (-1.0, -1.0, -1.0, -1.0)
 
 
+@pytest.mark.parametrize("orders", [(3, 3, 3, 3), (4, 4, 4, 4), (3, 4, 5, 6), (7, 3, 9, 3)])
+def test_concurrent_scan_minimum_is_above_the_closed_form_bound(orders):
+    """T13 T24 >= (sqrt(ab) + sqrt(c))^4 with a = 2 + sqrt(mu34),
+    b = 2 + sqrt(mu12), c = sqrt(mu14 mu23), by Cauchy-Schwarz and
+    AM-GM; 256 at orders 3, where the grid attains it at all v = -1."""
+    o = QuadPrismOrders(*orders)
+    a, b = 2.0 + math.sqrt(o.mu34), 2.0 + math.sqrt(o.mu12)
+    bound = (math.sqrt(a * b) + math.sqrt(math.sqrt(o.mu14 * o.mu23))) ** 4
+    minimum = certify.concurrent_t_scan(o).min_product
+    assert minimum >= bound
+    if orders == (3, 3, 3, 3):
+        assert bound == 256.0 and minimum == pytest.approx(256.0, rel=1e-15)
+
+
 @pytest.mark.parametrize("orders, grid, minimum, argmin, at_minus_one", [
     ((3, 3, 3, 3), 9, 256.00000000000006, (-1.0,) * 4, 256.00000000000006),
     ((3, 3, 3, 3), 17, 256.00000000000006, (-1.0,) * 4, 256.00000000000006),

@@ -377,8 +377,55 @@ def test_standard_coordinates_are_pinned():
 def test_concurrent_to_standard_kills_a4_v44():
     p = ConcurrentChartParams(O3333, -1.0, -1.0, -1.0, -1.0)
     pt = concurrent_to_standard(p)
-    assert abs(pt.a4_v44) <= 1e-10
+    assert pt.a4_v44 == 0.0
     assert pt.a1 > 0 and pt.a2 < 0 and pt.a3 > 0
+
+
+def test_concurrent_point_realizes_at_a4_zero_as_case_iii():
+    """Solved instead of read off in closed form, this point's a4*v44
+    came out as 1.2e-10 of round-off, so a4 = 0 raised GaugeError and
+    the a4 = 1 representative read as not semisimple."""
+    p = ConcurrentChartParams(QuadPrismOrders(3, 6, 3, 5), -2709.154458306381,
+                              -0.00033780025555655603, -537.6977719470218,
+                              -0.0003416017368299342)
+    pt = concurrent_to_standard(p)
+    assert pt.a4_v44 == 0.0
+    assert pt.a1 == 537.6977719470218 == -p.v14
+    sys = realize_representation(pt, a4=0.0)
+    assert classify_case(sys.alpha_rows[3][3], sys.vector_rows[3][3]) is CaseLabel.III
+    assert is_semisimple(sys)
+
+
+@pytest.mark.parametrize("spread, rel", [(1e4, 1e-10), (1e9, 1e-6)])
+def test_concurrent_to_standard_matches_the_solve(monkeypatch, spread, rel):
+    """Over concurrent points at orders 3-6 with |v| log-uniform in
+    [1 / spread, spread], the closed form has the coordinates and rows
+    of build_standard on them, a1..a3 within rel of its solve (worst
+    seen 3.8e-12 at 1e4, 2.6e-7 at 1e9), and with a4*v44 = 0 passes
+    build_standard's own gate on row 4 (at worst 0.0028 of the bound at
+    1e4, 0.40 at 1e9) and sign pattern."""
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        orders = QuadPrismOrders(*map(int, rng.integers(3, 7, 4)))
+        v = -np.exp(rng.uniform(-math.log(spread), math.log(spread), 4))
+        pt = concurrent_to_standard(ConcurrentChartParams(orders, *v.tolist()))
+        solved = build_standard(*pt[:6])
+        assert solved[:6] == pt[:6] and solved.cartan == pt.cartan
+        assert pt[6:9] == pytest.approx(solved[6:9], rel=rel, abs=0.0)
+        with monkeypatch.context() as patched:
+            patched.setattr(charts, "standard_solution", lambda *_: (*pt[6:10], None))
+            assert build_standard(*pt[:6]) == pt
+
+
+@pytest.mark.parametrize("v, message", [
+    ((-1e-200,) * 4, "t13 must be >= 4, got inf"),
+    ((-1e-200, -1e-200, -1e-30, -1e-100), "standard-chart map overflowed"),
+    ((-1e-160, -1e-100, -1e160, -1e30), "standard-chart map overflowed"),
+])
+def test_concurrent_to_standard_overflow_is_a_domain_error(v, message):
+    """T13, then an entry of M (T24 / v24), then a2 and a3 overflow."""
+    with pytest.raises(DomainError, match=message):
+        concurrent_to_standard(ConcurrentChartParams(QuadPrismOrders(3, 4, 5, 6), *v))
 
 
 #: (T13, T24, v23, v24, v34) points for the residual-gate perturbation test
@@ -428,6 +475,17 @@ def test_classify_case_table():
     assert classify_case(1.0, 0.0) is CaseLabel.I_PRIME
     assert classify_case(0.0, 1.0) is CaseLabel.II
     assert classify_case(0.0, 0.0) is CaseLabel.III
+
+
+def test_the_gauge_reads_zero_as_zero():
+    """No tolerance: a tiny a4 or v44 is not zero."""
+    assert classify_case(1e-300, 0.0) is CaseLabel.I_PRIME
+    assert classify_case(0.0, 1e-300) is CaseLabel.II
+    pt = concurrent_to_standard(ConcurrentChartParams(O3333, -1.0, -1.0, -1.0, -1.0))
+    sys = realize_representation(pt, a4=1e-12)
+    assert (sys.alpha_rows[3][3], sys.vector_rows[3][3]) == (1e-12, 0.0)
+    with pytest.raises(GaugeError, match="cannot be given"):
+        realize_representation(pt, a4=1e-12, v44=0.0)
 
 
 def test_general_chart_points_are_semisimple():
