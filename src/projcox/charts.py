@@ -435,9 +435,12 @@ def is_semisimple(sys: ReflectionSystem) -> bool:
 
 
 def _exp_uniform(rng: np.random.Generator, lo: float, hi: float, size) -> np.ndarray:
-    """e^U with U uniform on [lo, hi], computed in place on the draw."""
+    """e^U with U = lo + (hi - lo) V, V = rng.random(size), computed in
+    place on the draw, in the same IEEE operations as Generator.uniform."""
     import numpy as np
-    u = rng.uniform(lo, hi, size)
+    u = rng.random(size)
+    u *= hi - lo
+    u += lo
     return np.exp(u, out=u)
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (STANDARD_POINTS_NEAR_T24_EDGE, balanced_realization, mat_power,
@@ -563,6 +563,71 @@ def test_standard_scan_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * samples
+
+
+@st.composite
+def _histogram_values(draw):
+    """A float array for the histogram: heavy-tailed, uniform, constant,
+    made of the edges of its own bins, or spread over a few ulps, at
+    sizes about the chunk edges of certify._histogram."""
+    chunk = certify._HIST_CHUNK
+    size = draw(st.one_of(st.sampled_from((1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1)),
+                          st.integers(1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("heavy", "uniform", "constant", "edges", "ulps")))
+    if kind == "heavy":
+        width = draw(st.floats(1.0, 690.0))
+        return np.exp(rng.uniform(-width, width, size))
+    if kind == "uniform":
+        lo = draw(st.floats(-1e6, 1e6))
+        return rng.uniform(lo, lo + draw(st.floats(1e-6, 1e6)), size)
+    if kind == "edges":
+        lo = draw(st.floats(-1e6, 1e6))
+        edges = np.histogram_bin_edges([lo, lo + draw(st.floats(1e-3, 1e3))], 20)
+        # both ends first, so that the values' range is the edges' own
+        return np.concatenate([edges[[0, -1]], rng.choice(edges, size)])[:size]
+    x = draw(st.one_of(st.sampled_from((0.0, 2.0 ** -1022)), st.floats(-1e300, 1e300)))
+    if kind == "constant":
+        return np.full(size, x)
+    # a range of 1 to 40 ulps of x
+    return x + rng.integers(0, draw(st.integers(1, 40)), size, endpoint=True) * np.spacing(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_histogram_values())
+# 29 ulps of zero: numpy's subnormal edges are uneven, and its counts
+# follow its index formula, not those edges
+@example(values=np.arange(1, 30) * 5e-324)
+def test_histogram_equals_numpys(values):
+    """The peeled histogram gives numpy's counts and edges over the
+    values' own range, or numpy's ValueError for a range too narrow for
+    20 distinct edges."""
+    low, high = values.min(), values.max()
+    try:
+        want = np.histogram(values, 20, (low, high))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            certify._histogram(values, low, high)
+        assert str(got.value) == str(exc)
+        return
+    counts, edges = certify._histogram(values, low, high)
+    assert counts.dtype == want[0].dtype and counts.tolist() == want[0].tolist()
+    assert edges.tobytes() == want[1].tobytes()
+
+
+def test_histogram_holds_one_chunk_at_a_time():
+    """Over 1e6 uniform values, about 95 % of which survive the peel of
+    the first bin, the histogram's peak is one chunk's temporaries: below
+    2 MB, where a peel of the whole array would hold about 8 MB."""
+    values = np.random.default_rng(0).random(1_000_000)
+    certify._histogram(values[:10], 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        certify._histogram(values, float(values.min()), float(values.max()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_standard_scan_deterministic():

@@ -321,6 +321,26 @@ def test_box_sampler_at_the_criterion_5_band_keeps_its_draws():
     assert (box == -np.exp(np.random.default_rng(31).uniform(-2.0, 2.0, 10_000))).all()
 
 
+def _stream(seed, offset):
+    return np.random.Generator(np.random.PCG64(seed).advance(offset))
+
+
+@pytest.mark.parametrize("offset", [0, 1, 8191, 10**6 + 3])
+@pytest.mark.parametrize("seed", range(10))
+def test_draws_keep_the_bits_of_uniform(seed, offset):
+    """The scans' draws scale rng.random in place; that is
+    Generator.uniform's lo + (hi - lo) V in the same IEEE operations,
+    so every box draw and T draw keeps the bytes it had as a draw of
+    uniform, at any point of the stream."""
+    n = 2000
+    for lo, hi in [(-10.0, -1e-8), (-10.0, -0.01), (-1e-300, -1e-320)]:
+        got = charts._box_draw(lo, hi)(_stream(seed, offset), n)
+        want = -np.exp(_stream(seed, offset).uniform(np.log(-hi), np.log(-lo), n))
+        assert got.tobytes() == want.tobytes(), (lo, hi)
+    got = charts.sample_t(_stream(seed, offset), n)
+    assert got.tobytes() == (4.0 + np.exp(_stream(seed, offset).uniform(-3.0, 3.0, n))).tobytes()
+
+
 def test_realize_representation_gauge_invariance():
     pt = build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
     m1 = cartan.cartan_of(realize_representation(pt, a4=1.0))

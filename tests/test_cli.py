@@ -401,6 +401,21 @@ def test_scan_whose_a4_v44_range_overflows_fails_cleanly(capsys):
     assert captured.err == "error: the range of a4*v44 overflows; narrow the box or lower T\n"
 
 
+#: a scan whose a4*v44 range numpy cannot split into 20 bins: one sample
+#: near 1.5e100, where numpy's widening of the range by 0.5 is lost
+_NARROW_RANGE_ARGV = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6",
+                      "--samples", "1", "--box=-1e-100,-1e-101"]
+
+
+def test_scan_whose_a4_v44_range_is_too_narrow_fails_cleanly(capsys):
+    assert cli.main(_NARROW_RANGE_ARGV) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a4*v44 runs only from 1.5166145762011912e+100 to "
+                            "1.5166145762011912e+100, too narrow a range for 20 bins; "
+                            "take more samples or widen the box\n")
+
+
 def test_scan_with_unallocatable_sample_count_fails_cleanly(capsys):
     # 3 x 1e15 float64 coordinates (21 PiB) exceed the address space, so
     # the draw fails at once, before any memory is touched
@@ -716,6 +731,8 @@ def _reject_constant(name):
 # once leaked numpy's overflow warning from the scan's histogram
 @example(argv=["scan", "--orders", "3,3,3,3", "--t13", "5", "--t24", "1e308",
                "--samples", "319", "--box=-20.085536923187668,-1.0"])
+# once ended in numpy's own "Too many bins" text
+@example(argv=_NARROW_RANGE_ARGV)
 def test_fuzzed_argv_ends_in_a_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
