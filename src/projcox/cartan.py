@@ -264,7 +264,7 @@ def _relation_space_trivial(rows) -> bool:
     for j, row in reversed(pivots):
         coeffs[j] = -sum(row[k] * c for k, c in coeffs.items()) / row[j]
     values = coeffs.values()
-    cut = 1e-8 * max(map(abs, values))
+    cut = linalg.RANK_TOL * max(map(abs, values))
     return any(c > cut for c in values) and any(c < -cut for c in values)
 
 

@@ -99,7 +99,7 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
     On each slice the other T is drawn from the interior distribution
     and (v23, v24, v34) log-uniformly; E is the positive defect in
     det(M) = (4 - T13)(4 - T24) - E.  det(M) is the solve's a4*v44 *
-    det M[:3, :3] (see charts._standard_block); on a T = 4 slice the
+    det M[:3, :3] (see charts.standard_solution); on a T = 4 slice the
     product is a signed zero, so E = -det(M) exactly.
 
     The samples are those of ``rng = np.random.default_rng(seed)``
@@ -107,8 +107,10 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
     v23, v24 and v34 as one (3, samples) box draw, but read one block
     at a time (charts._drawn_blocks): slice s's free T starts at double
     4 * samples * s of the stream and its row r of v at 4 * samples * s
-    + (1 + r) * samples.  Both minima are folded block by block over the
-    samples with a finite a4*v44, so nothing of the sample size is kept.
+    + (1 + r) * samples.  Both minima are folded block by block, so
+    nothing of the sample size is kept.  On the fixed box (|v| in
+    [e^-2, e^2], T in 4 + e^[-3, 3]) no entry of M or of the solution
+    overflows, and det M3 <= -8, so no sample is dropped.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -122,12 +124,10 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
         low_abs = low_e = float("inf")
         for _, (t_free, v23, v24, v34) in charts._drawn_blocks(seed, rows, samples):
             t13, t24 = (4.0, t_free) if s == 0 else (t_free, 4.0)
-            a4_v44, det3 = charts._standard_block(orders, t13, t24, v23, v24, v34)
-            with np.errstate(over="ignore", invalid="ignore"):
-                det_m = (a4_v44 * det3)[np.isfinite(a4_v44)]
-            if det_m.size:
-                low_abs = min(low_abs, float(np.min(np.abs(det_m))))
-                low_e = min(low_e, -float(np.max(det_m)))
+            *_, a4_v44, det3 = charts.standard_solution(orders, t13, t24, v23, v24, v34)
+            det_m = a4_v44 * det3
+            low_abs = min(low_abs, float(np.min(np.abs(det_m))))
+            low_e = min(low_e, -float(np.max(det_m)))
             # free this block's arrays before the next block is solved
             del a4_v44, det3, det_m
         min_abs_det[slice_name] = low_abs
@@ -230,7 +230,7 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     (charts._drawn_blocks; row r starts at double r * samples of the
     stream), so the result is deterministic for a given seed.  Samples
     whose a4*v44 is not finite are dropped (the validity rule of
-    charts._standard_block), while det(M), which no statistic uses, may
+    charts.standard_solution), while det(M), which no statistic uses, may
     read +-inf.  Each block is solved as soon as it is drawn; what
     outlives the block is a4*v44, 8 bytes per sample, plus the
     coordinate rows and det(M) when the records are kept.  The
@@ -253,9 +253,9 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     a4_v44 = np.empty(samples)
     v = np.empty((3, samples)) if keep_records else None
     det_m = np.empty(samples) if keep_records else None
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for block, coords in charts._drawn_blocks(seed, rows, samples):
-            a4_v44[block], det3 = charts._standard_block(orders, t13, t24, *coords)
+            *_, a4_v44[block], det3 = charts.standard_solution(orders, t13, t24, *coords)
             if keep_records:
                 v[:, block] = coords
                 np.multiply(a4_v44[block], det3, out=det_m[block])

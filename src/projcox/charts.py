@@ -24,7 +24,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .cartan import ReflectionSystem, _t_products, cartan_of
+from .cartan import ReflectionSystem, _t_products
 from .errors import ConditionFailure, DomainError, GaugeError
 from .orbifold import INFINITY, EdgeOrders, QuadPrismOrders
 
@@ -175,9 +175,26 @@ def standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     row 4 of M, (-mu14, T24 / v24, mu34 / v34).  Dividing before
     multiplying keeps samples with |v| near 1e-155 finite.
 
+    On the chart (mu in [1, 4), T13 >= 4, v < 0), AM-GM on the two
+    negative terms of
+
+        det3 = 8 - 2 mu12 - 2 mu23 - 2 T13 + mu12 v23 + T13 mu23 / v23
+             <= 8 - 2 - 2 - 8 - 2 sqrt(mu12 mu23 T13) <= -8
+
+    keeps the block regular.  C0j, C2j > 0 and r < 0 make each term of
+    a1 and of a3 positive, in floats too but for underflow.  Row 4, v24
+    a2 = 2 + a1 - v34 a3 - a4*v44, then gives a2 < 0 wherever a4*v44 <
+    2, in floats too, as a2 >= 0 rounds a4*v44 to >= 2: the wall a4*v44
+    = 0 has the concurrent sign pattern a1, a3 > 0 > a2
+    (tests/test_symbolic.py proves each step).  A non-finite a1, a2 or
+    a3 makes a4*v44 non-finite, so only overflow, of an entry of M or of
+    the solution, makes a point invalid (a4*v44 not finite).
+
     Operators only, so it takes Python floats and arrays alike and does
-    the same IEEE operations in the same order on both.  Returns
-    (a1, a2, a3, a4_v44, det3) with det3 = det M3.
+    the same IEEE operations in the same order on both; an array's
+    samples are elementwise, so no value depends on how a scan blocks
+    them.  Returns (a1, a2, a3, a4_v44, det3) with det3 = det M3, and
+    det M = a4*v44 det3 (M = A V^T with det A = a4 and det V = v44 det3).
     """
     mu12 = orders.mu12
     h = orders.mu23 / v23
@@ -198,33 +215,6 @@ def standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
 #: a 2 MiB per-core L2 cache instead of streaming whole-batch arrays from
 #: memory (4096 measured about 10 % slower, 16384 no faster)
 _BLOCK = 8192
-
-
-def _standard_block(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
-    """(a4_v44, det3) of :func:`standard_solution` on one block of
-    samples, with overflow silent.  Each input is a scalar or an array
-    of the block's samples; a scalar stays a scalar, which the operators
-    broadcast with the same IEEE operations as an array of its value,
-    so det3 is a scalar where T13 and v23 both are.  The arithmetic is
-    elementwise, so no value depends on the block size.
-
-    M = A V^T with det A = a4 and det V = v44 det M3, so det M =
-    a4*v44 * det3.  A sample is valid iff a4*v44 is finite.  A
-    non-finite a1, a2 or a3 makes a4*v44 = 2 + a1 - v24 a2 - v34 a3
-    non-finite (v24, v34 < 0), and on the chart (mu >= 1, T13 >= 4,
-    v23 < 0) the 3x3 block is never singular:
-
-        det3 = 8 - 2 mu12 - 2 mu23 - 2 T13 + mu12 v23 + T13 mu23 / v23
-             <= 8 - 2 - 2 - 8 - 2 sqrt(mu12 mu23 T13) <= -8
-
-    by AM-GM on the two negative terms.  So only overflow, of an entry
-    of M or of the solution, makes a sample invalid, and it raises no
-    floating-point warning.
-    """
-    import numpy as np
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        *_, a4_v44, det3 = standard_solution(orders, t13, t24, v23, v24, v34)
-    return a4_v44, det3
 
 
 def _drawn_blocks(seed: int, rows, samples: int):
@@ -253,14 +243,14 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
     """Solve for (a1, a2, a3, a4*v44) and validate the point.
 
     This is :func:`standard_solution` on Python floats, so it returns
-    bit for bit the values :func:`_standard_block` gives for the same
-    point, and raises DomainError where a4*v44 is not finite, the one
-    validity rule of the batch (see _standard_block).  It then checks
-    each entry of row 4 of M rebuilt as alpha_4 applied to the vectors,
-    to RESIDUAL_TOL (1 + max|row 4|) plus the rounding bound of the
-    entry's own terms; the rebuilt M42 = T24 / v24 is the chart's T24.
-    When a4*v44 = 0 the point must also have the concurrent sign
-    pattern a1 > 0, a2 < 0, a3 > 0.
+    bit for bit the values the scans compute for the same point, and
+    raises DomainError where a4*v44 is not finite, the one validity rule
+    of the scans.  It then checks each entry of row 4 of M rebuilt as
+    alpha_4 applied to the vectors, to RESIDUAL_TOL (1 + max|row 4|)
+    plus the rounding bound of the entry's own terms; the rebuilt M42 =
+    T24 / v24 is the chart's T24.  A solve wrong enough to flip a2 fails
+    this gate.  The concurrent sign pattern a1 > 0, a2 < 0, a3 > 0 where
+    a4*v44 = 0 is not checked: :func:`standard_solution` proves it.
     """
     _require_t(t13=t13, t24=t24)
     _require_negative(v23=v23, v24=v24, v34=v34)
@@ -278,9 +268,6 @@ def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
         # from |v| = 1e16, from failing; a NaN gap fails
         if not gap <= scale + _GAMMA_5 * (abs(p) + abs(q) + abs(r) + abs(s)):
             raise ConditionFailure(f"solve residual {gap} of M4{j + 1} exceeds tolerance")
-    if abs(a4_v44) <= RESIDUAL_TOL and not (a1 > 0.0 and a2 < 0.0 and a3 > 0.0):
-        raise ConditionFailure(
-            f"concurrent sign pattern violated: a = ({a1}, {a2}, {a3})")
     return StandardChartPoint(orders, t13, t24, v23, v24, v34,
                               a1, a2, a3, a4_v44, rows)
 
@@ -316,14 +303,19 @@ def standard_coordinates(m):
 
     Conjugates by the positive diagonal matrix c fixing M21 = M31 =
     M14 = -1, entry by entry as M_ij * (c_i * (1 / c_j)), then returns
-    (t13, t24, v23, v24, v34).
+    (t13, t24, v23, v24, v34).  Raises DomainError where c is not finite
+    and positive or a v is not finite and negative.
     """
     m = linalg._rows(m, (4, 4))
     if m[1][0] >= 0 or m[2][0] >= 0 or m[0][3] >= 0:
         raise DomainError("entries M21, M31, M14 must be negative to normalize")
     c = (1.0, -1.0 / m[1][0], -1.0 / m[2][0], -m[0][3])
-    v23, v24, v34 = (m[i][j] * (c[i] * (1.0 / c[j])) for i, j in ((1, 2), (1, 3), (2, 3)))
-    return (*_t_products(m), v23, v24, v34)
+    if not all(0.0 < x < math.inf for x in c):
+        raise DomainError(f"normalizing diagonal {c} is not finite and positive")
+    v = tuple(m[i][j] * (c[i] * (1.0 / c[j])) for i, j in ((1, 2), (1, 3), (2, 3)))
+    if not all(-math.inf < x < 0.0 for x in v):
+        raise DomainError(f"normalized (v23, v24, v34) = {v} must be finite and negative")
+    return (*_t_products(m), *v)
 
 
 def concurrent_to_standard(p: ConcurrentChartParams) -> StandardChartPoint:
@@ -331,10 +323,12 @@ def concurrent_to_standard(p: ConcurrentChartParams) -> StandardChartPoint:
     conjugating by the c of :func:`standard_coordinates` sends alpha_4
     = e1* - e2* + e3* to c4 (1/c1, -1/c2, 1/c3, 0), so with M the
     point's Cartan matrix (a1, a2, a3) = (-M14, -M14 M21, M14 M31) and
-    a4*v44 = 0.0 exactly.  The five coordinates are checked as a
-    general chart's; the rows, :func:`standard_cartan`'s, are
-    projectively equivalent to M."""
-    m = cartan_of(build_concurrent(p))
+    a4*v44 = 0.0 exactly.  M is read as built, as it is a Cartan
+    matrix: its diagonal is 2.0 and its off-diagonal entries are
+    negative sums of v's and mu / v's.
+    The five coordinates are checked as a general chart's; the rows,
+    :func:`standard_cartan`'s, are projectively equivalent to M."""
+    m = build_concurrent(p).cartan
     q = GeneralChartParams(p.orders, *standard_coordinates(m))
     m14, rows = m[0][3], standard_cartan(*q)
     a2, a3 = -m14 * m[1][0], m14 * m[2][0]

@@ -110,6 +110,26 @@ def test_cartan_of_rejects_broken_zero_symmetry():
         cartan_of(ReflectionSystem(np.eye(3), vmat.T))
 
 
+def test_cartan_of_rejects_a_diagonal_entry_off_two():
+    vmat = np.full((3, 3), -1.0) + 3.0 * np.eye(3)
+    vmat[1, 1] = 2.5
+    with pytest.raises(InvariantViolation, match="diagonal entries must equal 2"):
+        cartan_of(ReflectionSystem(np.eye(3), vmat.T))
+
+
+def test_check_vinberg_rejects_an_orders_table_of_another_size():
+    vmat = np.full((3, 3), -1.0) + 3.0 * np.eye(3)
+    with pytest.raises(ValueError, match="orders table has 4 sides, system has 3"):
+        check_vinberg(ReflectionSystem(np.eye(3), vmat.T), O3333)
+
+
+def test_system_is_unequal_to_what_is_not_a_system():
+    sys = concurrent_all_minus_one()
+    assert sys.__eq__(sys.cartan) is NotImplemented
+    assert sys != sys.cartan and sys != "system"
+    assert sys == concurrent_all_minus_one()
+
+
 def test_check_vinberg_general_chart_passes():
     orders = QuadPrismOrders(3, 4, 5, 6)
     params = charts.GeneralChartParams(orders, 9.0, 5.0, -2.0, -0.5, -3.0)

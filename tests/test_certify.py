@@ -421,6 +421,11 @@ def test_det_locus_report():
     assert report.min_e["T24=4"] > 0.0
 
 
+def test_det_locus_check_needs_a_sample():
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        certify.det_locus_check(O3333, samples=0, seed=0)
+
+
 @pytest.mark.parametrize("orders, seed, samples, min_det", [
     pytest.param(O3333, 0, 2000, {"T13=4": 64.53077690455821, "T24=4": 65.29535610368139},
                  id="0-2000-min_det0"),

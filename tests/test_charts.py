@@ -151,22 +151,22 @@ def test_standard_batch_agrees_with_single_solve():
 
 
 BATCH_KEYS = ("a1", "a2", "a3", "a4_v44", "det_m", "valid")
-#: what charts._standard_block gives, with valid the one rule of the
-#: library: a finite a4*v44
+#: what the scans keep of charts.standard_solution, with valid the one
+#: rule of the library: a finite a4*v44
 BLOCKED_KEYS = ("a4_v44", "det_m", "valid")
 
 
 def blocked_solve(orders, *args) -> dict:
-    """charts._standard_block run over blocks of charts._BLOCK samples,
-    as the scans run it, and put back together, with det_m = a4*v44
-    det3 and valid = isfinite(a4*v44), in the keys of
+    """charts.standard_solution run over blocks of charts._BLOCK
+    samples, as the scans run it, and put back together, with det_m =
+    a4*v44 det3 and valid = isfinite(a4*v44), in the keys of
     whole_standard_solution."""
     n = max(np.size(x) for x in args)
     out = {key: np.empty(n, dtype=bool if key == "valid" else float) for key in BLOCKED_KEYS}
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for lo in range(0, n, charts._BLOCK):
             block = slice(lo, lo + charts._BLOCK)
-            a4_v44, det3 = charts._standard_block(
+            *_, a4_v44, det3 = charts.standard_solution(
                 orders, *(x[block] if np.ndim(x) else x for x in args))
             for key, x in zip(BLOCKED_KEYS, (a4_v44, a4_v44 * det3, np.isfinite(a4_v44))):
                 out[key][block] = x
@@ -246,6 +246,55 @@ def test_chart_determinant_of_the_three_by_three_block_is_at_most_minus_8(
     orders = QuadPrismOrders(n12, n23, 3, 3)
     det3 = charts.standard_solution(orders, t13, 6.0, -w23, -1.0, -1.0)[4]
     assert det3 <= -8.0 * (1.0 - 1e-14)
+
+
+def test_solve_keeps_its_signs_in_floats_far_out():
+    """a1, a3 > 0 at every chart point, and a2 < 0 wherever a4*v44 < 2
+    (tests/test_symbolic.py proves both), hold in floats too over 2e5
+    points with |v| in [e^-300, e^300], T - 4 in [e^-40, e^40] and
+    orders 3-6 and 1000, none of which overflows: each term of a1 and a3
+    keeps its sign, and a2 >= 0 rounds a4*v44 to >= 2."""
+    rng = np.random.default_rng(17)
+    n = 50_000
+    for orders in (O3333, QuadPrismOrders(3, 4, 5, 6), QuadPrismOrders(6, 1000, 3, 1000),
+                   QuadPrismOrders(1000, 1000, 1000, 1000)):
+        t13, t24 = 4.0 + np.exp(rng.uniform(-40.0, 40.0, (2, n)))
+        v = -np.exp(rng.uniform(-300.0, 300.0, (3, n)))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            a1, a2, a3, a4_v44, _ = charts.standard_solution(orders, t13, t24, *v)
+        assert (a1 > 0.0).all() and (a3 > 0.0).all()
+        assert ((a2 < 0.0) | (a4_v44 >= 2.0)).all()
+        assert (a4_v44 < 2.0).any()
+
+
+@pytest.mark.parametrize("width, least", [(6.0, 1.0), (300.0, 0.2)])
+def test_wall_points_have_the_concurrent_sign_pattern(width, least):
+    """On the wall a4*v44 = 0 the solve has a1 > 0, a2 < 0, a3 > 0,
+    which build_standard relies on unchecked.  T24 enters the solve only
+    through r1 = T24 / v24, so a4*v44 is affine in T24, and the wall's
+    T24 is -A / (B - A) with A and B its exact values at T24 = 0 and 1.
+    With |v| in [e^-width, e^width] and T13 - 4 in [e^-40, e^40], the
+    float solve at the rounded wall T24 >= 4 has a1, a3 > 0, and a2 < 0
+    wherever its a4*v44 < 2: at every wall point for width 6, and at
+    width 300, where rounding T24 and cancellation in a2 can leave
+    a4*v44 far from 0, at least the given share of them."""
+    rng = np.random.default_rng(int(width))
+    wall = below_two = 0
+    for _ in range(400):
+        orders = QuadPrismOrders(*map(int, rng.choice([3, 4, 5, 6, 1000], 4)))
+        t13 = 4.0 + math.exp(rng.uniform(-40.0, 40.0))
+        v = [-math.exp(u) for u in rng.uniform(-width, width, 3)]
+        at_0, at_1 = (exact_standard_solution(orders, t13, t24, *v)[0][3] for t24 in (0.0, 1.0))
+        t24 = -at_0 / (at_1 - at_0)
+        if not 4 <= t24 <= 1e300:
+            continue
+        a1, a2, a3, a4_v44, _ = charts.standard_solution(orders, t13, float(t24), *v)
+        assert a1 > 0.0 and a3 > 0.0, (orders, t13, float(t24), v)
+        assert a2 < 0.0 or a4_v44 >= 2.0, (orders, t13, float(t24), v)
+        wall += 1
+        below_two += a4_v44 < 2.0
+    assert wall >= 50
+    assert below_two >= least * wall
 
 
 @pytest.mark.parametrize("position", range(5))
@@ -379,6 +428,29 @@ def test_standard_coordinates_roundtrip():
     conj[1, 0] = 0.0
     with pytest.raises(DomainError, match="must be negative to normalize"):
         standard_coordinates(conj)
+
+
+#: a Cartan matrix whose standard coordinates are finite: M21 = -1
+#: gives c = (1, 1, 1, 1) and (T13, T24, v23, v24, v34) = (5, 5, -1, -1, -1)
+EXTREME_BASE = ((2.0, -1.0, -5.0, -1.0), (-1.0, 2.0, -1.0, -1.0),
+                (-1.0, -1.0, 2.0, -1.0), (-1.0, -5.0, -1.0, 2.0))
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    # 1 / c2 underflows: c2 = 1e320 overflows, v23 = v24 = -inf
+    ((1, 0), -1e-320, "normalizing diagonal"),
+    # c2 = 0.0, so v23 = v24 = -0.0
+    ((1, 0), -math.inf, "normalizing diagonal"),
+    ((1, 2), math.nan, r"\(v23, v24, v34\) = \(nan"),
+])
+def test_standard_coordinates_reject_extreme_entries(entry, value, message):
+    """An entry that makes the normalizer c infinite or zero, or a v
+    NaN, raises instead of giving v = -inf, -0.0 or NaN."""
+    assert standard_coordinates(EXTREME_BASE) == (5.0, 5.0, -1.0, -1.0, -1.0)
+    m = [list(row) for row in EXTREME_BASE]
+    m[entry[0]][entry[1]] = value
+    with pytest.raises(DomainError, match=message):
+        standard_coordinates(m)
 
 
 def test_standard_coordinates_are_pinned():

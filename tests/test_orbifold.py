@@ -198,6 +198,16 @@ def test_cg05_counts_order_two_corners():
     assert cg05_dim(sig) == -8 + 3 * 5 - 1
 
 
+def test_dimensions_must_be_integral():
+    """A fractional chi(|O|) = 1/5 makes -3 chi + ... = 22/5 and -8 chi
+    + ... = 67/5 non-integral."""
+    sig = OrbifoldSignature(Fraction(1, 5), (), (3, 3, 3, 3, 3), 0)
+    assert euler_characteristic(sig) < 0
+    for dim in (teichmuller_dim, cg05_dim):
+        with pytest.raises(ValueError, match="must make the dimension integral"):
+            dim(sig)
+
+
 def test_signature_input_checks():
     with pytest.raises(ValueError, match="integers >= 2"):
         OrbifoldSignature(1, (), (1, 3, 3, 3), 0)
