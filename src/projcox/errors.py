@@ -29,10 +29,6 @@ class DomainError(ProjCoxError):
     """Chart parameters violate the chart's defining inequalities."""
 
 
-class ConditionFailure(ProjCoxError):
-    """A post-solve consistency condition failed."""
-
-
 class GaugeError(ProjCoxError):
     """An inconsistent gauge choice (e.g. a4 = 0 with a4*v44 != 0)."""
 

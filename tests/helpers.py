@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from projcox import charts
-from projcox.errors import ConditionFailure, NormalizationError
+from projcox.errors import NormalizationError
 from projcox.orbifold import QuadPrismOrders
 
 ORDER_CHOICES = (3, 4, 5, 6)
@@ -57,27 +57,45 @@ def random_concurrent(rng: np.random.Generator, orders: QuadPrismOrders = None,
 
 def random_standard(rng: np.random.Generator, orders: QuadPrismOrders = None,
                     spread: float = 2.0) -> charts.StandardChartPoint:
-    """A valid standard-chart point; resamples past points that fail the
-    chart's conditions."""
-    while True:
-        o = orders if orders is not None else random_orders(rng)
-        try:
-            return charts.build_standard(
-                o,
-                sample_t_spread(rng, min(spread + 1.0, 3.0)),
-                sample_t_spread(rng, min(spread + 1.0, 3.0)),
-                sample_negative_spread(rng, spread),
-                sample_negative_spread(rng, spread),
-                sample_negative_spread(rng, spread))
-        except ConditionFailure:
-            continue
+    """A valid standard-chart point, with |v| log-uniform in
+    [e^-spread, e^spread]; at spread <= 3 no solve overflows."""
+    o = orders if orders is not None else random_orders(rng)
+    return charts.build_standard(
+        o,
+        sample_t_spread(rng, min(spread + 1.0, 3.0)),
+        sample_t_spread(rng, min(spread + 1.0, 3.0)),
+        sample_negative_spread(rng, spread),
+        sample_negative_spread(rng, spread),
+        sample_negative_spread(rng, spread))
+
+
+#: gamma_5 = 5u / (1 - 5u), u = 2^-53 (Higham, ch. 3): times the sum of
+#: its |terms|, the rounding bound of a sum of five rounded terms
+GAMMA_5 = 5 * 2.0**-53 / (1 - 5 * 2.0**-53)
+
+
+def row_4_gaps_within_bound(pt: charts.StandardChartPoint) -> bool:
+    """Whether each entry of row 4 of M, rebuilt from the solution as
+    a1 M1j + a2 M2j + a3 M3j (+ a4*v44 for j = 4), is within
+    1e-9 (1 + max|row 4|) of the chart's entry, plus GAMMA_5 times the
+    sum of the |terms| of the rebuilt entry.  The terms' bound keeps the
+    2 of M44, lost in rounding a4*v44 from |v| = 1e16; a NaN gap fails."""
+    rows = pt.cartan
+    scale = 1e-9 * (1.0 + max(map(abs, rows[3])))
+    for j, (x, y, z, target) in enumerate(zip(*rows)):
+        p, q, r = pt.a1 * x, pt.a2 * y, pt.a3 * z
+        s = pt.a4_v44 if j == 3 else 0.0
+        gap = abs(p + q + r + s - target)
+        if not gap <= scale + GAMMA_5 * (abs(p) + abs(q) + abs(r) + abs(s)):
+            return False
+    return True
 
 
 #: valid standard-chart points at orders (3, 4, 5, 6), as (T13, T24,
 #: v23, v24, v34), whose a1, a2, a3 reach 1e6 to 1e7: a (2,4) product
 #: re-derived from them, v24 (-a1 mu12 + 2 a2 + a3 mu23 / v23), loses
 #: T24 to cancellation (3.42 and 3.99999), while the Cartan rows give
-#: T24 exactly and the rebuilt row 4 passes its residual gate
+#: T24 exactly
 STANDARD_POINTS_NEAR_T24_EDGE = (
     (4.000000017500994, 4.1, -6.949901985130551e-08, -65532260.325421974,
      -5.744693267582314e-08),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_concurrent, random_general, random_standard
+from helpers import GAMMA_5, random_concurrent, random_general, random_standard
 from projcox import cartan, charts, linalg
 from projcox.cartan import (GENERATING_CYCLES, ReflectionSystem, cartan_of,
                             check_vinberg, cyclic_invariants,
@@ -68,15 +68,15 @@ def test_reflection_system_stores_its_cartan_matrix_read_only():
     assert m == charts.concurrent_cartan(orders, *coords)
     product, rows = concurrent.alphas @ concurrent.vectors.T, np.array(m)
     assert np.array_equal(product[:3], rows[:3])
-    bound = charts._GAMMA_5 * np.abs(rows[:3]).sum(axis=0)
+    bound = GAMMA_5 * np.abs(rows[:3]).sum(axis=0)
     assert (np.abs(product[3] - rows[3]) <= bound).all()
     pt = charts.build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
     realized = charts.realize_representation(pt, a4=1.0)
     assert _is_4x4_rows(pt.cartan)
     # the realized system keeps the chart's rows; its alphas and vectors
-    # multiply back to them within build_standard's residual bound
+    # multiply back to them within 1e-9 (1 + max|row 4|)
     assert realized.cartan is pt.cartan
-    bound = charts.RESIDUAL_TOL * (1.0 + max(map(abs, pt.cartan[3])))
+    bound = 1e-9 * (1.0 + max(map(abs, pt.cartan[3])))
     assert np.abs(realized.alphas @ realized.vectors.T - np.array(pt.cartan)).max() <= bound
 
 

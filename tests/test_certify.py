@@ -426,6 +426,16 @@ def test_det_locus_check_needs_a_sample():
         certify.det_locus_check(O3333, samples=0, seed=0)
 
 
+@pytest.mark.parametrize("scan", [
+    lambda seed: certify.det_locus_check(O3333, samples=10, seed=seed),
+    lambda seed: certify.standard_scan(O3333, 6.0, 6.0, samples=10, seed=seed),
+])
+def test_scans_name_a_negative_seed(scan):
+    """Not numpy's "expected non-negative integer", which names no seed."""
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        scan(-1)
+
+
 @pytest.mark.parametrize("orders, seed, samples, min_det", [
     pytest.param(O3333, 0, 2000, {"T13=4": 64.53077690455821, "T24=4": 65.29535610368139},
                  id="0-2000-min_det0"),

@@ -416,6 +416,34 @@ def test_scan_whose_a4_v44_range_is_too_narrow_fails_cleanly(capsys):
                             "take more samples or widen the box\n")
 
 
+@pytest.mark.parametrize("out", ["json", "csv"])
+def test_negative_seed_is_usage_error(out, capsys):
+    argv = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6",
+            "--seed", "-1", "--out", out]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
+#: a standard point whose a4*v44 (7.3e208) is finite while row 4 of M
+#: rebuilt from the solution overflows to NaN; it once ended in exit 2
+#: with "solve residual nan of M43 exceeds tolerance"
+_FAR_STANDARD_ARGV = ["relations", "--orders", "3,3,3,3", "--chart", "standard",
+                      "--t13", "1.17570052741343e+108", "--t24", "4.14689386303506e+99",
+                      "--v23=-1.3478579235456133e+116", "--v24=-6.589620823969536e-105",
+                      "--v34=-57636.10332832684"]
+
+
+def test_far_standard_point_builds_and_passes():
+    """The verdicts read only the chart's Cartan rows, which are finite."""
+    code, out = run_cli(_FAR_STANDARD_ARGV)
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["results"]["relations_passed"] is True
+    assert doc["results"]["vinberg_passed"] is True
+
+
 def test_scan_with_unallocatable_sample_count_fails_cleanly(capsys):
     # 3 x 1e15 float64 coordinates (21 PiB) exceed the address space, so
     # the draw fails at once, before any memory is touched
@@ -733,6 +761,8 @@ def _reject_constant(name):
                "--samples", "319", "--box=-20.085536923187668,-1.0"])
 # once ended in numpy's own "Too many bins" text
 @example(argv=_NARROW_RANGE_ARGV)
+# once ended in "solve residual nan of M43 exceeds tolerance"
+@example(argv=_FAR_STANDARD_ARGV)
 def test_fuzzed_argv_ends_in_a_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
