@@ -16,8 +16,8 @@ from itertools import chain, combinations, permutations
 from operator import itemgetter
 
 from . import linalg
-from .errors import InvariantViolation, UnsupportedShape
-from .orbifold import EdgeOrders, QuadPrismOrders
+from .errors import DomainError, InvariantViolation, UnsupportedShape
+from .orbifold import EdgeOrders, _quad_prism_mu
 
 #: generating set of cyclic invariants for the quad-prism diagram
 GENERATING_CYCLES = ((1, 3), (2, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4))
@@ -44,9 +44,9 @@ class ReflectionSystem:
             alphas, vectors = linalg._rows(alphas), linalg._rows(vectors)
             shapes = [(len(x), len(x[0]) if x else 0) for x in (alphas, vectors)]
             if shapes[0] != shapes[1]:
-                raise ValueError("alphas shape {} != vectors shape {}".format(*shapes))
+                raise DomainError("alphas shape {} != vectors shape {}".format(*shapes))
         if not all(map(math.isfinite, chain(*alphas, *vectors))):
-            raise ValueError("entries must be finite")
+            raise DomainError("entries must be finite")
         fields = vars(self)
         fields.update(alpha_rows=alphas, vector_rows=vectors)
         if cartan is None:
@@ -170,8 +170,12 @@ def _pair_residuals(rows, orders: EdgeOrders):
     r is |p - mu(n)| for n >= 3; max(|M_ij|, |M_ji|) for n = 2, where
     both entries must vanish (p = 0 alone would pass a broken zero
     symmetry); and the shortfall 4 - p for an infinite order, which
-    passes at r <= 0.  A NaN r fails every ``not r <= tol`` gate.
+    passes at r <= 0.  A NaN r fails every ``not r <= tol`` gate.  A
+    table with another number of sides than the rows raises DomainError,
+    at the first step, for every certificate that reads the pairs.
     """
+    if orders.size != len(rows):
+        raise DomainError(f"orders table has {orders.size} sides, system has {len(rows)}")
     for (i, j), n, mu_n in orders.mu_table:
         mij, mji = rows[i - 1][j - 1], rows[j - 1][i - 1]
         p = mij * mji
@@ -200,8 +204,6 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     """
     rows = sys.cartan
     f = len(rows)
-    if orders.size != f:
-        raise ValueError(f"orders table has {orders.size} sides, system has {f}")
 
     # C1-C3: diagonal 2 (off-diagonal never 2), off-diagonal <= 0, zero symmetry
     c1_fail, c2_fail, c3_fail = (sys.sign_failures if tol == linalg.TOL_ALGEBRAIC
@@ -296,7 +298,7 @@ def cyclic_invariants(m) -> dict:
     return {c: math.prod(entries(flat), start=1.0) for c, entries in _CYCLE_ENTRIES}
 
 
-def derived_invariant_identities(inv: dict, orders: QuadPrismOrders,
+def derived_invariant_identities(inv: dict, orders: EdgeOrders,
                                  tol: float = linalg.TOL_ALGEBRAIC) -> Verdict:
     """Check that every non-generating cyclic invariant is the stated
     rational expression in the five generators and the mu values: a
@@ -304,9 +306,10 @@ def derived_invariant_identities(inv: dict, orders: QuadPrismOrders,
     each with its residual as value and tol as bound.
 
     For the infinite edge (2,4) the length-2 invariant itself plays the
-    role of mu.  Residuals are relative: |x - y| / (1 + |x| + |y|).
+    role of mu.  Residuals are relative: |x - y| / (1 + |x| + |y|).  An
+    order table that is not the quad prism's raises UnsupportedShape.
     """
-    m12, m23, m34, m14 = orders.mu12, orders.mu23, orders.mu34, orders.mu14
+    m12, m23, m34, m14 = _quad_prism_mu(orders)
     t13 = inv[(1, 3)]
     t24 = inv[(2, 4)]
     g123 = inv[(1, 2, 3)]

@@ -9,9 +9,9 @@ from collections import namedtuple
 
 from . import charts
 from .cartan import Check, ReflectionSystem, Verdict, _pair_residuals, _t_products
-from .errors import NormalizationError, WrongDiagram
+from .errors import DomainError, InvariantViolation
 from .linalg import TOL_ALGEBRAIC, _rows
-from .orbifold import EdgeOrders, QuadPrismOrders
+from .orbifold import EdgeOrders, QuadPrismOrders, _quad_prism_mu
 
 #: Gate on the residual of each Coxeter relation.  The residuals are
 #: O(1) expressions in Cartan entries (see verify_relations), so no
@@ -31,7 +31,7 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
 
     R_i is an involution iff M_ii = 2; the residual is |M_ii - 2|, and
     a system off it by more than TOL_ALGEBRAIC is not a reflection
-    system at all (NormalizationError).  On span{v_i, v_j}, R_i R_j is
+    system at all (InvariantViolation).  On span{v_i, v_j}, R_i R_j is
     [[p - 1, M_ij], [-M_ji, -1]] with p = M_ij M_ji: determinant 1 and
     trace p - 2.  It is the identity on ker alpha_i & ker alpha_j, which
     complements that span when det [[2, M_ij], [M_ji, 2]] = 4 - p != 0.
@@ -56,7 +56,7 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     for i, row in enumerate(m, start=1):
         res = abs(row[i - 1] - 2.0)
         if not res <= TOL_ALGEBRAIC:
-            raise NormalizationError(f"a(v) = {row[i - 1]}, expected 2")
+            raise InvariantViolation(f"a(v) = {row[i - 1]}, expected 2")
         checks.append(Check(("involution", (i,), res, tol, res <= tol)))
     for pair, n, mu_n, prod, res in _pair_residuals(m, orders):
         if mu_n is None:
@@ -71,22 +71,18 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
 def is_convex_cocompact(m, orders: EdgeOrders) -> bool:
     """Convex cocompactness of the quad-prism reflection group:
     both infinite-pair products T13 = M13 M31 and T24 = M24 M42 must
-    exceed 4 strictly.  Any other order table raises WrongDiagram.
+    exceed 4 strictly.  Any other order table raises UnsupportedShape.
 
     A point with T13 = 4 or T24 = 4 is a valid deformation but not
     cocompact.
     """
-    table = orders.mu_table
-    if orders.size != 4 or [p for p, _, mu_n in table if mu_n is None] != [(1, 3), (2, 4)]:
-        raise WrongDiagram("expected the quad-prism pattern: infinite (1,3), (2,4)")
-    if any(n < 3 for _, n, mu_n in table if mu_n is not None):
-        raise WrongDiagram("finite orders must be >= 3")
+    _quad_prism_mu(orders)
     t13, t24 = _t_products(_rows(m, (4, 4)))
     return t13 > 4.0 and t24 > 4.0
 
 
-class DetLocusReport(namedtuple("DetLocusReport", "samples seed min_abs_det min_e")):
-    """Extremes observed over the T13 = 4 and T24 = 4 boundary slices."""
+class DetLocusReport(namedtuple("DetLocusReport", "samples seed min_abs_det")):
+    """Least |det M| observed on the T13 = 4 and T24 = 4 boundary slices."""
 
     __slots__ = ()
 
@@ -100,39 +96,39 @@ def det_locus_check(orders: QuadPrismOrders, samples: int,
     and (v23, v24, v34) log-uniformly; E is the positive defect in
     det(M) = (4 - T13)(4 - T24) - E.  det(M) is the solve's a4*v44 *
     det M[:3, :3] (see charts.standard_solution); on a T = 4 slice the
-    product is a signed zero, so E = -det(M) exactly.
+    product is a signed zero, so E = -det(M) exactly.  E > 0 there
+    makes every det(M) negative, so min |det M| is read as -max det(M),
+    the same bits; a sample with det(M) >= 0 would make it read <= 0
+    and fail every ``> 1e-6`` check of it.
 
     The samples are those of ``rng = np.random.default_rng(seed)``
     drawing, slice by slice, ``charts.sample_t(rng, samples)`` and then
     v23, v24 and v34 as one (3, samples) box draw, but read one block
     at a time (charts._drawn_blocks): slice s's free T starts at double
     4 * samples * s of the stream and its row r of v at 4 * samples * s
-    + (1 + r) * samples.  Both minima are folded block by block, so
+    + (1 + r) * samples.  The minimum is folded block by block, so
     nothing of the sample size is kept.  On the fixed box (|v| in
     [e^-2, e^2], T in 4 + e^[-3, 3]) no entry of M or of the solution
     overflows, and det M3 <= -8, so no sample is dropped.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise DomainError("samples must be >= 1")
     import numpy as np
     draw_v = charts._box_draw(-math.exp(2.0), -math.exp(-2.0))
-    min_abs_det, min_e = {}, {}
+    min_abs_det = {}
     for s, slice_name in enumerate(("T13=4", "T24=4")):
         start = 4 * samples * s
         rows = [(start, charts.sample_t)] + [
             (start + (1 + r) * samples, draw_v) for r in range(3)]
-        low_abs = low_e = float("inf")
+        low = float("inf")
         for _, (t_free, v23, v24, v34) in charts._drawn_blocks(seed, rows, samples):
             t13, t24 = (4.0, t_free) if s == 0 else (t_free, 4.0)
             *_, a4_v44, det3 = charts.standard_solution(orders, t13, t24, v23, v24, v34)
-            det_m = a4_v44 * det3
-            low_abs = min(low_abs, float(np.min(np.abs(det_m))))
-            low_e = min(low_e, -float(np.max(det_m)))
+            low = min(low, -float(np.max(a4_v44 * det3)))
             # free this block's arrays before the next block is solved
-            del a4_v44, det3, det_m
-        min_abs_det[slice_name] = low_abs
-        min_e[slice_name] = low_e
-    return DetLocusReport(samples, seed, min_abs_det, min_e)
+            del a4_v44, det3
+        min_abs_det[slice_name] = low
+    return DetLocusReport(samples, seed, min_abs_det)
 
 
 class ConcurrentScanReport(namedtuple("ConcurrentScanReport", "grid_points_per_axis min_product "
@@ -155,7 +151,7 @@ def concurrent_t_scan(orders: QuadPrismOrders,
     contains the all-(-1) point.
     """
     if grid_points_per_axis < 1:
-        raise ValueError("grid_points_per_axis must be >= 1")
+        raise DomainError("grid_points_per_axis must be >= 1")
     import numpy as np
     lo, hi = CONCURRENT_SCAN_BOX
     g = grid_points_per_axis
@@ -224,9 +220,10 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     """Monte-Carlo scan of a4*v44 at fixed (T13, T24), both >= 4 as the
     standard chart requires.
 
-    Coordinates are drawn log-uniformly in |v| over the box: the samples
-    are ``charts.sample_negative_box(np.random.default_rng(seed), *box,
-    (3, samples))``, rows v23, v24 and v34, read one block at a time
+    Coordinates are drawn log-uniformly in |v| over the box (lo, hi):
+    the samples are -e^U for the (3, samples) draw
+    ``np.random.default_rng(seed).uniform(log(-hi), log(-lo), (3,
+    samples))``, rows v23, v24 and v34, read one block at a time
     (charts._drawn_blocks; row r starts at double r * samples of the
     stream), so the result is deterministic for a given seed.  Samples
     whose a4*v44 is not finite are dropped (the validity rule of
@@ -245,7 +242,7 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     filled by peeling that bin off (_histogram).
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise DomainError("samples must be >= 1")
     charts._require_t(t13=t13, t24=t24)
     import numpy as np
     draw = charts._box_draw(*box)
@@ -263,28 +260,24 @@ def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
     every = bool(ok.all())
     values = a4_v44 if every else a4_v44[ok]
     if values.size == 0:
-        raise ValueError("a4*v44 overflows at every sample; bring the box nearer -1 "
-                         "or lower T")
+        raise DomainError("a4*v44 overflows at every sample; bring the box nearer -1 "
+                          "or lower T")
     kmin, kmax = int(np.argmin(values)), int(np.argmax(values))
     low, high = float(values[kmin]), float(values[kmax])
     if not math.isfinite(high - low):
-        raise ValueError("the range of a4*v44 overflows; narrow the box or lower T")
+        raise DomainError("the range of a4*v44 overflows; narrow the box or lower T")
     try:
         counts, edges = _histogram(values, low, high)
     except ValueError:   # numpy's "Too many bins"
-        raise ValueError(f"a4*v44 runs only from {low!r} to {high!r}, too narrow a range "
-                         "for 20 bins; take more samples or widen the box") from None
+        raise DomainError(f"a4*v44 runs only from {low!r} to {high!r}, too narrow a range "
+                          "for 20 bins; take more samples or widen the box") from None
     histogram = [{"lo": float(edges[k]), "hi": float(edges[k + 1]),
                   "count": int(counts[k])} for k in range(20)]
     records = None
     if keep_records:
         v23, v24, v34 = v if every else v[:, ok]
-        records = {
-            "v23": v23, "v24": v24, "v34": v34,
-            "a4v44": values, "det_M": det_m if every else det_m[ok],
-            "T13_prod": np.full(values.shape, float(t13)),
-            "T24_prod": np.full(values.shape, float(t24)),
-        }
+        records = {"v23": v23, "v24": v24, "v34": v34,
+                   "a4v44": values, "det_M": det_m if every else det_m[ok]}
     at = kmin if every else int(np.flatnonzero(ok)[kmin])
     _, point = next(charts._drawn_blocks(seed, [(start + at, draw) for start, _ in rows], 1))
     argmin = tuple(float(x[0]) for x in point)

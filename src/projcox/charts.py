@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from . import linalg
 from .cartan import ReflectionSystem, _t_products
-from .errors import DomainError, GaugeError
+from .errors import DomainError
 from .orbifold import INFINITY, EdgeOrders, QuadPrismOrders
 
 if TYPE_CHECKING:
@@ -223,10 +223,10 @@ def _drawn_blocks(seed: int, rows, samples: int):
     row: each row has the bytes of the one-shot draw.  Yields
     (block, drawn) per block, with block the slice of the samples it
     covers and drawn the block of each row, in the order of rows.  A
-    negative seed raises ValueError.
+    negative seed raises DomainError.
     """
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise DomainError(f"seed must be >= 0, got {seed}")
     import numpy as np
     streams = [(np.random.Generator(np.random.PCG64(seed).advance(start)), draw)
                for start, draw in rows]
@@ -257,7 +257,7 @@ def realize_representation(pt: StandardChartPoint, a4: float,
 
     The chart only fixes the product a4*v44; a representative needs a
     gauge choice of a4.  When a4 != 0 the fourth entry of v4 is forced
-    to a4_v44 / a4, and giving v44 as well raises GaugeError.  When
+    to a4_v44 / a4, and giving v44 as well raises DomainError.  When
     a4 = 0 the product must be 0.0 and v44 is free (0 unless given);
     :func:`concurrent_to_standard` gives that product exactly.  The
     system keeps the chart's own Cartan rows, ``pt.cartan``.
@@ -265,10 +265,10 @@ def realize_representation(pt: StandardChartPoint, a4: float,
     a4 = float(a4)
     if a4 == 0.0:
         if pt.a4_v44 != 0.0:
-            raise GaugeError("a4 = 0 is inconsistent with a4*v44 != 0")
+            raise DomainError("a4 = 0 is inconsistent with a4*v44 != 0")
         v44 = 0.0 if v44 is None else float(v44)
     elif v44 is not None:
-        raise GaugeError("v44 is a4*v44 / a4 when a4 != 0 and cannot be given")
+        raise DomainError("v44 is a4*v44 / a4 when a4 != 0 and cannot be given")
     else:
         v44 = pt.a4_v44 / a4
     alphas = (*_IDENTITY_4[:3], (pt.a1, pt.a2, pt.a3, a4))
@@ -426,10 +426,11 @@ def sample_t(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def _box_draw(lo: float, hi: float):
-    """The draw of :func:`sample_negative_box` over [lo, hi] as a
-    function of (rng, size), with the box checked and the logs of its
-    bounds taken once, so that a scan pays for them once and not once
-    per block."""
+    """Log-uniform negatives in [lo, hi], -inf < lo < hi < 0, drawn as a
+    function of (rng, size) taking one double of rng's stream per value:
+    -e^U with U as ``rng.uniform(log(-hi), log(-lo), size)``, the same
+    bits.  The box is checked and the logs of its bounds taken once, so
+    that a scan pays for them once and not once per block."""
     if not (-math.inf < lo < hi < 0.0):
         raise DomainError(f"box must satisfy -inf < lo < hi < 0, got [{lo}, {hi}]")
     import numpy as np
@@ -441,10 +442,3 @@ def _box_draw(lo: float, hi: float):
         return x
 
     return draw
-
-
-def sample_negative_box(rng: np.random.Generator, lo: float, hi: float,
-                        size) -> np.ndarray:
-    """Log-uniform negatives in [lo, hi] with -inf < lo < hi < 0, one
-    double of rng's stream per value."""
-    return _box_draw(lo, hi)(rng, size)

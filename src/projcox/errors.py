@@ -1,37 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: every refusal the library
+makes is one of three kinds, each a ProjCoxError."""
 
 
 class ProjCoxError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NormalizationError(ProjCoxError):
-    """A reflection pair (a, v) does not satisfy a(v) = 2."""
-
-
-class InfiniteOrder(ProjCoxError):
-    """An operation requiring a finite edge order received an infinite one."""
-
-
-class NonHyperbolic(ProjCoxError):
-    """The orbifold signature has nonnegative Euler characteristic."""
-
-
-class InvariantViolation(ProjCoxError):
-    """A computed object breaks a structural invariant beyond tolerance."""
+class DomainError(ProjCoxError, ValueError):
+    """An argument the function does not accept: a coordinate off its
+    chart, an order or a count out of range, an order table of another
+    size than the system, a gauge the point does not allow."""
 
 
 class UnsupportedShape(ProjCoxError):
-    """Input falls outside the configurations this package handles."""
+    """A configuration the function does not handle: a matrix of the
+    wrong shape, an order table that is not the quad prism's, a relation
+    space of dimension > 1."""
 
 
-class DomainError(ProjCoxError):
-    """Chart parameters violate the chart's defining inequalities."""
-
-
-class GaugeError(ProjCoxError):
-    """An inconsistent gauge choice (e.g. a4 = 0 with a4*v44 != 0)."""
-
-
-class WrongDiagram(ProjCoxError):
-    """The edge-order pattern is not the one this test applies to."""
+class InvariantViolation(ProjCoxError):
+    """A system or Cartan matrix that breaks a structural invariant."""

@@ -15,7 +15,7 @@ import enum
 import math
 from collections import namedtuple
 
-from .errors import InfiniteOrder, NonHyperbolic
+from .errors import DomainError, UnsupportedShape
 
 
 class _Infinity(enum.Enum):
@@ -35,9 +35,9 @@ INFINITY = _Infinity.INFINITY
 def mu(n) -> float:
     """4 cos^2(pi/n) for a finite order n >= 2, which it checks."""
     if n is INFINITY:
-        raise InfiniteOrder("mu is undefined for infinite orders; use the T >= 4 parameter")
+        raise DomainError("mu is undefined for infinite orders; use the T >= 4 parameter")
     if not isinstance(n, int) or n < 2:
-        raise ValueError(f"edge order must be an integer >= 2 or INFINITY, got {n!r}")
+        raise DomainError(f"edge order must be an integer >= 2 or INFINITY, got {n!r}")
     return 4.0 * math.cos(math.pi / n) ** 2
 
 
@@ -60,24 +60,24 @@ class EdgeOrders:
 
     def __init__(self, size: int, orders: dict = None):
         if size < 2:
-            raise ValueError("need at least two sides")
+            raise DomainError("need at least two sides")
         normalized = {}
         for (i, j), n in (orders or {}).items():
             if i == j or not (1 <= i <= size and 1 <= j <= size):
-                raise ValueError(f"bad side pair ({i},{j})")
+                raise DomainError(f"bad side pair ({i},{j})")
             key = (i, j) if i < j else (j, i)
             if normalized.setdefault(key, n) != n:
-                raise ValueError(f"conflicting orders for pair {key}")
+                raise DomainError(f"conflicting orders for pair {key}")
         if len(normalized) < size * (size - 1) // 2:
             missing = next((i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)
                            if (i, j) not in normalized)
-            raise ValueError(f"missing order for pair ({missing[0]},{missing[1]})")
+            raise DomainError(f"missing order for pair ({missing[0]},{missing[1]})")
         table = []
         for pair, n in sorted(normalized.items()):
             mu_n = None if n is INFINITY else mu(n)
             if mu_n == 4.0:
-                raise ValueError(f"order {n} of pair {pair} is too large: mu(n) rounds "
-                                 "to 4 in doubles, the value of an infinite order")
+                raise DomainError(f"order {n} of pair {pair} is too large: mu(n) rounds "
+                                  "to 4 in doubles, the value of an infinite order")
             table.append((pair, n, mu_n))
         vars(self).update(size=size, orders=normalized, mu_table=tuple(table))
 
@@ -107,7 +107,7 @@ class QuadPrismOrders(EdgeOrders):
     def __init__(self, n12: int, n23: int, n34: int, n14: int):
         for name, n in (("n12", n12), ("n23", n23), ("n34", n34), ("n14", n14)):
             if not isinstance(n, int) or n < 3:
-                raise ValueError(f"{name} must be an integer >= 3, got {n!r}")
+                raise DomainError(f"{name} must be an integer >= 3, got {n!r}")
         super().__init__(4, {(1, 2): n12, (2, 3): n23, (3, 4): n34, (1, 4): n14,
                              (1, 3): INFINITY, (2, 4): INFINITY})
 
@@ -120,6 +120,21 @@ class QuadPrismOrders(EdgeOrders):
     mu14 = property(lambda self: self.mu_table[2][2])
     mu23 = property(lambda self: self.mu_table[3][2])
     mu34 = property(lambda self: self.mu_table[5][2])
+
+
+def _quad_prism_mu(orders: EdgeOrders) -> tuple:
+    """(mu12, mu23, mu34, mu14) of a quad-prism order table, the one
+    check of the pattern for the certificates that need it.  Any other
+    table raises UnsupportedShape.  A QuadPrismOrders is the quad prism
+    by construction, so only a plain EdgeOrders is scanned, on every
+    call; both hold the rows of mu_table in the same sorted order."""
+    table = orders.mu_table
+    if not isinstance(orders, QuadPrismOrders):
+        if orders.size != 4 or [p for p, _, mu_n in table if mu_n is None] != [(1, 3), (2, 4)]:
+            raise UnsupportedShape("expected the quad-prism pattern: infinite (1,3), (2,4)")
+        if any(n < 3 for _, n, mu_n in table if mu_n is not None):
+            raise UnsupportedShape("finite orders must be >= 3")
+    return table[0][2], table[3][2], table[5][2], table[2][2]
 
 
 class OrbifoldSignature(namedtuple("OrbifoldSignature", "chi_underlying cone_orders "
@@ -138,9 +153,9 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "chi_underlying cone_ord
         cone_orders, corner_orders = tuple(cone_orders), tuple(corner_orders)
         for q in cone_orders + corner_orders:
             if not isinstance(q, int) or q < 2:
-                raise ValueError(f"singular-point orders must be integers >= 2, got {q!r}")
+                raise DomainError(f"singular-point orders must be integers >= 2, got {q!r}")
         if full_boundary_count < 0:
-            raise ValueError("full_boundary_count must be >= 0")
+            raise DomainError("full_boundary_count must be >= 0")
         return super().__new__(cls, chi_underlying, cone_orders, corner_orders,
                                full_boundary_count)
 
@@ -173,7 +188,7 @@ def euler_characteristic(sig: OrbifoldSignature) -> Fraction:
 def _require_hyperbolic(sig: OrbifoldSignature):
     chi = euler_characteristic(sig)
     if chi >= 0:
-        raise NonHyperbolic(f"chi = {chi} >= 0")
+        raise DomainError(f"chi = {chi} >= 0")
 
 
 def teichmuller_dim(sig: OrbifoldSignature) -> int:
@@ -183,7 +198,7 @@ def teichmuller_dim(sig: OrbifoldSignature) -> int:
     _require_hyperbolic(sig)
     value = -3 * sig.chi_underlying + 2 * len(sig.cone_orders) + len(sig.corner_orders)
     if value.denominator != 1:
-        raise ValueError("underlying Euler characteristic must make the dimension integral")
+        raise DomainError("underlying Euler characteristic must make the dimension integral")
     return int(value)
 
 
@@ -201,12 +216,12 @@ def cg05_dim(sig: OrbifoldSignature) -> int:
     """
     _require_hyperbolic(sig)
     if sig.full_boundary_count != 0:
-        raise ValueError("formula requires an orbifold without boundary components")
+        raise DomainError("formula requires an orbifold without boundary components")
     k = len(sig.cone_orders)
     k2 = sum(1 for q in sig.cone_orders if q == 2)
     l = len(sig.corner_orders)
     l2 = sum(1 for r in sig.corner_orders if r == 2)
     value = -8 * sig.chi_underlying + (6 * k - 2 * k2) + (3 * l - l2)
     if value.denominator != 1:
-        raise ValueError("underlying Euler characteristic must make the dimension integral")
+        raise DomainError("underlying Euler characteristic must make the dimension integral")
     return int(value)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from projcox import charts
-from projcox.errors import NormalizationError
+from projcox.errors import InvariantViolation
 from projcox.orbifold import QuadPrismOrders
 
 ORDER_CHOICES = (3, 4, 5, 6)
@@ -19,6 +19,13 @@ ORDER_CHOICES = (3, 4, 5, 6)
 def sample_negative_spread(rng: np.random.Generator, spread: float) -> float:
     """Negative coordinate with |v| log-uniform in [e^-spread, e^spread]."""
     return float(-np.exp(rng.uniform(-spread, spread)))
+
+
+def negative_box(rng: np.random.Generator, lo: float, hi: float, size) -> np.ndarray:
+    """The scans' log-uniform negatives in [lo, hi], rebuilt from numpy
+    alone: -e^U with U = rng.uniform(log(-hi), log(-lo), size), the bits
+    charts._box_draw claims to match."""
+    return -np.exp(rng.uniform(np.log(-hi), np.log(-lo), size))
 
 
 def sample_t_spread(rng: np.random.Generator, spread: float) -> float:
@@ -117,7 +124,7 @@ def reflection(a, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     p = float(a @ v)
     if abs(p - 2.0) > 1e-9:
-        raise NormalizationError(f"a(v) = {p}, expected 2")
+        raise InvariantViolation(f"a(v) = {p}, expected 2")
     return np.eye(a.shape[0]) - np.outer(v, a)
 
 

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (balanced_realization, random_concurrent, random_general,
-                     random_orders, random_standard, whole_standard_solution)
+from helpers import (balanced_realization, negative_box, random_concurrent,
+                     random_general, random_orders, random_standard, whole_standard_solution)
 from projcox import cartan, certify, charts, orbifold
 from projcox.cartan import ReflectionSystem
 from projcox.charts import CaseLabel
@@ -193,7 +193,7 @@ def test_criterion_5_determinant_signs(capsys):
         n = 10_000 // len(orders_pool)
         t13 = charts.sample_t(rng, n)
         t24 = charts.sample_t(rng, n)
-        v23, v24, v34 = (charts.sample_negative_box(rng, *V_BAND, n) for _ in range(3))
+        v23, v24, v34 = (negative_box(rng, *V_BAND, n) for _ in range(3))
         res = whole_standard_solution(orders, t13, t24, v23, v24, v34)
         e = (4.0 - t13) * (4.0 - t24) - res["det_m"]
         min_e = min(min_e, float(np.min(e[res["valid"]])))

@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (STANDARD_POINTS_NEAR_T24_EDGE, balanced_realization, mat_power,
-                     random_concurrent, random_general, random_standard, reflection,
-                     whole_standard_solution)
+                     negative_box, random_concurrent, random_general, random_standard,
+                     reflection, whole_standard_solution)
 from projcox import cartan, certify, charts, orbifold
 from projcox.cartan import Check, ReflectionSystem, Verdict
-from projcox.errors import NormalizationError, WrongDiagram
+from projcox.errors import InvariantViolation, UnsupportedShape
 from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
@@ -154,7 +154,7 @@ def test_involution_residual_and_normalization():
     assert values(report, "involution")[(1,)] == pytest.approx(1e-12, rel=1e-3)
     assert ("involution", (1,)) in failures(report)
     m[0, 0] = 2.0 + 1e-6
-    with pytest.raises(NormalizationError):
+    with pytest.raises(InvariantViolation):
         certify.verify_relations(ReflectionSystem(np.eye(2), m.T), orders)
 
 
@@ -291,7 +291,7 @@ def test_cocompact_strict_inequality():
 def test_cocompact_rejects_wrong_diagram():
     table = EdgeOrders(4, {(1, 2): INFINITY, (2, 3): 3, (3, 4): 3,
                            (1, 4): 3, (1, 3): 3, (2, 4): 3})
-    with pytest.raises(WrongDiagram):
+    with pytest.raises(UnsupportedShape):
         certify.is_convex_cocompact(np.eye(4), table)
 
 
@@ -308,7 +308,7 @@ def test_cocompact_rejects_wrong_diagram():
 def test_cocompact_wrong_diagram_raises_on_every_call(table, message):
     # the pattern is checked on every call, from the order table
     for _ in range(2):
-        with pytest.raises(WrongDiagram, match=message):
+        with pytest.raises(UnsupportedShape, match=message):
             certify.is_convex_cocompact(np.eye(4), table)
 
 
@@ -414,11 +414,11 @@ def test_concurrent_scan_needs_a_grid_point():
 
 
 def test_det_locus_report():
+    # min_abs_det reads -max det M, so above 1e-6 it also shows every
+    # det M < 0 on the slices: E = -det M > 0
     report = certify.det_locus_check(O3333, samples=2000, seed=0)
     assert report.min_abs_det["T13=4"] > 1e-6
     assert report.min_abs_det["T24=4"] > 1e-6
-    assert report.min_e["T13=4"] > 0.0
-    assert report.min_e["T24=4"] > 0.0
 
 
 def test_det_locus_check_needs_a_sample():
@@ -451,18 +451,21 @@ def test_det_locus_report_is_pinned(orders, seed, samples, min_det):
     array of it, and the minima are folded block by block; the report
     keeps every bit it had with whole-array solves."""
     report = certify.det_locus_check(orders, samples=samples, seed=seed)
-    assert report == certify.DetLocusReport(samples, seed, min_det, min_det)
+    assert report == certify.DetLocusReport(samples, seed, min_det)
 
 
 def test_det_locus_minima_are_pinned():
     """Every bit of the minima at three order tables and four seeds: the
     sha256 of their hex forms, as recorded when v23, v24 and v34 were
-    three draws in turn of -e^U, U uniform on [-2, 2]."""
+    three draws in turn of -e^U, U uniform on [-2, 2].  The recorded
+    digest hashed min |det M| and then -max det M, once a second field;
+    on these slices the two are the same bits, so min_abs_det enters
+    twice."""
     digest = hashlib.sha256()
     for orders in ((3, 3, 3, 3), (3, 4, 5, 6), (7, 9, 11, 1000)):
         for seed in (0, 1, 2, 73):
             report = certify.det_locus_check(QuadPrismOrders(*orders), 2000, seed)
-            for minima in (report.min_abs_det, report.min_e):
+            for minima in (report.min_abs_det, report.min_abs_det):
                 for key in ("T13=4", "T24=4"):
                     digest.update(minima[key].hex().encode())
     assert digest.hexdigest() == (
@@ -490,16 +493,15 @@ def rebuilt_det_locus(orders, samples, seed):
     one-shot draws of default_rng(seed), slice by slice: the free T,
     then v23, v24 and v34 as one (3, samples) draw."""
     rng = np.random.default_rng(seed)
-    min_abs_det, min_e = {}, {}
+    min_abs_det = {}
     for name in ("T13=4", "T24=4"):
         t_free = charts.sample_t(rng, samples)
-        v = charts.sample_negative_box(rng, -math.exp(2.0), -math.exp(-2.0), (3, samples))
+        v = negative_box(rng, -math.exp(2.0), -math.exp(-2.0), (3, samples))
         t13, t24 = (4.0, t_free) if name == "T13=4" else (t_free, 4.0)
         result = whole_standard_solution(orders, t13, t24, *v)
         det_m = result["det_m"][np.isfinite(result["a4_v44"])]
         min_abs_det[name] = float(np.min(np.abs(det_m)))
-        min_e[name] = -float(np.max(det_m))
-    return certify.DetLocusReport(samples, seed, min_abs_det, min_e)
+    return certify.DetLocusReport(samples, seed, min_abs_det)
 
 
 @pytest.mark.parametrize("orders, seed", [(O3333, 0), (QuadPrismOrders(3, 4, 5, 6), 9)])
@@ -519,7 +521,7 @@ def rebuilt_scan(orders, t, samples, seed, box):
     """standard_scan's summary and records rebuilt from the whole-array
     solve on the same draws, made in turn."""
     rng = np.random.default_rng(seed)
-    v = [charts.sample_negative_box(rng, *box, samples) for _ in range(3)]
+    v = [negative_box(rng, *box, samples) for _ in range(3)]
     result = whole_standard_solution(orders, t, t, *v)
     ok = result["valid"]
     values = result["a4_v44"][ok]
@@ -534,8 +536,7 @@ def rebuilt_scan(orders, t, samples, seed, box):
                        "count": int(counts[j])} for j in range(20)],
     }
     records = {"v23": v[0][ok], "v24": v[1][ok], "v34": v[2][ok], "a4v44": values,
-               "det_M": result["det_m"][ok], "T13_prod": np.full(values.shape, t),
-               "T24_prod": np.full(values.shape, t)}
+               "det_M": result["det_m"][ok]}
     return summary, records
 
 
@@ -663,11 +664,11 @@ def test_standard_scan_records_schema():
     report = certify.standard_scan(O3333, 6.0, 6.0, samples=500, seed=1,
                                    keep_records=True)
     rec = report.records
-    assert set(rec) == {"v23", "v24", "v34", "a4v44", "det_M",
-                        "T13_prod", "T24_prod"}
+    # the fixed T13 and T24 are the report's fields, not per-sample records
+    assert list(rec) == ["v23", "v24", "v34", "a4v44", "det_M"]
     n = report.valid_samples
     assert all(rec[c].shape == (n,) for c in rec)
-    assert np.all(rec["T13_prod"] == 6.0)
+    assert (report.t13, report.t24) == (6.0, 6.0)
 
 
 def test_standard_scan_argmin_reproduces_minimum():

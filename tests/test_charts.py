@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (exact_standard_solution, random_concurrent, random_orders,
-                     random_standard, row_4_gaps_within_bound, svd_rank,
+from helpers import (exact_standard_solution, negative_box, random_concurrent,
+                     random_orders, random_standard, row_4_gaps_within_bound, svd_rank,
                      whole_standard_solution)
 from projcox import cartan, certify, charts
 from projcox.cartan import ReflectionSystem
@@ -18,7 +18,7 @@ from projcox.charts import (CaseLabel, ConcurrentChartParams,
                             build_standard, classify_case,
                             concurrent_to_standard, is_semisimple,
                             realize_representation, standard_coordinates)
-from projcox.errors import DomainError, GaugeError
+from projcox.errors import DomainError
 from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
@@ -227,7 +227,7 @@ def test_batch_solve_matches_exact_rational_solve(orders):
     o = QuadPrismOrders(*orders)
     rng = np.random.default_rng(sum(orders))
     for box, t in ACCURACY_BOXES:
-        v = charts.sample_negative_box(rng, *box, (3, 200))
+        v = negative_box(rng, *box, (3, 200))
         batch = whole_standard_solution(o, t, t, *v)
         assert batch["valid"].all()
         for k in range(v.shape[1]):
@@ -341,9 +341,10 @@ def test_one_draw_of_three_rows_is_three_draws_in_turn():
     same stream, and the same bits, as three draws of N made in turn,
     which is why row r starts at double r * N."""
     box = (-10.0, -1e-8)
-    rows = charts.sample_negative_box(np.random.default_rng(4), *box, (3, 1000))
+    draw = charts._box_draw(*box)
+    rows = draw(np.random.default_rng(4), (3, 1000))
     rng = np.random.default_rng(4)
-    turns = [charts.sample_negative_box(rng, *box, 1000) for _ in range(3)]
+    turns = [draw(rng, 1000) for _ in range(3)]
     assert rows.tobytes() == np.stack(turns).tobytes()
 
 
@@ -371,7 +372,7 @@ def test_drawn_blocks_are_the_one_shot_draw(samples, box):
     assert [b for b, _ in blocks] == [slice(lo, min(lo + charts._BLOCK, samples))
                                       for lo in range(0, samples, charts._BLOCK)]
     drawn = np.concatenate([np.stack(block_rows) for _, block_rows in blocks], axis=1)
-    whole = charts.sample_negative_box(np.random.default_rng(7), *box, (3, samples))
+    whole = negative_box(np.random.default_rng(7), *box, (3, samples))
     assert drawn.tobytes() == whole.tobytes()
 
 
@@ -379,8 +380,7 @@ def test_box_sampler_at_the_criterion_5_band_keeps_its_draws():
     """Acceptance criterion 5 and det_locus_check draw v in [-e^2, -e^-2]
     from the box sampler: log(e^+-2) is +-2 in doubles, so the draws are
     those of -e^U with U uniform on [-2, 2], the same bits."""
-    box = charts.sample_negative_box(np.random.default_rng(31), -math.exp(2.0),
-                                     -math.exp(-2.0), 10_000)
+    box = charts._box_draw(-math.exp(2.0), -math.exp(-2.0))(np.random.default_rng(31), 10_000)
     assert (box == -np.exp(np.random.default_rng(31).uniform(-2.0, 2.0, 10_000))).all()
 
 
@@ -414,7 +414,7 @@ def test_realize_representation_gauge_invariance():
 def test_realize_representation_rejects_inconsistent_gauge():
     pt = build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
     assert abs(pt.a4_v44) > 1e-6
-    with pytest.raises(GaugeError):
+    with pytest.raises(DomainError):
         realize_representation(pt, a4=0.0)
 
 
@@ -422,7 +422,7 @@ def test_realize_representation_rejects_v44_with_nonzero_a4():
     # a4 != 0 forces v44 = a4*v44 / a4; another v44 would give a system
     # with M44 != 2, which is no reflection system
     pt = build_standard(O3333, 6.0, 6.0, -1.0, -1.0, -1.0)
-    with pytest.raises(GaugeError):
+    with pytest.raises(DomainError):
         realize_representation(pt, a4=1.0, v44=0.0)
 
 
@@ -489,7 +489,7 @@ def test_concurrent_to_standard_kills_a4_v44():
 
 def test_concurrent_point_realizes_at_a4_zero_as_case_iii():
     """Solved instead of read off in closed form, this point's a4*v44
-    came out as 1.2e-10 of round-off, so a4 = 0 raised GaugeError and
+    came out as 1.2e-10 of round-off, so a4 = 0 was refused and
     the a4 = 1 representative read as not semisimple."""
     p = ConcurrentChartParams(QuadPrismOrders(3, 6, 3, 5), -2709.154458306381,
                               -0.00033780025555655603, -537.6977719470218,
@@ -549,7 +549,7 @@ def test_the_gauge_reads_zero_as_zero():
     pt = concurrent_to_standard(ConcurrentChartParams(O3333, -1.0, -1.0, -1.0, -1.0))
     sys = realize_representation(pt, a4=1e-12)
     assert (sys.alpha_rows[3][3], sys.vector_rows[3][3]) == (1e-12, 0.0)
-    with pytest.raises(GaugeError, match="cannot be given"):
+    with pytest.raises(DomainError, match="cannot be given"):
         realize_representation(pt, a4=1e-12, v44=0.0)
 
 

@@ -9,6 +9,7 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -132,11 +133,16 @@ def test_scan_json_deterministic():
 
 
 def scan_records(argv):
-    """The records certify.standard_scan returns for a CSV scan argv."""
+    """The CSV columns of a CSV scan argv: the records
+    certify.standard_scan returns, then T13_prod and T24_prod, the
+    scan's fixed T13 and T24 in every row."""
     args = cli.build_parser().parse_args(argv)
-    return certify.standard_scan(cli._parse_orders(args.orders), args.t13, args.t24,
-                                 args.samples, args.seed, cli._parse_box(args.box),
-                                 keep_records=True).records
+    report = certify.standard_scan(cli._parse_orders(args.orders), args.t13, args.t24,
+                                   args.samples, args.seed, cli._parse_box(args.box),
+                                   keep_records=True)
+    shape = report.records["a4v44"].shape
+    return {**report.records, "T13_prod": np.full(shape, report.t13),
+            "T24_prod": np.full(shape, report.t24)}
 
 
 def reference_csv(argv) -> bytes:

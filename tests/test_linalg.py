@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import mat_power, reflection, svd_rank
 from projcox import linalg
 from projcox.cartan import relation_space_trivial
-from projcox.errors import NormalizationError, UnsupportedShape
+from projcox.errors import InvariantViolation, UnsupportedShape
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0, 0.0])
@@ -26,7 +26,7 @@ def test_reflection_outer_product():
 
 
 def test_reflection_requires_normalization():
-    with pytest.raises(NormalizationError):
+    with pytest.raises(InvariantViolation):
         reflection(E1, E1)
 
 

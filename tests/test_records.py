@@ -72,8 +72,8 @@ RECORDS = {
         ({"free": {(2, 3): -1.0, (2, 4): 2.0, (3, 4): -0.5}}, DomainError), False),
     "DetLocusReport": (
         certify.DetLocusReport,
-        _read(certify.det_locus_check(O3456, 20, 0), ("samples", "seed", "min_abs_det", "min_e")),
-        ("samples", "seed", "min_abs_det", "min_e"), None, False),
+        _read(certify.det_locus_check(O3456, 20, 0), ("samples", "seed", "min_abs_det")),
+        ("samples", "seed", "min_abs_det"), None, False),
     "ConcurrentScanReport": (
         certify.ConcurrentScanReport,
         _read(certify.concurrent_t_scan(O3456, 3),
