@@ -11,7 +11,7 @@ matrix, which is decided here through cyclic invariants.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, combinations, permutations
 from operator import itemgetter
 
@@ -19,6 +19,8 @@ from . import linalg
 from .errors import DomainError, InvariantViolation, UnsupportedShape
 from .orbifold import EdgeOrders, _quad_prism_mu
 
+#: e1*, e2*, e3* in R^4, the first three covectors of every chart
+_UNIT_COVECTORS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
 #: generating set of cyclic invariants for the quad-prism diagram
 GENERATING_CYCLES = ((1, 3), (2, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4))
 
@@ -235,28 +237,27 @@ def relation_space_trivial(alphas) -> bool:
     """Whether every nonzero linear relation among the alphas has
     coefficients of both signs.
 
-    Independent alphas pass immediately.  With a one-dimensional
-    relation space the relation passes iff its coefficients take both
-    signs, so neither it nor its negative lies in the nonnegative cone.
-    Relation spaces of dimension > 1 are outside the shapes handled
-    here.  One complete-pivoting elimination of alphas^T gives both the
-    rank (counted as in linalg.rank) and, at rank f - 1, the relation:
-    back substitution with the coefficient of the column left without a
-    pivot set to 1.
-
-    Each nonzero covector is first divided by its largest |entry|, as
-    an alpha_4 near 1e8 would push unit covectors' pivots under RANK_TOL
-    times the first; a positive scale keeps each coefficient's sign.
-    The verdicts of the last 64 row sets are kept, as the general and
-    concurrent charts hand over the same covectors at every point.
+    Four covectors in R^4, the first three e1*, e2*, e3* (every chart's
+    and every standard realisation's), are decided exactly by the
+    fourth, (a1, a2, a3, a4): they are independent if a4 != 0, and else
+    their one relation (a1, a2, a3, -1) takes both signs iff some a_i >
+    0.  Other alphas keep numeric ranks.  Independent alphas pass
+    immediately.  A one-dimensional relation space passes iff its
+    relation takes both signs; one of dimension > 1 raises
+    UnsupportedShape.  One complete-pivoting elimination of the
+    transposed _scaled alphas (a positive scale keeps each coefficient's
+    sign; unscaled, an alpha_4 near 1e8 pushes unit covectors' pivots
+    under RANK_TOL times the first) gives the rank, as linalg.rank
+    counts it, and at rank f - 1 the relation: back substitution with
+    the coefficient of the column left without a pivot set to 1.
+    Non-finite alphas raise DomainError.
     """
-    return _relation_space_trivial(linalg._rows(alphas))
-
-
-@lru_cache(maxsize=64)
-def _relation_space_trivial(rows) -> bool:
-    """relation_space_trivial of linalg._rows, keyed by value (0.0 and
-    -0.0 alike); an UnsupportedShape is not kept and raises each time."""
+    rows = linalg._rows(alphas)
+    if not all(map(math.isfinite, chain(*rows))):
+        raise DomainError("alphas must be finite")
+    if len(rows) == 4 and rows[:3] == _UNIT_COVECTORS:
+        *a, a4 = rows[3]
+        return a4 != 0.0 or max(a) > 0.0
     pivots, free = linalg._eliminate(zip(*linalg._scaled(rows)))
     if not free:
         return True

@@ -11,7 +11,7 @@ from . import charts
 from .cartan import Check, ReflectionSystem, Verdict, _pair_residuals, _t_products
 from .errors import DomainError, InvariantViolation
 from .linalg import TOL_ALGEBRAIC, _rows
-from .orbifold import EdgeOrders, QuadPrismOrders, _quad_prism_mu
+from .orbifold import EdgeOrders, _quad_prism_mu
 
 #: Gate on the residual of each Coxeter relation.  The residuals are
 #: O(1) expressions in Cartan entries (see verify_relations), so no
@@ -87,7 +87,7 @@ class DetLocusReport(namedtuple("DetLocusReport", "samples seed min_abs_det")):
     __slots__ = ()
 
 
-def det_locus_check(orders: QuadPrismOrders, samples: int,
+def det_locus_check(orders: EdgeOrders, samples: int,
                     seed: int) -> DetLocusReport:
     """Sample standard-chart points on the two T = 4 boundary slices
     and record how close det(M) comes to zero.
@@ -144,7 +144,7 @@ CONCURRENT_SCAN_BOX = (-10.0, -0.1)
 STANDARD_SCAN_BOX = (-10.0, -0.01)
 
 
-def concurrent_t_scan(orders: QuadPrismOrders,
+def concurrent_t_scan(orders: EdgeOrders,
                       grid_points_per_axis: int = 9) -> ConcurrentScanReport:
     """Minimum of T13 * T24 over a log-spaced grid of the four
     concurrent coordinates in CONCURRENT_SCAN_BOX; the grid always
@@ -214,7 +214,7 @@ class StandardScanReport(namedtuple("StandardScanReport", "samples valid_samples
         return out
 
 
-def standard_scan(orders: QuadPrismOrders, t13: float, t24: float,
+def standard_scan(orders: EdgeOrders, t13: float, t24: float,
                   samples: int, seed: int, box=STANDARD_SCAN_BOX,
                   keep_records: bool = False) -> StandardScanReport:
     """Monte-Carlo scan of a4*v44 at fixed (T13, T24), both >= 4 as the

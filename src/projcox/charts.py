@@ -24,9 +24,9 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .cartan import ReflectionSystem, _t_products
+from .cartan import ReflectionSystem, _t_products, _UNIT_COVECTORS
 from .errors import DomainError
-from .orbifold import INFINITY, EdgeOrders, QuadPrismOrders
+from .orbifold import INFINITY, EdgeOrders, _quad_prism_mu
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,7 +38,7 @@ def _identity(d: int) -> tuple:
 
 _IDENTITY_4 = _identity(4)
 #: the concurrent chart's covectors, alpha_4 = e1* - e2* + e3*
-_CONCURRENT_ALPHAS = (*_IDENTITY_4[:3], (1.0, -1.0, 1.0, 0.0))
+_CONCURRENT_ALPHAS = (*_UNIT_COVECTORS, (1.0, -1.0, 1.0, 0.0))
 
 
 def _require_negative(**named):
@@ -78,12 +78,12 @@ def build_general(p: GeneralChartParams) -> ReflectionSystem:
     The covectors are the dual basis, so the vector matrix [v] is the
     Cartan matrix itself, with v13 = -T13 and v42 = T24 / v24.
     """
-    o = p.orders
+    mu12, mu23, mu34, mu14 = _quad_prism_mu(p.orders)
     t13, t24, v23, v24, v34 = map(float, p[1:])
-    vmat = ((2.0, -o.mu12, -t13, -o.mu14),
+    vmat = ((2.0, -mu12, -t13, -mu14),
             (-1.0, 2.0, v23, v24),
-            (-1.0, o.mu23 / v23, 2.0, v34),
-            (-1.0, t24 / v24, o.mu34 / v34, 2.0))
+            (-1.0, mu23 / v23, 2.0, v34),
+            (-1.0, t24 / v24, mu34 / v34, 2.0))
     return ReflectionSystem(_IDENTITY_4, tuple(zip(*vmat)), vmat)
 
 
@@ -104,13 +104,13 @@ class ConcurrentChartParams(namedtuple("ConcurrentChartParams", "orders v12 v23 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-def concurrent_cartan(orders: QuadPrismOrders, v12, v23, v14, v34) -> tuple:
+def concurrent_cartan(orders: EdgeOrders, v12, v23, v14, v34) -> tuple:
     """Cartan matrix rows of a concurrent-chart point, so T13 = M13 M31
     and T24 = M24 M42.  Row 4 is alpha_4 = e1* - e2* + e3* applied to
     the vectors, M1j - M2j + M3j, with the cancellation done exactly.
     Operators only, so it takes floats and arrays alike."""
-    h12, h23 = orders.mu12 / v12, orders.mu23 / v23
-    h14, h34 = orders.mu14 / v14, orders.mu34 / v34
+    mu12, mu23, mu34, mu14 = _quad_prism_mu(orders)
+    h12, h23, h14, h34 = mu12 / v12, mu23 / v23, mu14 / v14, mu34 / v34
     return ((2.0, v12, v23 + h34 - 2.0, v14),
             (h12, 2.0, v23, v14 + v34 - 2.0),
             (h14 + h12 - 2.0, h23, 2.0, v34),
@@ -141,16 +141,17 @@ class StandardChartPoint(namedtuple("StandardChartPoint",
     __slots__ = ()
 
 
-def standard_cartan(orders: QuadPrismOrders, t13: float, t24: float,
+def standard_cartan(orders: EdgeOrders, t13: float, t24: float,
                     v23: float, v24: float, v34: float) -> tuple:
     """Cartan matrix rows of a standard-position point."""
-    return ((2.0, -orders.mu12, -t13, -1.0),
+    mu12, mu23, mu34, mu14 = _quad_prism_mu(orders)
+    return ((2.0, -mu12, -t13, -1.0),
             (-1.0, 2.0, v23, v24),
-            (-1.0, orders.mu23 / v23, 2.0, v34),
-            (-orders.mu14, t24 / v24, orders.mu34 / v34, 2.0))
+            (-1.0, mu23 / v23, 2.0, v34),
+            (-mu14, t24 / v24, mu34 / v34, 2.0))
 
 
-def standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
+def standard_solution(orders: EdgeOrders, t13, t24, v23, v24, v34):
     """Solve the standard-chart system for (a1, a2, a3, a4*v44).
 
     The first three coordinates of v_j are column j of the first three
@@ -190,13 +191,13 @@ def standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     them.  Returns (a1, a2, a3, a4_v44, det3) with det3 = det M3, and
     det M = a4*v44 det3 (M = A V^T with det A = a4 and det V = v44 det3).
     """
-    mu12 = orders.mu12
-    h = orders.mu23 / v23
-    c00, c01, c02 = 4.0 - orders.mu23, 2.0 - v23, 2.0 - h
+    mu12, mu23, mu34, mu14 = _quad_prism_mu(orders)
+    h = mu23 / v23
+    c00, c01, c02 = 4.0 - mu23, 2.0 - v23, 2.0 - h
     c10, c11, c12 = 2.0 * mu12 - t13 * h, 4.0 - t13, mu12 - 2.0 * h
     c20, c21, c22 = 2.0 * t13 - mu12 * v23, t13 - 2.0 * v23, 4.0 - mu12
     det3 = 2.0 * c00 - mu12 * c01 - t13 * c02
-    r0, r1, r2 = -orders.mu14, t24 / v24, orders.mu34 / v34
+    r0, r1, r2 = -mu14, t24 / v24, mu34 / v34
     a1 = c00 / det3 * r0 + c01 / det3 * r1 + c02 / det3 * r2
     a2 = c10 / det3 * r0 + c11 / det3 * r1 + c12 / det3 * r2
     a3 = c20 / det3 * r0 + c21 / det3 * r1 + c22 / det3 * r2
@@ -235,7 +236,7 @@ def _drawn_blocks(seed: int, rows, samples: int):
         yield slice(lo, lo + n), [draw(rng, n) for rng, draw in streams]
 
 
-def build_standard(orders: QuadPrismOrders, t13: float, t24: float,
+def build_standard(orders: EdgeOrders, t13: float, t24: float,
                    v23: float, v24: float, v34: float) -> StandardChartPoint:
     """The one-point scan: :func:`standard_solution` on Python floats,
     bit for bit the values the scans compute for the same point, with
@@ -271,7 +272,7 @@ def realize_representation(pt: StandardChartPoint, a4: float,
         raise DomainError("v44 is a4*v44 / a4 when a4 != 0 and cannot be given")
     else:
         v44 = pt.a4_v44 / a4
-    alphas = (*_IDENTITY_4[:3], (pt.a1, pt.a2, pt.a3, a4))
+    alphas = (*_UNIT_COVECTORS, (pt.a1, pt.a2, pt.a3, a4))
     # the first three rows of [v] are those of the Cartan matrix
     return ReflectionSystem(alphas, tuple(zip(*pt.cartan[:3], (0.0, 0.0, 0.0, v44))),
                             pt.cartan)
@@ -396,15 +397,26 @@ def classify_case(a4: float, v44: float) -> CaseLabel:
 def is_semisimple(sys: ReflectionSystem) -> bool:
     """Whether V splits as (intersection of ker alpha_j) + span{v_j}.
 
-    With A the alphas and V the vectors (rows), the kernel has dimension
-    d - rank A and rank(A V^T) = rank V - dim(ker A & span V), so V
-    splits iff rank A = rank V = rank M for the Cartan matrix M = A V^T.
-    At rank A = rank V = d the intersection is zero already.
+    Alphas e1*, e2*, e3*, (a1, a2, a3, a4) with v_1..v_3 in x4 = 0 and
+    of a linalg.nonsingular block (every chart's but the general one's)
+    have rank A = 3 + [a4 != 0], rank V = 3 + [v44 != 0] and, at a4 =
+    0, ker A = span(e4) in span V iff v44 != 0: V splits iff a4 and v44
+    are both zero (case III) or both not (case I).  Where V is
+    nonsingular instead (the general chart), it splits iff a4 != 0.
+    Other systems split iff rank A = rank V = rank M by linalg.rank, as
+    rank M = rank V - dim(ker A & span V).
     """
-    r = linalg.rank(sys.alpha_rows)
-    if linalg.rank(sys.vector_rows) != r:
+    alphas, v = sys.alpha_rows, sys.vector_rows
+    if len(alphas) == 4 and alphas[:3] == _UNIT_COVECTORS:
+        a4 = alphas[3][3]
+        if v[0][3] == v[1][3] == v[2][3] == 0.0 and linalg.nonsingular([x[:3] for x in v[:3]]):
+            return (a4 == 0.0) == (v[3][3] == 0.0)
+        if linalg.nonsingular(v):
+            return a4 != 0.0
+    r = linalg.rank(alphas)
+    if linalg.rank(v) != r:
         return False
-    return r == len(sys.alpha_rows[0]) or linalg.rank(sys.cartan) == r
+    return r == len(alphas[0]) or linalg.rank(sys.cartan) == r
 
 
 def _exp_uniform(rng: np.random.Generator, lo: float, hi: float, size) -> np.ndarray:

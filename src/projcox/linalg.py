@@ -1,6 +1,7 @@
 """Numerical rank of small dense matrices over IEEE doubles: Gaussian
 elimination with complete pivoting in pure Python, of rows scaled to a
-largest |entry| of 1, each pivot measured against the first one.
+largest |entry| of 1, each pivot measured against the first one; and a
+determinant proven nonzero against its rounding bound.
 """
 
 from __future__ import annotations
@@ -102,3 +103,31 @@ def rank(m) -> int:
     """Numerical rank: the pivots of complete-pivoting elimination of
     the _scaled rows above RANK_TOL times the first (largest) pivot."""
     return len(_eliminate(_scaled(_rows(m)))[0])
+
+
+def _cofactor_det(rows) -> tuple:
+    """(determinant, permanent of |rows|) of a 3x3 or larger matrix of
+    floats, both by cofactor expansion along the first row."""
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g),
+                abs(a) * (abs(e * i) + abs(f * h)) + abs(b) * (abs(d * i) + abs(f * g))
+                + abs(c) * (abs(d * h) + abs(e * g)))
+    d = p = 0.0
+    for j, x in enumerate(rows[0]):
+        dj, pj = _cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        d, p = d + (-x * dj if j % 2 else x * dj), p + abs(x) * pj
+    return d, p
+
+
+def nonsingular(rows) -> bool:
+    """Whether an n x n matrix of floats, n >= 3, has a nonzero exact
+    determinant; False is undecided.  The float determinant d of its
+    _scaled rows (|entries| <= 1; a positive row scale keeps the zero)
+    must clear the forward error bound gamma_{2n^2} p + 2n^(n+1)
+    2^-1074, p their permanent (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3; the second term bounds underflow)."""
+    n = len(rows)
+    d, p = _cofactor_det(_scaled(rows))
+    ku = 2 * n * n * 2.0 ** -53
+    return abs(d) > ku / (1.0 - ku) * p + 2 * n ** (n + 1) * 5e-324

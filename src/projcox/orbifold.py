@@ -101,7 +101,7 @@ class EdgeOrders:
 class QuadPrismOrders(EdgeOrders):
     """Orders of the labeled quadrilateral prism: finite n12, n23, n34,
     n14 (all >= 3) on the four adjacent pairs, infinite on (1,3), (2,4).
-    The names n12..n14 and mu12..mu14 read the order table.
+    The names n12..n14 read the order table; _quad_prism_mu reads its mu.
     """
 
     def __init__(self, n12: int, n23: int, n34: int, n14: int):
@@ -116,18 +116,15 @@ class QuadPrismOrders(EdgeOrders):
     n14 = property(lambda self: self.mu_table[2][1])
     n23 = property(lambda self: self.mu_table[3][1])
     n34 = property(lambda self: self.mu_table[5][1])
-    mu12 = property(lambda self: self.mu_table[0][2])
-    mu14 = property(lambda self: self.mu_table[2][2])
-    mu23 = property(lambda self: self.mu_table[3][2])
-    mu34 = property(lambda self: self.mu_table[5][2])
 
 
 def _quad_prism_mu(orders: EdgeOrders) -> tuple:
     """(mu12, mu23, mu34, mu14) of a quad-prism order table, the one
-    check of the pattern for the certificates that need it.  Any other
-    table raises UnsupportedShape.  A QuadPrismOrders is the quad prism
-    by construction, so only a plain EdgeOrders is scanned, on every
-    call; both hold the rows of mu_table in the same sorted order."""
+    check of the pattern for the chart builders, scans and certificates
+    that need it.  Any other table raises UnsupportedShape.  A
+    QuadPrismOrders is the quad prism by construction, so only a plain
+    EdgeOrders is scanned, on every call; both hold the rows of mu_table
+    in the same sorted order."""
     table = orders.mu_table
     if not isinstance(orders, QuadPrismOrders):
         if orders.size != 4 or [p for p, _, mu_n in table if mu_n is None] != [(1, 3), (2, 4)]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from projcox import charts
 from projcox.errors import InvariantViolation
-from projcox.orbifold import QuadPrismOrders
+from projcox.orbifold import QuadPrismOrders, _quad_prism_mu
 
 ORDER_CHOICES = (3, 4, 5, 6)
 
@@ -168,6 +168,33 @@ def fraction_det(a) -> Fraction:
     return det
 
 
+def exact_kernel(rows) -> list:
+    """A basis of {x : rows x = 0} for a matrix of Python floats, taken
+    exactly on the given doubles: Gauss-Jordan elimination in Fractions,
+    one basis vector per column without a pivot."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(len(m[0])) if c not in pivots):
+        x = [Fraction(0)] * len(m[0])
+        x[free] = Fraction(1)
+        for row, c in zip(m, pivots):
+            x[c] = -row[free]
+        basis.append(x)
+    return basis
+
+
 def whole_standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34) -> dict:
     """charts.standard_solution on whole arrays, the reference for the
     blocked solve: a1, a2, a3, a4_v44, det_m = a4*v44 det3 and the valid
@@ -192,8 +219,7 @@ def exact_standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
     that form each of a1, a2, a3 and a4*v44, the scale of the rounding
     error any evaluation of those sums carries.
     """
-    mu12, mu14, mu23, mu34 = (Fraction(x) for x in (
-        orders.mu12, orders.mu14, orders.mu23, orders.mu34))
+    mu12, mu23, mu34, mu14 = map(Fraction, _quad_prism_mu(orders))
     t13, t24, v23, v24, v34 = (Fraction(float(x)) for x in (t13, t24, v23, v24, v34))
     m = [[Fraction(2), -mu12, -t13, Fraction(-1)],
          [Fraction(-1), Fraction(2), v23, v24],

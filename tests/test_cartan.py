@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GAMMA_5, random_concurrent, random_general, random_standard
+from helpers import GAMMA_5, exact_kernel, random_concurrent, random_general, random_standard
 from projcox import cartan, charts, linalg
 from projcox.cartan import (GENERATING_CYCLES, ReflectionSystem, cartan_of,
                             check_vinberg, cyclic_invariants,
                             derived_invariant_identities,
                             projectively_equivalent, relation_space_trivial)
 from projcox.certify import is_convex_cocompact, verify_relations
-from projcox.errors import InvariantViolation, ProjCoxError, UnsupportedShape
+from projcox.errors import DomainError, InvariantViolation, ProjCoxError, UnsupportedShape
 from projcox.orbifold import EdgeOrders, QuadPrismOrders
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
@@ -231,18 +231,22 @@ def test_relation_space_high_dimension_unsupported():
     assert not condition(report, "C5").passed
 
 
-_ENTRY = st.one_of(st.sampled_from((0.0, -0.0)),
-                   st.floats(1e-9, 1e9).flatmap(lambda x: st.sampled_from((x, -x))))
+_ZERO = st.sampled_from((0.0, -0.0))
+_ENTRY = st.one_of(_ZERO, st.floats(1e-9, 1e9).flatmap(lambda x: st.sampled_from((x, -x))))
+_WIDE_ENTRY = st.one_of(_ZERO, st.floats(1e-300, 1e300).flatmap(lambda x: st.sampled_from((x, -x))))
 
 
 @st.composite
 def _covectors(draw):
     """4x4 alphas with entries of either sign in [1e-9, 1e9] or zeros of
-    either sign; half of them with a zero last column, so of rank 3 or
-    less, as the standard chart's alphas at a4 = 0."""
+    either sign: half of them with first rows e1*, e2*, e3*, and half
+    with a zero last column, so of rank 3 or less, as the standard
+    chart's alphas at a4 = 0."""
     rows = draw(st.lists(st.lists(_ENTRY, min_size=4, max_size=4), min_size=4, max_size=4))
     if draw(st.booleans()):
-        rows = [row[:3] + [draw(st.sampled_from((0.0, -0.0)))] for row in rows]
+        rows[:3] = [[1.0 if i == j else draw(_ZERO) for j in range(4)] for i in range(3)]
+    if draw(st.booleans()):
+        rows = [row[:3] + [draw(_ZERO)] for row in rows]
     return tuple(map(tuple, rows))
 
 
@@ -256,58 +260,58 @@ def _verdict(f, alphas):
 
 @settings(max_examples=300, deadline=None)
 @given(rows=_covectors(), form=st.sampled_from((tuple, list, np.array)))
-def test_cached_verdict_equals_the_uncached_one(rows, form):
-    """The verdict, computed or looked up, is that of the function
-    without its cache; rows with the sign of every zero flipped are the
-    same key and have the same verdict."""
+def test_verdict_depends_on_neither_input_form_nor_zero_sign(rows, form):
+    """The verdict on rows given as tuples, lists or an ndarray is the
+    one on the tuples, and so is the verdict on the rows with the sign
+    of every zero flipped."""
     alphas = rows if form is tuple else form([form(row) for row in rows])
-    uncached = cartan._relation_space_trivial.__wrapped__
-    expected = _verdict(uncached, rows)
-    assert _verdict(relation_space_trivial, alphas) == expected
+    expected = _verdict(relation_space_trivial, rows)
     assert _verdict(relation_space_trivial, alphas) == expected
     flipped = tuple(tuple(x if x else -x for x in row) for row in rows)
-    assert _verdict(uncached, flipped) == _verdict(relation_space_trivial, flipped) == expected
+    assert _verdict(relation_space_trivial, flipped) == expected
+
+
+def _exact_c5(alphas):
+    """C5 decided exactly on the given doubles: the Fraction kernel of
+    alphas^T is {0}, or one relation with coefficients of both signs."""
+    kernel = exact_kernel(list(zip(*alphas)))
+    if not kernel:
+        return True
+    if len(kernel) > 1:
+        return UnsupportedShape
+    return min(kernel[0]) < 0 < max(kernel[0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(fourth=st.lists(_WIDE_ENTRY, min_size=4, max_size=4),
+       zeros=st.lists(_ZERO, min_size=9, max_size=9))
+def test_standard_form_c5_is_the_exact_decision(fourth, zeros):
+    """First rows e1*, e2*, e3* (zeros of either sign) and a fourth of
+    entries in +-[1e-300, 1e300], each a signed zero half the time: C5
+    is the exact rank-and-relation decision, where the fixed RANK_TOL
+    cut read a relation's coefficients below 1e-8 of the largest as
+    zero."""
+    zeros = iter(zeros)
+    units = tuple(tuple(1.0 if i == j else next(zeros) for j in range(4)) for i in range(3))
+    alphas = (*units, tuple(fourth))
+    assert _verdict(relation_space_trivial, alphas) == _exact_c5(alphas)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_relation_space_refuses_non_finite_alphas(x):
+    """The standard form read a4 = nan or inf as nonzero, and the
+    elimination could not pivot on nan."""
+    for fourth in ((0.0, 0.0, -1.0, x), (x, -1.0, -1.0, 0.0)):
+        with pytest.raises(DomainError, match="alphas must be finite"):
+            relation_space_trivial((*cartan._UNIT_COVECTORS, fourth))
 
 
 def test_two_dimensional_relation_spaces_raise_on_every_call():
     alphas = ((1.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0),
               (0.0, 1.0, 0.0, 0.0), (0.0, -3.0, 0.0, 0.0))
-    before = cartan._relation_space_trivial.cache_info()
     for _ in range(3):
         with pytest.raises(UnsupportedShape):
             relation_space_trivial(alphas)
-    after = cartan._relation_space_trivial.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses + 3)
-
-
-def test_check_vinberg_reuses_the_chart_constant_covectors():
-    """General and concurrent points share their chart's covectors, so
-    once each chart's are in the cache, further points add hits only."""
-    rng = np.random.default_rng(3)
-    systems = [(charts.build_general(p), p.orders)
-               for p in (random_general(rng), random_general(rng))]
-    systems += [(charts.build_concurrent(p), p.orders)
-                for p in (random_concurrent(rng), random_concurrent(rng))]
-    for sys, orders in systems[::2]:
-        check_vinberg(sys, orders)
-    before = cartan._relation_space_trivial.cache_info()
-    for sys, orders in systems:
-        assert condition(check_vinberg(sys, orders), "C5").passed
-    after = cartan._relation_space_trivial.cache_info()
-    assert after.hits == before.hits + 4
-    assert (after.misses, after.currsize) == (before.misses, before.currsize)
-
-
-def test_cache_stays_at_its_bound():
-    rng = np.random.default_rng(4)
-    seen = set()
-    for _ in range(10_000):
-        alphas = charts.realize_representation(random_standard(rng), a4=1.0).alpha_rows
-        seen.add(alphas)
-        relation_space_trivial(alphas)
-    info = cartan._relation_space_trivial.cache_info()
-    assert len(seen) == 10_000
-    assert info.currsize == info.maxsize == 64
 
 
 def _concurrent_point_in_the_standard_chart(orders, v):

@@ -385,8 +385,9 @@ def test_concurrent_scan_minimum_is_above_the_closed_form_bound(orders):
     b = 2 + sqrt(mu12), c = sqrt(mu14 mu23), by Cauchy-Schwarz and
     AM-GM; 256 at orders 3, where the grid attains it at all v = -1."""
     o = QuadPrismOrders(*orders)
-    a, b = 2.0 + math.sqrt(o.mu34), 2.0 + math.sqrt(o.mu12)
-    bound = (math.sqrt(a * b) + math.sqrt(math.sqrt(o.mu14 * o.mu23))) ** 4
+    mu12, mu23, mu34, mu14 = map(orbifold.mu, orders)
+    a, b = 2.0 + math.sqrt(mu34), 2.0 + math.sqrt(mu12)
+    bound = (math.sqrt(a * b) + math.sqrt(math.sqrt(mu14 * mu23))) ** 4
     minimum = certify.concurrent_t_scan(o).min_product
     assert minimum >= bound
     if orders == (3, 3, 3, 3):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import (exact_standard_solution, negative_box, random_concurrent,
                      random_orders, random_standard, row_4_gaps_within_bound, svd_rank,
                      whole_standard_solution)
-from projcox import cartan, certify, charts
+from projcox import cartan, certify, charts, linalg
 from projcox.cartan import ReflectionSystem
 from projcox.charts import (CaseLabel, ConcurrentChartParams,
                             GeneralChartParams, SimplexChartParams,
@@ -19,7 +19,7 @@ from projcox.charts import (CaseLabel, ConcurrentChartParams,
                             concurrent_to_standard, is_semisimple,
                             realize_representation, standard_coordinates)
 from projcox.errors import DomainError
-from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders
+from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders, mu
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
 
@@ -35,7 +35,7 @@ def test_general_chart_cartan_entries():
     assert m[3, 1] == pytest.approx(5.0 / -0.5)    # v42 = T24 / v24
     assert m[0, 2] * m[2, 0] == pytest.approx(9.0)
     assert m[1, 3] * m[3, 1] == pytest.approx(5.0)
-    assert m[1, 2] * m[2, 1] == pytest.approx(orders.mu23)
+    assert m[1, 2] * m[2, 1] == pytest.approx(mu(4))
 
 
 def test_general_chart_boundary_t_allowed():
@@ -98,9 +98,9 @@ def test_build_standard_solves_fourth_row():
     sys = realize_representation(pt, a4=1.0)
     m = np.asarray(sys.cartan)
     # the solved (a1, a2, a3, a4*v44) must reproduce the Cartan row 4
-    assert m[3, 0] == pytest.approx(-pt.orders.mu14)
+    assert m[3, 0] == pytest.approx(-mu(3))
     assert m[3, 1] == pytest.approx(pt.t24 / pt.v24)
-    assert m[3, 2] == pytest.approx(pt.orders.mu34 / pt.v34)
+    assert m[3, 2] == pytest.approx(mu(3) / pt.v34)
     assert m[3, 3] == pytest.approx(2.0)
 
 
@@ -584,6 +584,66 @@ def test_semisimple_survives_a_unit_covector_beside_a_large_one():
     assert np.linalg.matrix_rank(sys.alphas) == np.linalg.matrix_rank(sys.cartan) == 3
     assert is_semisimple(build_concurrent(p))
     assert is_semisimple(sys)
+
+
+@pytest.mark.parametrize("orders, v, a4, v44, semisimple", [
+    # case II and case I' that numeric ranks read as semisimple
+    ((6, 5, 4, 3), (-7170.369647219773, -3.7253304619669114, -0.00011253071059666065,
+                    -151.77268239068118), 0.0, 1.0, False),
+    ((6, 6, 5, 6), (-0.00013111441443880675, -811.1865141383125, -7072.294231857653,
+                    -4546.544402848512), 1.0, None, False),
+    # case III whose Cartan matrix numeric ranks read at rank 2
+    ((5, 5, 6, 5), (-6.098876601587988, -67811543.25768277, -484578.31359101686,
+                    -1.1201933832752903e-09), 0.0, None, True),
+])
+def test_semisimple_reads_the_case_where_ranks_erred(orders, v, a4, v44, semisimple):
+    pt = concurrent_to_standard(ConcurrentChartParams(QuadPrismOrders(*orders), *v))
+    assert is_semisimple(realize_representation(pt, a4=a4, v44=v44)) is semisimple
+
+
+def test_semisimple_reads_the_case_at_a_wide_spread():
+    """3000 concurrent points (seed 0, orders 3-6, |v| log-uniform in
+    [1e-9, 1e9]) in the standard chart, each realised as case III (a4 =
+    v44 = 0, semisimple), case II (a4 = 0, v44 = 1) and case I' (a4 = 1),
+    neither: all 9000 read their case, where numeric ranks missed 1353."""
+    rng = np.random.default_rng(0)
+    wrong = []
+    for _ in range(3000):
+        orders = QuadPrismOrders(*map(int, rng.integers(3, 7, 4)))
+        v = (-np.exp(rng.uniform(math.log(1e-9), math.log(1e9), 4))).tolist()
+        pt = concurrent_to_standard(ConcurrentChartParams(orders, *v))
+        for a4, v44, semisimple in ((0.0, 0.0, True), (0.0, 1.0, False), (1.0, None, False)):
+            if is_semisimple(realize_representation(pt, a4=a4, v44=v44)) is not semisimple:
+                wrong.append((orders, v, a4, v44))
+    assert not wrong, (len(wrong), wrong[:3])
+
+
+def test_chart_systems_are_decided_without_elimination(monkeypatch):
+    """check_vinberg, verify_relations and is_semisimple read every
+    chart's systems from their structure: with linalg._eliminate
+    raising, they decide a general point, a concurrent point, standard
+    points realised at a4 = 1 and at a4 = 0, and the certify workload's
+    identity-covector mutation (an entry of [v] with its sign flipped)."""
+    o = QuadPrismOrders(3, 4, 5, 6)
+    coords, concurrent = (6.0, 5.0, -1.5, -0.7, -2.0), ConcurrentChartParams(o, -1.3, -0.7, -2.1, -0.4)
+    general = build_general(GeneralChartParams(o, *coords))
+    vmat = np.array(general.cartan)
+    vmat[1, 2] = -vmat[1, 2]
+    systems = {"general": (general, True),
+               "concurrent": (build_concurrent(concurrent), True),
+               "standard, a4 = 1": (realize_representation(build_standard(o, *coords), a4=1.0), True),
+               "standard, a4 = 0": (realize_representation(concurrent_to_standard(concurrent),
+                                                           a4=0.0), True),
+               "mutation": (ReflectionSystem(np.eye(4), vmat.T), False)}
+
+    def refuse(rows):
+        raise AssertionError("linalg._eliminate called")
+
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    for name, (sys, valid) in systems.items():
+        assert cartan.check_vinberg(sys, o).passed is valid, name
+        assert certify.verify_relations(sys, o).passed is valid, name
+        assert is_semisimple(sys), name
 
 
 @settings(max_examples=300, deadline=None)

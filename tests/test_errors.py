@@ -181,3 +181,36 @@ def test_identities_take_a_quad_prism_edge_orders():
             == cartan.derived_invariant_identities(inv, o))
     assert certify.is_convex_cocompact(point.cartan, plain) == certify.is_convex_cocompact(
         point.cartan, o)
+
+
+_COORDS, _V = (6.0, 5.0, -1.5, -0.7, -2.0), (-1.3, -0.7, -2.1, -0.4)
+
+
+def _system_rows(s):
+    return s.alpha_rows, s.vector_rows, s.cartan
+
+
+#: what each chart builder and scan makes of a table, without the table
+BUILDERS = {
+    "build_general": lambda t: _system_rows(
+        charts.build_general(charts.GeneralChartParams(t, *_COORDS))),
+    "build_concurrent": lambda t: _system_rows(
+        charts.build_concurrent(charts.ConcurrentChartParams(t, *_V))),
+    "build_standard": lambda t: charts.build_standard(t, *_COORDS)[1:],
+    "standard_solution": lambda t: charts.standard_solution(t, *_COORDS),
+    "standard_scan": lambda t: certify.standard_scan(t, 6.0, 6.0, 1000, 0),
+    "det_locus_check": lambda t: certify.det_locus_check(t, 1000, 0),
+    "concurrent_t_scan": lambda t: certify.concurrent_t_scan(t, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_builders_and_scans_take_a_quad_prism_edge_orders(name):
+    """A plain EdgeOrders of the quad prism's pattern gives the rows or
+    report of its QuadPrismOrders bit for bit (it raised AttributeError
+    on the first mu it read); a table of another pattern is refused as
+    the certificates refuse it."""
+    o = QuadPrismOrders(3, 3, 3, 3)
+    assert repr(BUILDERS[name](EdgeOrders(4, o.orders))) == repr(BUILDERS[name](o))
+    with pytest.raises(UnsupportedShape, match=re.escape(PATTERN[1])):
+        BUILDERS[name](TABLES["not the quad prism"][0])

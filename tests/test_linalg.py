@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import mat_power, reflection, svd_rank
+from helpers import exact_kernel, mat_power, reflection, svd_rank
 from projcox import linalg
 from projcox.cartan import relation_space_trivial
 from projcox.errors import InvariantViolation, UnsupportedShape
@@ -151,6 +151,36 @@ def test_relation_space_trivial_agrees_with_svd(f):
         else:
             assert relation_space_trivial(alphas) is expected
     assert verdicts == {True, False, None}
+
+
+_WIDE_ENTRY = st.one_of(st.sampled_from((0.0, -0.0)),
+                        st.floats(1e-300, 1e300).flatmap(lambda x: st.sampled_from((x, -x))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(n=st.sampled_from((3, 4)), data=st.data())
+def test_nonsingular_never_claims_a_singular_matrix(n, data):
+    """Entries in +-[1e-300, 1e300] or signed zeros; in two draws of
+    three the last row is the float sum of the first two or a power of
+    two times the first, so exactly singular or singular but for the
+    rounding of the sum.  Where nonsingular says True, the exact
+    determinant of the given doubles is nonzero."""
+    rows = data.draw(st.lists(st.lists(_WIDE_ENTRY, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    last = data.draw(st.sampled_from(("drawn", "sum", "multiple")))
+    if last == "sum":
+        rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+    elif last == "multiple":
+        rows[-1] = [x * 2.0 ** data.draw(st.integers(-60, 60)) for x in rows[0]]
+    if linalg.nonsingular(rows):
+        assert not exact_kernel(rows)
+
+
+def test_nonsingular_decides_well_conditioned_matrices():
+    assert linalg.nonsingular(np.eye(4).tolist())
+    assert linalg.nonsingular([[2.0, -1.0, -1e-300], [-1e300, 2.0, 0.0], [-1.0, -0.5, 2.0]])
+    assert not linalg.nonsingular([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+    assert not linalg.nonsingular(np.zeros((4, 4)).tolist())
 
 
 def test_rank_needs_a_matrix():

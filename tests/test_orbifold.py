@@ -104,14 +104,14 @@ def test_quad_prism_orders():
     assert infinite_pairs(o) == [(1, 3), (2, 4)]
     assert (o.orders[(1, 2)], o.orders[(3, 4)], o.orders[(1, 4)]) == (3, 5, 6)
     assert (o.n12, o.n23, o.n34, o.n14) == (3, 4, 5, 6)
-    assert o.mu23 == pytest.approx(2.0)
+    assert orbifold._quad_prism_mu(o)[1] == pytest.approx(2.0)
 
 
 def test_quad_prism_mu_computed_once(monkeypatch):
     calls = []
     monkeypatch.setattr(orbifold, "mu", lambda n: calls.append(n) or mu(n))
     o = QuadPrismOrders(3, 4, 5, 6)
-    values = [(o.mu12, o.mu23, o.mu34, o.mu14) for _ in range(3)]
+    values = [orbifold._quad_prism_mu(o) for _ in range(3)]
     assert calls == [3, 6, 4, 5]   # the finite pairs (1,2), (1,4), (2,3), (3,4)
     assert values[0] == (mu(3), mu(4), mu(5), mu(6)) == values[2]
     assert o == QuadPrismOrders(3, 4, 5, 6)

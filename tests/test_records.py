@@ -36,8 +36,7 @@ RECORDS = {
         ({"orders": {(1, 2): 3}}, ValueError), True),
     "QuadPrismOrders": (
         QuadPrismOrders, {"n12": 3, "n23": 4, "n34": 5, "n14": 6},
-        ("size", "orders", "mu_table", "n12", "n23", "n34", "n14", "mu12", "mu23", "mu34",
-         "mu14"),
+        ("size", "orders", "mu_table", "n12", "n23", "n34", "n14"),
         ({"n23": 2}, ValueError), True),
     "OrbifoldSignature": (
         OrbifoldSignature, {"chi_underlying": 1, "cone_orders": (2,), "corner_orders": (3, 3),

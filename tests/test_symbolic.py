@@ -17,6 +17,7 @@ import types
 import pytest
 
 from projcox import charts
+from projcox.orbifold import INFINITY
 
 sp = pytest.importorskip("sympy")
 
@@ -58,7 +59,11 @@ COFACTORS = ((4 - MU23, 2 - V23, 2 - H),
 A1, A2, A3, A4_V44, DET3 = (
     e.xreplace({f: sp.Rational(f) for f in e.atoms(sp.Float)})
     for e in charts.standard_solution(
-        types.SimpleNamespace(mu12=MU12, mu23=MU23, mu14=MU14, mu34=MU34),
+        # the quad prism's order table as orbifold._quad_prism_mu reads it,
+        # any finite order >= 3 standing for the symbolic mu beside it
+        types.SimpleNamespace(size=4, mu_table=(
+            ((1, 2), 3, MU12), ((1, 3), INFINITY, None), ((1, 4), 3, MU14),
+            ((2, 3), 3, MU23), ((2, 4), INFINITY, None), ((3, 4), 3, MU34))),
         T13, T24, V23, V24, V34))
 
 
