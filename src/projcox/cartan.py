@@ -30,12 +30,13 @@ class ReflectionSystem:
     reflections in dimension d, with their Cartan matrix M_ij =
     alpha_i(v_j).
 
-    All three are held as tuples of rows, each a tuple of Python floats:
-    ``alpha_rows``, ``vector_rows`` and ``cartan``, all read-only.  The
-    chart builders hand over the rows of all three, the Cartan rows
-    being the ones their coordinates give.  A system given only as
-    (alphas, vectors), each read by linalg._rows, multiplies out its
-    Cartan matrix once, at construction, as ``alphas @ vectors.T``.
+    All three are held as tuples of rows, each a tuple of Python floats,
+    which the certificates read as held: ``alpha_rows``, ``vector_rows``
+    and ``cartan``, all read-only.  The chart builders hand over the rows
+    of all three in that form.  A system given only as (alphas, vectors),
+    each read by linalg._rows, multiplies out its Cartan matrix once, at
+    construction, as ``alphas @ vectors.T``.  Either way a non-finite
+    alpha or vector entry raises DomainError.
     ``alphas`` and ``vectors`` are the rows as 2-D float ndarrays, built
     on first access.  Systems compare and hash by the three row tuples.
     The Cartan matrix is not validated here (see cartan_of).
@@ -220,9 +221,9 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
         if not res <= tol:
             c4_fail.append(pair)
 
-    # C5: nonempty interior via the relation-space certificate
+    # C5: nonempty interior via the relation-space certificate, on the rows as held
     try:
-        c5_ok = relation_space_trivial(sys.alpha_rows)
+        c5_ok = _relation_space_trivial(sys.alpha_rows)
     except UnsupportedShape:
         c5_ok = False
 
@@ -250,11 +251,17 @@ def relation_space_trivial(alphas) -> bool:
     under RANK_TOL times the first) gives the rank, as linalg.rank
     counts it, and at rank f - 1 the relation: back substitution with
     the coefficient of the column left without a pivot set to 1.
-    Non-finite alphas raise DomainError.
+    The alphas are read by linalg._rows and non-finite ones raise
+    DomainError; check_vinberg skips both on a system's held rows.
     """
     rows = linalg._rows(alphas)
     if not all(map(math.isfinite, chain(*rows))):
         raise DomainError("alphas must be finite")
+    return _relation_space_trivial(rows)
+
+
+def _relation_space_trivial(rows) -> bool:
+    """relation_space_trivial of finite float rows, as a ReflectionSystem holds them."""
     if len(rows) == 4 and rows[:3] == _UNIT_COVECTORS:
         *a, a4 = rows[3]
         return a4 != 0.0 or max(a) > 0.0
@@ -329,8 +336,11 @@ def derived_invariant_identities(inv: dict, orders: EdgeOrders,
         (1, 4, 2, 3): m14 * t24 * g123 / g124,
         (1, 4, 3, 2): m12 * m23 * m34 * m14 * t13 / (g123 * g134),
     }
-    return Verdict(Check(("identity", c, r, tol, r <= tol)) for c, y in expected.items()
-                   for x in [inv[c]] for r in [abs(x - y) / (1.0 + abs(x) + abs(y))])
+    checks = []
+    for c, y in expected.items():
+        r = abs(inv[c] - y) / (1.0 + abs(inv[c]) + abs(y))
+        checks.append(Check(("identity", c, r, tol, r <= tol)))
+    return Verdict(checks)
 
 
 def projectively_equivalent(m1, m2) -> bool:

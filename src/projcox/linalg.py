@@ -22,9 +22,6 @@ def _float_row(row) -> tuple:
     if isinstance(row, (str, bytes)):
         raise TypeError("a row of text")
     row = tuple(row)
-    # an ndarray's tolist rows are Python floats already
-    if set(map(type, row)) == {float}:
-        return row
     if any(isinstance(x, (str, bytes)) for x in row):
         raise TypeError("an entry of text")
     return tuple(map(float, row))
@@ -36,14 +33,17 @@ def _rows(m, shape=None) -> tuple:
     any other nested sequence entry by entry.  A ragged or non-2-D
     input, a row or entry of text, or a matrix whose (rows, columns) is
     not ``shape``, raises UnsupportedShape."""
-    if not (type(m) is tuple and set(map(type, m)) == {tuple}
+    if hasattr(m, "tolist"):
+        m = m.tolist()
+    kind = type(m)
+    if not (kind in (tuple, list) and set(map(type, m)) == {kind}
             and set(map(type, chain(*m))) == {float}):
-        if hasattr(m, "tolist"):
-            m = m.tolist()
         try:
             m = tuple(map(_float_row, m))
         except TypeError:
             raise UnsupportedShape("expected a matrix: a sequence of rows of numbers") from None
+    elif kind is list:
+        m = tuple(map(tuple, m))
     width = len(m[0]) if m else 0
     if len(set(map(len, m))) > 1:
         raise UnsupportedShape(f"rows of unequal lengths {[len(row) for row in m]}")
@@ -56,9 +56,13 @@ def _rows(m, shape=None) -> tuple:
 def _scaled(rows) -> list:
     """Each nonzero row divided by its largest |entry|, which keeps the rank
     and the signs of a relation's coefficients: unscaled, a row near 1e8
-    pushes the pivots of unit rows under RANK_TOL times the first."""
-    tops = [max(map(abs, row), default=0.0) for row in rows]
-    return [[x / top for x in row] if top and top != 1.0 else row for row, top in zip(rows, tops)]
+    pushes the pivots of unit rows under RANK_TOL times the first.  The
+    top, max(max(row), -min(row)), is max(map(abs, row)) wherever it divides."""
+    out = []
+    for row in rows:
+        top = max(max(row), -min(row)) if row else 0.0
+        out.append([x / top for x in row] if top and top != 1.0 else row)
+    return out
 
 
 def _eliminate(rows):

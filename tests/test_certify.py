@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import (STANDARD_POINTS_NEAR_T24_EDGE, balanced_realization, mat_power,
                      negative_box, random_concurrent, random_general, random_standard,
                      reflection, whole_standard_solution)
-from projcox import cartan, certify, charts, orbifold
+from projcox import cartan, certify, charts, linalg, orbifold
 from projcox.cartan import Check, ReflectionSystem, Verdict
 from projcox.errors import InvariantViolation, UnsupportedShape
 from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders
@@ -277,6 +277,50 @@ def test_relabelling_the_sides_moves_each_check_with_its_place(seed, chart, move
         for c in other_relations:
             old = places[c.name, tuple(sorted(perm[k - 1] for k in c.where))]
             assert (c.value.hex(), c.passed) == (old.value.hex(), old.passed)
+
+
+def builder_systems() -> dict:
+    """A system from each chart builder, with its order table: general,
+    concurrent, simplex, and standard realised at a4 != 0 and at a4 = 0."""
+    rng = np.random.default_rng(30)
+    o = QuadPrismOrders(3, 4, 5, 6)
+    concurrent = charts.ConcurrentChartParams(o, -1.3, -0.7, -2.1, -0.4, 0.5)
+    simplex = random_simplex(rng)
+    standard = charts.build_standard(o, 6.0, 5.0, -1.5, -0.7, -2.0)
+    return {"general": (charts.build_general(random_general(rng, o)), o),
+            "concurrent": (charts.build_concurrent(concurrent), o),
+            "simplex": (charts.build_simplex(simplex), simplex.orders),
+            "standard": (charts.realize_representation(standard, a4=1.7), o),
+            "standard at a4 = 0": (charts.realize_representation(
+                charts.concurrent_to_standard(concurrent), a4=0.0, v44=1.0), o)}
+
+
+def test_check_vinberg_reads_a_systems_rows_as_held(monkeypatch):
+    """check_vinberg converts none of a built system's rows: no call of
+    linalg._rows, on fresh systems and on their relabellings."""
+    expected = {name: cartan.check_vinberg(sys, o) for name, (sys, o) in builder_systems().items()}
+    systems = builder_systems()
+    moved = {name: relabelled(sys, o, (2, 3, 4, 1)) for name, (sys, o) in systems.items()}
+    calls = []
+    read = linalg._rows
+    monkeypatch.setattr(linalg, "_rows", lambda *args: calls.append(args) or read(*args))
+    for name, (sys, o) in systems.items():
+        assert cartan.check_vinberg(sys, o) == expected[name], name
+        assert expected[name].passed, name
+        assert cartan.check_vinberg(*moved[name]).passed, name
+    assert calls == []
+
+
+def test_every_builder_holds_tuples_of_float_tuples():
+    """The rows ReflectionSystem's contract promises and check_vinberg
+    reads as held, from each builder and from relabelled."""
+    for name, (sys, o) in builder_systems().items():
+        for s in (sys, relabelled(sys, o, (4, 3, 2, 1))[0]):
+            for rows in (s.alpha_rows, s.vector_rows, s.cartan):
+                assert type(rows) is tuple, name
+                assert all(type(row) is tuple and set(map(type, row)) == {float}
+                           for row in rows), name
+                assert linalg._rows(rows) is rows, name
 
 
 def test_cocompact_strict_inequality():

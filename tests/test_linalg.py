@@ -190,3 +190,85 @@ def test_rank_needs_a_matrix():
         linalg.rank([1.0, 2.0])
     assert linalg.rank(np.zeros((0, 4))) == 0
     assert linalg.rank(np.zeros((3, 3))) == 0
+
+
+def _scaled_by_abs(rows) -> list:
+    """linalg._scaled as first written, each row's top max(map(abs, row))."""
+    tops = [max(map(abs, row), default=0.0) for row in rows]
+    return [[x / top for x in row] if top and top != 1.0 else row for row, top in zip(rows, tops)]
+
+
+def _hexes(rows) -> list:
+    return [[x.hex() for x in row] for row in rows]
+
+
+#: zeros of both signs, subnormals, the smallest normal, values near
+#: 1e-300 and 1e300, the largest double, and rows whose top is 1
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, -3e-300,
+               1e300, -2e300, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.5)
+
+
+def test_scaled_is_the_abs_formula_at_the_edges():
+    rows = [(0.0, -0.0, 0.0), (5e-324, -0.0, 0.0), (-5e-324, 1e-310, 0.0),
+            (1e-300, -2e-300, 3e-300), (1e300, -1e300, 1.0), (-1.7976931348623157e308, 1.0, 0.0),
+            (1.0, -1.0, 0.5), (-1.0, 0.25, 0.0), (-0.0, -1e300), (), (2.0, -8.0, 4.0)]
+    new, old = linalg._scaled(rows), _scaled_by_abs(rows)
+    assert _hexes(new) == _hexes(old)
+    # a row of top 0 or 1 is handed back as it is
+    assert [a is b for a, b in zip(new, old)] == [type(a) is tuple for a in old]
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=st.lists(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), max_size=5)
+                     .map(tuple), max_size=5))
+def test_scaled_is_the_abs_formula_bit_for_bit(rows):
+    new, old = linalg._scaled(rows), _scaled_by_abs(rows)
+    assert _hexes(new) == _hexes(old)
+    assert [a is b for a, b in zip(new, old)] == [type(a) is tuple for a in old]
+
+
+def _rows_entry_by_entry(a):
+    """An ndarray's rows read entry by entry: its tolist rows, each entry
+    through float(), text refused; None where that refuses the input."""
+    try:
+        rows = []
+        for row in a.tolist():
+            if isinstance(row, (str, bytes)) or any(isinstance(x, (str, bytes)) for x in row):
+                return None
+            rows.append(tuple(map(float, row)))
+    except TypeError:
+        return None
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(np.array([[1.5, -0.0, np.inf], [2.0, 5e-324, -1e300]]), id="float64"),
+    pytest.param(np.arange(6.0).reshape(2, 3).T, id="float64-transposed"),
+    pytest.param(np.array([[0.1, 2.0], [3.0, -4.5]], dtype=np.float32), id="float32"),
+    pytest.param(np.arange(6).reshape(2, 3), id="int"),
+    pytest.param(np.array([[2**62, -1]]), id="int-large"),
+    pytest.param(np.eye(3, dtype=bool), id="bool"),
+    pytest.param(np.array([[1, 2.5], [3.0, -4]], dtype=object), id="object-numbers"),
+    pytest.param(np.array([["1.5", 2.0], [3.0, 4.0]], dtype=object), id="object-text"),
+    pytest.param(np.array([[b"1", 2.0]], dtype=object), id="object-bytes"),
+    pytest.param(np.array([["1", "2"], ["3", "4"]]), id="unicode"),
+    pytest.param(np.arange(4.0), id="1-D"),
+    pytest.param(np.array(["12", "34"]), id="1-D-text"),
+    pytest.param(np.zeros((2, 2, 2)), id="3-D"),
+    pytest.param(np.zeros((2, 2, 0)), id="3-D-empty-rows"),
+    pytest.param(np.zeros((0, 2, 2)), id="3-D-empty"),
+    pytest.param(np.zeros(0), id="1-D-empty"),
+    pytest.param(np.zeros((0, 4)), id="no-rows"),
+    pytest.param(np.zeros((3, 0)), id="empty-rows"),
+    pytest.param(np.array(1.0), id="0-D"),
+])
+def test_rows_reads_an_array_as_entry_by_entry(a):
+    expected = _rows_entry_by_entry(a)
+    if expected is None:
+        with pytest.raises(UnsupportedShape, match="expected a matrix"):
+            linalg._rows(a)
+        return
+    rows = linalg._rows(a)
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert all(type(x) is float for row in rows for x in row)
+    assert _hexes(rows) == _hexes(expected)

@@ -158,6 +158,54 @@ def test_quad_prism_rejects_order_two():
         QuadPrismOrders(2, 3, 3, 3)
 
 
+def generic_quad_prism(n12, n23, n34, n14) -> EdgeOrders:
+    """The quad-prism table built through EdgeOrders, pairs given in
+    QuadPrismOrders' order."""
+    return EdgeOrders(4, {(1, 2): n12, (2, 3): n23, (3, 4): n34, (1, 4): n14,
+                          (1, 3): INFINITY, (2, 4): INFINITY})
+
+
+@pytest.mark.parametrize("orders", [(3, 4, 5, 6), (6, 5, 4, 3), (3, 3, 3, 3),
+                                    (100, 400, 1000, 7), (10**8, 3, 10**6, 5)])
+def test_quad_prism_fields_equal_the_generic_build(orders):
+    o, g = QuadPrismOrders(*orders), generic_quad_prism(*orders)
+    hexes = lambda t: [(pair, n, None if m is None else m.hex()) for pair, n, m in t.mu_table]
+    assert type(o.mu_table) is tuple and hexes(o) == hexes(g)
+    assert list(o.orders.items()) == list(g.orders.items())
+    assert vars(o).keys() == vars(g).keys()
+    assert repr(o) == repr(g).replace("EdgeOrders", "QuadPrismOrders", 1)
+    assert hash(o) == hash(g)
+    back = pickle.loads(pickle.dumps(o))
+    assert type(back) is QuadPrismOrders and back == o and hash(back) == hash(o)
+    assert list(back.orders.items()) == list(o.orders.items()) and hexes(back) == hexes(o)
+    assert repr(back) == repr(o)
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("bad", [2, 3.0, True])
+def test_quad_prism_refuses_a_bad_order_by_name(slot, bad):
+    orders = [3, 4, 5, 6]
+    orders[slot] = bad
+    name = ("n12", "n23", "n34", "n14")[slot]
+    with pytest.raises(DomainError) as err:
+        QuadPrismOrders(*orders)
+    assert str(err.value) == f"{name} must be an integer >= 3, got {bad!r}"
+
+
+@pytest.mark.parametrize("orders", [(10**9, 4, 5, 6), (3, 10**9, 5, 6), (3, 4, 10**9, 6),
+                                    (3, 4, 5, 10**9), (3, 10**9, 5, 10**10)])
+def test_quad_prism_refuses_a_mu_of_four_as_the_generic_build(orders):
+    with pytest.raises(DomainError) as quad:
+        QuadPrismOrders(*orders)
+    with pytest.raises(DomainError) as generic:
+        generic_quad_prism(*orders)
+    assert str(quad.value) == str(generic.value)
+    # the first such pair in sorted order is named
+    pair, n = min((p, n) for p, n in zip(((1, 2), (2, 3), (3, 4), (1, 4)), orders) if n >= 10**9)
+    assert str(quad.value) == (f"order {n} of pair {pair} is too large: mu(n) rounds "
+                               "to 4 in doubles, the value of an infinite order")
+
+
 def test_euler_characteristic_quadrilateral_3333():
     sig = quadrilateral_signature(3, 3, 3, 3)
     assert euler_characteristic(sig) == Fraction(-1, 3)
