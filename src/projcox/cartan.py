@@ -11,7 +11,7 @@ matrix, which is decided here through cyclic invariants.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, permutations
 from operator import itemgetter
 
@@ -19,8 +19,6 @@ from . import linalg
 from .errors import DomainError, InvariantViolation, UnsupportedShape
 from .orbifold import EdgeOrders, _quad_prism_mu
 
-#: e1*, e2*, e3* in R^4, the first three covectors of every chart
-_UNIT_COVECTORS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
 #: generating set of cyclic invariants for the quad-prism diagram
 GENERATING_CYCLES = ((1, 3), (2, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4))
 
@@ -36,10 +34,13 @@ class ReflectionSystem:
     of all three in that form.  A system given only as (alphas, vectors),
     each read by linalg._rows, multiplies out its Cartan matrix once, at
     construction, as ``alphas @ vectors.T``.  Either way a non-finite
-    alpha or vector entry raises DomainError.
-    ``alphas`` and ``vectors`` are the rows as 2-D float ndarrays, built
-    on first access.  Systems compare and hash by the three row tuples.
-    The Cartan matrix is not validated here (see cartan_of).
+    alpha, vector or Cartan entry raises DomainError.  ``known_form`` is
+    the form of the covectors, read once, at construction, for
+    check_vinberg and charts.is_semisimple (_known_form; None for no
+    known form).  ``alphas`` and ``vectors`` are the rows as 2-D float
+    ndarrays, built on first access.  Systems compare and hash by the
+    three row tuples.  The Cartan matrix is not validated here (see
+    cartan_of).
     """
 
     def __init__(self, alphas, vectors, cartan=None):
@@ -48,13 +49,13 @@ class ReflectionSystem:
             shapes = [(len(x), len(x[0]) if x else 0) for x in (alphas, vectors)]
             if shapes[0] != shapes[1]:
                 raise DomainError("alphas shape {} != vectors shape {}".format(*shapes))
-        if not all(map(math.isfinite, chain(*alphas, *vectors))):
-            raise DomainError("entries must be finite")
-        fields = vars(self)
-        fields.update(alpha_rows=alphas, vector_rows=vectors)
-        if cartan is None:
-            cartan = linalg._rows(self.alphas @ self.vectors.T)
-        fields["cartan"] = cartan
+            import numpy as np
+            with np.errstate(all="ignore"):
+                cartan = linalg._rows(np.array(alphas) @ np.array(vectors).T)
+        if not all(map(math.isfinite, chain(*alphas, *vectors, *cartan))):
+            raise DomainError("alpha, vector and Cartan entries must be finite")
+        vars(self).update(alpha_rows=alphas, vector_rows=vectors, cartan=cartan,
+                          known_form=_known_form(alphas))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -90,6 +91,35 @@ class ReflectionSystem:
     def sign_failures(self):
         """_sign_failures of the rows at TOL_ALGEBRAIC, for cartan_of and check_vinberg."""
         return _sign_failures(self.cartan, linalg.TOL_ALGEBRAIC)
+
+
+@cache
+def _units(f: int) -> tuple:
+    """The unit covectors of R^f in order, and a dict from each to its
+    index; -0.0 == 0.0 and both hash alike, so zeros of either sign match."""
+    units = tuple(tuple(1.0 if i == k else 0.0 for i in range(f)) for k in range(f))
+    return units, {row: k for k, row in enumerate(units)}
+
+
+def _known_form(rows):
+    """(m, r) for f covectors in R^f of which every one but row r is a
+    distinct unit covector e_k*, in any order, and m the one coordinate
+    (0-based) that none of those takes: r is the row that is no unit
+    covector, or repeats an earlier one, or else (a dual basis) the
+    last.  None for covectors of any other form.  The builders' order,
+    e_1*..e_{f-1}* first, is one comparison; any other, one dict lookup
+    per row."""
+    f = len(rows)
+    units, index = _units(f)
+    if rows and rows[:-1] == units[:-1] and len(rows[-1]) == f:
+        return f - 1, f - 1
+    keys = list(map(index.get, rows))
+    r = keys.index(None) if None in keys else next(
+        (i for i, k in enumerate(keys) if keys.index(k) < i), f - 1)
+    others = set(keys[:r] + keys[r + 1:])
+    if None not in others and len(others) == f - 1 and len(rows[0]) == f:
+        return (set(range(f)) - others).pop(), r
+    return None
 
 
 def cartan_of(sys: ReflectionSystem) -> tuple:
@@ -199,11 +229,8 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     max |M_ii - 2| for C1, the largest positive off-diagonal entry for
     C2, the largest _pair_residuals r for C4, and 0.0 for C3 and C5.
 
-    C5 (nonempty interior) is certified through the linear-relation
-    criterion: either the alphas are independent, or their single
-    relation has the alternating sign pattern that writes the dependent
-    covector with positive coefficients in the sense of the adjacency
-    structure.
+    C5 (nonempty interior) is decided by relation_space_trivial on the
+    system's known_form; covectors of no known form fail it.
     """
     rows = sys.cartan
     f = len(rows)
@@ -221,11 +248,9 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
         if not res <= tol:
             c4_fail.append(pair)
 
-    # C5: nonempty interior via the relation-space certificate, on the rows as held
-    try:
-        c5_ok = _relation_space_trivial(sys.alpha_rows)
-    except UnsupportedShape:
-        c5_ok = False
+    # C5: nonempty interior, decided on the known form of the rows as held
+    form = sys.known_form
+    c5_ok = form is not None and _relation_space_trivial(sys.alpha_rows, form)
 
     return Verdict((Check(("C1", tuple(c1_fail), diag_res, tol, not c1_fail)),
                     Check(("C2", tuple(c2_fail), c2_res, tol, not c2_fail)),
@@ -236,46 +261,28 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
 
 def relation_space_trivial(alphas) -> bool:
     """Whether every nonzero linear relation among the alphas has
-    coefficients of both signs.
-
-    Four covectors in R^4, the first three e1*, e2*, e3* (every chart's
-    and every standard realisation's), are decided exactly by the
-    fourth, (a1, a2, a3, a4): they are independent if a4 != 0, and else
-    their one relation (a1, a2, a3, -1) takes both signs iff some a_i >
-    0.  Other alphas keep numeric ranks.  Independent alphas pass
-    immediately.  A one-dimensional relation space passes iff its
-    relation takes both signs; one of dimension > 1 raises
-    UnsupportedShape.  One complete-pivoting elimination of the
-    transposed _scaled alphas (a positive scale keeps each coefficient's
-    sign; unscaled, an alpha_4 near 1e8 pushes unit covectors' pivots
-    under RANK_TOL times the first) gives the rank, as linalg.rank
-    counts it, and at rank f - 1 the relation: back substitution with
-    the coefficient of the column left without a pivot set to 1.
+    coefficients of both signs, decided exactly for f covectors in R^f
+    of a known form (_known_form; any other raise UnsupportedShape).
+    With a the other covector and m the coordinate no unit one takes,
+    they are independent if a[m] != 0, and else their one relation
+    writes a as sum a_k e_k*, which takes both signs iff some a_k > 0.
     The alphas are read by linalg._rows and non-finite ones raise
     DomainError; check_vinberg skips both on a system's held rows.
     """
     rows = linalg._rows(alphas)
     if not all(map(math.isfinite, chain(*rows))):
         raise DomainError("alphas must be finite")
-    return _relation_space_trivial(rows)
+    form = _known_form(rows)
+    if form is None:
+        raise UnsupportedShape("covectors of no known form: all but at most one "
+                               "distinct unit covectors of R^f")
+    return _relation_space_trivial(rows, form)
 
 
-def _relation_space_trivial(rows) -> bool:
-    """relation_space_trivial of finite float rows, as a ReflectionSystem holds them."""
-    if len(rows) == 4 and rows[:3] == _UNIT_COVECTORS:
-        *a, a4 = rows[3]
-        return a4 != 0.0 or max(a) > 0.0
-    pivots, free = linalg._eliminate(zip(*linalg._scaled(rows)))
-    if not free:
-        return True
-    if len(free) > 1:
-        raise UnsupportedShape("relation space has dimension > 1")
-    coeffs = {free[0]: 1.0}
-    for j, row in reversed(pivots):
-        coeffs[j] = -sum(row[k] * c for k, c in coeffs.items()) / row[j]
-    values = coeffs.values()
-    cut = linalg.RANK_TOL * max(map(abs, values))
-    return any(c > cut for c in values) and any(c < -cut for c in values)
+def _relation_space_trivial(rows, form) -> bool:
+    """relation_space_trivial of rows of the known form (m, r)."""
+    m, r = form
+    return rows[r][m] != 0.0 or max(rows[r]) > 0.0
 
 
 def _cycle_entries(cycle):

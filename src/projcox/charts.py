@@ -24,8 +24,8 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .cartan import ReflectionSystem, _t_products, _UNIT_COVECTORS
-from .errors import DomainError
+from .cartan import ReflectionSystem, _t_products
+from .errors import DomainError, UnsupportedShape
 from .orbifold import INFINITY, EdgeOrders, _quad_prism_mu
 
 if TYPE_CHECKING:
@@ -37,6 +37,8 @@ def _identity(d: int) -> tuple:
 
 
 _IDENTITY_4 = _identity(4)
+#: e1*, e2*, e3* in R^4, the first three covectors of every chart
+_UNIT_COVECTORS = _IDENTITY_4[:3]
 #: the concurrent chart's covectors, alpha_4 = e1* - e2* + e3*
 _CONCURRENT_ALPHAS = (*_UNIT_COVECTORS, (1.0, -1.0, 1.0, 0.0))
 
@@ -395,28 +397,31 @@ def classify_case(a4: float, v44: float) -> CaseLabel:
 
 
 def is_semisimple(sys: ReflectionSystem) -> bool:
-    """Whether V splits as (intersection of ker alpha_j) + span{v_j}.
+    """Whether V splits as (intersection of ker alpha_j) + span{v_j}, for
+    a 4x4 system of a known form (ReflectionSystem.known_form): with a
+    the other covector, v_r its vector and m the coordinate no unit
+    covector takes, rank A = 3 + [a[m] != 0].
 
-    Alphas e1*, e2*, e3*, (a1, a2, a3, a4) with v_1..v_3 in x4 = 0 and
-    of a linalg.nonsingular block (every chart's but the general one's)
-    have rank A = 3 + [a4 != 0], rank V = 3 + [v44 != 0] and, at a4 =
-    0, ker A = span(e4) in span V iff v44 != 0: V splits iff a4 and v44
-    are both zero (case III) or both not (case I).  Where V is
-    nonsingular instead (the general chart), it splits iff a4 != 0.
-    Other systems split iff rank A = rank V = rank M by linalg.rank, as
-    rank M = rank V - dim(ker A & span V).
+    Where the other three vectors have coordinate m equal to 0.0 and a
+    linalg.nonsingular block (every chart's but the general one's),
+    rank V = 3 + [v_r[m] != 0] and, at a[m] = 0, ker A = span(e_m) lies
+    in span V iff v_r[m] != 0: V splits iff a[m] and v_r[m] are both
+    zero (case III) or both not (case I).  Where V itself is proven
+    nonsingular instead (the general chart), it splits iff A is
+    nonsingular, a[m] != 0.  Otherwise, and for any other size, the
+    answer is undecided and UnsupportedShape is raised.
     """
-    alphas, v = sys.alpha_rows, sys.vector_rows
-    if len(alphas) == 4 and alphas[:3] == _UNIT_COVECTORS:
-        a4 = alphas[3][3]
-        if v[0][3] == v[1][3] == v[2][3] == 0.0 and linalg.nonsingular([x[:3] for x in v[:3]]):
-            return (a4 == 0.0) == (v[3][3] == 0.0)
+    v, form = sys.vector_rows, sys.known_form
+    if len(v) == 4 and form:
+        m, r = form
+        a_m, rest = sys.alpha_rows[r][m], v[:r] + v[r + 1:]
+        if (rest[0][m] == rest[1][m] == rest[2][m] == 0.0
+                and linalg.nonsingular([x[:m] + x[m + 1:] for x in rest])):
+            return (a_m == 0.0) == (v[r][m] == 0.0)
         if linalg.nonsingular(v):
-            return a4 != 0.0
-    r = linalg.rank(alphas)
-    if linalg.rank(v) != r:
-        return False
-    return r == len(alphas[0]) or linalg.rank(sys.cartan) == r
+            return a_m != 0.0
+    raise UnsupportedShape("semisimplicity undecided: no proven nonsingular block "
+                           "of a 4x4 system of a known form")
 
 
 def _exp_uniform(rng: np.random.Generator, lo: float, hi: float, size) -> np.ndarray:

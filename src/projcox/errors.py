@@ -14,8 +14,9 @@ class DomainError(ProjCoxError, ValueError):
 
 class UnsupportedShape(ProjCoxError):
     """A configuration the function does not handle: a matrix of the
-    wrong shape, an order table that is not the quad prism's, a relation
-    space of dimension > 1."""
+    wrong shape, an order table that is not the quad prism's, covectors
+    of no known form, or a semisimplicity that no proven nonsingular
+    block decides."""
 
 
 class InvariantViolation(ProjCoxError):

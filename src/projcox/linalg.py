@@ -1,7 +1,6 @@
-"""Numerical rank of small dense matrices over IEEE doubles: Gaussian
-elimination with complete pivoting in pure Python, of rows scaled to a
-largest |entry| of 1, each pivot measured against the first one; and a
-determinant proven nonzero against its rounding bound.
+"""Small dense matrices over IEEE doubles: rows read as tuples of
+Python floats, and a determinant proven nonzero against its rounding
+bound.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from itertools import chain
 from .errors import UnsupportedShape
 
 TOL_ALGEBRAIC = 1e-9
-#: pivots at or below RANK_TOL times the first pivot count as zero
-RANK_TOL = 1e-8
 
 
 def _float_row(row) -> tuple:
@@ -54,59 +51,15 @@ def _rows(m, shape=None) -> tuple:
 
 
 def _scaled(rows) -> list:
-    """Each nonzero row divided by its largest |entry|, which keeps the rank
-    and the signs of a relation's coefficients: unscaled, a row near 1e8
-    pushes the pivots of unit rows under RANK_TOL times the first.  The
-    top, max(max(row), -min(row)), is max(map(abs, row)) wherever it divides."""
+    """Each nonzero row divided by its largest |entry|, which keeps
+    whether the determinant is zero: nonsingular's bound is then taken
+    on entries of at most 1 in size.  The top, max(max(row), -min(row)),
+    is max(map(abs, row)) wherever it divides."""
     out = []
     for row in rows:
         top = max(max(row), -min(row)) if row else 0.0
         out.append([x / top for x in row] if top and top != 1.0 else row)
     return out
-
-
-def _eliminate(rows):
-    """Gaussian elimination with complete pivoting of a matrix given as
-    rows of Python floats (see _rows), on list copies of the rows.
-
-    Each step takes the largest remaining entry as the pivot; a pivot at
-    or below RANK_TOL times the first one counts as zero and ends the
-    elimination.  Returns (pivots, free): pivots the list of (column,
-    row) pairs in elimination order, each row as it stood when it was
-    the pivot row, and free the columns left without a pivot.  The
-    number of pivots is the numerical rank.
-    """
-    rows = [list(row) for row in rows]
-    free = list(range(len(rows[0]))) if rows else []
-    pivots = []
-    cut = None
-    while rows and free:
-        best, bi, bj = 0.0, 0, free[0]
-        for i, row in enumerate(rows):
-            for j in free:
-                x = abs(row[j])
-                if x > best:
-                    best, bi, bj = x, i, j
-        if cut is None:
-            cut = RANK_TOL * best
-        if not best > cut:
-            break
-        prow = rows.pop(bi)
-        free.remove(bj)
-        p = prow[bj]
-        for row in rows:
-            f = row[bj] / p
-            if f:
-                for j in free:
-                    row[j] -= f * prow[j]
-        pivots.append((bj, prow))
-    return pivots, free
-
-
-def rank(m) -> int:
-    """Numerical rank: the pivots of complete-pivoting elimination of
-    the _scaled rows above RANK_TOL times the first (largest) pivot."""
-    return len(_eliminate(_scaled(_rows(m)))[0])
 
 
 def _cofactor_det(rows) -> tuple:

@@ -128,12 +128,6 @@ def reflection(a, v) -> np.ndarray:
     return np.eye(a.shape[0]) - np.outer(v, a)
 
 
-def svd_rank(m) -> int:
-    """Reference rank: the singular values above 1e-8 times the largest."""
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > 1e-8 * s[0]))
-
-
 def mat_power(m, k: int) -> np.ndarray:
     """m**k for integer k >= 1, by repeated squaring."""
     m = np.asarray(m, dtype=float)

@@ -199,11 +199,35 @@ def test_check_vinberg_detects_sign_flip():
     assert "C2" in failed(report)
 
 
-def test_relation_space_trivial_independent():
-    assert relation_space_trivial(np.eye(4))
-    # three independent covectors in R^4: no relation at all
-    assert relation_space_trivial(np.array([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0],
-                                            [0, -1.0, 2.0, 0.5]]))
+def test_known_forms_in_any_row_order():
+    """A dual basis in any order, and three distinct unit covectors
+    (zeros of either sign) beside any fourth covector, in any order,
+    are known forms; a repeated unit covector is the other one."""
+    rows = tuple(map(tuple, np.eye(4).tolist()))
+    for perm in ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)):
+        moved = tuple(rows[i] for i in perm)
+        assert cartan._known_form(moved) == (perm[3], 3)
+        assert relation_space_trivial(moved)
+    signed = ((-0.0, 0.0, 1.0, -0.0), (-2.0, -0.0, -3.0, 0.0),
+              (1.0, -0.0, 0.0, 0.0), (0.0, -0.0, -0.0, 1.0))
+    assert cartan._known_form(signed) == (1, 1)
+    assert not relation_space_trivial(signed)
+    repeated = (rows[0], rows[1], rows[0], rows[3])
+    assert cartan._known_form(repeated) == (2, 2)
+    assert relation_space_trivial(repeated)   # e1* - e1* = 0 has both signs
+
+
+def test_covectors_of_no_known_form_are_unsupported():
+    """Fewer covectors than coordinates (twice), two covectors beside
+    the distinct unit ones (twice, once a repeated unit), and none."""
+    for alphas in (np.eye(4)[:3],                               # 3 in R^4
+                   np.array([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0],
+                             [0, -1.0, 2.0, 0.5], [0, 0, 1.0, 0]]),
+                   np.array([[1.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]),
+                   np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]).T,  # 2 in R^3
+                   np.zeros((0, 0))):
+        with pytest.raises(UnsupportedShape, match="no known form"):
+            relation_space_trivial(alphas)
 
 
 def test_relation_space_mixed_signs_pass():
@@ -284,26 +308,27 @@ def _exact_c5(alphas):
 
 @settings(max_examples=500, deadline=None)
 @given(fourth=st.lists(_WIDE_ENTRY, min_size=4, max_size=4),
-       zeros=st.lists(_ZERO, min_size=9, max_size=9))
-def test_standard_form_c5_is_the_exact_decision(fourth, zeros):
-    """First rows e1*, e2*, e3* (zeros of either sign) and a fourth of
-    entries in +-[1e-300, 1e300], each a signed zero half the time: C5
-    is the exact rank-and-relation decision, where the fixed RANK_TOL
-    cut read a relation's coefficients below 1e-8 of the largest as
-    zero."""
+       zeros=st.lists(_ZERO, min_size=9, max_size=9),
+       units=st.permutations(range(4)), order=st.permutations(range(4)))
+def test_standard_form_c5_is_the_exact_decision(fourth, zeros, units, order):
+    """Three distinct unit covectors (zeros of either sign) and a fourth
+    of entries in +-[1e-300, 1e300], each a signed zero half the time,
+    the four rows in any order: C5 is the exact decision on the same
+    doubles, where a fixed cut of 1e-8 of the largest relation
+    coefficient once read smaller ones as zero."""
     zeros = iter(zeros)
-    units = tuple(tuple(1.0 if i == j else next(zeros) for j in range(4)) for i in range(3))
-    alphas = (*units, tuple(fourth))
+    rows = [tuple(1.0 if i == k else next(zeros) for i in range(4)) for k in units[:3]]
+    rows.append(tuple(fourth))
+    alphas = tuple(rows[i] for i in order)
     assert _verdict(relation_space_trivial, alphas) == _exact_c5(alphas)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf])
 def test_relation_space_refuses_non_finite_alphas(x):
-    """The standard form read a4 = nan or inf as nonzero, and the
-    elimination could not pivot on nan."""
+    """The standard form would read a4 = nan or inf as nonzero."""
     for fourth in ((0.0, 0.0, -1.0, x), (x, -1.0, -1.0, 0.0)):
         with pytest.raises(DomainError, match="alphas must be finite"):
-            relation_space_trivial((*cartan._UNIT_COVECTORS, fourth))
+            relation_space_trivial((*charts._UNIT_COVECTORS, fourth))
 
 
 def test_two_dimensional_relation_spaces_raise_on_every_call():
@@ -322,8 +347,9 @@ def _concurrent_point_in_the_standard_chart(orders, v):
 
 
 def test_c5_passes_a_standard_point_with_large_a():
-    # a2 and a3 reach 1.3e8: unscaled, the unit covectors' pivots fall
-    # under RANK_TOL times the first and the relation space reads 2-D
+    # a2 and a3 reach 1.3e8: read by an unscaled numeric rank, the unit
+    # covectors' pivots fell under 1e-8 of the first and the relation
+    # space read as 2-D
     orders = QuadPrismOrders(5, 3, 3, 5)
     v = (-1.8736073673332666e-4, -1.5549663298848966, -9322.35854410505,
          -3.705378681633734e-4)

@@ -247,8 +247,10 @@ def test_relabelling_the_sides_moves_each_check_with_its_place(seed, chart, move
     """A point at orders 3-6, a quarter of the general ones at T13 = 4,
     checked against its orders or with one finite order raised by one:
     under each dihedral relabelling the Vinberg, relation and
-    cocompactness verdicts stay, and each relation check's value and
-    verdict reappear at its relabelled place."""
+    cocompactness verdicts stay, and so does the semisimplicity of a
+    concurrent or standard point, whose relabelled covectors are its
+    known form with the rows permuted; and each relation check's value
+    and verdict reappear at its relabelled place."""
     rng = np.random.default_rng(seed)
     if chart == "general":
         params = random_general(rng)
@@ -266,14 +268,19 @@ def test_relabelling_the_sides_moves_each_check_with_its_place(seed, chart, move
         table[finite_pairs(orders)[moved]] += 1
     orders = EdgeOrders(4, table)
     relations = certify.verify_relations(sys, orders)
+
+    def semisimple(s):
+        return None if chart == "general" else charts.is_semisimple(s)
+
     verdicts = (cartan.check_vinberg(sys, orders).passed, relations.passed,
-                certify.is_convex_cocompact(sys.cartan, orders))
+                certify.is_convex_cocompact(sys.cartan, orders), semisimple(sys))
     places = {(c.name, c.where): c for c in relations}
     for perm in DIHEDRAL:
         other, other_orders = relabelled(sys, orders, perm)
         other_relations = certify.verify_relations(other, other_orders)
         assert (cartan.check_vinberg(other, other_orders).passed, other_relations.passed,
-                certify.is_convex_cocompact(other.cartan, other_orders)) == verdicts
+                certify.is_convex_cocompact(other.cartan, other_orders),
+                semisimple(other)) == verdicts
         for c in other_relations:
             old = places[c.name, tuple(sorted(perm[k - 1] for k in c.where))]
             assert (c.value.hex(), c.passed) == (old.value.hex(), old.passed)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (exact_standard_solution, negative_box, random_concurrent,
-                     random_orders, random_standard, row_4_gaps_within_bound, svd_rank,
+from helpers import (exact_kernel, exact_standard_solution, negative_box, random_concurrent,
+                     random_orders, random_standard, row_4_gaps_within_bound,
                      whole_standard_solution)
 from projcox import cartan, certify, charts, linalg
 from projcox.cartan import ReflectionSystem
@@ -18,7 +18,7 @@ from projcox.charts import (CaseLabel, ConcurrentChartParams,
                             build_standard, classify_case,
                             concurrent_to_standard, is_semisimple,
                             realize_representation, standard_coordinates)
-from projcox.errors import DomainError
+from projcox.errors import DomainError, UnsupportedShape
 from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders, mu
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
@@ -480,6 +480,18 @@ def test_standard_coordinates_are_pinned():
         "eff7de52618c3c3693cd65e3816357e94404ce5ff4dcb888c81ee9e2edb379a4")
 
 
+def test_a_non_finite_cartan_entry_is_refused():
+    """Every coordinate, covector and vector entry of this concurrent
+    point is finite, but M42 = v12 + mu23 / v23 - 2 overflows to -inf;
+    a raw system's product is checked the same way."""
+    p = ConcurrentChartParams(O3333, -1.7e308, -1e-308, -1.0, -1.0)
+    assert charts.concurrent_cartan(O3333, *p[1:5])[3][1] == -math.inf
+    with pytest.raises(DomainError, match="Cartan entries must be finite"):
+        build_concurrent(p)
+    with pytest.raises(DomainError, match="Cartan entries must be finite"):
+        ReflectionSystem([[1e308, 1.0], [0.0, 1.0]], [[10.0, 0.0], [0.0, 1.0]])
+
+
 def test_concurrent_to_standard_kills_a4_v44():
     p = ConcurrentChartParams(O3333, -1.0, -1.0, -1.0, -1.0)
     pt = concurrent_to_standard(p)
@@ -618,12 +630,13 @@ def test_semisimple_reads_the_case_at_a_wide_spread():
     assert not wrong, (len(wrong), wrong[:3])
 
 
-def test_chart_systems_are_decided_without_elimination(monkeypatch):
+def test_chart_systems_are_decided_without_elimination():
     """check_vinberg, verify_relations and is_semisimple read every
-    chart's systems from their structure: with linalg._eliminate
-    raising, they decide a general point, a concurrent point, standard
+    chart's systems from their structure, as linalg has no numeric rank
+    left: they decide a general point, a concurrent point, standard
     points realised at a4 = 1 and at a4 = 0, and the certify workload's
     identity-covector mutation (an entry of [v] with its sign flipped)."""
+    assert not {"rank", "_eliminate", "RANK_TOL"} & set(vars(linalg))
     o = QuadPrismOrders(3, 4, 5, 6)
     coords, concurrent = (6.0, 5.0, -1.5, -0.7, -2.0), ConcurrentChartParams(o, -1.3, -0.7, -2.1, -0.4)
     general = build_general(GeneralChartParams(o, *coords))
@@ -635,35 +648,71 @@ def test_chart_systems_are_decided_without_elimination(monkeypatch):
                "standard, a4 = 0": (realize_representation(concurrent_to_standard(concurrent),
                                                            a4=0.0), True),
                "mutation": (ReflectionSystem(np.eye(4), vmat.T), False)}
-
-    def refuse(rows):
-        raise AssertionError("linalg._eliminate called")
-
-    monkeypatch.setattr(linalg, "_eliminate", refuse)
     for name, (sys, valid) in systems.items():
         assert cartan.check_vinberg(sys, o).passed is valid, name
         assert certify.verify_relations(sys, o).passed is valid, name
         assert is_semisimple(sys), name
 
 
+def test_semisimplicity_of_other_forms_and_sizes_is_undecided():
+    """A 4x4 system of no known form, a simplex system (9x9 at n = 8,
+    where the cofactor expansion alone would take a quarter second), and
+    a known form whose vectors no block proves nonsingular."""
+    rng = np.random.default_rng(31)
+    raw = ReflectionSystem(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
+    orders = simplex_orders_all(8, 3)
+    free = {pair: -1.0 for pair in charts._simplex_free_pairs(orders)}
+    simplex = build_simplex(SimplexChartParams(8, orders, free))
+    singular = ReflectionSystem(np.eye(4), np.ones((4, 4)))
+    for sys in (raw, simplex, singular):
+        with pytest.raises(UnsupportedShape):
+            is_semisimple(sys)
+
+
+def _unit(k):
+    return tuple(1.0 if i == k else 0.0 for i in range(4))
+
+
+_SPLIT_ENTRY = st.one_of(st.sampled_from((0.0, -0.0)),
+                         st.floats(1e-3, 1e3).flatmap(lambda x: st.sampled_from((x, -x))))
+
+
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rank_alphas=st.integers(1, 4),
-       rank_vectors=st.integers(1, 4), shared=st.integers(0, 3))
-def test_semisimple_agrees_with_splitting_definition(seed, rank_alphas,
-                                                     rank_vectors, shared):
-    """Random (alphas, vectors) of every rank, with up to `shared`
-    directions of ker alphas inside span{v_j}: V splits as ker + span
-    exactly when the dimensions add up to 4 and the two span V."""
+@given(units=st.permutations(range(4)), order=st.permutations(range(4)),
+       fourth=st.one_of(st.none(), st.lists(_SPLIT_ENTRY, min_size=4, max_size=4)),
+       seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(("gaussian", "slice", "zero rows", "repeated rows")))
+def test_semisimple_agrees_with_splitting_definition(units, order, fourth, seed, shape):
+    """Alphas of a known 4x4 form, rows in any order: unit covectors at
+    the first three of ``units`` and a fourth, the last unit covector
+    (a dual basis) or entries of either sign and signed zeros.  V is
+    Gaussian; or Gaussian with coordinate units[3] of the three unit
+    rows' vectors 0.0, and of the fourth's half the time; or with exact
+    zero or repeated rows.  Where is_semisimple answers, the answer is
+    the splitting V = ker A (+) span V taken exactly on the same doubles,
+    and every Gaussian V is decided."""
     rng = np.random.default_rng(seed)
-    alphas = rng.standard_normal((4, rank_alphas)) @ rng.standard_normal((rank_alphas, 4))
-    kernel = np.linalg.svd(alphas)[2][svd_rank(alphas):]
-    shared = min(shared, kernel.shape[0], rank_vectors)
-    basis = np.vstack([kernel[:shared],
-                       rng.standard_normal((rank_vectors - shared, 4))])
-    vectors = rng.standard_normal((4, rank_vectors)) @ basis
-    splits = (kernel.shape[0] + svd_rank(vectors) == 4
-              and svd_rank(np.vstack([kernel, vectors])) == 4)
-    assert is_semisimple(cartan.ReflectionSystem(alphas, vectors)) == splits
+    m = units[3]
+    rows = [_unit(k) for k in units[:3]] + [_unit(m) if fourth is None else tuple(fourth)]
+    v = rng.standard_normal((4, 4))
+    if shape == "slice":
+        v[:3, m] = 0.0
+        v[3, m] *= rng.integers(2)
+    elif shape == "zero rows":
+        v[rng.choice(4, rng.integers(1, 5), replace=False)] = 0.0
+    elif shape == "repeated rows":
+        i, j = rng.choice(4, 2, replace=False)
+        v[i] = v[j]
+    alphas = tuple(rows[i] for i in order)
+    vectors = tuple(tuple(v[i].tolist()) for i in order)
+    kernel = exact_kernel(alphas)
+    splits = len(kernel) == len(exact_kernel(vectors)) and not exact_kernel([*kernel, *vectors])
+    try:
+        answer = is_semisimple(ReflectionSystem(alphas, vectors))
+    except UnsupportedShape:
+        assert shape != "gaussian"
+        return
+    assert answer is splits
 
 
 # --- simplex chart ---------------------------------------------------------

@@ -672,6 +672,21 @@ def test_non_finite_result_is_usage_error(capsys):
     assert captured.err == "error: a result is NaN or infinite and has no JSON form\n"
 
 
+#: a concurrent point with finite coordinates whose Cartan entry M42 =
+#: v12 + mu23 / v23 - 2 overflows to -inf
+_INFINITE_M42_POINT = ["--orders", "3,3,3,3", "--chart", "concurrent", "--v12", "-1.7e308",
+                       "--v23", "-1e-308", "--v14", "-1", "--v34", "-1"]
+
+
+@pytest.mark.parametrize("command", ["vinberg", "relations", "invariants", "cocompact"])
+def test_an_infinite_cartan_entry_is_usage_error(command, capsys):
+    """vinberg once passed this point, with C4's residual 4 - inf."""
+    assert cli.main([command, *_INFINITE_M42_POINT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["3", "inf", "nan"])
 @pytest.mark.parametrize("flag", ["--t13", "--t24"])
 def test_scan_outside_the_standard_chart_is_usage_error(flag, value, capsys):
@@ -769,6 +784,8 @@ def _reject_constant(name):
 @example(argv=_NARROW_RANGE_ARGV)
 # once ended in "solve residual nan of M43 exceeds tolerance"
 @example(argv=_FAR_STANDARD_ARGV)
+# once passed all five conditions with M42 = -inf
+@example(argv=["vinberg", *_INFINITE_M42_POINT])
 def test_fuzzed_argv_ends_in_a_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

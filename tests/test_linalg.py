@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import exact_kernel, mat_power, reflection, svd_rank
+from helpers import exact_kernel, mat_power, reflection
 from projcox import linalg
-from projcox.cartan import relation_space_trivial
 from projcox.errors import InvariantViolation, UnsupportedShape
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -69,90 +68,6 @@ def test_mat_power_additivity(seed, p, q):
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * (1.0 + np.linalg.norm(lhs))
 
 
-def test_rank_of_deficient_matrix():
-    # fourth row zero, as in the semisimple concurrent [v]
-    m = np.array([
-        [2.0, -1.0, -4.0, -1.0],
-        [-1.0, 2.0, -1.0, -4.0],
-        [-4.0, -1.0, 2.0, -1.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
-    assert linalg.rank(m) == 3
-
-
-def _low_rank(rng, shape, r):
-    """A random matrix of the given shape and rank r, scaled by a factor
-    log-uniform in [1e-6, 1e6]."""
-    scale = 10.0 ** rng.uniform(-6.0, 6.0)
-    return scale * rng.standard_normal((shape[0], r)) @ rng.standard_normal((r, shape[1]))
-
-
-@pytest.mark.parametrize("size", range(3, 10))
-def test_rank_agrees_with_svd_rank(size):
-    """Sizes 3 to 9 are the simplex chart's f = n + 1, 4 the quad prism's."""
-    rng = np.random.default_rng(size)
-    for _ in range(300):
-        m = _low_rank(rng, (size, size), int(rng.integers(0, size + 1)))
-        assert linalg.rank(m) == svd_rank(m)
-        assert linalg.rank(tuple(map(tuple, m.tolist()))) == svd_rank(m)
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(3, 9),
-       exponents=st.lists(st.floats(-8.0, 8.0), min_size=9, max_size=9))
-def test_rank_is_unchanged_by_positive_row_scaling(seed, size, exponents):
-    """Rows scaled by factors in [1e-8, 1e8], which without the per-row
-    scaling would push the pivots of the small rows under RANK_TOL times
-    the first."""
-    rng = np.random.default_rng(seed)
-    m = _low_rank(rng, (size, size), int(rng.integers(0, size + 1)))
-    scales = 10.0 ** np.array(exponents[:size])
-    assert linalg.rank(m * scales[:, None]) == linalg.rank(m)
-
-
-def _svd_relation_verdict(alphas):
-    """Reference for relation_space_trivial from one SVD of alphas^T:
-    the rank as svd_rank counts it and, at rank f - 1, the sign pattern
-    of the last right singular vector; None for a relation space of
-    dimension > 1."""
-    f = alphas.shape[0]
-    _, s, vt = np.linalg.svd(alphas.T)
-    r = int(np.sum(s > 1e-8 * s[0]))
-    if r == f:
-        return True
-    if f - r > 1:
-        return None
-    cut = 1e-8 * np.max(np.abs(vt[-1]))
-    return bool(np.any(vt[-1] > cut) and np.any(vt[-1] < -cut))
-
-
-@pytest.mark.parametrize("f", range(3, 10))
-def test_relation_space_trivial_agrees_with_svd(f):
-    """f covectors in R^f of rank f, f - 1 or f - 2.  At rank f - 1 the
-    relation is (c, 1) for alpha_f = -(c_1 alpha_1 + ... ), with c
-    positive half the time, so both verdicts occur."""
-    rng = np.random.default_rng(100 + f)
-    verdicts = set()
-    for _ in range(300):
-        r = int(rng.integers(f - 2, f + 1))
-        if r == f - 1:
-            base = _low_rank(rng, (f - 1, f), f - 1)
-            c = np.exp(rng.uniform(-2.0, 2.0, f - 1))
-            if rng.integers(0, 2):
-                c *= rng.choice((-1.0, 1.0), f - 1)
-            alphas = rng.permutation(np.vstack([base, -(c @ base)]))
-        else:
-            alphas = _low_rank(rng, (f, f), r)
-        expected = _svd_relation_verdict(alphas)
-        verdicts.add(expected)
-        if expected is None:
-            with pytest.raises(UnsupportedShape):
-                relation_space_trivial(alphas)
-        else:
-            assert relation_space_trivial(alphas) is expected
-    assert verdicts == {True, False, None}
-
-
 _WIDE_ENTRY = st.one_of(st.sampled_from((0.0, -0.0)),
                         st.floats(1e-300, 1e300).flatmap(lambda x: st.sampled_from((x, -x))))
 
@@ -181,15 +96,6 @@ def test_nonsingular_decides_well_conditioned_matrices():
     assert linalg.nonsingular([[2.0, -1.0, -1e-300], [-1e300, 2.0, 0.0], [-1.0, -0.5, 2.0]])
     assert not linalg.nonsingular([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
     assert not linalg.nonsingular(np.zeros((4, 4)).tolist())
-
-
-def test_rank_needs_a_matrix():
-    with pytest.raises(UnsupportedShape):
-        linalg.rank([[1.0, 2.0], [3.0]])
-    with pytest.raises(UnsupportedShape):
-        linalg.rank([1.0, 2.0])
-    assert linalg.rank(np.zeros((0, 4))) == 0
-    assert linalg.rank(np.zeros((3, 3))) == 0
 
 
 def _scaled_by_abs(rows) -> list:
