@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, cached_property
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 from operator import itemgetter
 
 from . import linalg
@@ -28,30 +28,30 @@ class ReflectionSystem:
     reflections in dimension d, with their Cartan matrix M_ij =
     alpha_i(v_j).
 
-    All three are held as tuples of rows, each a tuple of Python floats,
-    which the certificates read as held: ``alpha_rows``, ``vector_rows``
-    and ``cartan``, all read-only.  The chart builders hand over the rows
-    of all three in that form.  A system given only as (alphas, vectors),
-    each read by linalg._rows, multiplies out its Cartan matrix once, at
-    construction, as ``alphas @ vectors.T``.  Either way a non-finite
-    alpha, vector or Cartan entry raises DomainError.  ``known_form`` is
-    the form of the covectors, read once, at construction, for
-    check_vinberg and charts.is_semisimple (_known_form; None for no
-    known form).  ``alphas`` and ``vectors`` are the rows as 2-D float
+    All three are held as linalg.Rows, which the certificates read as
+    held: ``alpha_rows``, ``vector_rows`` and ``cartan``, all read-only.
+    The chart builders hand over Rows; other rows are read by
+    linalg._rows once, here.  A system given only as (alphas, vectors)
+    multiplies out its Cartan matrix once, at construction, as ``alphas
+    @ vectors.T``.  Either way a non-finite alpha, vector or Cartan
+    entry raises DomainError.  ``known_form`` is the form of the
+    covectors, read once, at construction, for check_vinberg and
+    charts.is_semisimple (_known_form; None for no known form).  ``alphas`` and ``vectors`` are the rows as 2-D float
     ndarrays, built on first access.  Systems compare and hash by the
     three row tuples.  The Cartan matrix is not validated here (see
     cartan_of).
     """
 
     def __init__(self, alphas, vectors, cartan=None):
+        alphas, vectors = linalg.Rows.of(alphas), linalg.Rows.of(vectors)
         if cartan is None:
-            alphas, vectors = linalg._rows(alphas), linalg._rows(vectors)
             shapes = [(len(x), len(x[0]) if x else 0) for x in (alphas, vectors)]
             if shapes[0] != shapes[1]:
                 raise DomainError("alphas shape {} != vectors shape {}".format(*shapes))
             import numpy as np
             with np.errstate(all="ignore"):
-                cartan = linalg._rows(np.array(alphas) @ np.array(vectors).T)
+                cartan = np.array(alphas) @ np.array(vectors).T
+        cartan = linalg.Rows.of(cartan)
         if not all(map(math.isfinite, chain(*alphas, *vectors, *cartan))):
             raise DomainError("alpha, vector and Cartan entries must be finite")
         vars(self).update(alpha_rows=alphas, vector_rows=vectors, cartan=cartan,
@@ -122,9 +122,10 @@ def _known_form(rows):
     return None
 
 
-def cartan_of(sys: ReflectionSystem) -> tuple:
+def cartan_of(sys: ReflectionSystem) -> linalg.Rows:
     """The system's Cartan matrix rows, validated: diagonal 2,
     off-diagonal <= 0, and zero symmetry (M_ij = 0 iff M_ji = 0).
+    They are the Rows the system holds, read with no entry scan.
     """
     c1, c2, c3 = sys.sign_failures
     if any(i == j for i, j in c1):
@@ -285,32 +286,24 @@ def _relation_space_trivial(rows, form) -> bool:
     return rows[r][m] != 0.0 or max(rows[r]) > 0.0
 
 
-def _cycle_entries(cycle):
-    """Getter of a cycle's entries M_{i1 i2} ... M_{ik i1} from 16 row-major ones."""
-    return itemgetter(*(4 * i + j - 5 for i, j in zip(cycle, cycle[1:] + cycle[:1])))
-
-
-#: the canonical cycles of lengths 2, 3, 4 on sides 1..4, both
-#: orientations of each cycle of length >= 3
-_CYCLES_4 = (
-    tuple(combinations(range(1, 5), 2))
-    + tuple((s[0],) + tail for s in combinations(range(1, 5), 3)
-            for tail in permutations(s[1:]))
-    + tuple((1,) + tail for tail in permutations((2, 3, 4))))
-_CYCLE_ENTRIES = tuple((c, _cycle_entries(c)) for c in _CYCLES_4)
-_GENERATOR_ENTRIES = tuple(map(_cycle_entries, GENERATING_CYCLES))
-
-
 def cyclic_invariants(m) -> dict:
     """All cyclic invariants M_{i1 i2} M_{i2 i3} ... M_{ik i1} of lengths
     2, 3, 4 of a 4x4 Cartan matrix, keyed by canonical cycle (smallest
     index first; both orientations of each cycle of length >= 3).
 
-    Every product here and in projectively_equivalent is taken left to
-    right along the cycle, starting from 1.0.
+    Every product, here and in _generators, is taken left to right along
+    the cycle of linalg._rows(m), the bits of math.prod(entries, start=1.0).
     """
-    flat = sum(linalg._rows(m, (4, 4)), ())
-    return {c: math.prod(entries(flat), start=1.0) for c, entries in _CYCLE_ENTRIES}
+    (_, m12, m13, m14), (m21, _, m23, m24), (m31, m32, _, m34), (m41, m42, m43, _) = (
+        linalg._rows(m, (4, 4)))
+    return {(1, 2): m12 * m21, (1, 3): m13 * m31, (1, 4): m14 * m41, (2, 3): m23 * m32,
+            (2, 4): m24 * m42, (3, 4): m34 * m43,
+            (1, 2, 3): m12 * m23 * m31, (1, 3, 2): m13 * m32 * m21, (1, 2, 4): m12 * m24 * m41,
+            (1, 4, 2): m14 * m42 * m21, (1, 3, 4): m13 * m34 * m41, (1, 4, 3): m14 * m43 * m31,
+            (2, 3, 4): m23 * m34 * m42, (2, 4, 3): m24 * m43 * m32,
+            (1, 2, 3, 4): m12 * m23 * m34 * m41, (1, 2, 4, 3): m12 * m24 * m43 * m31,
+            (1, 3, 2, 4): m13 * m32 * m24 * m41, (1, 3, 4, 2): m13 * m34 * m42 * m21,
+            (1, 4, 2, 3): m14 * m42 * m23 * m31, (1, 4, 3, 2): m14 * m43 * m32 * m21}
 
 
 def derived_invariant_identities(inv: dict, orders: EdgeOrders,
@@ -354,11 +347,17 @@ def projectively_equivalent(m1, m2) -> bool:
     """Whether two 4x4 Cartan matrices are conjugate by a positive
     diagonal matrix, i.e. agree on the generating cyclic invariants to
     a relative residual |x - y| / (1 + |x| + |y|) of TOL_ALGEBRAIC.
-    Only those five products are taken, each as in cyclic_invariants.
+    Only those five products are taken (_generators), and a system's
+    rows (cartan_of) are read as held.
     """
-    flat1, flat2 = (sum(linalg._rows(m, (4, 4)), ()) for m in (m1, m2))
-    for entries in _GENERATOR_ENTRIES:
-        x, y = math.prod(entries(flat1), start=1.0), math.prod(entries(flat2), start=1.0)
+    for x, y in zip(_generators(m1), _generators(m2)):
         if not abs(x - y) / (1.0 + abs(x) + abs(y)) <= linalg.TOL_ALGEBRAIC:
             return False
     return True
+
+
+def _generators(m) -> tuple:
+    """The invariants of GENERATING_CYCLES, in order, as cyclic_invariants takes them."""
+    (_, m12, m13, m14), (m21, _, m23, m24), (m31, _, _, m34), (m41, m42, _, _) = (
+        linalg._rows(m, (4, 4)))
+    return m13 * m31, m24 * m42, m12 * m23 * m31, m12 * m24 * m41, m13 * m34 * m41

@@ -72,9 +72,11 @@ def is_convex_cocompact(m, orders: EdgeOrders) -> bool:
     """Convex cocompactness of the quad-prism reflection group:
     both infinite-pair products T13 = M13 M31 and T24 = M24 M42 must
     exceed 4 strictly.  Any other order table raises UnsupportedShape.
+    A system's rows (cartan_of) are read as held.
 
     A point with T13 = 4 or T24 = 4 is a valid deformation but not
-    cocompact.
+    cocompact.  At extreme |v| the rows alone cannot tell T = 4 apart
+    from a T that rounds to 4.0 (see charts.concurrent_t_excess).
     """
     _quad_prism_mu(orders)
     t13, t24 = _t_products(_rows(m, (4, 4)))

@@ -32,15 +32,15 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _identity(d: int) -> tuple:
-    return tuple(tuple(1.0 if i == j else 0.0 for j in range(d)) for i in range(d))
+def _identity(d: int) -> linalg.Rows:
+    return linalg.Rows(tuple(1.0 if i == j else 0.0 for j in range(d)) for i in range(d))
 
 
 _IDENTITY_4 = _identity(4)
 #: e1*, e2*, e3* in R^4, the first three covectors of every chart
 _UNIT_COVECTORS = _IDENTITY_4[:3]
 #: the concurrent chart's covectors, alpha_4 = e1* - e2* + e3*
-_CONCURRENT_ALPHAS = (*_UNIT_COVECTORS, (1.0, -1.0, 1.0, 0.0))
+_CONCURRENT_ALPHAS = linalg.Rows((*_UNIT_COVECTORS, (1.0, -1.0, 1.0, 0.0)))
 
 
 def _require_negative(**named):
@@ -82,11 +82,11 @@ def build_general(p: GeneralChartParams) -> ReflectionSystem:
     """
     mu12, mu23, mu34, mu14 = _quad_prism_mu(p.orders)
     t13, t24, v23, v24, v34 = map(float, p[1:])
-    vmat = ((2.0, -mu12, -t13, -mu14),
-            (-1.0, 2.0, v23, v24),
-            (-1.0, mu23 / v23, 2.0, v34),
-            (-1.0, t24 / v24, mu34 / v34, 2.0))
-    return ReflectionSystem(_IDENTITY_4, tuple(zip(*vmat)), vmat)
+    vmat = linalg.Rows(((2.0, -mu12, -t13, -mu14),
+                        (-1.0, 2.0, v23, v24),
+                        (-1.0, mu23 / v23, 2.0, v34),
+                        (-1.0, t24 / v24, mu34 / v34, 2.0)))
+    return ReflectionSystem(_IDENTITY_4, linalg.Rows(zip(*vmat)), vmat)
 
 
 class ConcurrentChartParams(namedtuple("ConcurrentChartParams", "orders v12 v23 v14 v34 v44",
@@ -119,6 +119,16 @@ def concurrent_cartan(orders: EdgeOrders, v12, v23, v14, v34) -> tuple:
             (h14, v12 + h23 - 2.0, h34, 2.0))
 
 
+def concurrent_t_excess(orders: EdgeOrders, v12, v23, v14, v34) -> tuple:
+    """(T13 - 4, T24 - 4) of a concurrent-chart point as 2a + 2b + ab > 0,
+    T's concurrent_cartan entries being -(2 + a) and -(2 + b), a, b > 0,
+    which can round to -2.0 and T to 4.0.  Operators only, like them."""
+    mu12, mu23, mu34, mu14 = _quad_prism_mu(orders)
+    h12, h23, h14, h34 = mu12 / v12, mu23 / v23, mu14 / v14, mu34 / v34
+    factors = ((-(v23 + h34), -(h14 + h12)), (-(v14 + v34), -(v12 + h23)))
+    return tuple(2.0 * a + 2.0 * b + a * b for a, b in factors)
+
+
 def build_concurrent(p: ConcurrentChartParams) -> ReflectionSystem:
     """Reflection system of a concurrent-chart point.
 
@@ -128,9 +138,9 @@ def build_concurrent(p: ConcurrentChartParams) -> ReflectionSystem:
     same bits the grid scan reads.
     """
     v12, v23, v14, v34, v44 = map(float, p[1:])
-    cartan = concurrent_cartan(p.orders, v12, v23, v14, v34)
+    cartan = linalg.Rows(concurrent_cartan(p.orders, v12, v23, v14, v34))
     return ReflectionSystem(_CONCURRENT_ALPHAS,
-                            tuple(zip(*cartan[:3], (0.0, 0.0, 0.0, v44))), cartan)
+                            linalg.Rows(zip(*cartan[:3], (0.0, 0.0, 0.0, v44))), cartan)
 
 
 class StandardChartPoint(namedtuple("StandardChartPoint",
@@ -251,7 +261,7 @@ def build_standard(orders: EdgeOrders, t13: float, t24: float,
     if not math.isfinite(a4_v44):
         raise DomainError("standard-chart solve overflowed: the coordinates are too large")
     return StandardChartPoint(orders, t13, t24, v23, v24, v34, a1, a2, a3, a4_v44,
-                              standard_cartan(orders, t13, t24, v23, v24, v34))
+                              linalg.Rows(standard_cartan(orders, t13, t24, v23, v24, v34)))
 
 
 def realize_representation(pt: StandardChartPoint, a4: float,
@@ -274,10 +284,11 @@ def realize_representation(pt: StandardChartPoint, a4: float,
         raise DomainError("v44 is a4*v44 / a4 when a4 != 0 and cannot be given")
     else:
         v44 = pt.a4_v44 / a4
-    alphas = (*_UNIT_COVECTORS, (pt.a1, pt.a2, pt.a3, a4))
+    m = linalg._rows(pt.cartan, (4, 4))
+    alphas = (*_UNIT_COVECTORS, tuple(map(float, (pt.a1, pt.a2, pt.a3, a4))))
     # the first three rows of [v] are those of the Cartan matrix
-    return ReflectionSystem(alphas, tuple(zip(*pt.cartan[:3], (0.0, 0.0, 0.0, v44))),
-                            pt.cartan)
+    return ReflectionSystem(linalg.Rows(alphas),
+                            linalg.Rows(zip(*m[:3], (0.0, 0.0, 0.0, float(v44)))), m)
 
 
 def standard_coordinates(m):
@@ -316,7 +327,7 @@ def concurrent_to_standard(p: ConcurrentChartParams) -> StandardChartPoint:
     a2, a3 = -m14 * m[1][0], m14 * m[2][0]
     if not all(map(math.isfinite, (a2, a3, *rows[2], *rows[3]))):
         raise DomainError("standard-chart map overflowed: the coordinates are too large")
-    return StandardChartPoint(*q, -m14, a2, a3, 0.0, rows)
+    return StandardChartPoint(*q, -m14, a2, a3, 0.0, linalg.Rows(rows))
 
 
 def _simplex_free_pairs(orders: EdgeOrders) -> list:
@@ -375,8 +386,8 @@ def build_simplex(p: SimplexChartParams) -> ReflectionSystem:
             vij = float(p.free[(i, j)])
             vmat[i - 1][j - 1] = vij
             vmat[j - 1][i - 1] = muij / vij
-    vmat = tuple(map(tuple, vmat))
-    return ReflectionSystem(_identity(d), tuple(zip(*vmat)), vmat)
+    vmat = linalg.Rows(map(tuple, vmat))
+    return ReflectionSystem(_identity(d), linalg.Rows(zip(*vmat)), vmat)
 
 
 class CaseLabel(enum.Enum):

@@ -118,8 +118,11 @@ def cmd_vinberg(args):
 def cmd_cocompact(args):
     orders, system, inputs = _build_system(args)
     m = cartan.cartan_of(system)
+    v = args.v12, args.v23, args.v14, args.v34   # rows can round a concurrent T > 4 to 4.0
+    cocompact = (min(charts.concurrent_t_excess(orders, *v)) > 0.0 if args.chart == "concurrent"
+                 else certify.is_convex_cocompact(m, orders))
     return (inputs, dict(zip(("T13", "T24"), cartan._t_products(m))), {},
-            {"convex_cocompact": certify.is_convex_cocompact(m, orders)}, True)
+            {"convex_cocompact": cocompact}, True)
 
 
 def cmd_invariants(args):

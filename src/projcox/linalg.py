@@ -24,26 +24,39 @@ def _float_row(row) -> tuple:
     return tuple(map(float, row))
 
 
+class Rows(tuple):
+    """Rows known to be equal-length tuples of Python floats, which _rows
+    hands back as they are: made by Rows.of, and by the chart builders."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, m) -> Rows:
+        """m as Rows: Rows as they are, any other matrix read by _rows."""
+        return m if type(m) is cls else cls(_rows(m))
+
+
 def _rows(m, shape=None) -> tuple:
-    """The rows of a matrix as a tuple of tuples of Python floats: the
-    library's own rows as they are, an ndarray through its ``tolist``,
-    any other nested sequence entry by entry.  A ragged or non-2-D
-    input, a row or entry of text, or a matrix whose (rows, columns) is
-    not ``shape``, raises UnsupportedShape."""
-    if hasattr(m, "tolist"):
-        m = m.tolist()
-    kind = type(m)
-    if not (kind in (tuple, list) and set(map(type, m)) == {kind}
-            and set(map(type, chain(*m))) == {float}):
-        try:
-            m = tuple(map(_float_row, m))
-        except TypeError:
-            raise UnsupportedShape("expected a matrix: a sequence of rows of numbers") from None
-    elif kind is list:
-        m = tuple(map(tuple, m))
+    """The rows of a matrix as a tuple of tuples of Python floats: Rows as
+    they are, other such tuples after one type scan, an ndarray through
+    its ``tolist``, any other nested sequence entry by entry.  A ragged
+    or non-2-D input, a row or entry of text, or a matrix whose (rows,
+    columns) is not ``shape``, raises UnsupportedShape."""
+    if type(m) is not Rows:
+        if hasattr(m, "tolist"):
+            m = m.tolist()
+        kind = type(m)
+        if not (kind in (tuple, list) and set(map(type, m)) == {kind}
+                and set(map(type, chain(*m))) == {float}):
+            try:
+                m = tuple(map(_float_row, m))
+            except TypeError:
+                raise UnsupportedShape("expected a matrix: a sequence of rows of numbers") from None
+        elif kind is list:
+            m = tuple(map(tuple, m))
+        if len(set(map(len, m))) > 1:
+            raise UnsupportedShape(f"rows of unequal lengths {[len(row) for row in m]}")
     width = len(m[0]) if m else 0
-    if len(set(map(len, m))) > 1:
-        raise UnsupportedShape(f"rows of unequal lengths {[len(row) for row in m]}")
     if shape is not None and (len(m), width) != shape:
         raise UnsupportedShape(f"expected a {shape[0]}x{shape[1]} matrix, "
                                f"got {len(m)} rows of {width}")

@@ -2,6 +2,7 @@ import hashlib
 import math
 import pickle
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -44,8 +45,8 @@ def test_reflection_system_shape_checks():
 
 
 def _is_4x4_rows(m):
-    """Whether m is a tuple of four 4-tuples of Python floats."""
-    return (type(m) is tuple and len(m) == 4
+    """Whether m is linalg.Rows of four 4-tuples of Python floats."""
+    return (type(m) is linalg.Rows and len(m) == 4
             and all(type(row) is tuple and len(row) == 4 for row in m)
             and all(type(x) is float for row in m for x in row))
 
@@ -526,6 +527,55 @@ def test_invariants_equal_numpy_scalar_products(entries):
             assert value.hex() == _numpy_cycle_product(m, cycle).hex()
 
 
+#: entries at the edges of the doubles: signed zeros, subnormals,
+#: infinities, NaN, magnitudes near 1e+-300, and moderate values
+EDGE_ENTRIES = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan,
+                     1e300, -1e300, 1e-300, -1e-300, 2.0, -1.0)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
+              st.floats(-310.0, 308.0)))
+
+
+def _prod_hex(m, cycle):
+    """math.prod of a cycle's entries, from 1.0, as a hex string; every
+    NaN reads the same."""
+    value = math.prod((m[i - 1][j - 1] for i, j in zip(cycle, cycle[1:] + cycle[:1])),
+                      start=1.0)
+    return "nan" if math.isnan(value) else value.hex()
+
+
+def _generator_verdict(m1, m2):
+    """projectively_equivalent's verdict as the generators' math.prod gives it."""
+    for c in GENERATING_CYCLES:
+        x, y = (math.prod((m[i - 1][j - 1] for i, j in zip(c, c[1:] + c[:1])), start=1.0)
+                for m in (m1, m2))
+        if not abs(x - y) / (1.0 + abs(x) + abs(y)) <= linalg.TOL_ALGEBRAIC:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(EDGE_ENTRIES, min_size=32, max_size=32),
+       d=st.lists(st.floats(-3.0, 3.0).map(math.exp), min_size=4, max_size=4))
+def test_invariants_are_the_products_of_math_prod_bit_for_bit(entries, d):
+    """Each of the 20 invariants, written out, has the bits of math.prod
+    over its cycle from 1.0, on plain rows and on Rows alike, and the
+    equivalence verdict is the generators' under math.prod: against the
+    matrix itself, a positive diagonal conjugate of it, and another."""
+    m = tuple(tuple(entries[4 * i:4 * i + 4]) for i in range(4))
+    other = tuple(tuple(entries[16 + 4 * i:20 + 4 * i]) for i in range(4))
+    conj = tuple(tuple(m[i][j] * (d[i] / d[j]) for j in range(4)) for i in range(4))
+    for rows in (m, linalg.Rows.of(m)):
+        inv = cyclic_invariants(rows)
+        assert len(inv) == 20
+        for cycle, value in inv.items():
+            assert type(value) is float
+            assert ("nan" if math.isnan(value) else value.hex()) == _prod_hex(m, cycle)
+        for m2 in (m, conj, other):
+            assert projectively_equivalent(rows, m2) is _generator_verdict(m, m2)
+
+
 def _all_invariants_agree(m1, m2, tol=1e-9):
     inv1, inv2 = cyclic_invariants(m1), cyclic_invariants(m2)
     return all(abs(inv1[c] - inv2[c]) / (1.0 + abs(inv1[c]) + abs(inv2[c])) <= tol
@@ -590,6 +640,38 @@ def test_invariants_need_a_4x4_matrix():
             is_convex_cocompact(m, O3333)
         with pytest.raises(UnsupportedShape, match="4x4"):
             charts.standard_coordinates(m)
+
+
+def test_invariants_refuse_a_simplex_systems_5x5_rows():
+    orders = EdgeOrders(5, {(i, j): 3 for i in range(1, 6) for j in range(i + 1, 6)})
+    free = {pair: -1.0 for pair in charts._simplex_free_pairs(orders)}
+    m = cartan_of(charts.build_simplex(charts.SimplexChartParams(4, orders, free)))
+    assert type(m) is linalg.Rows and len(m) == 5
+    with pytest.raises(UnsupportedShape, match="4x4"):
+        cyclic_invariants(m)
+    with pytest.raises(UnsupportedShape, match="4x4"):
+        projectively_equivalent(m, m)
+
+
+def test_a_three_argument_system_holds_only_checked_rows(monkeypatch):
+    """Rows given as lists, ints or floats of other types are read by
+    linalg._rows, each once, before the system holds them as Rows; what
+    the reading refuses raises UnsupportedShape."""
+    given = ([[1, 0], [0, 1]], ((2, -1), (-1, 2)),
+             tuple(tuple(map(np.float32, row)) for row in ((2.0, -1.0), (-1.0, 2.0))))
+    scans = []
+    monkeypatch.setattr(linalg, "chain", lambda *rows: scans.append(rows) or chain(*rows))
+    sys = ReflectionSystem(*given)
+    assert scans == [tuple(rows) for rows in given]
+    for held, rows in zip((sys.alpha_rows, sys.vector_rows, sys.cartan), given):
+        assert type(held) is linalg.Rows
+        assert all(type(row) is tuple and type(x) is float for row in held for x in row)
+        assert held == tuple(map(tuple, rows))
+    floats = ((2.0, np.float64(-1.0)), (-1.0, 2.0))
+    assert set(map(type, ReflectionSystem(floats, floats, floats).cartan[0])) == {float}
+    for bad in ([[2.0, -1.0], [-1.0]], ["20", "02"], [[2.0, "-1"], [-1.0, 2.0]]):
+        with pytest.raises(UnsupportedShape):
+            ReflectionSystem(given[0], given[1], bad)
 
 
 def _pinned_points():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -324,10 +325,31 @@ def test_every_builder_holds_tuples_of_float_tuples():
     for name, (sys, o) in builder_systems().items():
         for s in (sys, relabelled(sys, o, (4, 3, 2, 1))[0]):
             for rows in (s.alpha_rows, s.vector_rows, s.cartan):
-                assert type(rows) is tuple, name
+                assert type(rows) is linalg.Rows, name
                 assert all(type(row) is tuple and set(map(type, row)) == {float}
                            for row in rows), name
                 assert linalg._rows(rows) is rows, name
+
+
+def test_a_systems_cartan_rows_are_read_with_no_entry_scan(monkeypatch):
+    """cartan_of's rows pass _rows as they are, and the certificates that
+    take a matrix read them with no entry scan (the type scan linalg._rows
+    runs over chain(*rows)), on every builder's system and on its
+    relabellings."""
+    systems = [(name, *pair) for name, (sys, o) in builder_systems().items()
+               for pair in [(sys, o), *(relabelled(sys, o, perm)
+                                        for perm in ((2, 3, 4, 1), (4, 3, 2, 1)))]]
+    scans = []
+    monkeypatch.setattr(linalg, "chain", lambda *rows: scans.append(rows) or chain(*rows))
+    for name, sys, o in systems:
+        m = cartan.cartan_of(sys)
+        assert linalg._rows(m, (len(m), len(m))) is m, name
+        if name != "simplex":
+            assert linalg._rows(m, (4, 4)) is m
+            certify.is_convex_cocompact(m, o)
+            assert len(cartan.cyclic_invariants(m)) == 20
+            assert cartan.projectively_equivalent(m, m)
+    assert scans == []
 
 
 def test_cocompact_strict_inequality():

@@ -19,7 +19,7 @@ from projcox.charts import (CaseLabel, ConcurrentChartParams,
                             concurrent_to_standard, is_semisimple,
                             realize_representation, standard_coordinates)
 from projcox.errors import DomainError, UnsupportedShape
-from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders, mu
+from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders, _quad_prism_mu, mu
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
 
@@ -74,6 +74,46 @@ def test_concurrent_cartan_independent_of_v44():
     b = cartan.cartan_of(build_concurrent(
         ConcurrentChartParams(O3333, -1.0, -2.0, -0.5, -1.0, 3.7)))
     assert np.allclose(a, b)
+
+
+def _excess_exact(orders, v12, v23, v14, v34):
+    """(T13 - 4, T24 - 4) as Fractions of the rounded factor sums a, b."""
+    mu12, mu23, mu34, mu14 = _quad_prism_mu(orders)
+    pairs = ((-(v23 + mu34 / v34), -(mu14 / v14 + mu12 / v12)),
+             (-(v14 + v34), -(v12 + mu23 / v23)))
+    return tuple(2 * Fraction(a) + 2 * Fraction(b) + Fraction(a) * Fraction(b)
+                 for a, b in pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders=st.tuples(*[st.sampled_from((3, 4, 5, 6, 100, 1000))] * 4),
+       logs=st.lists(st.floats(-345.0, 345.0), min_size=4, max_size=4))
+def test_concurrent_t_excess_is_positive_and_accurate(orders, logs):
+    """T - 4 = 2a + 2b + ab is positive over the whole chart, to within
+    4 units of roundoff of its exact value on the rounded a and b (three
+    positive terms, one product and two sums); where T - 4 is not small
+    it is the rows' own T - 4; an array of points gives each point's
+    value."""
+    o = QuadPrismOrders(*orders)
+    v = [-math.exp(x) for x in logs]
+    excess = charts.concurrent_t_excess(o, *v)
+    rows = charts.concurrent_cartan(o, *v)
+    for x, exact, t in zip(excess, _excess_exact(o, *v), cartan._t_products(rows)):
+        assert x > 0.0
+        assert abs(Fraction(x) - exact) <= 4 * 2.0 ** -53 * exact
+        if t >= 5.0 and math.isfinite(t):
+            assert x == pytest.approx(t - 4.0, rel=1e-12)
+    batch = charts.concurrent_t_excess(o, *(np.array([x, x, -1.0]) for x in v))
+    for x, column in zip(excess, batch):
+        assert column[0] == column[1] == x
+
+
+def test_concurrent_t_excess_sees_past_a_rounded_t_of_4():
+    v = (-1e17, -1e-17, -1e17, -1e17)
+    t13, t24 = cartan._t_products(charts.concurrent_cartan(O3333, *v))
+    assert t13 == 4.0
+    e13, e24 = charts.concurrent_t_excess(O3333, *v)
+    assert e13 == pytest.approx(8e-17, rel=1e-15) and e24 > 4e34
 
 
 def test_concurrent_alpha4_is_alternating_sum():

@@ -98,6 +98,18 @@ def test_cocompact_verdicts():
     assert doc["verdicts"]["convex_cocompact"] is False
 
 
+#: a concurrent point whose rows round T13 to 4.0, though T13 - 4 is 8e-17
+_ROUNDED_T13_POINT = ["--orders", "3,3,3,3", "--chart", "concurrent", "--v12", "-1e17",
+                      "--v23", "-1e-17", "--v14", "-1e17", "--v34", "-1e17"]
+
+
+def test_concurrent_cocompact_decides_t_minus_4_not_the_rounded_t():
+    code, doc = run_json(["cocompact"] + _ROUNDED_T13_POINT)
+    assert code == 0
+    assert doc["results"]["T13"] == 4.0
+    assert doc["verdicts"]["convex_cocompact"] is True
+
+
 def test_invariants_residuals_small():
     code, doc = run_json(["invariants"] + STANDARD_POINT)
     assert code == 0
@@ -786,6 +798,8 @@ def _reject_constant(name):
 @example(argv=_FAR_STANDARD_ARGV)
 # once passed all five conditions with M42 = -inf
 @example(argv=["vinberg", *_INFINITE_M42_POINT])
+# once called a concurrent point with T13 = 4 + 8e-17 not cocompact
+@example(argv=["cocompact", *_ROUNDED_T13_POINT])
 def test_fuzzed_argv_ends_in_a_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

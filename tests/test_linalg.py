@@ -178,3 +178,40 @@ def test_rows_reads_an_array_as_entry_by_entry(a):
     assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     assert all(type(x) is float for row in rows for x in row)
     assert _hexes(rows) == _hexes(expected)
+
+
+_FLOAT_ROWS = ((-0.0, float("inf")), (float("nan"), 5e-324))
+
+
+@pytest.mark.parametrize("m, expected", [
+    pytest.param([[1.5, -2.0], [0.0, 3.0]], ((1.5, -2.0), (0.0, 3.0)), id="list"),
+    pytest.param([(1.0, 2.0), [3.0, 4.0]], ((1.0, 2.0), (3.0, 4.0)), id="mixed-rows"),
+    pytest.param(((1, 2), (3, 4)), ((1.0, 2.0), (3.0, 4.0)), id="int-tuples"),
+    pytest.param(((np.float64(1.5), 2.0),), ((1.5, 2.0),), id="np-float64-tuples"),
+    pytest.param(_FLOAT_ROWS, _FLOAT_ROWS, id="float-tuples"),
+    pytest.param([[1.0, 2.0], [3.0]], None, id="ragged"),
+    pytest.param(((1.0,), ()), None, id="ragged-tuples"),
+    pytest.param(["12", "34"], None, id="text-rows"),
+    pytest.param([[1.0, "2"], [b"3", 4.0]], None, id="text-entries"),
+    pytest.param("1234", None, id="text"),
+])
+def test_rows_reads_any_other_matrix_as_before(m, expected):
+    """Every input but Rows reads as it did before Rows (arrays: the test
+    above): _rows gives a plain tuple of tuples of Python floats (tuples
+    of such rows as they are) or raises UnsupportedShape, and Rows.of
+    holds the same floats."""
+    if expected is None:
+        for read in (linalg._rows, linalg.Rows.of):
+            with pytest.raises(UnsupportedShape):
+                read(m)
+        return
+    rows = linalg._rows(m)
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert all(type(x) is float for row in rows for x in row)
+    assert _hexes(rows) == _hexes(expected)
+    assert (rows is m) == (m is _FLOAT_ROWS)
+    held = linalg.Rows.of(m)
+    assert type(held) is linalg.Rows and _hexes(held) == _hexes(expected)
+    assert linalg._rows(held) is held and linalg.Rows.of(held) is held
+    with pytest.raises(UnsupportedShape, match="expected a 3x2 matrix"):
+        linalg._rows(held, (3, 2))
