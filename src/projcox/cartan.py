@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from . import linalg
 from .errors import DomainError, InvariantViolation, UnsupportedShape
-from .orbifold import EdgeOrders, _quad_prism_mu
+from .orbifold import EdgeOrders, QuadPrismOrders, _mu_products, _quad_prism_mu
 
 #: generating set of cyclic invariants for the quad-prism diagram
 GENERATING_CYCLES = ((1, 3), (2, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4))
@@ -33,17 +33,23 @@ class ReflectionSystem:
     The chart builders hand over Rows; other rows are read by
     linalg._rows once, here.  A system given only as (alphas, vectors)
     multiplies out its Cartan matrix once, at construction, as ``alphas
-    @ vectors.T``.  Either way a non-finite alpha, vector or Cartan
-    entry raises DomainError.  ``known_form`` is the form of the
-    covectors, read once, at construction, for check_vinberg and
-    charts.is_semisimple (_known_form; None for no known form).  ``alphas`` and ``vectors`` are the rows as 2-D float
-    ndarrays, built on first access.  Systems compare and hash by the
-    three row tuples.  The Cartan matrix is not validated here (see
-    cartan_of).
+    @ vectors.T``; a given one must be f x f (UnsupportedShape).
+    Either way a non-finite alpha, vector or Cartan entry raises
+    DomainError.
+
+    Two read-only attributes are computed once, at construction:
+    ``known_form``, the form of the covectors, for check_vinberg and
+    charts.is_semisimple (_known_form; None for no known form), and
+    ``sign_failures``, the failing pairs of (C1)-(C3) at TOL_ALGEBRAIC,
+    for cartan_of and check_vinberg (_sign_failures).  ``alphas`` and
+    ``vectors`` are the rows as 2-D float ndarrays, built on first
+    access.  Systems compare and hash by the three row tuples.  The
+    Cartan entries are not validated here (see cartan_of).
     """
 
     def __init__(self, alphas, vectors, cartan=None):
         alphas, vectors = linalg.Rows.of(alphas), linalg.Rows.of(vectors)
+        f = len(alphas)
         if cartan is None:
             shapes = [(len(x), len(x[0]) if x else 0) for x in (alphas, vectors)]
             if shapes[0] != shapes[1]:
@@ -52,10 +58,13 @@ class ReflectionSystem:
             with np.errstate(all="ignore"):
                 cartan = np.array(alphas) @ np.array(vectors).T
         cartan = linalg.Rows.of(cartan)
+        if len(cartan) != f or cartan and len(cartan[0]) != f:
+            raise UnsupportedShape(f"the Cartan matrix of {f} reflections must be {f}x{f}")
         if not all(map(math.isfinite, chain(*alphas, *vectors, *cartan))):
             raise DomainError("alpha, vector and Cartan entries must be finite")
         vars(self).update(alpha_rows=alphas, vector_rows=vectors, cartan=cartan,
-                          known_form=_known_form(alphas))
+                          known_form=_known_form(alphas),
+                          sign_failures=_sign_failures(cartan, linalg.TOL_ALGEBRAIC))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -86,11 +95,6 @@ class ReflectionSystem:
         """The vectors, as the rows of a float ndarray."""
         import numpy as np
         return np.array(self.vector_rows)
-
-    @cached_property
-    def sign_failures(self):
-        """_sign_failures of the rows at TOL_ALGEBRAIC, for cartan_of and check_vinberg."""
-        return _sign_failures(self.cartan, linalg.TOL_ALGEBRAIC)
 
 
 @cache
@@ -317,24 +321,26 @@ def derived_invariant_identities(inv: dict, orders: EdgeOrders,
     role of mu.  Residuals are relative: |x - y| / (1 + |x| + |y|).  An
     order table that is not the quad prism's raises UnsupportedShape.
     """
-    m12, m23, m34, m14 = _quad_prism_mu(orders)
+    m12, m23, m34, m14 = mus = _quad_prism_mu(orders)
+    m12_23, m12_14, m14_34, m23_34, m_all = (
+        orders.mu_products if isinstance(orders, QuadPrismOrders) else _mu_products(*mus))
     t13 = inv[(1, 3)]
     t24 = inv[(2, 4)]
     g123 = inv[(1, 2, 3)]
     g124 = inv[(1, 2, 4)]
     g134 = inv[(1, 3, 4)]
     expected = {
-        (1, 3, 2): m12 * m23 * t13 / g123,
-        (1, 4, 2): m12 * m14 * t24 / g124,
-        (1, 4, 3): m14 * m34 * t13 / g134,
+        (1, 3, 2): m12_23 * t13 / g123,
+        (1, 4, 2): m12_14 * t24 / g124,
+        (1, 4, 3): m14_34 * t13 / g134,
         (2, 3, 4): t24 * g123 * g134 / (t13 * g124),
-        (2, 4, 3): m23 * m34 * t13 * g124 / (g123 * g134),
+        (2, 4, 3): m23_34 * t13 * g124 / (g123 * g134),
         (1, 2, 3, 4): g123 * g134 / t13,
         (1, 2, 4, 3): m34 * t13 * g124 / g134,
         (1, 3, 2, 4): m23 * t13 * g124 / g123,
         (1, 3, 4, 2): m12 * t24 * g134 / g124,
         (1, 4, 2, 3): m14 * t24 * g123 / g124,
-        (1, 4, 3, 2): m12 * m23 * m34 * m14 * t13 / (g123 * g134),
+        (1, 4, 3, 2): m_all * t13 / (g123 * g134),
     }
     checks = []
     for c, y in expected.items():

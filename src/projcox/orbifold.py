@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
+from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import DomainError, UnsupportedShape
 
@@ -66,8 +68,10 @@ class EdgeOrders:
     about n = 3e8) cannot be told from an infinite one in doubles and is
     rejected.
 
-    The fields ``size``, ``orders`` and ``mu_table`` are read-only.
-    Tables of one class compare and hash by (size, orders).
+    The fields ``size``, ``orders`` and ``mu_table`` are read-only;
+    ``orders`` is a read-only mapping (``dict(orders)`` copies it).
+    Tables of one class compare and hash by (size, orders), and a
+    pickle or copy builds the table again from them.
     """
 
     def __init__(self, size: int, orders: dict = None):
@@ -84,7 +88,8 @@ class EdgeOrders:
             missing = next((i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)
                            if (i, j) not in normalized)
             raise DomainError(f"missing order for pair ({missing[0]},{missing[1]})")
-        vars(self).update(size=size, orders=normalized, mu_table=_mu_table(sorted(normalized.items())))
+        vars(self).update(size=size, orders=MappingProxyType(normalized),
+                          mu_table=_mu_table(sorted(normalized.items())))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -100,23 +105,41 @@ class EdgeOrders:
         return hash((self.size, frozenset(self.orders.items())))
 
     def __repr__(self):
-        return f"{type(self).__name__}(size={self.size!r}, orders={self.orders!r})"
+        return f"{type(self).__name__}(size={self.size!r}, orders={dict(self.orders)!r})"
+
+    def __reduce__(self):
+        return type(self), (self.size, dict(self.orders))
+
+
+#: the most distinct quad-prism order tables QuadPrismOrders keeps
+QUAD_PRISM_CACHE_SIZE = 1024
 
 
 class QuadPrismOrders(EdgeOrders):
     """Orders of the labeled quadrilateral prism: finite n12, n23, n34,
     n14 (all >= 3) on the four adjacent pairs, infinite on (1,3), (2,4).
-    The names n12..n14 read the order table; _quad_prism_mu reads its mu.
+    The names n12..n14 read the order table.
+
+    A table is built and validated once per distinct order tuple and
+    shared: every call with equal orders of equal types, positional or
+    by keyword, returns the one instance, and so do pickle and copy.
+    The last QUAD_PRISM_CACHE_SIZE distinct tuples are kept; a bad
+    order raises DomainError on every call.  Built with the table, for
+    the certificates: ``adjacent_mu`` = (mu12, mu23, mu34, mu14), read
+    by _quad_prism_mu, and ``mu_products`` (_mu_products).
     """
 
-    def __init__(self, n12: int, n23: int, n34: int, n14: int):
-        for name, n in (("n12", n12), ("n23", n23), ("n34", n34), ("n14", n14)):
-            if not isinstance(n, int) or n < 3:
-                raise DomainError(f"{name} must be an integer >= 3, got {n!r}")
-        vars(self).update(size=4, orders={(1, 2): n12, (2, 3): n23, (3, 4): n34, (1, 4): n14,
-                                          (1, 3): INFINITY, (2, 4): INFINITY},
-                          mu_table=_mu_table((((1, 2), n12), ((1, 3), INFINITY), ((1, 4), n14),
-                                              ((2, 3), n23), ((2, 4), INFINITY), ((3, 4), n34))))
+    __slots__ = ("adjacent_mu", "mu_products")
+    __init__ = object.__init__   # __new__ returns the table built
+
+    def __new__(cls, n12: int, n23: int, n34: int, n14: int):
+        try:
+            return _quad_prism_orders(cls, n12, n23, n34, n14)
+        except TypeError:   # an unhashable order, refused by the build itself
+            return _quad_prism_orders.__wrapped__(cls, n12, n23, n34, n14)
+
+    def __reduce__(self):
+        return type(self), (self.n12, self.n23, self.n34, self.n14)
 
     # rows of the sorted mu_table: (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
     n12 = property(lambda self: self.mu_table[0][1])
@@ -125,20 +148,49 @@ class QuadPrismOrders(EdgeOrders):
     n34 = property(lambda self: self.mu_table[5][1])
 
 
+@lru_cache(maxsize=QUAD_PRISM_CACHE_SIZE, typed=True)
+def _quad_prism_orders(cls, n12, n23, n34, n14) -> QuadPrismOrders:
+    """The validated table of QuadPrismOrders(n12, n23, n34, n14)."""
+    for name, n in (("n12", n12), ("n23", n23), ("n34", n34), ("n14", n14)):
+        if not isinstance(n, int) or n < 3:
+            raise DomainError(f"{name} must be an integer >= 3, got {n!r}")
+    self = object.__new__(cls)
+    table = _mu_table((((1, 2), n12), ((1, 3), INFINITY), ((1, 4), n14),
+                       ((2, 3), n23), ((2, 4), INFINITY), ((3, 4), n34)))
+    vars(self).update(size=4, orders=MappingProxyType({(1, 2): n12, (2, 3): n23, (3, 4): n34,
+                                                       (1, 4): n14, (1, 3): INFINITY,
+                                                       (2, 4): INFINITY}),
+                      mu_table=table)
+    adjacent_mu = table[0][2], table[3][2], table[5][2], table[2][2]
+    object.__setattr__(self, "adjacent_mu", adjacent_mu)
+    object.__setattr__(self, "mu_products", _mu_products(*adjacent_mu))
+    return self
+
+
 def _quad_prism_mu(orders: EdgeOrders) -> tuple:
     """(mu12, mu23, mu34, mu14) of a quad-prism order table, the one
     check of the pattern for the chart builders, scans and certificates
     that need it.  Any other table raises UnsupportedShape.  A
-    QuadPrismOrders is the quad prism by construction, so only a plain
-    EdgeOrders is scanned, on every call; both hold the rows of mu_table
-    in the same sorted order."""
+    QuadPrismOrders is the quad prism by construction and holds the
+    four values, computed once per distinct order tuple when the shared
+    table was built, so they are one attribute read; only a plain
+    EdgeOrders is scanned, on every call, and its mu_table read."""
+    if isinstance(orders, QuadPrismOrders):
+        return orders.adjacent_mu
     table = orders.mu_table
-    if not isinstance(orders, QuadPrismOrders):
-        if orders.size != 4 or [p for p, _, mu_n in table if mu_n is None] != [(1, 3), (2, 4)]:
-            raise UnsupportedShape("expected the quad-prism pattern: infinite (1,3), (2,4)")
-        if any(n < 3 for _, n, mu_n in table if mu_n is not None):
-            raise UnsupportedShape("finite orders must be >= 3")
+    if orders.size != 4 or [p for p, _, mu_n in table if mu_n is None] != [(1, 3), (2, 4)]:
+        raise UnsupportedShape("expected the quad-prism pattern: infinite (1,3), (2,4)")
+    if any(n < 3 for _, n, mu_n in table if mu_n is not None):
+        raise UnsupportedShape("finite orders must be >= 3")
+    # rows of the sorted mu_table: (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
     return table[0][2], table[3][2], table[5][2], table[2][2]
+
+
+def _mu_products(mu12, mu23, mu34, mu14) -> tuple:
+    """(mu12 mu23, mu12 mu14, mu14 mu34, mu23 mu34, mu12 mu23 mu34 mu14),
+    each taken left to right, as cartan.derived_invariant_identities
+    reads them; a QuadPrismOrders holds them as ``mu_products``."""
+    return mu12 * mu23, mu12 * mu14, mu14 * mu34, mu23 * mu34, mu12 * mu23 * mu34 * mu14
 
 
 class OrbifoldSignature(namedtuple("OrbifoldSignature", "chi_underlying cone_orders "

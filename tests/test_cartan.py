@@ -44,6 +44,22 @@ def test_reflection_system_shape_checks():
         ReflectionSystem(np.eye(2), [[2.0, np.nan], [-1.0, 2.0]])
 
 
+def test_a_given_cartan_matrix_must_be_f_by_f():
+    for bad in (np.ones((3, 2)), np.ones((2, 3)), np.ones((3, 3))):
+        with pytest.raises(UnsupportedShape, match="2 reflections must be 2x2"):
+            ReflectionSystem(np.eye(2), np.eye(2), bad)
+
+
+def test_sign_failures_are_read_at_construction():
+    """A plain attribute, read-only, as known_form: no first-access cost."""
+    rows = ((2.0, 5e-4, -1.0), (-1.0, 2.0, 0.0), (-1.0, -1.0, 2.0))
+    sys = ReflectionSystem(np.eye(3), np.transpose(rows))
+    assert vars(sys)["sign_failures"] == cartan._sign_failures(rows, linalg.TOL_ALGEBRAIC)
+    assert sys.sign_failures == ([], [(1, 2)], [(2, 3)])
+    with pytest.raises(AttributeError):
+        sys.sign_failures = ([], [], [])
+
+
 def _is_4x4_rows(m):
     """Whether m is linalg.Rows of four 4-tuples of Python floats."""
     return (type(m) is linalg.Rows and len(m) == 4

@@ -396,7 +396,9 @@ def test_relations_at_an_order_of_a_million():
 
 
 def test_certificates_compute_each_mu_once_per_table(monkeypatch):
-    # every mu comes from the table, computed when the orders are built
+    # every mu comes from the table, computed when the orders are built;
+    # from an empty intern cache, as an earlier test may have built it
+    orbifold._quad_prism_orders.cache_clear()
     calls = []
     real_mu = orbifold.mu
     monkeypatch.setattr(orbifold, "mu", lambda n: calls.append(n) or real_mu(n))
@@ -412,6 +414,13 @@ def test_certificates_compute_each_mu_once_per_table(monkeypatch):
         assert cartan.derived_invariant_identities(cartan.cyclic_invariants(m), o).passed
         certify.is_convex_cocompact(m, o)
     assert sorted(calls) == [3, 4, 5, 6]
+    # building the same table again computes no mu at all
+    del calls[:]
+    assert QuadPrismOrders(3, 4, 5, 6) is o
+    assert certify.verify_relations(charts.build_concurrent(
+        charts.ConcurrentChartParams(QuadPrismOrders(3, 4, 5, 6), -1.0, -1.0, -1.0, -1.0)),
+        QuadPrismOrders(3, 4, 5, 6)).passed
+    assert calls == []
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,7 +1,9 @@
+import copy
 import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -108,14 +110,53 @@ def test_quad_prism_orders():
 
 
 def test_quad_prism_mu_computed_once(monkeypatch):
+    # from an empty intern cache, as an earlier test may have built the table
+    orbifold._quad_prism_orders.cache_clear()
     calls = []
     monkeypatch.setattr(orbifold, "mu", lambda n: calls.append(n) or mu(n))
     o = QuadPrismOrders(3, 4, 5, 6)
     values = [orbifold._quad_prism_mu(o) for _ in range(3)]
     assert calls == [3, 6, 4, 5]   # the finite pairs (1,2), (1,4), (2,3), (3,4)
     assert values[0] == (mu(3), mu(4), mu(5), mu(6)) == values[2]
+    # building the same table again computes no mu at all
+    assert QuadPrismOrders(3, 4, 5, 6) is o and calls == [3, 6, 4, 5]
     assert o == QuadPrismOrders(3, 4, 5, 6)
     assert hash(o) == hash(QuadPrismOrders(3, 4, 5, 6))
+    assert calls == [3, 6, 4, 5]
+
+
+def test_quad_prism_orders_are_interned():
+    o = QuadPrismOrders(3, 4, 5, 6)
+    for again in (QuadPrismOrders(3, 4, 5, 6), QuadPrismOrders(n12=3, n23=4, n34=5, n14=6),
+                  QuadPrismOrders(3, 4, n14=6, n34=5), pickle.loads(pickle.dumps(o)),
+                  copy.copy(o), copy.deepcopy(o)):
+        assert again is o
+    assert orbifold._quad_prism_orders.cache_info().maxsize == orbifold.QUAD_PRISM_CACHE_SIZE
+    # errors are not cached: a bad order raises on every call
+    for _ in range(3):
+        with pytest.raises(DomainError, match=r"^n23 must be an integer >= 3, got 2$"):
+            QuadPrismOrders(3, 2, 5, 6)
+    # an order equal to a cached one but of another type is refused as ever
+    for bad in (np.int64(3), 3.0, True, [3]):
+        for _ in range(2):
+            with pytest.raises(DomainError) as err:
+                QuadPrismOrders(bad, 4, 5, 6)
+            assert str(err.value) == f"n12 must be an integer >= 3, got {bad!r}"
+    assert QuadPrismOrders(3, np.int64(4).item(), 5, 6) is o
+    # more distinct tables than the cache holds: each still equal and correct
+    hexes = lambda t: [(pair, n, None if m is None else m.hex()) for pair, n, m in t.mu_table]
+    orders = [(3 + k % 7, 3 + k // 7 % 7, 3 + k // 49 % 7, 3 + k // 343)
+              for k in range(orbifold.QUAD_PRISM_CACHE_SIZE + 100)]
+    for _ in range(2):
+        for n in orders:
+            table = QuadPrismOrders(*n)
+            assert (table.n12, table.n23, table.n34, table.n14) == n
+            generic = generic_quad_prism(*n)
+            assert table.orders == generic.orders and hexes(table) == hexes(generic)
+            assert table.adjacent_mu == tuple(map(mu, n))
+    assert orbifold._quad_prism_orders.cache_info().currsize == orbifold.QUAD_PRISM_CACHE_SIZE
+    assert QuadPrismOrders(*orders[-1]) is QuadPrismOrders(*orders[-1])
+    assert QuadPrismOrders(3, 4, 5, 6) == o
 
 
 def test_edge_orders_mu_table_built_once(monkeypatch):

@@ -133,6 +133,19 @@ def test_records_of_different_values_differ():
     assert QuadPrismOrders(3, 3, 3, 3) != EdgeOrders(4, QuadPrismOrders(3, 3, 3, 3).orders)
 
 
+@pytest.mark.parametrize("name", ["EdgeOrders", "QuadPrismOrders"])
+def test_order_tables_hold_a_read_only_mapping(name):
+    record = _build(name)
+    with pytest.raises(TypeError):
+        record.orders[(1, 2)] = 7
+    with pytest.raises(TypeError):
+        del record.orders[(1, 2)]
+    copied = dict(record.orders)
+    copied[(1, 2)] = 7
+    assert record.orders[(1, 2)] == 3 and record == _build(name)
+    assert "mappingproxy" not in repr(record)
+
+
 def test_reflection_system_compares_its_rows_not_its_caches():
     first, second = _build("ReflectionSystem"), _build("ReflectionSystem")
     assert first.alphas.shape == (3, 3) and first.sign_failures == ([], [], [])
