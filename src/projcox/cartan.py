@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from . import linalg
 from .errors import DomainError, InvariantViolation, UnsupportedShape
-from .orbifold import EdgeOrders, QuadPrismOrders, _mu_products, _quad_prism_mu
+from .orbifold import EdgeOrders, _quad_prism_mu
 
 #: generating set of cyclic invariants for the quad-prism diagram
 GENERATING_CYCLES = ((1, 3), (2, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4))
@@ -321,26 +321,24 @@ def derived_invariant_identities(inv: dict, orders: EdgeOrders,
     role of mu.  Residuals are relative: |x - y| / (1 + |x| + |y|).  An
     order table that is not the quad prism's raises UnsupportedShape.
     """
-    m12, m23, m34, m14 = mus = _quad_prism_mu(orders)
-    m12_23, m12_14, m14_34, m23_34, m_all = (
-        orders.mu_products if isinstance(orders, QuadPrismOrders) else _mu_products(*mus))
+    m12, m23, m34, m14 = _quad_prism_mu(orders)
     t13 = inv[(1, 3)]
     t24 = inv[(2, 4)]
     g123 = inv[(1, 2, 3)]
     g124 = inv[(1, 2, 4)]
     g134 = inv[(1, 3, 4)]
     expected = {
-        (1, 3, 2): m12_23 * t13 / g123,
-        (1, 4, 2): m12_14 * t24 / g124,
-        (1, 4, 3): m14_34 * t13 / g134,
+        (1, 3, 2): m12 * m23 * t13 / g123,
+        (1, 4, 2): m12 * m14 * t24 / g124,
+        (1, 4, 3): m14 * m34 * t13 / g134,
         (2, 3, 4): t24 * g123 * g134 / (t13 * g124),
-        (2, 4, 3): m23_34 * t13 * g124 / (g123 * g134),
+        (2, 4, 3): m23 * m34 * t13 * g124 / (g123 * g134),
         (1, 2, 3, 4): g123 * g134 / t13,
         (1, 2, 4, 3): m34 * t13 * g124 / g134,
         (1, 3, 2, 4): m23 * t13 * g124 / g123,
         (1, 3, 4, 2): m12 * t24 * g134 / g124,
         (1, 4, 2, 3): m14 * t24 * g123 / g124,
-        (1, 4, 3, 2): m_all * t13 / (g123 * g134),
+        (1, 4, 3, 2): m12 * m23 * m34 * m14 * t13 / (g123 * g134),
     }
     checks = []
     for c, y in expected.items():

@@ -111,7 +111,8 @@ class EdgeOrders:
         return type(self), (self.size, dict(self.orders))
 
 
-#: the most distinct quad-prism order tables QuadPrismOrders keeps
+#: the most distinct quad-prism order tables QuadPrismOrders keeps: about
+#: three times the 337 order tuples of the certify workload's pool
 QUAD_PRISM_CACHE_SIZE = 1024
 
 
@@ -121,15 +122,13 @@ class QuadPrismOrders(EdgeOrders):
     The names n12..n14 read the order table.
 
     A table is built and validated once per distinct order tuple and
-    shared: every call with equal orders of equal types, positional or
-    by keyword, returns the one instance, and so do pickle and copy.
-    The last QUAD_PRISM_CACHE_SIZE distinct tuples are kept; a bad
-    order raises DomainError on every call.  Built with the table, for
-    the certificates: ``adjacent_mu`` = (mu12, mu23, mu34, mu14), read
-    by _quad_prism_mu, and ``mu_products`` (_mu_products).
+    shared: equal orders of equal types, positional or by keyword, give
+    equal tables, and the same object while their tuple is in the cache;
+    so do pickle and copy.  The cache keeps the last
+    QUAD_PRISM_CACHE_SIZE distinct tuples, a constant; a bad order
+    raises DomainError on every call.
     """
 
-    __slots__ = ("adjacent_mu", "mu_products")
     __init__ = object.__init__   # __new__ returns the table built
 
     def __new__(cls, n12: int, n23: int, n34: int, n14: int):
@@ -161,9 +160,6 @@ def _quad_prism_orders(cls, n12, n23, n34, n14) -> QuadPrismOrders:
                                                        (1, 4): n14, (1, 3): INFINITY,
                                                        (2, 4): INFINITY}),
                       mu_table=table)
-    adjacent_mu = table[0][2], table[3][2], table[5][2], table[2][2]
-    object.__setattr__(self, "adjacent_mu", adjacent_mu)
-    object.__setattr__(self, "mu_products", _mu_products(*adjacent_mu))
     return self
 
 
@@ -171,26 +167,17 @@ def _quad_prism_mu(orders: EdgeOrders) -> tuple:
     """(mu12, mu23, mu34, mu14) of a quad-prism order table, the one
     check of the pattern for the chart builders, scans and certificates
     that need it.  Any other table raises UnsupportedShape.  A
-    QuadPrismOrders is the quad prism by construction and holds the
-    four values, computed once per distinct order tuple when the shared
-    table was built, so they are one attribute read; only a plain
-    EdgeOrders is scanned, on every call, and its mu_table read."""
-    if isinstance(orders, QuadPrismOrders):
-        return orders.adjacent_mu
+    QuadPrismOrders is the quad prism by construction, built once per
+    distinct order tuple and shared, so its mu_table is read with no
+    scan; only a plain EdgeOrders is scanned, on every call.  Both hold
+    the rows of mu_table in the same sorted order."""
     table = orders.mu_table
-    if orders.size != 4 or [p for p, _, mu_n in table if mu_n is None] != [(1, 3), (2, 4)]:
-        raise UnsupportedShape("expected the quad-prism pattern: infinite (1,3), (2,4)")
-    if any(n < 3 for _, n, mu_n in table if mu_n is not None):
-        raise UnsupportedShape("finite orders must be >= 3")
-    # rows of the sorted mu_table: (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
+    if not isinstance(orders, QuadPrismOrders):
+        if orders.size != 4 or [p for p, _, mu_n in table if mu_n is None] != [(1, 3), (2, 4)]:
+            raise UnsupportedShape("expected the quad-prism pattern: infinite (1,3), (2,4)")
+        if any(n < 3 for _, n, mu_n in table if mu_n is not None):
+            raise UnsupportedShape("finite orders must be >= 3")
     return table[0][2], table[3][2], table[5][2], table[2][2]
-
-
-def _mu_products(mu12, mu23, mu34, mu14) -> tuple:
-    """(mu12 mu23, mu12 mu14, mu14 mu34, mu23 mu34, mu12 mu23 mu34 mu14),
-    each taken left to right, as cartan.derived_invariant_identities
-    reads them; a QuadPrismOrders holds them as ``mu_products``."""
-    return mu12 * mu23, mu12 * mu14, mu14 * mu34, mu23 * mu34, mu12 * mu23 * mu34 * mu14
 
 
 class OrbifoldSignature(namedtuple("OrbifoldSignature", "chi_underlying cone_orders "

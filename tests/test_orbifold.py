@@ -153,7 +153,7 @@ def test_quad_prism_orders_are_interned():
             assert (table.n12, table.n23, table.n34, table.n14) == n
             generic = generic_quad_prism(*n)
             assert table.orders == generic.orders and hexes(table) == hexes(generic)
-            assert table.adjacent_mu == tuple(map(mu, n))
+            assert orbifold._quad_prism_mu(table) == tuple(map(mu, n))
     assert orbifold._quad_prism_orders.cache_info().currsize == orbifold.QUAD_PRISM_CACHE_SIZE
     assert QuadPrismOrders(*orders[-1]) is QuadPrismOrders(*orders[-1])
     assert QuadPrismOrders(3, 4, 5, 6) == o
