@@ -201,40 +201,57 @@ def _histogram(values, low: float, high: float):
 
 
 class StandardScanReport(namedtuple("StandardScanReport", "samples valid_samples seed box t13 t24 "
-                                    "min_a4_v44 max_a4_v44 argmin histogram records",
-                                    defaults=(None,))):
+                                    "min_a4_v44 max_a4_v44 argmin histogram")):
     """Distribution of a4*v44 over random standard-chart points."""
 
     __slots__ = ()
 
     @property
     def summary(self) -> dict:
-        """The fields but the records, with the box a list and argmin keyed by coordinate."""
+        """The fields, with the box a list and argmin keyed by coordinate."""
         out = self._asdict()
-        del out["records"]
         out.update(box=list(self.box), argmin=dict(zip(("v23", "v24", "v34"), self.argmin)))
         return out
 
 
+def _scan_blocks(orders: EdgeOrders, t13: float, t24: float, samples: int, seed: int, box):
+    """A standard scan's samples, valid or not, solved block by block:
+    (block, (v23, v24, v34), a4_v44, det3) per block of
+    charts._drawn_blocks, det M being a4_v44 * det3.  The inputs are
+    checked at the call.  The solve's overflow is quieted per call, so
+    no errstate is held while the consumer runs."""
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    charts._require_t(t13=t13, t24=t24)
+    import numpy as np
+    draw = charts._box_draw(*box)
+    blocks = charts._drawn_blocks(seed, [(r * samples, draw) for r in range(3)], samples)
+    solve = np.errstate(over="ignore", divide="ignore", invalid="ignore")(charts.standard_solution)
+    return ((block, v, *solve(orders, t13, t24, *v)[3:]) for block, v in blocks)
+
+
+def _require_a_valid_sample(valid_samples: int) -> None:
+    """Refuse a scan, summary or CSV, that keeps no sample."""
+    if not valid_samples:
+        raise DomainError("a4*v44 overflows at every sample; bring the box nearer -1 "
+                          "or lower T")
+
+
 def standard_scan(orders: EdgeOrders, t13: float, t24: float,
-                  samples: int, seed: int, box=STANDARD_SCAN_BOX,
-                  keep_records: bool = False) -> StandardScanReport:
+                  samples: int, seed: int, box=STANDARD_SCAN_BOX) -> StandardScanReport:
     """Monte-Carlo scan of a4*v44 at fixed (T13, T24), both >= 4 as the
     standard chart requires.
 
     Coordinates are drawn log-uniformly in |v| over the box (lo, hi):
     the samples are -e^U for the (3, samples) draw
     ``np.random.default_rng(seed).uniform(log(-hi), log(-lo), (3,
-    samples))``, rows v23, v24 and v34, read one block at a time
-    (charts._drawn_blocks; row r starts at double r * samples of the
+    samples))``, rows v23, v24 and v34, read and solved one block at a
+    time (_scan_blocks; row r starts at double r * samples of the
     stream), so the result is deterministic for a given seed.  Samples
     whose a4*v44 is not finite are dropped (the validity rule of
-    charts.standard_solution), while det(M), which no statistic uses, may
-    read +-inf.  Each block is solved as soon as it is drawn; what
-    outlives the block is a4*v44, 8 bytes per sample, plus the
-    coordinate rows and det(M) when the records are kept.  The
-    coordinates of the minimum are drawn again from the jumped streams,
-    one double of each row, after the solve.
+    charts.standard_solution).  Only a4*v44, 8 bytes per sample,
+    outlives its block; the coordinates of the minimum are drawn again
+    from the jumped streams, one double of each row.
 
     The histogram has 20 equal-width bins over [min, max] of the valid
     a4*v44 (widened by 0.5 each way where they are equal), each [lo, hi)
@@ -243,27 +260,15 @@ def standard_scan(orders: EdgeOrders, t13: float, t24: float,
     heavy-tailed, nearly every sample in the first bin, so the bins are
     filled by peeling that bin off (_histogram).
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    charts._require_t(t13=t13, t24=t24)
+    blocks = _scan_blocks(orders, t13, t24, samples, seed, box)   # checked before np.empty
     import numpy as np
-    draw = charts._box_draw(*box)
-    rows = [(r * samples, draw) for r in range(3)]
     a4_v44 = np.empty(samples)
-    v = np.empty((3, samples)) if keep_records else None
-    det_m = np.empty(samples) if keep_records else None
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for block, coords in charts._drawn_blocks(seed, rows, samples):
-            *_, a4_v44[block], det3 = charts.standard_solution(orders, t13, t24, *coords)
-            if keep_records:
-                v[:, block] = coords
-                np.multiply(a4_v44[block], det3, out=det_m[block])
+    for block, _, solved, _ in blocks:
+        a4_v44[block] = solved
     ok = np.isfinite(a4_v44)
     every = bool(ok.all())
     values = a4_v44 if every else a4_v44[ok]
-    if values.size == 0:
-        raise DomainError("a4*v44 overflows at every sample; bring the box nearer -1 "
-                          "or lower T")
+    _require_a_valid_sample(values.size)
     kmin, kmax = int(np.argmin(values)), int(np.argmax(values))
     low, high = float(values[kmin]), float(values[kmax])
     if not math.isfinite(high - low):
@@ -275,14 +280,10 @@ def standard_scan(orders: EdgeOrders, t13: float, t24: float,
                           "for 20 bins; take more samples or widen the box") from None
     histogram = [{"lo": float(edges[k]), "hi": float(edges[k + 1]),
                   "count": int(counts[k])} for k in range(20)]
-    records = None
-    if keep_records:
-        v23, v24, v34 = v if every else v[:, ok]
-        records = {"v23": v23, "v24": v24, "v34": v34,
-                   "a4v44": values, "det_M": det_m if every else det_m[ok]}
     at = kmin if every else int(np.flatnonzero(ok)[kmin])
-    _, point = next(charts._drawn_blocks(seed, [(start + at, draw) for start, _ in rows], 1))
+    draw = charts._box_draw(*box)
+    _, point = next(charts._drawn_blocks(seed, [(r * samples + at, draw) for r in range(3)], 1))
     argmin = tuple(float(x[0]) for x in point)
     return StandardScanReport(
         samples, int(values.size), seed, (float(box[0]), float(box[1])),
-        float(t13), float(t24), low, high, argmin, histogram, records)
+        float(t13), float(t24), low, high, argmin, histogram)

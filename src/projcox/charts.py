@@ -233,19 +233,18 @@ def _drawn_blocks(seed: int, rows, samples: int):
     ``np.random.default_rng(seed)`` from its start-th double on.  A
     draw takes one double of the stream per value, so PCG64 jumps to
     each row's start and every block reads the next stretch of its
-    row: each row has the bytes of the one-shot draw.  Yields
-    (block, drawn) per block, with block the slice of the samples it
-    covers and drawn the block of each row, in the order of rows.  A
-    negative seed raises DomainError.
+    row: each row has the bytes of the one-shot draw.  Returns an
+    iterator of (block, drawn) per block, with block the slice of the
+    samples it covers and drawn the block of each row, in the order of
+    rows.  A negative seed raises DomainError at the call.
     """
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     import numpy as np
     streams = [(np.random.Generator(np.random.PCG64(seed).advance(start)), draw)
                for start, draw in rows]
-    for lo in range(0, samples, _BLOCK):
-        n = min(_BLOCK, samples - lo)
-        yield slice(lo, lo + n), [draw(rng, n) for rng, draw in streams]
+    return ((slice(lo, lo + n), [draw(rng, n) for rng, draw in streams])
+            for lo in range(0, samples, _BLOCK) for n in [min(_BLOCK, samples - lo)])
 
 
 def build_standard(orders: EdgeOrders, t13: float, t24: float,

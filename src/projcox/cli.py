@@ -151,34 +151,45 @@ def cmd_orbifold(args):
     return inputs, results, {}, {"hyperbolic": bool(chi < 0)}, True
 
 
+def _csv_pieces(blocks, tail: str):
+    """The CSV rows of the valid samples of a scan's blocks, _CSV_BLOCK a
+    piece: reprs of v23, v24, v34, a4*v44 and det M = a4*v44 det3, then tail."""
+    import numpy as np
+    for _, coords, a4_v44, det3 in blocks:
+        ok = np.isfinite(a4_v44)
+        v23, v24, v34, a4_v44, det3 = (x[ok] for x in (*coords, a4_v44, det3))
+        with np.errstate(over="ignore"):   # det_M may read +-inf
+            columns = v23, v24, v34, a4_v44, a4_v44 * det3
+        for lo in range(0, a4_v44.size, _CSV_BLOCK):
+            rows = zip(*(map(repr, x[lo:lo + _CSV_BLOCK].tolist()) for x in columns))
+            yield tail.join(map(",".join, rows)) + tail
+
+
 def cmd_scan(args):
     """The JSON envelope's parts, or None once the CSV is written: the
     header v23,v24,v34,a4v44,det_M,T13_prod,T24_prod, then one row per
-    valid sample, each value its repr and each row ended by CRLF, written
-    _CSV_BLOCK rows at a time."""
+    valid sample, each value its repr and each row ended by CRLF,
+    written block by block as the scan solves them, with no summary.
+    The destination is opened at the first valid sample."""
     if args.file is not None and args.out == "json":
         raise ValueError("flag not used by --out json: --file")
     orders = _parse_orders(args.orders)
     box = _parse_box(args.box)
-    report = certify.standard_scan(orders, args.t13, args.t24, args.samples,
-                                   args.seed, box,
-                                   keep_records=args.out == "csv")
     if args.out == "json":
+        report = certify.standard_scan(orders, args.t13, args.t24, args.samples, args.seed, box)
         inputs = {"orders": [orders.n12, orders.n23, orders.n34, orders.n14],
                   "t13": args.t13, "t24": args.t24,
                   "samples": args.samples, "box": list(box)}
         return inputs, report.summary, {}, {}, True
-    # the last two columns, T13_prod and T24_prod, are the scan's T13 and
-    # T24 in every row, not records: their text is formatted once, as each
-    # row's tail
-    columns = report.records.values()
-    tail = f",{report.t13!r},{report.t24!r}\r\n"
+    blocks = certify._scan_blocks(orders, args.t13, args.t24, args.samples, args.seed, box)
+    # T13_prod and T24_prod, the same in every row, are each row's tail
+    pieces = _csv_pieces(blocks, f",{args.t13!r},{args.t24!r}\r\n")
+    first = next(pieces, None)
+    certify._require_a_valid_sample(first is not None)
     with (contextlib.nullcontext(sys.stdout) if args.file is None
           else open(args.file, "w", newline="")) as stream:
-        stream.write("v23,v24,v34,a4v44,det_M,T13_prod,T24_prod\r\n")
-        for lo in range(0, report.valid_samples, _CSV_BLOCK):
-            rows = zip(*(map(repr, x[lo:lo + _CSV_BLOCK].tolist()) for x in columns))
-            stream.write(tail.join(map(",".join, rows)) + tail)
+        stream.write("v23,v24,v34,a4v44,det_M,T13_prod,T24_prod\r\n" + first)
+        stream.writelines(pieces)
     return None
 
 

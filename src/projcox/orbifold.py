@@ -43,18 +43,6 @@ def mu(n) -> float:
     return 4.0 * math.cos(math.pi / n) ** 2
 
 
-def _mu_table(items) -> tuple:
-    """The mu_table rows ((i, j), n, mu(n)) of (pair, order) items, in order."""
-    table = []
-    for pair, n in items:
-        mu_n = None if n is INFINITY else mu(n)
-        if mu_n == 4.0:
-            raise DomainError(f"order {n} of pair {pair} is too large: mu(n) rounds "
-                              "to 4 in doubles, the value of an infinite order")
-        table.append((pair, n, mu_n))
-    return tuple(table)
-
-
 class EdgeOrders:
     """Symmetric table of edge orders of an f-sided labeled polytope.
 
@@ -88,8 +76,13 @@ class EdgeOrders:
             missing = next((i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)
                            if (i, j) not in normalized)
             raise DomainError(f"missing order for pair ({missing[0]},{missing[1]})")
-        vars(self).update(size=size, orders=MappingProxyType(normalized),
-                          mu_table=_mu_table(sorted(normalized.items())))
+        table = tuple((pair, n, None if n is INFINITY else mu(n))
+                      for pair, n in sorted(normalized.items()))
+        for pair, n, mu_n in table:
+            if mu_n == 4.0:
+                raise DomainError(f"order {n} of pair {pair} is too large: mu(n) rounds "
+                                  "to 4 in doubles, the value of an infinite order")
+        vars(self).update(size=size, orders=MappingProxyType(normalized), mu_table=table)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -154,12 +147,8 @@ def _quad_prism_orders(cls, n12, n23, n34, n14) -> QuadPrismOrders:
         if not isinstance(n, int) or n < 3:
             raise DomainError(f"{name} must be an integer >= 3, got {n!r}")
     self = object.__new__(cls)
-    table = _mu_table((((1, 2), n12), ((1, 3), INFINITY), ((1, 4), n14),
-                       ((2, 3), n23), ((2, 4), INFINITY), ((3, 4), n34)))
-    vars(self).update(size=4, orders=MappingProxyType({(1, 2): n12, (2, 3): n23, (3, 4): n34,
-                                                       (1, 4): n14, (1, 3): INFINITY,
-                                                       (2, 4): INFINITY}),
-                      mu_table=table)
+    EdgeOrders.__init__(self, 4, {(1, 2): n12, (2, 3): n23, (3, 4): n34, (1, 4): n14,
+                                  (1, 3): INFINITY, (2, 4): INFINITY})
     return self
 
 

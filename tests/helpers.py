@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from projcox import charts
+from projcox import certify, charts
 from projcox.errors import InvariantViolation
 from projcox.orbifold import QuadPrismOrders, _quad_prism_mu
 
@@ -199,6 +199,55 @@ def whole_standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34) ->
         det_m = sol[3] * det3
     valid = (np.abs(det3) > 1e-12) & np.isfinite(sol).all(axis=0)
     return dict(zip(("a1", "a2", "a3", "a4_v44", "det_m", "valid"), (*sol, det_m, valid)))
+
+
+#: the columns of a scan's valid samples, the CSV's first five
+SCAN_COLUMNS = ("v23", "v24", "v34", "a4v44", "det_M")
+
+
+def rebuilt_scan_records(orders: QuadPrismOrders, t13, t24, samples, seed, box) -> dict:
+    """The valid samples of a standard scan, rebuilt from the whole-array
+    solve on the one-shot (3, samples) draw of default_rng(seed) and
+    kept by whole_standard_solution's full rule: SCAN_COLUMNS, each an
+    array over the valid samples in draw order."""
+    rng = np.random.default_rng(seed)
+    v = [negative_box(rng, *box, samples) for _ in range(3)]
+    result = whole_standard_solution(orders, t13, t24, *v)
+    ok = result["valid"]
+    return dict(zip(SCAN_COLUMNS, (v[0][ok], v[1][ok], v[2][ok],
+                                   result["a4_v44"][ok], result["det_m"][ok])))
+
+
+def rebuilt_scan(orders: QuadPrismOrders, t13, t24, samples, seed, box):
+    """standard_scan's summary, rebuilt by numpy from the samples of
+    rebuilt_scan_records, and those samples."""
+    records = rebuilt_scan_records(orders, t13, t24, samples, seed, box)
+    values = records["a4v44"]
+    k = int(np.argmin(values))
+    counts, edges = np.histogram(values, bins=20)
+    summary = {
+        "samples": samples, "valid_samples": values.size, "seed": seed,
+        "box": list(box), "t13": t13, "t24": t24,
+        "min_a4_v44": float(np.min(values)), "max_a4_v44": float(np.max(values)),
+        "argmin": {name: float(records[name][k]) for name in ("v23", "v24", "v34")},
+        "histogram": [{"lo": float(edges[j]), "hi": float(edges[j + 1]),
+                       "count": int(counts[j])} for j in range(20)],
+    }
+    return summary, records
+
+
+def scan_block_records(orders: QuadPrismOrders, t13, t24, samples, seed, box) -> dict:
+    """The valid samples (a finite a4*v44) of certify._scan_blocks, put
+    back together in the columns of rebuilt_scan_records, with det_M the
+    product a4*v44 det3."""
+    columns = [[] for _ in SCAN_COLUMNS]
+    for _, coords, a4_v44, det3 in certify._scan_blocks(orders, t13, t24, samples, seed, box):
+        ok = np.isfinite(a4_v44)
+        with np.errstate(over="ignore"):
+            det_m = a4_v44[ok] * det3[ok]
+        for column, x in zip(columns, (*(c[ok] for c in coords), a4_v44[ok], det_m)):
+            column.append(x)
+    return {name: np.concatenate(column) for name, column in zip(SCAN_COLUMNS, columns)}
 
 
 def exact_standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (STANDARD_POINTS_NEAR_T24_EDGE, balanced_realization, mat_power,
                      negative_box, random_concurrent, random_general, random_standard,
-                     reflection, whole_standard_solution)
+                     rebuilt_scan, reflection, scan_block_records, whole_standard_solution)
 from projcox import cartan, certify, charts, linalg, orbifold
 from projcox.cartan import Check, ReflectionSystem, Verdict
 from projcox.errors import InvariantViolation, UnsupportedShape
@@ -600,29 +600,6 @@ def test_det_locus_check_equals_a_rebuild_from_the_one_shot_draw(orders, seed):
         assert {k: x.hex() for k, x in got.items()} == {k: x.hex() for k, x in want.items()}
 
 
-def rebuilt_scan(orders, t, samples, seed, box):
-    """standard_scan's summary and records rebuilt from the whole-array
-    solve on the same draws, made in turn."""
-    rng = np.random.default_rng(seed)
-    v = [negative_box(rng, *box, samples) for _ in range(3)]
-    result = whole_standard_solution(orders, t, t, *v)
-    ok = result["valid"]
-    values = result["a4_v44"][ok]
-    k = int(np.argmin(values))
-    counts, edges = np.histogram(values, bins=20)
-    summary = {
-        "samples": samples, "valid_samples": int(np.sum(ok)), "seed": seed,
-        "box": list(box), "t13": t, "t24": t,
-        "min_a4_v44": float(np.min(values)), "max_a4_v44": float(np.max(values)),
-        "argmin": {name: float(x[ok][k]) for name, x in zip(("v23", "v24", "v34"), v)},
-        "histogram": [{"lo": float(edges[j]), "hi": float(edges[j + 1]),
-                       "count": int(counts[j])} for j in range(20)],
-    }
-    records = {"v23": v[0][ok], "v24": v[1][ok], "v34": v[2][ok], "a4v44": values,
-               "det_M": result["det_m"][ok]}
-    return summary, records
-
-
 @pytest.mark.parametrize("box, samples, valid", [
     pytest.param((-10.0, -1e-8), 2000, 2000, id="box0-2000"),
     pytest.param((-1e-300, -1e-320), 2000, 118, id="box1-118"),
@@ -635,17 +612,18 @@ def rebuilt_scan(orders, t, samples, seed, box):
 ])
 def test_standard_scan_equals_a_rebuild_from_the_batch_solve(box, samples, valid):
     """The scan, drawn and solved block by block, gives bit for bit the
-    summary and records of the whole-array solve on the one-shot draw,
-    with every sample valid and, in the tiny box where most solutions
+    summary of the whole-array solve on the one-shot draw, and its blocks
+    (_scan_blocks, which the CSV writes) give its valid samples, with
+    every sample valid and, in the tiny box where most solutions
     overflow, through the masked path."""
-    report = certify.standard_scan(O3333, 6.0, 6.0, samples=samples, seed=1, box=box,
-                                   keep_records=True)
-    summary, records = rebuilt_scan(O3333, 6.0, samples, 1, box)
+    report = certify.standard_scan(O3333, 6.0, 6.0, samples=samples, seed=1, box=box)
+    summary, records = rebuilt_scan(O3333, 6.0, 6.0, samples, 1, box)
     assert report.valid_samples == valid
     assert report.summary == summary
-    assert set(report.records) == set(records)
+    blocked = scan_block_records(O3333, 6.0, 6.0, samples, 1, box)
+    assert list(blocked) == list(records)
     for key, x in records.items():
-        assert report.records[key].tobytes() == x.tobytes(), key
+        assert blocked[key].tobytes() == x.tobytes(), key
 
 
 def test_standard_scan_peak_memory():
@@ -741,17 +719,6 @@ def test_standard_scan_seed_changes_samples():
     a = certify.standard_scan(O3333, 6.0, 6.0, samples=2000, seed=5)
     b = certify.standard_scan(O3333, 6.0, 6.0, samples=2000, seed=6)
     assert a.argmin != b.argmin
-
-
-def test_standard_scan_records_schema():
-    report = certify.standard_scan(O3333, 6.0, 6.0, samples=500, seed=1,
-                                   keep_records=True)
-    rec = report.records
-    # the fixed T13 and T24 are the report's fields, not per-sample records
-    assert list(rec) == ["v23", "v24", "v34", "a4v44", "det_M"]
-    n = report.valid_samples
-    assert all(rec[c].shape == (n,) for c in rec)
-    assert (report.t13, report.t24) == (6.0, 6.0)
 
 
 def test_standard_scan_argmin_reproduces_minimum():

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ROOT, STANDARD_POINTS_NEAR_T24_EDGE, python_env, run_python
-from projcox import certify, cli
+from helpers import (ROOT, STANDARD_POINTS_NEAR_T24_EDGE, python_env, rebuilt_scan_records,
+                     run_python)
+from projcox import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -145,16 +146,15 @@ def test_scan_json_deterministic():
 
 
 def scan_records(argv):
-    """The CSV columns of a CSV scan argv: the records
-    certify.standard_scan returns, then T13_prod and T24_prod, the
-    scan's fixed T13 and T24 in every row."""
+    """The CSV columns of a CSV scan argv: its valid samples rebuilt from
+    the whole-array solve (helpers.rebuilt_scan_records), then T13_prod
+    and T24_prod, the scan's fixed T13 and T24 in every row."""
     args = cli.build_parser().parse_args(argv)
-    report = certify.standard_scan(cli._parse_orders(args.orders), args.t13, args.t24,
-                                   args.samples, args.seed, cli._parse_box(args.box),
-                                   keep_records=True)
-    shape = report.records["a4v44"].shape
-    return {**report.records, "T13_prod": np.full(shape, report.t13),
-            "T24_prod": np.full(shape, report.t24)}
+    records = rebuilt_scan_records(cli._parse_orders(args.orders), args.t13, args.t24,
+                                   args.samples, args.seed, cli._parse_box(args.box))
+    shape = records["a4v44"].shape
+    return {**records, "T13_prod": np.full(shape, args.t13),
+            "T24_prod": np.full(shape, args.t24)}
 
 
 def reference_csv(argv) -> bytes:
@@ -169,6 +169,14 @@ def reference_csv(argv) -> bytes:
 
 
 SCAN_CSV = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6", "--out", "csv"]
+#: a scan whose a4*v44 runs from about -7e305 to 1.8e308: both ends are
+#: finite, but the histogram's width, their difference, is not
+_RANGE_OVERFLOW_ARGV = ["scan", "--orders", "3,3,3,3", "--t13", "5", "--t24", "1e308",
+                        "--samples", "319", "--box=-20.085536923187668,-1.0"]
+#: a scan whose a4*v44 range numpy cannot split into 20 bins: one sample
+#: near 1.5e100, where numpy's widening of the range by 0.5 is lost
+_NARROW_RANGE_ARGV = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6",
+                      "--samples", "1", "--box=-1e-100,-1e-101"]
 
 
 def test_scan_csv_schema(tmp_path):
@@ -198,6 +206,9 @@ def test_scan_csv_schema(tmp_path):
     # T13_prod and T24_prod, formatted once per scan, not round numbers
     ["scan", "--orders", "3,4,5,6", "--t13", "4.1", "--t24", "1e5", "--samples", "1025",
      "--seed", "3", "--out", "csv"],
+    # ranges the JSON summary refuses to bin: the CSV prints no histogram
+    _RANGE_OVERFLOW_ARGV + ["--out", "csv"],
+    _NARROW_RANGE_ARGV + ["--out", "csv"],
 ])
 def test_scan_csv_bytes_match_the_csv_module(argv, tmp_path):
     expected = reference_csv(argv)
@@ -210,37 +221,37 @@ def test_scan_csv_bytes_match_the_csv_module(argv, tmp_path):
     assert out_file.read_bytes() == expected
 
 
-def test_scan_csv_holds_one_block_of_text_at_a_time(monkeypatch):
-    # tracing starts once the scan has returned its records, so the peak
-    # is what writing the CSV adds to them: one block of 1024 rows takes
-    # about 0.5 MB, while 1e5 samples as text would take about 50 MB of
-    # Python strings
-    scan = certify.standard_scan
-
-    def scan_then_trace(*args, **kwargs):
-        report = scan(*args, **kwargs)
-        tracemalloc.start()
-        return report
-
-    monkeypatch.setattr(certify, "standard_scan", scan_then_trace)
+def test_scan_csv_run_holds_one_block_at_a_time():
+    # the whole run is traced: one solved block of 8192 samples and its
+    # text, 1024 rows at a time, take about 2.3 MiB, while holding the
+    # coordinates, a4*v44 and det M of all 1e5 samples would add about
+    # 4 MB and their text about 50 MB of Python strings
+    cli.main(SCAN_CSV + ["--samples", "1", "--file", os.devnull])
+    tracemalloc.start()
     try:
         code = cli.main(SCAN_CSV + ["--samples", "100000", "--file", os.devnull])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert 0 < peak < 2 * 2**20
+    assert 0 < peak < 3 * 2**20
 
 
-@pytest.mark.parametrize("unbuffered", [True, False])
-def test_scan_csv_into_a_closed_pipe_fails_cleanly(unbuffered):
+@pytest.mark.parametrize("unbuffered, samples", [
+    pytest.param(True, "10000", id="True"),
+    pytest.param(False, "10000", id="False"),
+    # the a4*v44 of 1e15 samples alone would take 7.11 PiB: the CSV holds
+    # one block, so its rows flow until the reader closes
+    pytest.param(False, "1000000000000000", id="1e15-samples"),
+])
+def test_scan_csv_into_a_closed_pipe_fails_cleanly(unbuffered, samples):
     # as in `projcox scan ... --out csv | head -1`: the reader closes its
     # end after one line, long before the 700 kB of CSV are written
     env = python_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = SCAN_CSV + ["--samples", "10000"]
+    argv = SCAN_CSV + ["--samples", samples]
     with subprocess.Popen([sys.executable, "-m", "projcox.cli", *argv], cwd=ROOT, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"v23,v24,v34,a4v44,det_M,T13_prod,T24_prod\r\n"
@@ -409,20 +420,10 @@ def test_scan_at_overflowing_t_fails_cleanly():
 
 
 def test_scan_whose_a4_v44_range_overflows_fails_cleanly(capsys):
-    # a4*v44 runs from about -7e305 to 1.8e308: both ends are finite, but
-    # the histogram's width, their difference, is not
-    argv = ["scan", "--orders", "3,3,3,3", "--t13", "5", "--t24", "1e308",
-            "--samples", "319", "--box=-20.085536923187668,-1.0"]
-    assert cli.main(argv) == 2
+    assert cli.main(_RANGE_OVERFLOW_ARGV) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the range of a4*v44 overflows; narrow the box or lower T\n"
-
-
-#: a scan whose a4*v44 range numpy cannot split into 20 bins: one sample
-#: near 1.5e100, where numpy's widening of the range by 0.5 is lost
-_NARROW_RANGE_ARGV = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6",
-                      "--samples", "1", "--box=-1e-100,-1e-101"]
 
 
 def test_scan_whose_a4_v44_range_is_too_narrow_fails_cleanly(capsys):
@@ -432,6 +433,18 @@ def test_scan_whose_a4_v44_range_is_too_narrow_fails_cleanly(capsys):
     assert captured.err == ("error: a4*v44 runs only from 1.5166145762011912e+100 to "
                             "1.5166145762011912e+100, too narrow a range for 20 bins; "
                             "take more samples or widen the box\n")
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_scan_csv_that_keeps_no_sample_writes_nothing(to_file, tmp_path, capsys):
+    """The CSV's destination is opened at the first valid sample, so a
+    scan that keeps none leaves stdout empty and creates no file."""
+    target = tmp_path / "x.csv"
+    argv = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6", "--samples", "100",
+            "--box=-1e-309,-1e-320", "--out", "csv"] + ["--file", str(target)] * to_file
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", _ALL_OVERFLOW)
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("out", ["json", "csv"])
@@ -463,8 +476,9 @@ def test_far_standard_point_builds_and_passes():
 
 
 def test_scan_with_unallocatable_sample_count_fails_cleanly(capsys):
-    # 3 x 1e15 float64 coordinates (21 PiB) exceed the address space, so
-    # the draw fails at once, before any memory is touched
+    # the JSON summary's 1e15 float64 values of a4*v44 (7.11 PiB) exceed
+    # the address space, so the scan fails at once, before any memory is
+    # touched
     argv = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6",
             "--samples", "1000000000000000"]
     assert cli.main(argv) == 2
@@ -790,8 +804,7 @@ def _reject_constant(name):
 @settings(max_examples=300, deadline=None)
 @given(argv=_argv())
 # once leaked numpy's overflow warning from the scan's histogram
-@example(argv=["scan", "--orders", "3,3,3,3", "--t13", "5", "--t24", "1e308",
-               "--samples", "319", "--box=-20.085536923187668,-1.0"])
+@example(argv=_RANGE_OVERFLOW_ARGV)
 # once ended in numpy's own "Too many bins" text
 @example(argv=_NARROW_RANGE_ARGV)
 # once ended in "solve residual nan of M43 exceeds tolerance"

@@ -83,9 +83,9 @@ RECORDS = {
         certify.StandardScanReport,
         _read(certify.standard_scan(O3456, 6.0, 6.0, 50, 0),
               ("samples", "valid_samples", "seed", "box", "t13", "t24", "min_a4_v44",
-               "max_a4_v44", "argmin", "histogram", "records")),
+               "max_a4_v44", "argmin", "histogram")),
         ("samples", "valid_samples", "seed", "box", "t13", "t24", "min_a4_v44",
-         "max_a4_v44", "argmin", "histogram", "records", "summary"),
+         "max_a4_v44", "argmin", "histogram", "summary"),
         None, False),
 }
 #: the scan reports, results rather than inputs: the contract leaves open
