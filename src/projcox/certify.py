@@ -125,8 +125,9 @@ def det_locus_check(orders: EdgeOrders, samples: int,
         low = float("inf")
         for _, (t_free, v23, v24, v34) in charts._drawn_blocks(seed, rows, samples):
             t13, t24 = (4.0, t_free) if s == 0 else (t_free, 4.0)
-            *_, a4_v44, det3 = charts.standard_solution(orders, t13, t24, v23, v24, v34)
-            low = min(low, -float(np.max(a4_v44 * det3)))
+            a4_v44, det3 = charts.standard_solution(orders, t13, t24, v23, v24, v34)[3:]
+            a4_v44 *= det3   # det M, in the solve's own array
+            low = min(low, -float(np.max(a4_v44)))
             # free this block's arrays before the next block is solved
             del a4_v44, det3
         min_abs_det[slice_name] = low

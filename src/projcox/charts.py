@@ -197,30 +197,64 @@ def standard_solution(orders: EdgeOrders, t13, t24, v23, v24, v34):
     a3 makes a4*v44 non-finite, so only overflow, of an entry of M or of
     the solution, makes a point invalid (a4*v44 not finite).
 
-    Operators only, so it takes Python floats and arrays alike and does
-    the same IEEE operations in the same order on both; an array's
-    samples are elementwise, so no value depends on how a scan blocks
-    them.  Returns (a1, a2, a3, a4_v44, det3) with det3 = det M3, and
-    det M = a4*v44 det3 (M = A V^T with det A = a4 and det V = v44 det3).
+    Operators and augmented assignment only, so it takes Python floats,
+    Fractions, sympy expressions and arrays alike and does the same IEEE
+    operations in the same order on each; an array's samples are
+    elementwise, so no value depends on how a scan blocks them.  Each
+    sum is accumulated term by term: on arrays ``x op= y`` writes into
+    x, which is always a quotient or sum made here, never an input, and
+    on scalars it rebinds x to the same value.  Each row's cofactors
+    die once its a_i exists, so one call on arrays of n samples holds at
+    most nine arrays of n doubles.  The inputs are scalars and arrays
+    of one shape: an accumulator cannot grow in place, so arrays of
+    different broadcastable shapes raise numpy's ValueError.  Returns
+    (a1, a2, a3, a4_v44, det3) with det3 = det M3, and det M = a4*v44
+    det3 (M = A V^T with det A = a4 and det V = v44 det3).
     """
     mu12, mu23, mu34, mu14 = _quad_prism_mu(orders)
     h = mu23 / v23
     c00, c01, c02 = 4.0 - mu23, 2.0 - v23, 2.0 - h
-    c10, c11, c12 = 2.0 * mu12 - t13 * h, 4.0 - t13, mu12 - 2.0 * h
-    c20, c21, c22 = 2.0 * t13 - mu12 * v23, t13 - 2.0 * v23, 4.0 - mu12
-    det3 = 2.0 * c00 - mu12 * c01 - t13 * c02
+    det3 = 2.0 * c00 - mu12 * c01
+    det3 -= t13 * c02
     r0, r1, r2 = -mu14, t24 / v24, mu34 / v34
-    a1 = c00 / det3 * r0 + c01 / det3 * r1 + c02 / det3 * r2
-    a2 = c10 / det3 * r0 + c11 / det3 * r1 + c12 / det3 * r2
-    a3 = c20 / det3 * r0 + c21 / det3 * r1 + c22 / det3 * r2
-    a4_v44 = 2.0 + a1 - v24 * a2 - v34 * a3
+    a1 = c00 / det3
+    a1 *= r0
+    term = c01 / det3
+    term *= r1
+    a1 += term
+    term = c02 / det3
+    term *= r2
+    a1 += term
+    del c00, c01, c02
+    a2 = (2.0 * mu12 - t13 * h) / det3
+    a2 *= r0
+    term = (4.0 - t13) / det3
+    term *= r1
+    a2 += term
+    term = (mu12 - 2.0 * h) / det3
+    term *= r2
+    a2 += term
+    del h
+    a3 = (2.0 * t13 - mu12 * v23) / det3
+    a3 *= r0
+    term = (t13 - 2.0 * v23) / det3
+    term *= r1
+    a3 += term
+    term = (4.0 - mu12) / det3
+    term *= r2
+    a3 += term
+    del term
+    a4_v44 = 2.0 + a1
+    a4_v44 -= v24 * a2
+    a4_v44 -= v34 * a3
     return a1, a2, a3, a4_v44, det3
 
 
-#: samples per block of the scans' draws and solve: a block's draws and
-#: live temporaries, about 21 arrays of 8192 * 8 bytes = 64 KiB, stay in
-#: a 2 MiB per-core L2 cache instead of streaming whole-batch arrays from
-#: memory (4096 measured about 10 % slower, 16384 no faster)
+#: samples per block of the scans' draws and solve: a block's three
+#: draws and the solve's nine live arrays (tests/test_charts.py traces
+#: them), 12 arrays of 8192 doubles = 768 KiB, stay in a 2 MiB per-core
+#: L2 cache instead of streaming whole-batch arrays from memory (4096
+#: measured about 10 % slower, 16384 no faster)
 _BLOCK = 8192
 
 

@@ -157,12 +157,17 @@ def _csv_pieces(blocks, tail: str):
     import numpy as np
     for _, coords, a4_v44, det3 in blocks:
         ok = np.isfinite(a4_v44)
-        v23, v24, v34, a4_v44, det3 = (x[ok] for x in (*coords, a4_v44, det3))
+        columns = (*coords, a4_v44, det3)
+        if not ok.all():   # copy a block only where it drops a sample
+            columns = [x[ok] for x in columns]
+        v23, v24, v34, a4_v44, det3 = columns
         with np.errstate(over="ignore"):   # det_M may read +-inf
             columns = v23, v24, v34, a4_v44, a4_v44 * det3
         for lo in range(0, a4_v44.size, _CSV_BLOCK):
             rows = zip(*(map(repr, x[lo:lo + _CSV_BLOCK].tolist()) for x in columns))
             yield tail.join(map(",".join, rows)) + tail
+        # free this block's arrays before the next block is drawn
+        del coords, ok, columns, v23, v24, v34, a4_v44, det3
 
 
 def cmd_scan(args):

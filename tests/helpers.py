@@ -189,6 +189,25 @@ def exact_kernel(rows) -> list:
     return basis
 
 
+def reference_standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34):
+    """charts.standard_solution written as one expression per output,
+    each operator making a fresh value: the reference that the library's
+    term-by-term accumulation must match bit for bit, on floats, arrays
+    and Fractions alike."""
+    mu12, mu23, mu34, mu14 = _quad_prism_mu(orders)
+    h = mu23 / v23
+    c00, c01, c02 = 4.0 - mu23, 2.0 - v23, 2.0 - h
+    c10, c11, c12 = 2.0 * mu12 - t13 * h, 4.0 - t13, mu12 - 2.0 * h
+    c20, c21, c22 = 2.0 * t13 - mu12 * v23, t13 - 2.0 * v23, 4.0 - mu12
+    det3 = 2.0 * c00 - mu12 * c01 - t13 * c02
+    r0, r1, r2 = -mu14, t24 / v24, mu34 / v34
+    a1 = c00 / det3 * r0 + c01 / det3 * r1 + c02 / det3 * r2
+    a2 = c10 / det3 * r0 + c11 / det3 * r1 + c12 / det3 * r2
+    a3 = c20 / det3 * r0 + c21 / det3 * r1 + c22 / det3 * r2
+    a4_v44 = 2.0 + a1 - v24 * a2 - v34 * a3
+    return a1, a2, a3, a4_v44, det3
+
+
 def whole_standard_solution(orders: QuadPrismOrders, t13, t24, v23, v24, v34) -> dict:
     """charts.standard_solution on whole arrays, the reference for the
     blocked solve: a1, a2, a3, a4_v44, det_m = a4*v44 det3 and the valid

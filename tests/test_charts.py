@@ -1,15 +1,16 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (exact_kernel, exact_standard_solution, negative_box, random_concurrent,
-                     random_orders, random_standard, row_4_gaps_within_bound,
-                     scan_block_records, whole_standard_solution)
+                     random_orders, random_standard, reference_standard_solution,
+                     row_4_gaps_within_bound, scan_block_records, whole_standard_solution)
 from projcox import cartan, certify, charts, linalg
 from projcox.cartan import ReflectionSystem
 from projcox.charts import (CaseLabel, ConcurrentChartParams,
@@ -373,6 +374,90 @@ def test_one_array_among_scalars_equals_the_broadcast_call(position):
     assert not mixed["valid"].all()
     for key in BLOCKED_KEYS:
         assert mixed[key].tobytes() == broadcast[key].tobytes(), key
+
+
+#: order tables of the pinning tests, small orders and large
+_PINNED_ORDERS = (O3333, QuadPrismOrders(3, 4, 5, 6), QuadPrismOrders(5, 5, 6, 1000))
+#: |v| over [1e-300, 1e300], log-uniform and as hypothesis spreads floats
+_abs_v = st.one_of(st.floats(-690.0, 690.0).map(math.exp), st.floats(1e-300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(orders=st.sampled_from(_PINNED_ORDERS), t=st.lists(st.floats(4.0, 1e300), min_size=2,
+                                                         max_size=2),
+       v=st.lists(_abs_v.map(lambda x: -x), min_size=3, max_size=3))
+# det3 = -inf and every a_i nan
+@example(orders=O3333, t=[1e300, 1e300], v=[-1e-300, -1e-300, -1e-300])
+# a1, a3 = inf, a2 = -inf and a4*v44 nan
+@example(orders=O3333, t=[1e300, 1e300], v=[-1e300, -1e-300, -1e300])
+def test_solve_on_floats_is_the_reference_bit_for_bit(orders, t, v):
+    """On Python floats, where ``x op= y`` rebinds x, every output, inf
+    and nan included, has the reference expressions' bits."""
+    ours = charts.standard_solution(orders, *t, *v)
+    assert all(type(x) is float for x in ours)
+    assert [x.hex() for x in ours] == [x.hex() for x in reference_standard_solution(
+        orders, *t, *v)]
+
+
+@pytest.mark.parametrize("box", [(-10.0, -0.01), (-1e150, -1e-150), (-1e-200, -1e-320)])
+@pytest.mark.parametrize("orders", _PINNED_ORDERS)
+def test_solve_on_blocks_is_the_reference_bit_for_bit(orders, box):
+    """On a block of arrays, where ``x op= y`` writes into x, every
+    output has the reference's bytes, with T scalars as the scans pass
+    them and T arrays too; the (-1e-200, -1e-320) box overflows most
+    samples.  No input is written."""
+    rng = np.random.default_rng(36)
+    v = [charts._box_draw(*box)(rng, charts._BLOCK) for _ in range(3)]
+    t = 4.0 + np.exp(rng.uniform(-5.0, 50.0, (2, charts._BLOCK)))
+    for args in ((6.0, 1e4, *v), (*t, *v)):
+        before = [np.copy(x) for x in args]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ours = charts.standard_solution(orders, *args)
+            reference = reference_standard_solution(orders, *args)
+        assert [x.tobytes() for x in ours] == [x.tobytes() for x in reference]
+        assert all(np.array_equal(x, y) for x, y in zip(args, before))
+        if box == (-1e-200, -1e-320):
+            assert not np.isfinite(ours[3]).all()
+
+
+def test_solve_on_arrays_of_two_shapes_raises():
+    """An accumulator cannot grow in place, so arrays of two shapes that
+    broadcast together are refused, as the docstring says."""
+    v = -np.ones(4)
+    with pytest.raises(ValueError):
+        charts.standard_solution(O3333, np.full((1, 4), 6.0), 6.0, v, v, v)
+
+
+def test_solve_on_fractions_is_the_reference():
+    """On Fractions, which have no in-place operators, the solve gives
+    the reference's values and types."""
+    point = (Fraction(13, 2), Fraction(9), Fraction(-7, 10), Fraction(-1, 2), Fraction(-2))
+    for orders in _PINNED_ORDERS:
+        ours = charts.standard_solution(orders, *point)
+        reference = reference_standard_solution(orders, *point)
+        assert ours == reference
+        assert list(map(type, ours)) == list(map(type, reference))
+
+
+@pytest.mark.parametrize("t_arrays", [False, True])
+def test_solve_holds_fewer_than_ten_block_arrays(t_arrays):
+    """One solve of a block, as the scans run it (T scalars) and with T
+    arrays too, peaks below ten arrays of charts._BLOCK doubles under
+    tracemalloc: a row's cofactors and terms die as soon as its a_i is
+    accumulated, and each sum grows in place."""
+    rng = np.random.default_rng(0)
+    n = charts._BLOCK
+    t = list(4.0 + np.exp(rng.uniform(-3.0, 3.0, (2, n)))) if t_arrays else [6.0, 6.0]
+    args = (*t, *(-np.exp(rng.uniform(-2.0, 2.0, (3, n)))))
+    orders = QuadPrismOrders(3, 4, 5, 6)
+    charts.standard_solution(orders, *args)
+    tracemalloc.start()
+    try:
+        charts.standard_solution(orders, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n <= peak < 10 * 8 * n
 
 
 def test_one_draw_of_three_rows_is_three_draws_in_turn():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -222,10 +223,11 @@ def test_scan_csv_bytes_match_the_csv_module(argv, tmp_path):
 
 
 def test_scan_csv_run_holds_one_block_at_a_time():
-    # the whole run is traced: one solved block of 8192 samples and its
-    # text, 1024 rows at a time, take about 2.3 MiB, while holding the
-    # coordinates, a4*v44 and det M of all 1e5 samples would add about
-    # 4 MB and their text about 50 MB of Python strings
+    # the whole run is traced: one block of 8192 samples, drawn, solved
+    # and written 1024 rows at a time, takes about 1.1 MiB, and a block
+    # kept alive while the next is drawn and solved about 0.6 MiB more;
+    # holding the coordinates, a4*v44 and det M of all 1e5 samples would
+    # add about 4 MB and their text about 50 MB of Python strings
     cli.main(SCAN_CSV + ["--samples", "1", "--file", os.devnull])
     tracemalloc.start()
     try:
@@ -234,7 +236,7 @@ def test_scan_csv_run_holds_one_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert 0 < peak < 3 * 2**20
+    assert 0 < peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("unbuffered, samples", [
@@ -753,6 +755,13 @@ _orders = _mostly(_joined(st.integers(3, 10**6).map(str), 4, 4),
                                              "3,,3,3", "-3,3,3,3")), _joined(_integer)))
 
 
+#: the --file of a fuzzed CSV scan, a name in the test's own temporary
+#: directory
+_CSV_FILE = "scan.csv"
+#: a CSV scan's header
+_CSV_HEADER = ["v23", "v24", "v34", "a4v44", "det_M", "T13_prod", "T24_prod"]
+
+
 @st.composite
 def _argv(draw):
     """An argv of any subcommand, mostly valid, with edge and malformed
@@ -761,10 +770,14 @@ def _argv(draw):
                                     "scan", "simplex", "orbifold")))
     if command == "scan":
         box = st.tuples(_abs_v, _abs_v).map(lambda b: f"{-max(b)!r},{-min(b)!r}")
-        return ["scan", "--orders", draw(_orders), "--t13", draw(_t), "--t24", draw(_t),
+        argv = ["scan", "--orders", draw(_orders), "--t13", draw(_t), "--t24", draw(_t),
                 "--samples", draw(_mostly(st.integers(1, 2000).map(str), _integer)),
                 "--seed", draw(_mostly(st.integers(0, 2**70).map(str), _integer)),
                 "--box", draw(_mostly(box, _joined(_number, 0, 3)))]
+        # half the scans write CSV, a third of those into a file
+        if draw(st.booleans()):
+            argv += ["--out", "csv"] + draw(st.sampled_from(([], [], ["--file", _CSV_FILE])))
+        return argv
     if command == "simplex":
         n = draw(st.integers(1, 9))
         pairs = [(i, j) for i in range(1, n + 2) for j in range(i + 1, n + 2)]
@@ -815,11 +828,15 @@ def _reject_constant(name):
 @example(argv=["cocompact", *_ROUNDED_T13_POINT])
 def test_fuzzed_argv_ends_in_a_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:   # argparse refusing a flag
-            code = exc.code
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp, _CSV_FILE)
+        argv = [str(target) if arg == _CSV_FILE else arg for arg in argv]
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:   # argparse refusing a flag
+                code = exc.code
+        written = target.read_bytes().decode() if target.exists() else None
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     if code == 2:
@@ -829,6 +846,14 @@ def test_fuzzed_argv_ends_in_a_clean_exit(argv):
         assert not any("error:" in line for line in lines[:-1])
         # argparse puts its usage before its one error line
         assert len(lines) == 1 or lines[0].startswith("usage: ")
+    elif "csv" in argv:
+        assert (code, err) == (0, "")
+        if "--file" in argv:
+            assert out == ""
+            out = written
+        header, *rows = csv.reader(io.StringIO(out, newline=""))
+        assert header == _CSV_HEADER
+        assert rows and all(len(row) == len(_CSV_HEADER) for row in rows)
     else:
         assert err == ""
         json.loads(out, parse_constant=_reject_constant)
