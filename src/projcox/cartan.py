@@ -176,8 +176,9 @@ class Check(tuple):
     ``where`` is the place checked as a tuple of 1-based sides (a side,
     a pair or a cycle), or for a Vinberg condition the tuple of pairs
     that failed it; ``value`` is the residual or product read there and
-    ``bound`` the tolerance in force.  Built as Check((name, where,
-    value, bound, passed)), at the cost of a bare tuple.
+    ``bound`` the tolerance in force, for a pair (_pair_checks) its
+    rounding bound plus tol.  Built as Check((name, where, value,
+    bound, passed)), at the cost of a bare tuple.
     """
 
     __slots__ = ()
@@ -199,18 +200,44 @@ def _t_products(m):
     return m[0][2] * m[2][0], m[1][3] * m[3][1]
 
 
-def _pair_residuals(rows, orders: EdgeOrders):
-    """Yield ((i, j), n, mu(n), p, r) for each pair of the orders table
-    (mu from ``orders.mu_table``, None for an infinite order), read off
-    the Cartan matrix rows: p = M_ij M_ji and r how far the pair is from
-    Vinberg's (C4) for order n.
+def _pair_checks(rows, orders: EdgeOrders, tol: float):
+    """The one gate on M_ij M_ji = mu(n_ij): yield ((i, j), n, p, r,
+    bound, passed) per pair of the orders table, in its order: p = M_ij
+    M_ji off the Cartan rows, r how far the pair is from order n, bound
+    = b + tol with b the computed rounding bound on r, and passed = r <=
+    bound (a NaN r fails).  A table with another number of sides than
+    the rows raises DomainError, at the first step.
 
-    r is |p - mu(n)| for n >= 3; max(|M_ij|, |M_ji|) for n = 2, where
-    both entries must vanish (p = 0 alone would pass a broken zero
-    symmetry); and the shortfall 4 - p for an infinite order, which
-    passes at r <= 0.  A NaN r fails every ``not r <= tol`` gate.  A
-    table with another number of sides than the rows raises DomainError,
-    at the first step, for every certificate that reads the pairs.
+    On span{v_i, v_j}, R_i R_j is [[p - 1, M_ij], [-M_ji, -1]] (det 1,
+    trace p - 2), the identity on ker alpha_i & ker alpha_j, which
+    complements that span when 4 - p != 0.  So for n >= 3, (R_i R_j)^n
+    = Id with order exactly n iff p = mu(n) = 4cos^2(pi/n).  For 0 <= p
+    < 4 it rotates its plane by t with 4 - p = 4sin^2(t/2), so
+
+        r = |p - mu(n)| / (4 - mu(n)) = |sin^2(t/2) / sin^2(pi/n) - 1|
+
+    is, to first order, n|t - 2pi/n| / pi, the angle by which (R_i
+    R_j)^n misses the identity in units of pi: about 2/n for an order
+    moved by one.  For n = 2 the block must be -Id, both entries zero
+    (p = 0 alone passes a broken zero symmetry): r = max(|M_ij|, |M_ji|),
+    b = 0.  For an infinite order, p > 4 gives eigenvalues (lambda,
+    1/lambda), lambda > 1, and p = 4 a Jordan block, so no power is the
+    identity; r is the shortfall 4 - p.
+
+    The bound (u = 2^-53; Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3) takes each entry exact or one quotient from
+    exact, as every chart builder writes it and as the numpy product
+    of dual-basis covectors gives it.  A finite pair, (-mu, -1) or (v,
+    fl(mu / v)), has p within gamma_2 mu ~ 2u mu of the table's fl(mu),
+    and fl(mu) = 4 fl(cos(fl(fl(pi) / n)))^2 is within (2(1.35 x tan x
+    + 1 / cos x) + 1)u mu of mu(n) to first order, x = pi / n (the
+    argument off by 1.35u, cos within an ulp, the square rounded):
+    under 6u mu from n = 4 on, 4u mu at n = 3.  So b = 8u mu / (4 - mu)
+    ~ 8u n^2 / pi^2; 2/n exceeds 2b, so n +- 1 fails, while n < (pi^2 /
+    8u)^(1/3) ~ 2.2e5, and beyond a neighbouring order can pass.  An
+    infinite pair's p takes at most seven roundings (a concurrent entry
+    is -(2 + a), a a v plus a quotient): from T >= 4, 4 - p < 4 gamma_7
+    < 32u = b.
     """
     if orders.size != len(rows):
         raise DomainError(f"orders table has {orders.size} sides, system has {len(rows)}")
@@ -218,21 +245,23 @@ def _pair_residuals(rows, orders: EdgeOrders):
         mij, mji = rows[i - 1][j - 1], rows[j - 1][i - 1]
         p = mij * mji
         if mu_n is None:
-            r = 4.0 - p
+            r, bound = 4.0 - p, 2.0 ** -48 + tol   # 32u
         elif n == 2:
-            r = max(abs(mij), abs(mji))
+            r, bound = max(abs(mij), abs(mji)), tol
         else:
-            r = abs(p - mu_n)
-        yield (i, j), n, mu_n, p, r
+            scale = 4.0 - mu_n
+            r, bound = abs(p - mu_n) / scale, 2.0 ** -50 * mu_n / scale + tol   # 8u mu / scale
+        yield (i, j), n, p, r, bound, r <= bound
 
 
 def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
                   tol: float = linalg.TOL_ALGEBRAIC) -> Verdict:
     """Run conditions (C1)-(C5) on the system: a Verdict of five Checks,
-    C1..C5, each bound by tol.  A check's ``where`` is the tuple of
-    1-based pairs that failed it and its ``value`` the worst residual:
-    max |M_ii - 2| for C1, the largest positive off-diagonal entry for
-    C2, the largest _pair_residuals r for C4, and 0.0 for C3 and C5.
+    C1..C5.  A check's ``where`` is the tuple of 1-based pairs that
+    failed it and its ``value`` the worst residual: max |M_ii - 2| for
+    C1, the largest positive off-diagonal entry for C2, the largest
+    _pair_checks r for C4, and 0.0 for C3 and C5.  Each is bound by
+    tol but C4, by the bound of the pair that sets its value.
 
     C5 (nonempty interior) is decided by relation_space_trivial on the
     system's known_form; covectors of no known form fail it.
@@ -247,10 +276,11 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     c2_res = max((rows[i - 1][j - 1] for i, j in c2_fail), default=0.0)
 
     # C4: products match mu for finite orders, >= 4 for infinite ones
-    c4_fail, c4_res = [], 0.0
-    for pair, _, _, _, res in _pair_residuals(rows, orders):
-        c4_res = max(c4_res, res)
-        if not res <= tol:
+    c4_fail, c4_res, c4_bound = [], 0.0, tol
+    for pair, _, _, res, bound, passed in _pair_checks(rows, orders, tol):
+        if res >= c4_res:
+            c4_res, c4_bound = res, bound
+        if not passed:
             c4_fail.append(pair)
 
     # C5: nonempty interior, decided on the known form of the rows as held
@@ -260,7 +290,7 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     return Verdict((Check(("C1", tuple(c1_fail), diag_res, tol, not c1_fail)),
                     Check(("C2", tuple(c2_fail), c2_res, tol, not c2_fail)),
                     Check(("C3", tuple(c3_fail), 0.0, tol, not c3_fail)),
-                    Check(("C4", tuple(c4_fail), c4_res, tol, not c4_fail)),
+                    Check(("C4", tuple(c4_fail), c4_res, c4_bound, not c4_fail)),
                     Check(("C5", (), 0.0, tol, c5_ok))))
 
 

@@ -8,48 +8,23 @@ import math
 from collections import namedtuple
 
 from . import charts
-from .cartan import Check, ReflectionSystem, Verdict, _pair_residuals, _t_products
+from .cartan import Check, ReflectionSystem, Verdict, _pair_checks, _t_products
 from .errors import DomainError, InvariantViolation
 from .linalg import TOL_ALGEBRAIC, _rows
-from .orbifold import EdgeOrders, _quad_prism_mu
-
-#: Gate on the residual of each Coxeter relation.  The residuals are
-#: O(1) expressions in Cartan entries (see verify_relations), so no
-#: rounding accumulates over a power: a valid finite pair of order 1000
-#: reads about 1e-11 (its rounding grows like n^2), and an order moved
-#: by one reads about 2/n.
-RELATION_TOL = 1e-7
+from .orbifold import INFINITY, EdgeOrders, _quad_prism_mu
 
 
 def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
-                     tol: float = RELATION_TOL) -> Verdict:
+                     tol: float = TOL_ALGEBRAIC) -> Verdict:
     """Check R_i^2 = Id, (R_i R_j)^n_ij = Id for finite orders, and
     infinite order of R_i R_j for infinite ones, all read off the Cartan
-    matrix M_ij = alpha_i(v_j).  The Verdict holds one Check per place,
-    each bound by tol: an ``involution`` check per side (i,), then a
-    ``finite`` or ``infinite`` check per pair (i, j), in pair order.
-
-    R_i is an involution iff M_ii = 2; the residual is |M_ii - 2|, and
-    a system off it by more than TOL_ALGEBRAIC is not a reflection
-    system at all (InvariantViolation).  On span{v_i, v_j}, R_i R_j is
-    [[p - 1, M_ij], [-M_ji, -1]] with p = M_ij M_ji: determinant 1 and
-    trace p - 2.  It is the identity on ker alpha_i & ker alpha_j, which
-    complements that span when det [[2, M_ij], [M_ji, 2]] = 4 - p != 0.
-    Hence, for n >= 3, (R_i R_j)^n = Id with order exactly n iff
-    p = mu(n) = 4cos^2(pi/n).  For 0 <= p < 4, R_i R_j rotates its plane
-    by the angle t with 4 - p = 4sin^2(t/2), so the residual
-
-        |p - mu(n)| / (4 - mu(n)) = |sin^2(t/2) / sin^2(pi/n) - 1|
-
-    is, to first order, n|t - 2pi/n| / pi: the angle by which
-    (R_i R_j)^n misses the identity, in units of pi.  It is about 2/n
-    for an order moved by one, where |p - mu(n)| alone is about
-    8pi^2/n^3 and falls below the gate near n = 925.  For n = 2 the block
-    must be -Id, so the residual is max(|M_ij|, |M_ji|).  For an infinite
-    order, p > 4 gives a real eigenvalue pair (lambda, 1/lambda) with
-    lambda > 1 and p = 4 a unipotent Jordan block, so no power returns
-    to the identity; the product p is reported and products below
-    4 - tol are failures.  A NaN residual fails.
+    matrix M_ij = alpha_i(v_j).  The Verdict holds an ``involution``
+    check per side (i,): R_i is one iff M_ii = 2, so its residual is
+    |M_ii - 2|, bound by tol, and a system off it by more than
+    TOL_ALGEBRAIC is no reflection system (InvariantViolation).  Then
+    one check per pair (i, j), in pair order, of cartan._pair_checks,
+    which derives them: ``finite`` with its residual, or ``infinite``
+    with its product M_ij M_ji, as value, and the pair's bound.
     """
     m = sys.cartan
     checks = []
@@ -58,13 +33,9 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
         if not res <= TOL_ALGEBRAIC:
             raise InvariantViolation(f"a(v) = {row[i - 1]}, expected 2")
         checks.append(Check(("involution", (i,), res, tol, res <= tol)))
-    for pair, n, mu_n, prod, res in _pair_residuals(m, orders):
-        if mu_n is None:
-            checks.append(Check(("infinite", pair, prod, tol, res <= tol)))
-            continue
-        if n >= 3:
-            res /= 4.0 - mu_n
-        checks.append(Check(("finite", pair, res, tol, res <= tol)))
+    for pair, n, prod, res, bound, passed in _pair_checks(m, orders, tol):
+        checks.append(Check(("infinite", pair, prod, bound, passed) if n is INFINITY
+                            else ("finite", pair, res, bound, passed)))
     return Verdict(checks)
 
 

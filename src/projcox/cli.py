@@ -234,14 +234,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-[^-]")
 
 
-#: chart subcommands: handler, help and --tol default (None: no --tol)
+#: chart subcommands: handler, help and whether it takes --tol
 _CHART_COMMANDS = {
-    "relations": (cmd_relations, "verify Coxeter relations and Vinberg conditions",
-                  certify.RELATION_TOL),
-    "vinberg": (cmd_vinberg, "report Vinberg's conditions (C1)-(C5)", linalg.TOL_ALGEBRAIC),
-    "cocompact": (cmd_cocompact, "decide convex cocompactness", None),
-    "invariants": (cmd_invariants, "cyclic invariants and identity residuals",
-                   linalg.TOL_ALGEBRAIC),
+    "relations": (cmd_relations, "verify Coxeter relations and Vinberg conditions", True),
+    "vinberg": (cmd_vinberg, "report Vinberg's conditions (C1)-(C5)", True),
+    "cocompact": (cmd_cocompact, "decide convex cocompactness", False),
+    "invariants": (cmd_invariants, "cyclic invariants and identity residuals", True),
 }
 
 
@@ -253,15 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "invariants, cocompactness, and parameter scans.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    for name, (func, help_text, tol) in _CHART_COMMANDS.items():
+    for name, (func, help_text, takes_tol) in _CHART_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--orders", required=True,
                        help="finite edge orders n12,n23,n34,n14 (all >= 3)")
         p.add_argument("--chart", choices=list(_CHART_FLAGS), default="general")
         for flag in _COORDINATE_FLAGS:
             p.add_argument(f"--{flag}", type=float, default=None)
-        if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
+        if takes_tol:
+            p.add_argument("--tol", type=float, default=linalg.TOL_ALGEBRAIC)
         p.set_defaults(func=func)
 
     p = sub.add_parser("orbifold", help="Euler characteristic and dimension counts")
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simplex-orders", required=True, dest="simplex_orders",
                    help="orders of the upper-triangle pairs, row-major")
     p.add_argument("--free", default=None, help="free v_ij values (default all -1)")
-    p.add_argument("--tol", type=float, default=certify.RELATION_TOL)
+    p.add_argument("--tol", type=float, default=linalg.TOL_ALGEBRAIC)
     p.set_defaults(func=cmd_simplex)
 
     return parser

@@ -779,4 +779,18 @@ def test_scalar_path_is_pinned():
     by value over a fixed set of points: a rewrite of the path must keep
     its answers bit for bit, whatever type carries them."""
     assert _scalar_path_digest() == (
-        69, "68d65b8cee72a3791e7f07cf18393d9fa6e51199f79de0800d3f9089885488f6")
+        69, "ce97976f7a96cfd52b089571c623c637b437144a289cd25ab35207dca026568d")
+
+
+def test_scalar_path_verdicts_are_pinned():
+    """The pass flags alone of check_vinberg, at the default tol and at
+    1e-6, and of verify_relations over the pinned points, hashed as
+    (passed, ((name, where, passed), ...)) per verdict: pinned before the
+    pair gate took a computed bound, so no verdict moved with it."""
+    points, _ = _pinned_points()
+    verdicts = [(v.passed, tuple((c.name, c.where, c.passed) for c in v))
+                for sys, o in points
+                for v in (check_vinberg(sys, o), check_vinberg(sys, o, tol=1e-6),
+                          verify_relations(sys, o))]
+    assert (len(points), hashlib.sha256(repr(verdicts).encode()).hexdigest()) == (
+        69, "3f91e237c2f23dc2fa9971503208fe46a60b9d3714169ac65d72b335a4dce93f")

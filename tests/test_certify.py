@@ -53,15 +53,22 @@ def finite_pairs(orders: EdgeOrders) -> list:
     return [p for p, _, mu_n in orders.mu_table if mu_n is not None]
 
 
+#: the brute-force oracle's gate on ||(R_i R_j)^n - Id||_F: repeated
+#: squaring takes about log2(n) products of 4x4 matrices, and each
+#: rounds, so a valid power misses Id by far more than the pair gate's
+#: bound on M_ij M_ji; at orders up to 6, 1e-7 still fails n +- 1
+BRUTE_FORCE_TOL = 1e-7
+
+
 def brute_force_verdicts(sys, orders: EdgeOrders) -> dict:
-    """Whether ||(R_i R_j)^n - Id||_F <= RELATION_TOL for each finite
+    """Whether ||(R_i R_j)^n - Id||_F <= BRUTE_FORCE_TOL for each finite
     pair, with the power taken by repeated squaring."""
     ident = np.eye(sys.alphas.shape[1])
     r = [reflection(a, v) for a, v in zip(sys.alphas, sys.vectors)]
     verdicts = {}
     for (i, j) in finite_pairs(orders):
         power = mat_power(r[i - 1] @ r[j - 1], orders.orders[(i, j)])
-        verdicts[(i, j)] = bool(np.linalg.norm(power - ident) <= certify.RELATION_TOL)
+        verdicts[(i, j)] = bool(np.linalg.norm(power - ident) <= BRUTE_FORCE_TOL)
     return verdicts
 
 
@@ -112,8 +119,8 @@ def test_closed_form_agrees_with_matrix_power():
 
 @pytest.mark.parametrize("n", [100, 400, 1000])
 def test_large_order_moved_by_one_fails(n):
-    # |p - mu(n)| between neighbouring orders is about 8pi^2/n^3, below
-    # RELATION_TOL from n = 925 on; the scaled residual is about 2/n
+    # |p - mu(n)| between neighbouring orders is only about 8pi^2/n^3;
+    # the scaled residual r keeps its scale, about 2/n
     rng = np.random.default_rng(n)
     orders = QuadPrismOrders(n, n, n, n)
     for _ in range(10):
@@ -171,40 +178,135 @@ def test_relations_random_general_points(orders, t, log_v):
     assert report.passed
 
 
+#: the largest order at which doubles still fail n +- 1: an order moved
+#: by one reads about 2/n, more than twice the pair gate's bound 8u
+#: n^2 / pi^2 below (pi^2 / 8u)^(1/3) = 2.23e5 (cartan._pair_checks)
+SEPARABLE_ORDER = 220_000
+
+
+def chart_systems(chart: str, o: QuadPrismOrders, t, v) -> list:
+    """The systems of one chart point: a general or concurrent point, or
+    a standard point realized at a4 = 1 and at the balanced a4, from T
+    values t and negative coordinates v (four for concurrent)."""
+    if chart == "general":
+        return [charts.build_general(charts.GeneralChartParams(o, *t, *v[:3]))]
+    if chart == "concurrent":
+        return [charts.build_concurrent(charts.ConcurrentChartParams(o, *v))]
+    pt = charts.build_standard(o, *t, *v[:3])
+    return [charts.realize_representation(pt, a4=1.0), balanced_realization(pt)]
+
+
 @pytest.mark.parametrize("chart", ["general", "concurrent", "standard"])
 @settings(max_examples=150, deadline=None)
-@given(orders=st.tuples(*[st.integers(3, 5000)] * 4),
+@given(orders=st.tuples(*[st.integers(3, SEPARABLE_ORDER)] * 4),
        log_x=st.tuples(*[st.floats(-9.0, 9.0)] * 5),
        moved=st.tuples(st.integers(0, 3), st.sampled_from((-1, 1))))
 def test_valid_points_pass_over_the_whole_domain(chart, orders, log_x, moved):
-    """Any edge order from 3 to 5000, with |v| and T - 4 from 1e-9 to
-    1e9: a point of each chart passes Vinberg's conditions and the
-    Coxeter relations, a standard point realized at a4 = 1 and at the
-    balanced a4, and the relations fail exactly at the one finite order
-    moved by one.
-
-    Vinberg's conditions are left out of the moved half: C4 gates the
-    unscaled |M_ij M_ji - mu(n)|, about 8pi^2/n^3 for a neighbouring
-    order, which falls below its 1e-9 gate from about n = 4300."""
+    """Any edge order from 3 to SEPARABLE_ORDER, with |v| and T - 4 from
+    1e-9 to 1e9: a point of each chart passes Vinberg's conditions and
+    the Coxeter relations, a standard point realized at a4 = 1 and at
+    the balanced a4, and both fail exactly at the one finite order moved
+    by one."""
     o = QuadPrismOrders(*orders)
     x = [10.0 ** e for e in log_x]
-    if chart == "general":
-        systems = [charts.build_general(
-            charts.GeneralChartParams(o, 4.0 + x[0], 4.0 + x[1], -x[2], -x[3], -x[4]))]
-    elif chart == "concurrent":
-        systems = [charts.build_concurrent(
-            charts.ConcurrentChartParams(o, *(-y for y in x[:4])))]
-    else:
-        pt = charts.build_standard(o, 4.0 + x[0], 4.0 + x[1], -x[2], -x[3], -x[4])
-        systems = [charts.realize_representation(pt, a4=1.0), balanced_realization(pt)]
+    t = [4.0 + y for y in x[:2]]
+    v = [-y for y in (x[2:] if chart != "concurrent" else x[:4])]
     pair = finite_pairs(o)[moved[0]]
     table = dict(o.orders)
     table[pair] += moved[1]
     wrong = EdgeOrders(4, table)
-    for sys in systems:
+    for sys in chart_systems(chart, o, t, v):
         assert cartan.check_vinberg(sys, o).passed
         assert certify.verify_relations(sys, o).passed
+        assert failures(cartan.check_vinberg(sys, wrong)) == [("C4", (pair,))]
         assert failures(certify.verify_relations(sys, wrong)) == [("finite", pair)]
+
+
+@pytest.mark.parametrize("chart", ["general", "concurrent", "standard"])
+def test_valid_points_pass_at_order_1e5_and_neighbours_fail(chart):
+    """At orders (n, n, n, n), n = 1e5, with |v| in e^[-2, 2] and T - 4
+    in e^[-3, 3]: every point passes C4 and the relations, and each fails
+    both against (n +- 1, n, n, n).  Before the pair gate took a computed
+    bound, the relations failed more than half of these valid points
+    and C4 passed every neighbour."""
+    n = 100_000
+    o = QuadPrismOrders(n, n, n, n)
+    neighbours = [QuadPrismOrders(k, n, n, n) for k in (n - 1, n + 1)]
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        t = 4.0 + np.exp(rng.uniform(-3.0, 3.0, 2))
+        v = -np.exp(rng.uniform(-2.0, 2.0, 4))
+        for sys in chart_systems(chart, o, t.tolist(), v.tolist()):
+            assert cartan.check_vinberg(sys, o).passed
+            assert certify.verify_relations(sys, o).passed
+            for wrong in neighbours:
+                assert failures(cartan.check_vinberg(sys, wrong)) == [("C4", ((1, 2),))]
+                assert failures(certify.verify_relations(sys, wrong)) == [("finite", (1, 2))]
+
+
+#: gamma_2 = 2u / (1 - 2u), u = 2^-53 (Higham, ch. 3): the rounding
+#: bound of a chart pair's product, relative to mu
+GAMMA_2 = 2 * 2.0**-53 / (1 - 2 * 2.0**-53)
+
+
+def random_simplex_system(data) -> tuple:
+    """An n-simplex chart system, n from 2 to 4, at orders 2 to 1e6 and
+    |v| from 1e-9 to 1e9, and its order table, drawn by hypothesis."""
+    n = data.draw(st.integers(2, 4))
+    pairs = [(i, j) for i in range(1, n + 2) for j in range(i + 1, n + 2)]
+    table = EdgeOrders(n + 1, {p: data.draw(st.integers(2, 10**6)) for p in pairs})
+    free = {p: -(10.0 ** data.draw(st.floats(-9.0, 9.0)))
+            for p in charts._simplex_free_pairs(table)}
+    return charts.build_simplex(charts.SimplexChartParams(n, table, free)), table
+
+
+@settings(max_examples=300, deadline=None)
+@given(chart=st.sampled_from(("general", "concurrent", "standard", "simplex")),
+       orders=st.tuples(*[st.integers(3, 10**6)] * 4),
+       log_x=st.tuples(*[st.floats(-9.0, 9.0)] * 5), t24_at_4=st.booleans(),
+       data=st.data())
+def test_no_pair_exceeds_its_computed_bound(chart, orders, log_x, t24_at_4, data):
+    """The bound's premise: on every chart, at orders 3 to 1e6 and |v|
+    and T - 4 from 1e-9 to 1e9, or T24 = 4 (a standard point at a4 = 1
+    and at the balanced a4), each pair's residual is within its computed
+    rounding bound, with no slack.  At T24 = 4, T24 / v24 times v24 reads
+    below 4.0 at about one v24 in seven."""
+    if chart == "simplex":
+        sys, o = random_simplex_system(data)
+        systems = [sys]
+    else:
+        o = QuadPrismOrders(*orders)
+        x = [10.0 ** e for e in log_x]
+        t = [4.0 + x[0], 4.0 if t24_at_4 else 4.0 + x[1]]
+        v = [-y for y in (x[2:] if chart != "concurrent" else x[:4])]
+        systems = chart_systems(chart, o, t, v)
+    for sys in systems:
+        assert all(passed for *_, passed in cartan._pair_checks(sys.cartan, o, 0.0))
+
+
+def table_term(n: int) -> float:
+    """What the pair gate's bound at order n leaves for the table's own
+    rounding of mu(n): the bound on |fl(p) - fl(mu)|, read off
+    cartan._pair_checks with no slack, less a chart pair's gamma_2 mu."""
+    mu_n = orbifold.mu(n)
+    (*_, bound, _), = cartan._pair_checks(((2.0, -1.0), (-mu_n, 2.0)),
+                                         EdgeOrders(2, {(1, 2): n}), 0.0)
+    return bound * (4.0 - mu_n) - GAMMA_2 * mu_n
+
+
+def test_the_mu_table_is_within_the_bounds_table_term():
+    """|fl(mu(n)) - mu(n)|, against mu(n) to 200 bits, is within the
+    table term of the pair gate's bound: every n from 3 to 1e4, and 300
+    orders log-uniform from 1e4 to 3e8 but those whose mu(n) rounds to 4,
+    which the table refuses."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
+    sampled = [n for n in np.exp(rng.uniform(math.log(1e4), math.log(3e8), 300)).astype(int)
+               .tolist() if orbifold.mu(n) < 4.0]
+    with mpmath.workprec(200):
+        for n in chain(range(3, 10**4 + 1), sampled):
+            error = abs(mpmath.mpf(orbifold.mu(n)) - 4 * mpmath.cos(mpmath.pi / n) ** 2)
+            assert error <= table_term(n), n
 
 
 @pytest.mark.parametrize("point", STANDARD_POINTS_NEAR_T24_EDGE)

@@ -273,18 +273,21 @@ def test_simplex_subcommand():
 
 
 def test_exit_code_on_check_failure():
-    # an unattainable tolerance turns the tiny rounding residuals of a
-    # genuine point (4.4e-16 at pair 3-4 here) into reported failures:
-    # exit code must be 1, with the failing verdict in the JSON
+    # the identities have no computed bound, so --tol 0 turns the tiny
+    # rounding residuals of a genuine point into reported failures: exit
+    # code 1, with the failing verdict in the JSON; the pair gate's
+    # computed bound holds the same point's residuals (4.4e-16 at pair
+    # 3-4 here), so relations and simplex pass with no slack
     point = GENERAL_POINT[:-6] + ["--v23=-0.3", "--v24=-0.7", "--v34=-1.3"]
     simplex = ["simplex", "--n", "3", "--simplex-orders", "3,4,5,3,4,5",
                "--free=-0.3,-0.7,-1.3"]
-    for argv, verdict in ((["relations", "--tol", "1e-18"] + point, "pass"),
-                          (["invariants", "--tol", "0"] + point, "identities_pass"),
-                          (simplex + ["--tol", "0"], "pass")):
+    code, doc = run_json(["invariants", "--tol", "0"] + point)
+    assert code == 1
+    assert doc["verdicts"]["identities_pass"] is False
+    for argv in (["relations", "--tol", "0"] + point, simplex + ["--tol", "0"]):
         code, doc = run_json(argv)
-        assert code == 1
-        assert doc["verdicts"][verdict] is False
+        assert code == 0
+        assert doc["verdicts"]["pass"] is True
 
 
 def test_exit_code_on_domain_error(capsys):
@@ -572,14 +575,25 @@ def test_invalid_tolerance_is_usage_error(argv, value, capsys):
 
 
 def test_vinberg_uses_tolerance():
-    # C4's residual at this point is 4.4e-16: it passes the default
-    # tolerance and fails --tol 1e-18
+    # C4's residual at this point is nonzero, a rounding of pair 3-4:
+    # --tol is slack on top of its computed bound, so --tol 0 passes too
     point = GENERAL_POINT[:-6] + ["--v23=-0.3", "--v24=-0.7", "--v34=-1.3"]
-    code, doc = run_json(["vinberg"] + point)
+    for tol in ([], ["--tol", "0"]):
+        code, doc = run_json(["vinberg"] + tol + point)
+        assert code == 0
+        assert doc["residuals"]["C4"] > 0.0
+        assert doc["results"]["C4"]["passed"] is True
+
+
+def test_relations_pass_a_valid_point_at_order_1e5():
+    # pair 1-4 reads 1.12e-7, a single rounding of M_14 M_41, which the
+    # fixed gate of 1e-7 once failed and the computed bound holds
+    code, doc = run_json(["relations", "--orders", "100000,100000,100000,100000",
+                          "--chart", "concurrent", "--v12", "-6.551", "--v23", "-11.9",
+                          "--v14", "-1.896", "--v34", "-3.963"])
     assert code == 0
-    code, doc = run_json(["vinberg", "--tol", "1e-18"] + point)
-    assert code == 1
-    assert doc["results"]["C4"]["passed"] is False
+    assert doc["verdicts"]["pass"] is True
+    assert doc["residuals"]["finite_pairs"]["1-4"] == pytest.approx(1.12e-7, rel=0.01)
 
 
 @pytest.mark.parametrize("coordinates", [
