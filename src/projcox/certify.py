@@ -5,6 +5,7 @@ convex cocompactness, and the appendix-style numeric scans.
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 
 from . import charts
@@ -186,20 +187,42 @@ class StandardScanReport(namedtuple("StandardScanReport", "samples valid_samples
         return out
 
 
-def _scan_blocks(orders: EdgeOrders, t13: float, t24: float, samples: int, seed: int, box):
-    """A standard scan's samples, valid or not, solved block by block:
-    (block, (v23, v24, v34), a4_v44, det3) per block of
-    charts._drawn_blocks, det M being a4_v44 * det3.  The inputs are
-    checked at the call.  The solve's overflow is quieted per call, so
-    no errstate is held while the consumer runs."""
+def _scan_blocks(orders: EdgeOrders, t13: float, t24: float, samples: int, seed: int, box,
+                 start: int = 0, stop: int | None = None, block: int = charts._BLOCK):
+    """A standard scan's samples start .. stop - 1 (all of them by
+    default), valid or not, solved ``block`` samples at a time: (where,
+    (v23, v24, v34), a4_v44, det3) per block of charts._drawn_blocks,
+    det M being a4_v44 * det3.  The inputs are checked at the call.
+    The solve's overflow is quieted per call, in the thread that makes
+    it, so no errstate is held while the consumer runs."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
     charts._require_t(t13=t13, t24=t24)
     import numpy as np
     draw = charts._box_draw(*box)
-    blocks = charts._drawn_blocks(seed, [(r * samples, draw) for r in range(3)], samples)
+    rows = [(r * samples, draw) for r in range(3)]
+    blocks = charts._drawn_blocks(seed, rows, samples if stop is None else stop, start, block)
     solve = np.errstate(over="ignore", divide="ignore", invalid="ignore")(charts.standard_solution)
-    return ((block, v, *solve(orders, t13, t24, *v)[3:]) for block, v in blocks)
+    return ((where, v, *solve(orders, t13, t24, *v)[3:]) for where, v in blocks)
+
+
+#: the fewest samples of a span, the contiguous share of a scan that
+#: one worker solves: standard_scan splits over w = min(usable CPUs,
+#: samples // _SPAN_MIN) workers.  Two workers against one, whole calls
+#: interleaved over 25 rounds on a 2-vCPU VM (two runs), took 0.94-1.03x
+#: the time at 1e5 samples, 0.87-0.88x at 1.5e5, 0.76-0.91x at 2e5 and
+#: 0.73-0.82x at 2.6e5; 2^18 keeps each span well past that crossover,
+#: and every scan below 524,288 samples, the benchmark's 1e5 ones and
+#: the tests' 2e5 ones among them, on the calling thread with one
+#: 8192-sample block in memory
+_SPAN_MIN = 1 << 18
+#: samples per block of a span solved beside others: at 1e6 samples on
+#: two workers, blocks of 8192 took 0.98-1.11x the one-worker time,
+#: 16384 0.65-0.74x and 32768 0.59-0.67x (same runs), as each numpy
+#: call, which runs without the GIL, grows against the Python between
+#: calls, which holds it; 16384 keeps a worker's draws and solve at
+#: 1.5 MB
+_SPAN_BLOCK = 2 * charts._BLOCK
 
 
 def _require_a_valid_sample(valid_samples: int) -> None:
@@ -219,9 +242,14 @@ def standard_scan(orders: EdgeOrders, t13: float, t24: float,
     ``np.random.default_rng(seed).uniform(log(-hi), log(-lo), (3,
     samples))``, rows v23, v24 and v34, read and solved one block at a
     time (_scan_blocks; row r starts at double r * samples of the
-    stream), so the result is deterministic for a given seed.  Samples
-    whose a4*v44 is not finite are dropped (the validity rule of
-    charts.standard_solution).  Only a4*v44, 8 bytes per sample,
+    stream), so the result is deterministic for a given seed.  A scan
+    of at least 2 * _SPAN_MIN samples is split into contiguous spans,
+    one per usable CPU up to samples // _SPAN_MIN, each drawn from the
+    same jumped streams and solved on a thread of its own in blocks of
+    _SPAN_BLOCK samples, the first on the calling thread; every sample
+    is solved elementwise, so the report has the same bits whatever the
+    split.  Samples whose a4*v44 is not finite are dropped (the validity
+    rule of charts.standard_solution).  Only a4*v44, 8 bytes per sample,
     outlives its block; the coordinates of the minimum are drawn again
     from the jumped streams, one double of each row.
 
@@ -232,11 +260,31 @@ def standard_scan(orders: EdgeOrders, t13: float, t24: float,
     heavy-tailed, nearly every sample in the first bin, so the bins are
     filled by peeling that bin off (_histogram).
     """
-    blocks = _scan_blocks(orders, t13, t24, samples, seed, box)   # checked before np.empty
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = max(1, min(cpus, samples // _SPAN_MIN))
+    cuts = [samples * k // workers for k in range(workers + 1)]
+    block = charts._BLOCK if workers == 1 else _SPAN_BLOCK
+    spans = [_scan_blocks(orders, t13, t24, samples, seed, box, lo, hi, block)
+             for lo, hi in zip(cuts, cuts[1:])]   # checked before np.empty
     import numpy as np
     a4_v44 = np.empty(samples)
-    for block, _, solved, _ in blocks:
-        a4_v44[block] = solved
+
+    def fill(blocks):
+        for where, _, solved, _ in blocks:
+            a4_v44[where] = solved
+
+    if workers == 1:
+        fill(spans[0])
+    else:
+        # the calling thread fills the first span; leaving the pool joins
+        # the others' threads, and result() raises their errors unchanged
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(fill, span) for span in spans[1:]]
+            fill(spans[0])
+            for future in futures:
+                future.result()
     ok = np.isfinite(a4_v44)
     every = bool(ok.all())
     values = a4_v44 if every else a4_v44[ok]
@@ -254,7 +302,7 @@ def standard_scan(orders: EdgeOrders, t13: float, t24: float,
                   "count": int(counts[k])} for k in range(20)]
     at = kmin if every else int(np.flatnonzero(ok)[kmin])
     draw = charts._box_draw(*box)
-    _, point = next(charts._drawn_blocks(seed, [(r * samples + at, draw) for r in range(3)], 1))
+    _, point = next(charts._drawn_blocks(seed, [(r * samples, draw) for r in range(3)], at + 1, at))
     argmin = tuple(float(x[0]) for x in point)
     return StandardScanReport(
         samples, int(values.size), seed, (float(box[0]), float(box[1])),

@@ -258,27 +258,27 @@ def standard_solution(orders: EdgeOrders, t13, t24, v23, v24, v34):
 _BLOCK = 8192
 
 
-def _drawn_blocks(seed: int, rows, samples: int):
-    """The rows of a scan's samples, drawn one block of ``_BLOCK``
+def _drawn_blocks(seed: int, rows, stop: int, start: int = 0, block: int = _BLOCK):
+    """Samples start .. stop - 1 of a scan's rows, drawn ``block``
     samples at a time.
 
-    ``rows`` holds one (start, draw) pair per row: the row is
-    ``draw(rng, samples)`` with rng the stream of
-    ``np.random.default_rng(seed)`` from its start-th double on.  A
-    draw takes one double of the stream per value, so PCG64 jumps to
-    each row's start and every block reads the next stretch of its
-    row: each row has the bytes of the one-shot draw.  Returns an
-    iterator of (block, drawn) per block, with block the slice of the
-    samples it covers and drawn the block of each row, in the order of
-    rows.  A negative seed raises DomainError at the call.
+    ``rows`` holds one (row_start, draw) pair per row: the row is
+    ``draw(rng, n)`` with rng the stream of ``np.random.default_rng(seed)``
+    from its row_start-th double on.  A draw takes one double of the
+    stream per value, so PCG64 jumps to where each row's sample start
+    lies and every block reads the next stretch of its row: each row has
+    the bytes of the one-shot draw, whatever the span and the block.
+    Returns an iterator of (where, drawn) per block, with where the
+    slice of the samples it covers and drawn the block of each row, in
+    the order of rows.  A negative seed raises DomainError at the call.
     """
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     import numpy as np
-    streams = [(np.random.Generator(np.random.PCG64(seed).advance(start)), draw)
-               for start, draw in rows]
+    streams = [(np.random.Generator(np.random.PCG64(seed).advance(row_start + start)), draw)
+               for row_start, draw in rows]
     return ((slice(lo, lo + n), [draw(rng, n) for rng, draw in streams])
-            for lo in range(0, samples, _BLOCK) for n in [min(_BLOCK, samples - lo)])
+            for lo in range(start, stop, block) for n in [min(block, stop - lo)])
 
 
 def build_standard(orders: EdgeOrders, t13: float, t24: float,

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
+import threading
 import tracemalloc
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -13,7 +16,7 @@ from helpers import (STANDARD_POINTS_NEAR_T24_EDGE, balanced_realization, mat_po
                      rebuilt_scan, reflection, scan_block_records, whole_standard_solution)
 from projcox import cartan, certify, charts, linalg, orbifold
 from projcox.cartan import Check, ReflectionSystem, Verdict
-from projcox.errors import InvariantViolation, UnsupportedShape
+from projcox.errors import DomainError, InvariantViolation, UnsupportedShape
 from projcox.orbifold import INFINITY, EdgeOrders, QuadPrismOrders
 
 O3333 = QuadPrismOrders(3, 3, 3, 3)
@@ -728,20 +731,168 @@ def test_standard_scan_equals_a_rebuild_from_the_batch_solve(box, samples, valid
         assert blocked[key].tobytes() == x.tobytes(), key
 
 
+def scan_peak(samples: int) -> int:
+    """tracemalloc's peak over one standard scan of O3333 at T = 6."""
+    certify.standard_scan(O3333, 6, 6, samples=1, seed=0)
+    tracemalloc.start()
+    try:
+        certify.standard_scan(O3333, 6, 6, samples=samples, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_standard_scan_peak_memory():
     """The scan draws and solves one block at a time and keeps a4*v44
     and its finite mask, 9 bytes per sample: over many blocks its peak,
     the histogram's temporaries included, stays below three float arrays
     of the sample size."""
     samples = 200_000
-    certify.standard_scan(O3333, 6, 6, samples=1, seed=0)
-    tracemalloc.start()
-    try:
-        certify.standard_scan(O3333, 6, 6, samples=samples, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 8 * samples
+    assert scan_peak(samples) < 3 * 8 * samples
+
+
+def usable_cpus(monkeypatch, n: int) -> None:
+    """Make os.sched_getaffinity report n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def hexed(x):
+    """x with every float in it replaced by its hex form."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {k: hexed(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [hexed(v) for v in x]
+    return x
+
+
+#: a size that splits over up to three workers, with spans of unaligned
+#: lengths that start off every block boundary
+SPLIT_SAMPLES = 1_000_003
+
+
+@pytest.mark.parametrize("box", [(-10.0, -1e-8), (-1e-300, -1e-320)], ids=["finite", "overflow"])
+@pytest.mark.parametrize("orders, seed", [(O3333, 3), (QuadPrismOrders(3, 4, 5, 6), 8)],
+                         ids=["3333-3", "3456-8"])
+def test_a_scan_split_over_cpus_keeps_its_bits(orders, seed, box, monkeypatch):
+    """Split into spans on two or three workers, the scan's summary,
+    every float of it to the bit, is the one-worker summary and the
+    rebuild from the whole-array solve on the one-shot draw; in the
+    overflow box it goes through the masked path."""
+    assert SPLIT_SAMPLES // certify._SPAN_MIN >= 3
+    summaries = []
+    for cpus in (1, 2, 3):
+        usable_cpus(monkeypatch, cpus)
+        summaries.append(hexed(certify.standard_scan(orders, 6.0, 7.5, SPLIT_SAMPLES, seed,
+                                                     box=box).summary))
+    rebuilt, _ = rebuilt_scan(orders, 6.0, 7.5, SPLIT_SAMPLES, seed, box)
+    assert summaries[1] == summaries[2] == summaries[0] == hexed(rebuilt)
+    assert (summaries[0]["valid_samples"] < SPLIT_SAMPLES) == (box[1] == -1e-320)
+
+
+def count_started_threads(monkeypatch) -> list:
+    """The threads started from now on, as a list that fills as they start."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize("cpus, samples", [
+    pytest.param(1, SPLIT_SAMPLES, id="one-cpu"),
+    pytest.param(8, certify._SPAN_MIN - 1, id="below-one-span"),
+    pytest.param(8, 2 * certify._SPAN_MIN - 1, id="below-two-spans"),
+])
+def test_a_scan_on_one_worker_starts_no_thread(cpus, samples, monkeypatch):
+    usable_cpus(monkeypatch, cpus)
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    report = certify.standard_scan(O3333, 6.0, 6.0, samples, 0)
+    assert report.valid_samples == samples
+
+
+@pytest.mark.parametrize("samples", [2 * certify._SPAN_MIN, SPLIT_SAMPLES])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_workers_never_outnumber_the_usable_cpus(cpus, samples, monkeypatch):
+    """The calling thread solves one span and a thread of its own each
+    other: min(cpus, samples // _SPAN_MIN) workers, every thread joined
+    by the time the scan returns."""
+    usable_cpus(monkeypatch, cpus)
+    started = count_started_threads(monkeypatch)
+    before = threading.active_count()
+    certify.standard_scan(O3333, 6.0, 6.0, samples, 0)
+    assert len(started) + 1 == min(cpus, samples // certify._SPAN_MIN) <= cpus
+    assert threading.active_count() == before
+    assert not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize("cpu_count, workers", [(None, 1), (1, 1), (3, 3)])
+def test_without_sched_getaffinity_the_cpu_count_is_read(cpu_count, workers, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    started = count_started_threads(monkeypatch)
+    certify.standard_scan(O3333, 6.0, 6.0, SPLIT_SAMPLES, 0)
+    assert len(started) + 1 == workers
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_span_that_raises_raises_out_of_the_scan(failing, monkeypatch):
+    """The solve raising on one span, the worker's or the calling
+    thread's, comes out of the scan as that very exception, once the
+    other span is done and its thread joined."""
+    usable_cpus(monkeypatch, 2)
+    caller = threading.current_thread()
+    error = DomainError("one span fails")
+    solve = charts.standard_solution
+
+    def failing_solve(*args):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise error
+        return solve(*args)
+
+    monkeypatch.setattr(charts, "standard_solution", failing_solve)
+    started = count_started_threads(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(DomainError) as raised:
+        certify.standard_scan(O3333, 6.0, 6.0, SPLIT_SAMPLES, 0)
+    assert raised.value is error
+    assert len(started) == 1
+    assert threading.active_count() == before
+
+
+def test_a_worker_enters_its_own_errstate(monkeypatch):
+    """numpy's errstate is per thread, so each worker quiets the solve's
+    overflow itself: in the overflow box no warning reaches the caller
+    even where every warning is an error."""
+    usable_cpus(monkeypatch, 2)
+    started = count_started_threads(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = certify.standard_scan(O3333, 6.0, 6.0, SPLIT_SAMPLES, 0,
+                                       box=(-1e-300, -1e-320))
+    assert len(started) == 1
+    assert 0 < report.valid_samples < SPLIT_SAMPLES
+
+
+@pytest.mark.parametrize("samples", [2 * certify._SPAN_MIN, SPLIT_SAMPLES])
+def test_a_split_scan_peak_memory(samples, monkeypatch):
+    """Split over two workers, each solving its span one block at a
+    time, the scan keeps the bound of test_standard_scan_peak_memory
+    with the second worker's blocks (0.68 of it at 2 * _SPAN_MIN, the
+    fewest samples that split)."""
+    usable_cpus(monkeypatch, 2)
+    started = count_started_threads(monkeypatch)
+    assert scan_peak(samples) < 3 * 8 * samples
+    assert len(started) == 1   # the calling thread solves the other span
 
 
 @st.composite

@@ -500,6 +500,25 @@ def test_drawn_blocks_are_the_one_shot_draw(samples, box):
     assert drawn.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("cut", [1, charts._BLOCK + 3, 2 * charts._BLOCK])
+def test_spans_of_drawn_blocks_are_the_one_shot_draw(cut):
+    """Two spans, samples 0 .. cut - 1 and cut .. on, each drawn from
+    its own jumped streams in blocks of 2 * _BLOCK as a scan's workers
+    draw them, tile the samples and put back together are byte for byte
+    the one-shot (3, samples) draw."""
+    samples, block = 3 * charts._BLOCK + 5, 2 * charts._BLOCK
+    draw = charts._box_draw(-10.0, -1e-8)
+    rows = [(r * samples, draw) for r in range(3)]
+    blocks = [*charts._drawn_blocks(7, rows, cut, 0, block),
+              *charts._drawn_blocks(7, rows, samples, cut, block)]
+    assert [b for b, _ in blocks] == (
+        [slice(lo, min(lo + block, cut)) for lo in range(0, cut, block)]
+        + [slice(lo, min(lo + block, samples)) for lo in range(cut, samples, block)])
+    drawn = np.concatenate([np.stack(block_rows) for _, block_rows in blocks], axis=1)
+    whole = negative_box(np.random.default_rng(7), -10.0, -1e-8, (3, samples))
+    assert drawn.tobytes() == whole.tobytes()
+
+
 def test_box_sampler_at_the_criterion_5_band_keeps_its_draws():
     """Acceptance criterion 5 and det_locus_check draw v in [-e^2, -e^-2]
     from the box sampler: log(e^+-2) is +-2 in doubles, so the draws are

@@ -414,6 +414,18 @@ def test_scan_with_overflowing_box_fails_cleanly():
     assert proc.stderr == _ALL_OVERFLOW
 
 
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("samples", ["300000", "600000"])
+def test_a_large_scan_that_keeps_no_sample_fails_cleanly(samples, cpus, monkeypatch, capsys):
+    # at 600000 samples and two CPUs the scan is solved in two spans, on
+    # two threads; with one CPU, and at 300000 samples, on one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    argv = ["scan", "--orders", "3,3,3,3", "--t13", "6", "--t24", "6", "--samples", samples,
+            "--seed", "0", "--box=-1e-310,-1e-320"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", _ALL_OVERFLOW)
+
+
 def test_scan_at_overflowing_t_fails_cleanly():
     # T13 and T24 near the largest double overflow every sample of the
     # default box
