@@ -41,10 +41,11 @@ class ReflectionSystem:
     ``known_form``, the form of the covectors, for check_vinberg and
     charts.is_semisimple (_known_form; None for no known form), and
     ``sign_failures``, the failing pairs of (C1)-(C3) at TOL_ALGEBRAIC,
-    for cartan_of and check_vinberg (_sign_failures).  ``alphas`` and
-    ``vectors`` are the rows as 2-D float ndarrays, built on first
-    access.  Systems compare and hash by the three row tuples.  The
-    Cartan entries are not validated here (see cartan_of).
+    for cartan_of, check_vinberg and certify.verify_relations
+    (_sign_failures).  ``alphas`` and ``vectors`` are the rows as 2-D
+    float ndarrays, built on first access.  Systems compare and hash by
+    the three row tuples.  The Cartan entries are not validated here
+    (see cartan_of).
     """
 
     def __init__(self, alphas, vectors, cartan=None):
@@ -127,12 +128,13 @@ def _known_form(rows):
 
 
 def cartan_of(sys: ReflectionSystem) -> linalg.Rows:
-    """The system's Cartan matrix rows, validated: diagonal 2,
-    off-diagonal <= 0, and zero symmetry (M_ij = 0 iff M_ji = 0).
-    They are the Rows the system holds, read with no entry scan.
+    """The system's Cartan matrix rows, validated: (C1) M_ii = 2, (C2)
+    off-diagonal <= 0, and (C3) zero symmetry (M_ij = 0 iff M_ji = 0),
+    read off the system's sign_failures at TOL_ALGEBRAIC.  They are the
+    Rows the system holds, read with no entry scan.
     """
     c1, c2, c3 = sys.sign_failures
-    if any(i == j for i, j in c1):
+    if c1:
         raise InvariantViolation("diagonal entries must equal 2")
     if c2:
         raise InvariantViolation("off-diagonal entries must be <= 0")
@@ -142,32 +144,31 @@ def cartan_of(sys: ReflectionSystem) -> linalg.Rows:
 
 
 def _sign_failures(rows, tol: float):
-    """Failing 1-based pairs of Vinberg's (C1) diagonal 2 and off-diagonal
-    never 2, (C2) off-diagonal <= 0 and (C3) zero symmetry, read off the
-    Cartan matrix rows in one pass over the off-diagonal pairs.  Each
-    list is in row-major order, C1's diagonal failures first.
+    """Failing 1-based pairs of Vinberg's (C1) M_ii = 2, (C2) off-diagonal
+    <= 0 and (C3) zero symmetry, read off the Cartan matrix rows: C1 as
+    the places (i, i), the others in one pass over the off-diagonal
+    pairs.  Each list is in row-major order.
 
     C3 fails a pair when one entry is zero to within tol, the other is
     not, and their product M_ij M_ji is zero to within tol as well.  A
     positive diagonal gauge leaves the product fixed, so a valid pair
-    with M_ij = -1e10 and M_ji = -1e-10 passes.
+    with M_ij = -1e10 and M_ji = -1e-10 passes.  A pair of entries both
+    below -|tol| fails neither C2 nor C3, at any tol.
     """
-    c1, c2, c3 = [], [], []
-    # for 0 <= tol < 2, a pair of entries both below -tol fails nothing
-    low = -tol if 0.0 <= tol < 2.0 else -math.inf
+    c2, c3 = [], []
+    low = -abs(tol)
     for i, j in combinations(range(len(rows)), 2):
         x, y = rows[i][j], rows[j][i]
         if x < low and y < low:
             continue
-        for pair, z in (((i + 1, j + 1), x), ((j + 1, i + 1), y)):
-            if abs(z - 2.0) <= tol:
-                c1.append(pair)
-            if z > tol:
-                c2.append(pair)
+        if x > tol:
+            c2.append((i + 1, j + 1))
+        if y > tol:
+            c2.append((j + 1, i + 1))
         if (abs(x) <= tol) != (abs(y) <= tol) and not abs(x * y) > tol:
             c3.append((i + 1, j + 1))
-    diagonal = [(i, i) for i, row in enumerate(rows, 1) if abs(row[i - 1] - 2.0) > tol]
-    return diagonal + sorted(c1), sorted(c2), c3
+    c1 = [(i, i) for i, row in enumerate(rows, 1) if abs(row[i - 1] - 2.0) > tol]
+    return c1, sorted(c2), c3
 
 
 class Check(tuple):
@@ -259,17 +260,18 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     """Run conditions (C1)-(C5) on the system: a Verdict of five Checks,
     C1..C5.  A check's ``where`` is the tuple of 1-based pairs that
     failed it and its ``value`` the worst residual: max |M_ii - 2| for
-    C1, the largest positive off-diagonal entry for C2, the largest
-    _pair_checks r for C4, and 0.0 for C3 and C5.  Each is bound by
-    tol but C4, by the bound of the pair that sets its value.
+    C1 (M_ii = 2), the largest positive off-diagonal entry for C2, the
+    largest _pair_checks r for C4, and 0.0 for C3 and C5.  Each is
+    bound by tol but C4, by the bound of the pair that sets its value:
+    once a pair fails, the worst failing pair.
 
-    C5 (nonempty interior) is decided by relation_space_trivial on the
+    C5 (nonempty interior) is decided by _relation_space_trivial on the
     system's known_form; covectors of no known form fail it.
     """
     rows = sys.cartan
     f = len(rows)
 
-    # C1-C3: diagonal 2 (off-diagonal never 2), off-diagonal <= 0, zero symmetry
+    # C1-C3: diagonal 2, off-diagonal <= 0, zero symmetry
     c1_fail, c2_fail, c3_fail = (sys.sign_failures if tol == linalg.TOL_ALGEBRAIC
                                  else _sign_failures(rows, tol))
     diag_res = max(abs(rows[i][i] - 2.0) for i in range(f))
@@ -278,10 +280,12 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     # C4: products match mu for finite orders, >= 4 for infinite ones
     c4_fail, c4_res, c4_bound = [], 0.0, tol
     for pair, _, _, res, bound, passed in _pair_checks(rows, orders, tol):
-        if res >= c4_res:
-            c4_res, c4_bound = res, bound
         if not passed:
+            if not c4_fail or res >= c4_res:   # the first failure resets the worst
+                c4_res, c4_bound = res, bound
             c4_fail.append(pair)
+        elif not c4_fail and res >= c4_res:
+            c4_res, c4_bound = res, bound
 
     # C5: nonempty interior, decided on the known form of the rows as held
     form = sys.known_form
@@ -294,28 +298,14 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
                     Check(("C5", (), 0.0, tol, c5_ok))))
 
 
-def relation_space_trivial(alphas) -> bool:
-    """Whether every nonzero linear relation among the alphas has
-    coefficients of both signs, decided exactly for f covectors in R^f
-    of a known form (_known_form; any other raise UnsupportedShape).
-    With a the other covector and m the coordinate no unit one takes,
-    they are independent if a[m] != 0, and else their one relation
-    writes a as sum a_k e_k*, which takes both signs iff some a_k > 0.
-    The alphas are read by linalg._rows and non-finite ones raise
-    DomainError; check_vinberg skips both on a system's held rows.
-    """
-    rows = linalg._rows(alphas)
-    if not all(map(math.isfinite, chain(*rows))):
-        raise DomainError("alphas must be finite")
-    form = _known_form(rows)
-    if form is None:
-        raise UnsupportedShape("covectors of no known form: all but at most one "
-                               "distinct unit covectors of R^f")
-    return _relation_space_trivial(rows, form)
-
-
 def _relation_space_trivial(rows, form) -> bool:
-    """relation_space_trivial of rows of the known form (m, r)."""
+    """Whether every nonzero linear relation among a system's covector
+    rows, of the known form (m, r) (_known_form), has coefficients of
+    both signs, decided exactly.  With a = rows[r] and m the coordinate
+    no unit covector takes, they are independent if a[m] != 0, and else
+    their one relation writes a as sum a_k e_k*, which takes both signs
+    iff some a_k > 0.
+    """
     m, r = form
     return rows[r][m] != 0.0 or max(rows[r]) > 0.0
 

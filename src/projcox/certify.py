@@ -20,19 +20,20 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     """Check R_i^2 = Id, (R_i R_j)^n_ij = Id for finite orders, and
     infinite order of R_i R_j for infinite ones, all read off the Cartan
     matrix M_ij = alpha_i(v_j).  The Verdict holds an ``involution``
-    check per side (i,): R_i is one iff M_ii = 2, so its residual is
-    |M_ii - 2|, bound by tol, and a system off it by more than
-    TOL_ALGEBRAIC is no reflection system (InvariantViolation).  Then
-    one check per pair (i, j), in pair order, of cartan._pair_checks,
-    which derives them: ``finite`` with its residual, or ``infinite``
-    with its product M_ij M_ji, as value, and the pair's bound.
+    check per side (i,): R_i is one iff M_ii = 2 (C1), so its residual
+    is |M_ii - 2|, bound by tol.  A system whose C1 fails at
+    TOL_ALGEBRAIC (its sign_failures, as cartan_of reads them) is no
+    reflection system (InvariantViolation).  Then one check per pair
+    (i, j), in pair order, of cartan._pair_checks, which derives them:
+    ``finite`` with its residual, or ``infinite`` with its product M_ij
+    M_ji, as value, and the pair's bound.
     """
+    if sys.sign_failures[0]:
+        raise InvariantViolation("diagonal entries must equal 2")
     m = sys.cartan
     checks = []
     for i, row in enumerate(m, start=1):
         res = abs(row[i - 1] - 2.0)
-        if not res <= TOL_ALGEBRAIC:
-            raise InvariantViolation(f"a(v) = {row[i - 1]}, expected 2")
         checks.append(Check(("involution", (i,), res, tol, res <= tol)))
     for pair, n, prod, res, bound, passed in _pair_checks(m, orders, tol):
         checks.append(Check(("infinite", pair, prod, bound, passed) if n is INFINITY

@@ -2,7 +2,7 @@ import hashlib
 import math
 import pickle
 import random
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import GAMMA_5, exact_kernel, random_concurrent, random_general, random_standard
-from projcox import cartan, charts, linalg
+from projcox import cartan, charts, linalg, orbifold
 from projcox.cartan import (GENERATING_CYCLES, ReflectionSystem, cartan_of,
                             check_vinberg, cyclic_invariants,
                             derived_invariant_identities,
-                            projectively_equivalent, relation_space_trivial)
+                            projectively_equivalent)
 from projcox.certify import is_convex_cocompact, verify_relations
 from projcox.errors import DomainError, InvariantViolation, ProjCoxError, UnsupportedShape
 from projcox.orbifold import EdgeOrders, QuadPrismOrders
@@ -42,6 +42,11 @@ def test_reflection_system_shape_checks():
         ReflectionSystem(np.eye(4), np.eye(3))
     with pytest.raises(ValueError, match="finite"):
         ReflectionSystem(np.eye(2), [[2.0, np.nan], [-1.0, 2.0]])
+    # the known form would read a4 = nan or inf as nonzero
+    for x in (math.nan, math.inf):
+        for fourth in ((0.0, 0.0, -1.0, x), (x, -1.0, -1.0, 0.0)):
+            with pytest.raises(DomainError, match="alpha, vector and Cartan entries must be"):
+                ReflectionSystem((*charts._UNIT_COVECTORS, fourth), np.zeros((4, 4)))
 
 
 def test_a_given_cartan_matrix_must_be_f_by_f():
@@ -194,6 +199,27 @@ def test_check_vinberg_order_two_needs_both_entries_zero():
     assert condition(report, "C4").value == 1e-5
 
 
+def test_a_failing_c4_reports_its_worst_failing_pair():
+    """Pair (1,2) is off mu(3) by 1e-8 and fails; pair (1,3), at order
+    10^6, is off its product by 5e-5 of 4 - mu and passes, as that
+    order's rounding bound is about 9e-5.  C4's value and bound are the
+    failing pair's, not those of the passing pair with the larger
+    residual, so value > bound."""
+    big = 10**6
+    mu3, mu_big = orbifold.mu(3), orbifold.mu(big)
+    rows = ((2.0, -1.0, -1.0), (-(mu3 + 1e-8), 2.0, 0.0),
+            (-(mu_big + 5e-5 * (4.0 - mu_big)), 0.0, 2.0))
+    orders = EdgeOrders(3, {(1, 2): 3, (1, 3): big, (2, 3): 2})
+    c4 = condition(check_vinberg(ReflectionSystem(np.eye(3), np.transpose(rows)), orders), "C4")
+    pairs = {pair: (r, bound, passed) for pair, _, _, r, bound, passed
+             in cartan._pair_checks(rows, orders, linalg.TOL_ALGEBRAIC)}
+    assert not pairs[(1, 2)][2] and pairs[(1, 3)][2]
+    assert pairs[(1, 3)][0] > pairs[(1, 2)][0]
+    assert (c4.where, c4.value, c4.bound, c4.passed) == (((1, 2),), *pairs[(1, 2)])
+    assert c4.value == pytest.approx(1e-8 / 3.0, rel=1e-6)
+    assert c4.value > c4.bound == pytest.approx(1e-9)
+
+
 def test_zero_symmetry_reads_the_gauge_invariant_product():
     # M_23 = v23 = -1e10 and M_32 = mu23 / v23 = -1e-10: both entries are
     # nonzero and their product is mu23, whatever the diagonal gauge
@@ -216,6 +242,21 @@ def test_check_vinberg_detects_sign_flip():
     assert "C2" in failed(report)
 
 
+def _c5(alphas):
+    """C5 on a system with these covectors: the known-form kernel's
+    decision, or UnsupportedShape for covectors of no known form, where
+    check_vinberg's C5 fails; check_vinberg's C5 is asserted to agree."""
+    sys = ReflectionSystem(alphas, np.zeros(np.shape(alphas)))
+    form = sys.known_form
+    decision = (UnsupportedShape if form is None
+                else cartan._relation_space_trivial(sys.alpha_rows, form))
+    f = len(sys.cartan)
+    if f >= 2:
+        orders = EdgeOrders(f, dict.fromkeys(combinations(range(1, f + 1), 2), 3))
+        assert condition(check_vinberg(sys, orders), "C5").passed == (decision is True)
+    return decision
+
+
 def test_known_forms_in_any_row_order():
     """A dual basis in any order, and three distinct unit covectors
     (zeros of either sign) beside any fourth covector, in any order,
@@ -224,14 +265,14 @@ def test_known_forms_in_any_row_order():
     for perm in ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)):
         moved = tuple(rows[i] for i in perm)
         assert cartan._known_form(moved) == (perm[3], 3)
-        assert relation_space_trivial(moved)
+        assert _c5(moved) is True
     signed = ((-0.0, 0.0, 1.0, -0.0), (-2.0, -0.0, -3.0, 0.0),
               (1.0, -0.0, 0.0, 0.0), (0.0, -0.0, -0.0, 1.0))
     assert cartan._known_form(signed) == (1, 1)
-    assert not relation_space_trivial(signed)
+    assert _c5(signed) is False
     repeated = (rows[0], rows[1], rows[0], rows[3])
     assert cartan._known_form(repeated) == (2, 2)
-    assert relation_space_trivial(repeated)   # e1* - e1* = 0 has both signs
+    assert _c5(repeated) is True   # e1* - e1* = 0 has both signs
 
 
 def test_covectors_of_no_known_form_are_unsupported():
@@ -241,35 +282,31 @@ def test_covectors_of_no_known_form_are_unsupported():
                    np.array([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0],
                              [0, -1.0, 2.0, 0.5], [0, 0, 1.0, 0]]),
                    np.array([[1.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]),
-                   np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]).T,  # 2 in R^3
-                   np.zeros((0, 0))):
-        with pytest.raises(UnsupportedShape, match="no known form"):
-            relation_space_trivial(alphas)
+                   np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]).T):  # 2 in R^3
+        assert _c5(alphas) is UnsupportedShape
+    # no covectors at all are of no known form, and make no system
+    assert cartan._known_form(()) is None
+    with pytest.raises(UnsupportedShape):
+        ReflectionSystem(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def test_relation_space_mixed_signs_pass():
     # alpha_4 = e1* - e2* + e3*: relation (1, -1, 1, -1) has both signs
     alphas = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0],
                        [1.0, -1.0, 1.0, 0]])
-    assert relation_space_trivial(alphas)
+    assert _c5(alphas) is True
 
 
 def test_relation_space_one_signed_fails():
     # alpha_4 = -(e1* + e2* + e3*): the relation is single-signed
     alphas = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0],
                        [-1.0, -1.0, -1.0, 0]])
-    assert not relation_space_trivial(alphas)
+    assert _c5(alphas) is False
 
 
 def test_relation_space_high_dimension_unsupported():
     alphas = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0], [2.0, 0, 0, 0]])
-    with pytest.raises(UnsupportedShape):
-        relation_space_trivial(alphas)
-    # check_vinberg reports such a system as failing C5, without raising
-    vectors = np.array([[2.0, 0, 0, 0], [2.0, 0, 0, 0], [1.0, 0, 0, 0]])
-    orders = EdgeOrders(3, {(1, 2): 3, (1, 3): 3, (2, 3): 3})
-    report = check_vinberg(ReflectionSystem(alphas, vectors), orders)
-    assert not condition(report, "C5").passed
+    assert _c5(alphas) is UnsupportedShape   # and check_vinberg's C5 fails, unraised
 
 
 _ZERO = st.sampled_from((0.0, -0.0))
@@ -291,14 +328,6 @@ def _covectors(draw):
     return tuple(map(tuple, rows))
 
 
-def _verdict(f, alphas):
-    """f(alphas), or UnsupportedShape where f raises it."""
-    try:
-        return f(alphas)
-    except UnsupportedShape:
-        return UnsupportedShape
-
-
 @settings(max_examples=300, deadline=None)
 @given(rows=_covectors(), form=st.sampled_from((tuple, list, np.array)))
 def test_verdict_depends_on_neither_input_form_nor_zero_sign(rows, form):
@@ -306,10 +335,10 @@ def test_verdict_depends_on_neither_input_form_nor_zero_sign(rows, form):
     one on the tuples, and so is the verdict on the rows with the sign
     of every zero flipped."""
     alphas = rows if form is tuple else form([form(row) for row in rows])
-    expected = _verdict(relation_space_trivial, rows)
-    assert _verdict(relation_space_trivial, alphas) == expected
+    expected = _c5(rows)
+    assert _c5(alphas) == expected
     flipped = tuple(tuple(x if x else -x for x in row) for row in rows)
-    assert _verdict(relation_space_trivial, flipped) == expected
+    assert _c5(flipped) == expected
 
 
 def _exact_c5(alphas):
@@ -337,23 +366,7 @@ def test_standard_form_c5_is_the_exact_decision(fourth, zeros, units, order):
     rows = [tuple(1.0 if i == k else next(zeros) for i in range(4)) for k in units[:3]]
     rows.append(tuple(fourth))
     alphas = tuple(rows[i] for i in order)
-    assert _verdict(relation_space_trivial, alphas) == _exact_c5(alphas)
-
-
-@pytest.mark.parametrize("x", [math.nan, math.inf])
-def test_relation_space_refuses_non_finite_alphas(x):
-    """The standard form would read a4 = nan or inf as nonzero."""
-    for fourth in ((0.0, 0.0, -1.0, x), (x, -1.0, -1.0, 0.0)):
-        with pytest.raises(DomainError, match="alphas must be finite"):
-            relation_space_trivial((*charts._UNIT_COVECTORS, fourth))
-
-
-def test_two_dimensional_relation_spaces_raise_on_every_call():
-    alphas = ((1.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0),
-              (0.0, 1.0, 0.0, 0.0), (0.0, -3.0, 0.0, 0.0))
-    for _ in range(3):
-        with pytest.raises(UnsupportedShape):
-            relation_space_trivial(alphas)
+    assert _c5(alphas) == _exact_c5(alphas)
 
 
 def _concurrent_point_in_the_standard_chart(orders, v):
@@ -397,8 +410,6 @@ def _reference_sign_failures(rows, tol):
     in row-major order."""
     f = len(rows)
     c1 = [(i + 1, i + 1) for i in range(f) if abs(rows[i][i] - 2.0) > tol]
-    c1 += [(i + 1, j + 1) for i in range(f) for j in range(f)
-           if i != j and abs(rows[i][j] - 2.0) <= tol]
     c2 = [(i + 1, j + 1) for i in range(f) for j in range(f)
           if i != j and rows[i][j] > tol]
     c3 = [(i + 1, j + 1) for i in range(f) for j in range(i + 1, f)

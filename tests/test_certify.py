@@ -4,7 +4,7 @@ import os
 import threading
 import tracemalloc
 import warnings
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -167,6 +167,80 @@ def test_involution_residual_and_normalization():
     m[0, 0] = 2.0 + 1e-6
     with pytest.raises(InvariantViolation):
         certify.verify_relations(ReflectionSystem(np.eye(2), m.T), orders)
+
+
+#: the tolerances at which C1 and C4 are compared with the relations
+AGREEMENT_TOLS = (0.0, 1e-9, 1e-3, 0.5, 1.5, 2.5, 5.0)
+
+
+def assert_vinberg_and_relations_agree(sys, orders):
+    """At each of AGREEMENT_TOLS, C1 fails at the (i, i) of the failing
+    involution sides and C4 at the failing finite and infinite pairs;
+    verify_relations raises exactly when cartan_of refuses the diagonal,
+    with the same message."""
+    try:
+        cartan.cartan_of(sys)
+        refusal = None
+    except InvariantViolation as exc:
+        refusal = str(exc)
+    try:
+        certify.verify_relations(sys, orders)
+        raised = None
+    except InvariantViolation as exc:
+        raised = str(exc)
+    diagonal = "diagonal entries must equal 2"
+    assert raised == (diagonal if refusal == diagonal else None)
+    if raised:
+        return
+    for tol in AGREEMENT_TOLS:
+        vinberg = {c.name: c for c in cartan.check_vinberg(sys, orders, tol)}
+        relations = failures(certify.verify_relations(sys, orders, tol))
+        assert vinberg["C1"].where == tuple(where * 2 for name, where in relations
+                                            if name == "involution"), tol
+        assert vinberg["C4"].where == tuple(where for name, where in relations
+                                            if name != "involution"), tol
+
+
+#: Cartan entries of raw systems: diagonals at 2, within TOL_ALGEBRAIC of
+#: it and off it; off-diagonal entries near 2, zeros of both signs,
+#: positives, and negatives whose products meet mu(3), mu(5) and 4
+_RAW_DIAGONAL = st.sampled_from((2.0, 2.0, 2.0, 2.0 + 1e-12, 2.0 - 4e-10, 2.0 + 1e-6, 2.5, 0.0))
+_RAW_OFF_DIAGONAL = st.sampled_from((2.0, 2.0 - 1e-12, 1.9, 2.4, 4.5, 1e-3, 1e-12, 0.0, -0.0,
+                                     -1e-12, -1.0, -orbifold.mu(5), -4.0, -3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.integers(2, 4), data=st.data())
+def test_raw_systems_decide_c1_and_c4_as_the_relations(f, data):
+    rows = [[data.draw(_RAW_DIAGONAL if i == j else _RAW_OFF_DIAGONAL) for j in range(f)]
+            for i in range(f)]
+    table = {pair: data.draw(st.sampled_from((2, 3, 5, INFINITY)))
+             for pair in combinations(range(1, f + 1), 2)}
+    sys = ReflectionSystem(np.eye(f), np.transpose(rows))
+    assert_vinberg_and_relations_agree(sys, EdgeOrders(f, table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       chart=st.sampled_from(("general", "concurrent", "standard")),
+       moved=st.sampled_from((None, 0, 3)))
+def test_chart_systems_decide_c1_and_c4_as_the_relations(seed, chart, moved):
+    """A point of each chart, checked against its orders or with one
+    finite order raised by one."""
+    rng = np.random.default_rng(seed)
+    if chart == "general":
+        params = random_general(rng)
+        sys, orders = charts.build_general(params), params.orders
+    elif chart == "concurrent":
+        params = random_concurrent(rng, v44=float(rng.standard_normal()))
+        sys, orders = charts.build_concurrent(params), params.orders
+    else:
+        pt = random_standard(rng)
+        sys, orders = balanced_realization(pt), pt.orders
+    table = dict(orders.orders)
+    if moved is not None:
+        table[finite_pairs(orders)[moved]] += 1
+    assert_vinberg_and_relations_agree(sys, EdgeOrders(4, table))
 
 
 @settings(max_examples=200, deadline=None)

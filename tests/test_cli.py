@@ -597,6 +597,27 @@ def test_vinberg_uses_tolerance():
         assert doc["results"]["C4"]["passed"] is True
 
 
+#: the README's chart points, each a valid point
+README_POINTS = [README_COMMANDS[name].split()[1:]
+                 for name in ("relations", "vinberg", "cocompact", "invariants")]
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-9", "0.5", "1.5", "2", "3", "10", "1e300"])
+def test_a_larger_tol_fails_no_valid_point(tol):
+    """--tol is slack, so no --tol fails what a smaller one passes: each
+    of the README's points passes vinberg and relations at every tol,
+    and so does its simplex command.  invariants passes from 1e-9 on;
+    there tol is the identities' gate itself, so at 0 their rounding
+    fails (test_exit_code_on_check_failure).  C1 once failed an
+    off-diagonal entry within tol of 2, every -1 of the concurrent
+    point from --tol 3 on."""
+    commands = ("vinberg", "relations") + (("invariants",) if float(tol) else ())
+    for point in README_POINTS:
+        for command in commands:
+            assert run_cli([command, *point, "--tol", tol])[0] == 0, (command, point)
+    assert run_cli([*README_COMMANDS["simplex"].split(), "--tol", tol])[0] == 0
+
+
 def test_relations_pass_a_valid_point_at_order_1e5():
     # pair 1-4 reads 1.12e-7, a single rounding of M_14 M_41, which the
     # fixed gate of 1e-7 once failed and the computed bound holds
@@ -832,7 +853,8 @@ def _argv(draw):
         value = _t if flag in ("t13", "t24") else _finite if flag == "v44" else _negative
         argv += [f"--{flag}", draw(value)]
     if command != "cocompact" and draw(st.booleans()):
-        argv += ["--tol", draw(_mostly(st.floats(0.0, 1.0).map(repr), _number))]
+        tol = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e300))
+        argv += ["--tol", draw(_mostly(tol.map(repr), _number))]
     return argv
 
 
