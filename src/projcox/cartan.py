@@ -255,6 +255,14 @@ def _pair_checks(rows, orders: EdgeOrders, tol: float):
         yield (i, j), n, p, r, bound, r <= bound
 
 
+def _require_tol(tol: float) -> None:
+    """Refuse a tol that is not finite and >= 0 with DomainError, the
+    rule of the CLI's --tol: a NaN tol would pass every sign check and
+    fail every residual."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
+
+
 def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
                   tol: float = linalg.TOL_ALGEBRAIC) -> Verdict:
     """Run conditions (C1)-(C5) on the system: a Verdict of five Checks,
@@ -266,8 +274,10 @@ def check_vinberg(sys: ReflectionSystem, orders: EdgeOrders,
     once a pair fails, the worst failing pair.
 
     C5 (nonempty interior) is decided by _relation_space_trivial on the
-    system's known_form; covectors of no known form fail it.
+    system's known_form; covectors of no known form fail it.  A tol that
+    is not finite and >= 0 raises DomainError before any check.
     """
+    _require_tol(tol)
     rows = sys.cartan
     f = len(rows)
 
@@ -338,9 +348,11 @@ def derived_invariant_identities(inv: dict, orders: EdgeOrders,
     each with its residual as value and tol as bound.
 
     For the infinite edge (2,4) the length-2 invariant itself plays the
-    role of mu.  Residuals are relative: |x - y| / (1 + |x| + |y|).  An
-    order table that is not the quad prism's raises UnsupportedShape.
+    role of mu.  Residuals are relative: |x - y| / (1 + |x| + |y|).  A
+    tol that is not finite and >= 0 raises DomainError, and then an
+    order table that is not the quad prism's UnsupportedShape.
     """
+    _require_tol(tol)
     m12, m23, m34, m14 = _quad_prism_mu(orders)
     t13 = inv[(1, 3)]
     t24 = inv[(2, 4)]

@@ -9,7 +9,7 @@ import os
 from collections import namedtuple
 
 from . import charts
-from .cartan import Check, ReflectionSystem, Verdict, _pair_checks, _t_products
+from .cartan import Check, ReflectionSystem, Verdict, _pair_checks, _require_tol, _t_products
 from .errors import DomainError, InvariantViolation
 from .linalg import TOL_ALGEBRAIC, _rows
 from .orbifold import INFINITY, EdgeOrders, _quad_prism_mu
@@ -26,8 +26,10 @@ def verify_relations(sys: ReflectionSystem, orders: EdgeOrders,
     reflection system (InvariantViolation).  Then one check per pair
     (i, j), in pair order, of cartan._pair_checks, which derives them:
     ``finite`` with its residual, or ``infinite`` with its product M_ij
-    M_ji, as value, and the pair's bound.
+    M_ji, as value, and the pair's bound.  A tol that is not finite and
+    >= 0 raises DomainError before any check.
     """
+    _require_tol(tol)
     if sys.sign_failures[0]:
         raise InvariantViolation("diagonal entries must equal 2")
     m = sys.cartan

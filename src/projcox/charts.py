@@ -450,7 +450,7 @@ def is_semisimple(sys: ReflectionSystem) -> bool:
     linalg.nonsingular block (every chart's but the general one's),
     rank V = 3 + [v_r[m] != 0] and, at a[m] = 0, ker A = span(e_m) lies
     in span V iff v_r[m] != 0: V splits iff a[m] and v_r[m] are both
-    zero (case III) or both not (case I).  Where V itself is proven
+    zero (case III) or both not (case I).  Where V itself is
     nonsingular instead (the general chart), it splits iff A is
     nonsingular, a[m] != 0.  Otherwise, and for any other size, the
     answer is undecided and UnsupportedShape is raised.
@@ -464,7 +464,7 @@ def is_semisimple(sys: ReflectionSystem) -> bool:
             return (a_m == 0.0) == (v[r][m] == 0.0)
         if linalg.nonsingular(v):
             return a_m != 0.0
-    raise UnsupportedShape("semisimplicity undecided: no proven nonsingular block "
+    raise UnsupportedShape("semisimplicity undecided: no nonsingular block "
                            "of a 4x4 system of a known form")
 
 

@@ -1,6 +1,5 @@
 """Small dense matrices over IEEE doubles: rows read as tuples of
-Python floats, and a determinant proven nonzero against its rounding
-bound.
+Python floats, and whether their determinant is zero, decided exactly.
 """
 
 from __future__ import annotations
@@ -63,41 +62,28 @@ def _rows(m, shape=None) -> tuple:
     return m
 
 
-def _scaled(rows) -> list:
-    """Each nonzero row divided by its largest |entry|, which keeps
-    whether the determinant is zero: nonsingular's bound is then taken
-    on entries of at most 1 in size.  The top, max(max(row), -min(row)),
-    is max(map(abs, row)) wherever it divides."""
-    out = []
-    for row in rows:
-        top = max(max(row), -min(row)) if row else 0.0
-        out.append([x / top for x in row] if top and top != 1.0 else row)
-    return out
-
-
-def _cofactor_det(rows) -> tuple:
-    """(determinant, permanent of |rows|) of a 3x3 or larger matrix of
-    floats, both by cofactor expansion along the first row."""
+def _det(rows) -> int:
+    """The determinant of a 3x3 or larger matrix of ints, by cofactor
+    expansion along the first row."""
     if len(rows) == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
-        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g),
-                abs(a) * (abs(e * i) + abs(f * h)) + abs(b) * (abs(d * i) + abs(f * g))
-                + abs(c) * (abs(d * h) + abs(e * g)))
-    d = p = 0.0
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    det = 0
     for j, x in enumerate(rows[0]):
-        dj, pj = _cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
-        d, p = d + (-x * dj if j % 2 else x * dj), p + abs(x) * pj
-    return d, p
+        minor = _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        det += -x * minor if j % 2 else x * minor
+    return det
 
 
 def nonsingular(rows) -> bool:
-    """Whether an n x n matrix of floats, n >= 3, has a nonzero exact
-    determinant; False is undecided.  The float determinant d of its
-    _scaled rows (|entries| <= 1; a positive row scale keeps the zero)
-    must clear the forward error bound gamma_{2n^2} p + 2n^(n+1)
-    2^-1074, p their permanent (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 3; the second term bounds underflow)."""
-    n = len(rows)
-    d, p = _cofactor_det(_scaled(rows))
-    ku = 2 * n * n * 2.0 ** -53
-    return abs(d) > ku / (1.0 - ku) * p + 2 * n ** (n + 1) * 5e-324
+    """Whether an n x n matrix of floats, n >= 3, has a nonzero
+    determinant, decided exactly: each finite double is an integer over
+    a power of two, and the rows times the largest such denominator are
+    integers whose determinant is zero iff the doubles' is.  A matrix
+    with a non-finite entry reads False."""
+    try:
+        ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    except (OverflowError, ValueError):
+        return False
+    k = max([d for row in ratios for _, d in row]).bit_length()
+    return _det([[p << (k - d.bit_length()) for p, d in row] for row in ratios]) != 0

@@ -448,6 +448,29 @@ def test_shared_sign_check_keeps_each_tolerance():
         assert not condition(check_vinberg(other, orders), "C2").passed
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_library_tol_must_be_finite_and_nonnegative(tol):
+    """check_vinberg, verify_relations and derived_invariant_identities
+    refuse a tol that is not finite and >= 0 before any other check: at
+    tol NaN, C1 would pass M_11 = 5 and verify_relations would not read
+    C1 at all.  0 and 1e300 are accepted."""
+    sys = ReflectionSystem([[1.0, 0.0], [0.0, 1.0]], [[5.0, -1.0], [-1.0, 2.0]])
+    pair = EdgeOrders(2, {(1, 2): 3})
+    inv = cyclic_invariants(cartan_of(concurrent_all_minus_one()))
+    for call in (lambda t: check_vinberg(sys, pair, t),
+                 lambda t: verify_relations(sys, pair, t),
+                 lambda t: derived_invariant_identities(inv, pair, t)):
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            call(tol)
+    for ok in (0.0, 1e300):
+        assert condition(check_vinberg(sys, pair, ok), "C1").passed is (ok == 1e300)
+        with pytest.raises(InvariantViolation, match="diagonal"):
+            verify_relations(sys, pair, ok)
+        with pytest.raises(UnsupportedShape):
+            derived_invariant_identities(inv, pair, ok)
+        assert derived_invariant_identities(inv, O3333, ok).passed
+
+
 def test_cycle_value_by_hand():
     inv = cyclic_invariants(np.arange(1.0, 17.0).reshape(4, 4))
     assert inv[(1, 3)] == 3.0 * 9.0

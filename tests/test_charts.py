@@ -779,7 +779,7 @@ def test_chart_systems_are_decided_without_elimination():
     left: they decide a general point, a concurrent point, standard
     points realised at a4 = 1 and at a4 = 0, and the certify workload's
     identity-covector mutation (an entry of [v] with its sign flipped)."""
-    assert not {"rank", "_eliminate", "RANK_TOL"} & set(vars(linalg))
+    assert not {"rank", "_eliminate", "RANK_TOL", "_scaled", "_cofactor_det"} & set(vars(linalg))
     o = QuadPrismOrders(3, 4, 5, 6)
     coords, concurrent = (6.0, 5.0, -1.5, -0.7, -2.0), ConcurrentChartParams(o, -1.3, -0.7, -2.1, -0.4)
     general = build_general(GeneralChartParams(o, *coords))
@@ -795,6 +795,16 @@ def test_chart_systems_are_decided_without_elimination():
         assert cartan.check_vinberg(sys, o).passed is valid, name
         assert certify.verify_relations(sys, o).passed is valid, name
         assert is_semisimple(sys), name
+
+
+@pytest.mark.parametrize("v44, semisimple", [(0.0, True), (1.0, False)])
+def test_semisimple_reads_the_case_of_an_ill_conditioned_block(v44, semisimple):
+    """Alphas e1*, e2*, e3*, (1, -1, 1, 0) and vectors whose first two
+    differ by 2^-52 in one entry: their 3x3 block is nonsingular, with
+    determinant 2^-52, so v44 = 0 reads case III and v44 = 1 case II."""
+    alphas = (_unit(0), _unit(1), _unit(2), (1.0, -1.0, 1.0, 0.0))
+    vectors = ((1.0, 1.0, 0.0, 0.0), (1.0, 1.0 + 2**-52, 0.0, 0.0), _unit(2), (0.0, 0.0, 0.0, v44))
+    assert is_semisimple(ReflectionSystem(alphas, vectors)) is semisimple
 
 
 def test_semisimplicity_of_other_forms_and_sizes_is_undecided():
